@@ -28,13 +28,12 @@ from .paircenter import (PairParams, PairStates, brightness_ratio, dark_state_li
                          pair_eigensystem_exact, pair_eigensystem_perturbative)
 from .interactions import (BlockadeModel, blockade_feasible, calibrate_blockade_constants,
                            crossover_radius, dipole_shift, quadrupole_shift)
-from .ensemble import (CenterSet, ChannelAllocation, CrystalSpec, DopedCenter,
-                       allocate_channels, assign_frequencies, ensemble_radius,
-                       identify_pairs, mean_qubit_spacing, min_pair_concentration,
-                       sample_lattice, spectral_select)
-from .dynamics import (LevelSystem, QubitLevels, ShiftCoupling, ExchangeCoupling,
-                       build_hamiltonian, propagate_lindblad, propagate_unitary,
-                       rabi_transfer)
+from .ensemble import (CenterSet, ChannelAllocation, CrystalSpec, allocate_channels,
+                       assign_frequencies, ensemble_radius, identify_pairs,
+                       mean_qubit_spacing, min_pair_concentration, sample_lattice,
+                       spectral_select)
+from .dynamics import (LevelSystem, QubitLevels, ShiftCoupling, build_hamiltonian,
+                       propagate_lindblad, propagate_unitary, rabi_transfer)
 from .gates import (GateReport, GateScenario, NoiseFlags, QubitScheme,
                     canonical_blockade_sequence, pair_center_scenario, run_protocol,
                     sweep)

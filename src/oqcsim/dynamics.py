@@ -80,28 +80,11 @@ class ShiftCoupling:
     shift: float
 
 
-@dataclass(frozen=True)
-class ExchangeCoupling:
-    """Off-diagonal amplitude (rad/s) between two joint configurations.
-
-    state_a/state_b assign levels to the same set of qubits; the
-    coupling acts as identity on all unnamed qubits.
-    """
-
-    state_a: Mapping[str, str]
-    state_b: Mapping[str, str]
-    amplitude: float
-
-    def __post_init__(self):
-        if set(self.state_a) != set(self.state_b):
-            raise ValidationError("exchange coupling must name the same qubits on both sides")
-
-
 class LevelSystem:
     """Register of qubits with static cross-qubit couplings."""
 
     def __init__(self, qubits: Sequence[QubitLevels],
-                 couplings: Iterable[ShiftCoupling | ExchangeCoupling] = ()):
+                 couplings: Iterable[ShiftCoupling] = ()):
         names = [q.name for q in qubits]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate qubit names")
@@ -119,8 +102,7 @@ class LevelSystem:
             stride //= d
             self._strides.append(stride)
         for cp in self.couplings:
-            pins = cp.states if isinstance(cp, ShiftCoupling) else {**cp.state_a, **cp.state_b}
-            for qn, lv in pins.items():
+            for qn, lv in cp.states.items():
                 self.qubit(qn).index(lv)
 
     def qubit(self, name: str) -> QubitLevels:
@@ -171,8 +153,8 @@ def build_hamiltonian(system: LevelSystem,
     """Rotating-frame segment Hamiltonian (rad/s), Hermitian by construction.
 
     Diagonal: per-level static detunings plus conditional shift
-    couplings.  Off-diagonal: exchange couplings and Omega/2 on each
-    driven transition, with the pulse detuning on the upper level.
+    couplings.  Off-diagonal: Omega/2 on each driven transition, with
+    the pulse detuning on the upper level.
     Several simultaneous pulses are allowed only on disjoint level pairs.
     """
     h = np.zeros((system.dimension, system.dimension), dtype=complex)
@@ -185,32 +167,13 @@ def build_hamiltonian(system: LevelSystem,
                 h += system.lift(q.name, n)
 
     for cp in system.couplings:
-        if isinstance(cp, ShiftCoupling):
-            idx = system._matching_indices(cp.states)
-            h[idx, idx] += cp.shift
-        else:
-            # identity on unnamed qubits: couple index pairs that agree there
-            ia = system._matching_indices(cp.state_a)
-            ib = system._matching_indices(cp.state_b)
-            pins = set(cp.state_a)
-            others = [(i, q) for i, q in enumerate(system.qubits) if q.name not in pins]
-            for a in ia:
-                for b in ib:
-                    if a != b and all(
-                            ((a // system._strides[i]) % len(q.levels))
-                            == ((b // system._strides[i]) % len(q.levels))
-                            for i, q in others):
-                        h[a, b] += cp.amplitude
-                        h[b, a] += cp.amplitude
+        idx = system._matching_indices(cp.states)
+        h[idx, idx] += cp.shift
 
     if pulse is not None:
         specs = [pulse] if isinstance(pulse, PulseSpec) else list(pulse)
         used: set[tuple[str, str]] = set()
         for p in specs:
-            if p.envelope != "square":
-                raise ValidationError(
-                    "only square envelopes propagate exactly with constant "
-                    f"segment Hamiltonians; got {p.envelope!r}")
             q = system.qubit(p.qubit)
             lo, hi = p.transition
             for lv in (lo, hi):
@@ -282,8 +245,6 @@ def sequence_unitary(system: LevelSystem, sequence: PulseSequence) -> np.ndarray
 def sequence_superoperator(system: LevelSystem, sequence: PulseSequence) -> np.ndarray:
     """Total quantum channel of a pulse sequence as a superoperator matrix."""
     dim2 = system.dimension ** 2
-    if dim2 > DIMENSION_CAP ** 2:
-        raise ResourceLimitError("superoperator exceeds the dimension cap")
     collapse = collapse_operators(system)
     s = np.eye(dim2, dtype=complex)
     for _, p in sequence:

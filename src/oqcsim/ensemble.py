@@ -26,6 +26,7 @@ GAUSSIAN_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 _GAUSSIAN_FWHM_MASS = math.erf(math.sqrt(math.log(2.0)))
 
 _SLICE_LIMIT = 1 << 22    # sites per RNG chunk when sampling occupancy
+_CSV_BLOCK = 1 << 12      # rows per block when writing centers.csv
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,6 @@ class CrystalSpec:
             raise ValidationError(f"unknown distribution {self.distribution!r}")
 
 
-@dataclass(frozen=True)
-class DopedCenter:
-    """Row view of one center in a CenterSet."""
-
-    position: tuple[int, int, int]
-    frequency: float | None
-    is_pair_member: bool = False
-    partner_index: int | None = None
-
-
 class CenterSet:
     """Array-backed collection of doped centers in one periodic box."""
 
@@ -77,15 +68,6 @@ class CenterSet:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def __getitem__(self, i: int) -> DopedCenter:
-        partner = int(self.partner_index[i])
-        return DopedCenter(
-            position=tuple(int(x) for x in self.positions[i]),
-            frequency=None if self.frequencies is None else float(self.frequencies[i]),
-            is_pair_member=partner >= 0,
-            partner_index=partner if partner >= 0 else None,
-        )
 
     @property
     def is_pair_member(self) -> np.ndarray:
@@ -309,14 +291,14 @@ def export_centers_csv(path, centers: CenterSet) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "frequency_hz", "is_pair_member", "partner_index"])
-        for i in range(len(centers)):
-            c = centers[i]
-            writer.writerow([
-                c.position[0], c.position[1], c.position[2],
-                "" if c.frequency is None else repr(c.frequency),
-                int(c.is_pair_member),
-                "" if c.partner_index is None else c.partner_index,
-            ])
+        for start in range(0, len(centers), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            xyz = centers.positions[block].tolist()
+            partners = centers.partner_index[block].tolist()
+            freqs = ([""] * len(xyz) if centers.frequencies is None
+                     else map(repr, centers.frequencies[block].tolist()))
+            writer.writerows([*pos, f, int(k >= 0), k if k >= 0 else ""]
+                             for pos, f, k in zip(xyz, freqs, partners))
 
 
 def export_allocation_csv(path, allocation: ChannelAllocation) -> None:

@@ -29,13 +29,13 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dynamics import (LevelSystem, QubitLevels, ShiftCoupling,
                        sequence_superoperator, sequence_unitary)
-from .errors import OqcsimError, ValidationError
+from .errors import DomainError, OqcsimError, ValidationError
 from .interactions import BlockadeModel, DEFAULT_MODEL, dipole_shift
 from .paircenter import PairParams, pair_eigensystem_exact, pair_eigensystem_perturbative
 from .pulses import PI_AREA, TWO_PI_AREA, PulseSequence, PulseSpec
@@ -106,6 +106,8 @@ class GateScenario:
             raise ValidationError("Rabi frequency must be > 0")
         if self.gate_target not in ("cz", "identity"):
             raise ValidationError(f"unknown gate target {self.gate_target!r}")
+        if not all(map(math.isfinite, (self.rabi, self.delta_shift, self.gamma_h))):
+            raise ValidationError("Rabi frequency, shift and gamma_h must be finite")
 
     def qubit_levels(self) -> dict[str, tuple[str, ...]]:
         return {self.control.name: self.control.level_order,
@@ -261,6 +263,9 @@ def run_protocol(scenario: GateScenario) -> GateReport:
         f_pro /= 16.0
         noisy = True
 
+    if not np.all(np.isfinite([*truth.ravel(), f_pro, phi01, phi10, cz])):
+        raise DomainError("protocol result is not finite; the pulse durations and "
+                          "shifts are too far apart for double precision")
     avg_fidelity = (4.0 * f_pro + 1.0) / 5.0
     row_sums = truth.sum(axis=1)
     leakage = float(np.max(1.0 - row_sums))
@@ -274,6 +279,31 @@ def run_protocol(scenario: GateScenario) -> GateReport:
         noisy=noisy,
         gate_target=scenario.gate_target,
     )
+
+
+def grid_points(grid: Mapping[str, Sequence]) -> Iterator[dict]:
+    """Cartesian product of a grid: keys sorted, values in given order."""
+    keys = sorted(grid)
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        yield dict(zip(keys, combo))
+
+
+def sweep_point(make_scenario: Callable[..., GateScenario], point: dict) -> dict:
+    """One sweep row: the point plus the report fields, or an error status."""
+    row = dict(point)
+    try:
+        report = run_protocol(make_scenario(**point))
+        row.update({
+            "truth_table_fidelity": report.truth_table_fidelity,
+            "average_fidelity": report.average_fidelity,
+            "infidelity": 1.0 - report.average_fidelity,
+            "leakage": report.leakage,
+            "cz_phase_rad": report.cz_phase,
+            "status": "ok",
+        })
+    except (OqcsimError, ValueError) as exc:
+        row["status"] = f"error: {exc}"
+    return row
 
 
 def sweep(make_scenario: Callable[..., GateScenario],
@@ -297,25 +327,8 @@ def sweep(make_scenario: Callable[..., GateScenario],
         One row per executed grid point: the parameters plus the report
         fields, or a status message when that point failed.
     """
-    keys = sorted(grid)
-    rows = []
-    for combo in itertools.islice(itertools.product(*(grid[k] for k in keys)), skip, None):
-        point = dict(zip(keys, combo))
-        row = {**point}
-        try:
-            report = run_protocol(make_scenario(**point))
-            row.update({
-                "truth_table_fidelity": report.truth_table_fidelity,
-                "average_fidelity": report.average_fidelity,
-                "infidelity": 1.0 - report.average_fidelity,
-                "leakage": report.leakage,
-                "cz_phase_rad": report.cz_phase,
-                "status": "ok",
-            })
-        except (OqcsimError, ValueError) as exc:
-            row["status"] = f"error: {exc}"
-        rows.append(row)
-    return rows
+    return [sweep_point(make_scenario, point)
+            for point in itertools.islice(grid_points(grid), skip, None)]
 
 
 def pair_center_scenario(params_control: PairParams, params_target: PairParams,

@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .ensemble import CrystalSpec, ensemble_neighborhood, nearest_neighbor_distances, sample_lattice
+from .ensemble import (CenterSet, CrystalSpec, ensemble_neighborhood,
+                       nearest_neighbor_distances, sample_lattice)
 
 # median dopant nearest-neighbor spacing at the reference concentration 0.01
 REFERENCE_SPACING = math.sqrt(6.0)
@@ -124,17 +125,16 @@ class EnsembleShiftReport:
     margin: float
 
 
-def ensemble_blockade_report(spec: CrystalSpec, seed: int, u2_a: float, u2_b: float,
+def ensemble_blockade_report(centers: CenterSet, u2_a: float, u2_b: float,
                              gamma_l: float, n_ensemble: int = 50,
                              model: BlockadeModel = DEFAULT_MODEL) -> EnsembleShiftReport:
     """Median nearest-neighbor quadrupole shift over a sampled ensemble.
 
-    Samples the lattice, takes the reference dopant plus its n_ensemble
-    nearest neighbors, computes each member's shift to its nearest
-    in-ensemble partner, and applies the feasibility predicate to the
-    median shift.
+    Takes the reference dopant of the sampled centers plus its
+    n_ensemble nearest neighbors, computes each member's shift to its
+    nearest in-ensemble partner, and applies the feasibility predicate
+    to the median shift.
     """
-    centers = sample_lattice(spec, seed)
     idx = ensemble_neighborhood(centers, n_ensemble)
     nn = nearest_neighbor_distances(centers.positions[idx], centers.box_size)
     shifts = np.array([quadrupole_shift(u2_a, u2_b, r, model) for r in nn])

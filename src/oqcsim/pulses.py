@@ -20,7 +20,7 @@ gamma_0 is a decay *rate*; sources that quote "gamma_0 = 1.5 ns" are
 quoting the lifetime, and ``EmitterRadiative`` stores the lifetime and
 exposes the rate.
 
-Square envelopes are the default: the duration of a square pulse is
+Pulse envelopes are square: the duration of a pulse is
 pulse_area / Omega, and when only the spectral width is known Omega
 defaults to pulse_area * Gamma_L (so the duration is 1/Gamma_L).
 """
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, OqcsimError, ParseError, ValidationError
 from .quantities import CONSTANTS, wave_number_from_cm
 
 # Maps the SI numeric value of the printed intensity formula to W/cm^2;
@@ -41,6 +41,9 @@ PI_AREA = math.pi
 TWO_PI_AREA = 2.0 * math.pi
 
 _AREA_NAMES = {"pi": PI_AREA, "2pi": TWO_PI_AREA}
+
+STEP_KEYS = {"qubit", "transition", "area", "rabi_rad_s", "detuning_rad_s",
+             "gamma_l_hz", "number"}
 
 
 def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float,
@@ -147,7 +150,7 @@ class PulseSpec:
 
     target is (qubit id, (lower level, upper level)).  Omega and the
     detuning are angular (rad/s); spectral_width is an ordinary rate
-    (1/s).  For a square envelope the duration is pulse_area / Omega.
+    (1/s).  The envelope is square, so the duration is pulse_area / Omega.
     """
 
     target: tuple[str, tuple[str, str]]
@@ -155,8 +158,6 @@ class PulseSpec:
     spectral_width: float = 1e9
     rabi_frequency: float | None = None
     detuning: float = 0.0
-    carrier: float | None = None      # cm^-1, bookkeeping only
-    envelope: str = "square"
 
     def __post_init__(self):
         if self.spectral_width <= 0:
@@ -167,13 +168,14 @@ class PulseSpec:
             raise ValidationError("target must be (qubit, (lower, upper))")
         if self.target[1][0] == self.target[1][1]:
             raise ValidationError("transition levels must differ")
-        if self.envelope not in ("square", "gaussian"):
-            raise ValidationError(f"unknown envelope {self.envelope!r}")
         if self.rabi_frequency is None:
             # default ties the ns-scale duration to the GHz spectral width
             object.__setattr__(self, "rabi_frequency", self.pulse_area * self.spectral_width)
         if self.rabi_frequency <= 0:
             raise ValidationError("Rabi frequency must be > 0")
+        if not all(map(math.isfinite, (self.pulse_area, self.spectral_width,
+                                       self.rabi_frequency, self.detuning, self.duration))):
+            raise ValidationError("pulse parameters and duration must be finite")
 
     @property
     def duration(self) -> float:
@@ -238,15 +240,21 @@ def build_sequence(steps: Sequence[Mapping], qubits: Mapping[str, Iterable[str]]
 
     Each step is a mapping with keys ``qubit``, ``transition`` (pair of
     level names) and optionally ``area`` ("pi", "2pi" or radians),
-    ``rabi_rad_s``, ``detuning_rad_s``, ``gamma_l_hz``, ``carrier_cm``,
-    ``envelope`` and ``number``.  Numbers default to 1..n in order.
+    ``rabi_rad_s``, ``detuning_rad_s``, ``gamma_l_hz`` and ``number``
+    (STEP_KEYS); any other key is a ParseError.  Numbers default to 1..n
+    in order.
 
     An empty description yields the empty (identity) sequence.
     """
     pulses = []
     for i, step in enumerate(steps):
-        number = int(step.get("number", i + 1))
+        if not isinstance(step, Mapping):
+            raise ParseError(f"step {i}: must be a mapping")
+        unknown = set(step) - STEP_KEYS
+        if unknown:
+            raise ParseError(f"step {i}: unknown fields {sorted(unknown)}")
         try:
+            number = int(step.get("number", i + 1))
             transition = tuple(step["transition"])
             if len(transition) != 2:
                 raise ValidationError(f"step {i}: transition must name two levels")
@@ -254,13 +262,16 @@ def build_sequence(steps: Sequence[Mapping], qubits: Mapping[str, Iterable[str]]
                 target=(step["qubit"], transition),
                 pulse_area=_parse_area(step.get("area", "pi")),
                 spectral_width=float(step.get("gamma_l_hz", 1e9)),
-                rabi_frequency=step.get("rabi_rad_s"),
+                rabi_frequency=None if step.get("rabi_rad_s") is None
+                else float(step["rabi_rad_s"]),
                 detuning=float(step.get("detuning_rad_s", 0.0)),
-                carrier=step.get("carrier_cm"),
-                envelope=step.get("envelope", "square"),
             )
         except KeyError as exc:
             raise ValidationError(f"step {i}: missing required field {exc}") from None
+        except OqcsimError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"step {i}: {exc}") from None
         pulses.append((number, spec))
     seq = PulseSequence(tuple(pulses))
     seq.validate_targets(qubits)

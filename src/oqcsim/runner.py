@@ -9,8 +9,12 @@ config with the same seed reproduces every numeric output byte for
 byte.  The manifest records wall-clock time and is exempt from that
 guarantee.
 
-The documented schema lives in the README; validate() performs every
-check run() performs, without executing anything.
+The documented schema lives in the README.  ScenarioConfig parses each
+section once into a frozen dataclass, where every value a stage reads
+is converted, defaulted and range-checked, and NaN or infinity is
+rejected.  So validate() rejects everything run() rejects, except
+errors that depend on the sampled data (an ensemble larger than the
+number of dopants drawn) or on a result overflowing double precision.
 """
 from __future__ import annotations
 
@@ -18,284 +22,327 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .ensemble import (CrystalSpec, allocate_channels, assign_frequencies,
+from .ensemble import (CenterSet, CrystalSpec, allocate_channels, assign_frequencies,
                        ensemble_radius, estimate_fwhm, export_allocation_csv,
                        export_centers_csv, identify_pairs, mean_qubit_spacing,
                        min_pair_concentration, nearest_neighbor_distances,
                        sample_lattice, spectral_select)
-from .errors import (ConfigurationError, DomainError, OqcsimError, ParseError,
-                     ValidationError)
+from .errors import ConfigurationError, DomainError, ParseError, ValidationError
 from .gates import (GateScenario, NoiseFlags, QubitScheme, canonical_blockade_sequence,
-                    pair_center_scenario, run_protocol, sweep as run_sweep)
+                    grid_points, pair_center_scenario, run_protocol, scenario_system,
+                    sweep as run_sweep, sweep_point)
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
 from .paircenter import PairParams
 from .pulses import (BeamGeometry, EmitterRadiative, build_sequence, peak_field,
                      pi_pulse_budget, pulse_energy)
-from .species import LevelRole, load_registry, validate_scheme
+from .species import (LevelRole, SpeciesRegistry, SpeciesScheme, load_registry,
+                      validate_scheme)
 
 KNOWN_SECTIONS = {"seed", "output", "species", "crystal", "pulses",
                   "interactions", "gate", "sweep"}
 
+GATE_KEYS = {"type", "rabi_rad_s", "delta_shift_rad_s", "gamma_h_hz", "gamma_l_hz",
+             "noise", "gate_target", "sequence", "pair_center", "export_trajectory",
+             "trajectory_input", "note"}
+
 SWEEPABLE = {"delta_shift_rad_s", "delta_over_omega", "rabi_rad_s", "gamma_h_hz"}
 
 
-def _require(cond: bool, msg: str):
+def _require(cond: bool, msg: str, error=ValidationError):
     if not cond:
-        raise ValidationError(msg)
+        raise error(msg)
 
 
-def _known_keys(section: dict, allowed: set[str], where: str):
+def _known_keys(section, allowed: set[str], where: str):
+    _require(isinstance(section, dict), f"{where} must be a JSON object", ParseError)
     unknown = set(section) - allowed
-    if unknown:
-        raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+    _require(not unknown, f"{where}: unknown fields {sorted(unknown)}", ParseError)
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    tool_version: str
-    seed: int | None
-    wall_clock_s: float
-    outputs: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "wall_clock_s": self.wall_clock_s,
-            "outputs": self.outputs,
-        }
+def _finite(value, where: str, kind=float):
+    """value converted by kind; ParseError unless it is a finite number."""
+    try:
+        value = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where} must be a number, got {value!r}") from None
+    _require(math.isfinite(value), f"{where} must be finite, got {value!r}", ParseError)
+    return value
 
 
-class ScenarioConfig:
-    """Parsed and cross-checked scenario configuration."""
-
-    def __init__(self, doc: dict, origin: str = "<config>"):
-        if not isinstance(doc, dict):
-            raise ParseError(f"{origin}: top level must be a JSON object")
-        _known_keys(doc, KNOWN_SECTIONS, origin)
-        runnable = KNOWN_SECTIONS - {"seed", "output"}
-        if not any(k in doc for k in runnable):
-            raise ParseError(f"{origin}: no runnable sections present")
-        self.doc = doc
-        self.origin = origin
-        self.seed = doc.get("seed")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ParseError(f"{origin}: seed must be an integer")
-        if "crystal" in doc and self.seed is None:
-            raise ValidationError(f"{origin}: a seed is mandatory for stochastic sections")
-        self._check_species()
-        self._check_crystal()
-        self._check_pulses()
-        self._check_interactions()
-        self._check_gate()
-        self._check_sweep()
-
-    # -- section checks (shared by validate and run) --------------------
-
-    def _check_species(self):
-        sec = self.doc.get("species")
-        if sec is None:
-            self.registry = load_registry() if ("crystal" in self.doc
-                                                or "interactions" in self.doc) else None
-            self.scheme = None
-            return
-        _known_keys(sec, {"use", "host", "registry_file", "u2_threshold"}, "species")
-        self.registry = load_registry(sec.get("registry_file"))
-        self.scheme = self.registry.get(sec["use"], sec.get("host")) if "use" in sec else None
-
-    def _check_crystal(self):
-        sec = self.doc.get("crystal")
-        if sec is None:
-            self.crystal = None
-            return
-        _known_keys(sec, {"concentration", "gamma_inh_hz", "gamma_h_hz", "box_size",
-                          "lattice_constant_nm", "distribution", "n_ensemble",
-                          "pair_radius", "channel_min_gap_hz", "center_frequency_hz",
-                          "export_centers", "export_channels"}, "crystal")
-        self.crystal = CrystalSpec(
-            concentration=float(sec["concentration"]),
-            gamma_inh=float(sec["gamma_inh_hz"]),
-            gamma_h=float(sec["gamma_h_hz"]),
-            box_size=int(sec["box_size"]),
-            lattice_constant=float(sec.get("lattice_constant_nm", 0.546)),
-            distribution=sec.get("distribution", "gaussian"),
-        )
-        if "pulses" not in self.doc or "gamma_l_hz" not in self.doc["pulses"]:
-            raise ValidationError(
-                "crystal section needs pulses.gamma_l_hz for spectral selection")
-        if self.crystal.gamma_h > float(self.doc["pulses"]["gamma_l_hz"]):
-            raise ValidationError("homogeneous width exceeds the laser width; "
-                                  "lines are not resolvable")
-        if int(sec.get("n_ensemble", 50)) < 2:
-            raise ValidationError("crystal.n_ensemble must be at least 2")
-
-    def _check_pulses(self):
-        sec = self.doc.get("pulses")
-        if sec is None:
-            self.pulse_inputs = None
-            return
-        _known_keys(sec, {"carrier_cm", "radiative_lifetime_s", "gamma_l_hz",
-                          "cross_section_cm2", "refractive_index",
-                          "rei_intensity_factor"}, "pulses")
-        self.pulse_inputs = {
-            "carrier_cm": float(sec["carrier_cm"]),
-            "emitter": EmitterRadiative(float(sec["radiative_lifetime_s"])),
-            "gamma_l": float(sec["gamma_l_hz"]),
-            "beam": BeamGeometry(float(sec.get("cross_section_cm2", 1e-7)),
-                                 float(sec.get("refractive_index", 1.0))),
-            "rei_factor": float(sec.get("rei_intensity_factor", 0.0)),
-        }
-        if self.pulse_inputs["gamma_l"] <= 0:
-            raise DomainError("pulses.gamma_l_hz must be > 0")
-
-    def _check_interactions(self):
-        sec = self.doc.get("interactions")
-        if sec is None:
-            self.blockade = None
-            return
-        _known_keys(sec, {"c_qq_hz", "c_dd_hz", "kappa", "u2_a", "u2_b"}, "interactions")
-        defaults = BlockadeModel()
-        c_qq, c_dd = sec.get("c_qq_hz"), sec.get("c_dd_hz")
-        self.blockade = BlockadeModel(
-            c_qq=defaults.c_qq if c_qq is None else float(c_qq),
-            c_dd=defaults.c_dd if c_dd is None else float(c_dd),
-            blockade_margin=float(sec.get("kappa", defaults.blockade_margin)),
-        )
-        if "crystal" not in self.doc:
-            raise ValidationError("interactions section needs a crystal section")
-        u2 = sec.get("u2_a")
-        if u2 is None:
-            if self.scheme is None:
-                raise ValidationError(
-                    "interactions needs u2_a/u2_b or a species with an auxiliary level")
-            aux = self.scheme.role_level(LevelRole.AUXILIARY)
-            _require(aux is not None and aux.u2_diag_sq is not None,
-                     f"species {self.scheme.species_name} has no auxiliary U(2) value")
-            self.u2_pair = (aux.u2_diag_sq, aux.u2_diag_sq)
-        else:
-            self.u2_pair = (float(u2), float(sec.get("u2_b", u2)))
-
-    def _check_gate(self):
-        sec = self.doc.get("gate")
-        if sec is None:
-            self.gate_cfg = None
-            return
-        _known_keys(sec, {"type", "rabi_rad_s", "delta_shift_rad_s", "gamma_h_hz",
-                          "gamma_l_hz", "noise", "gate_target", "sequence",
-                          "pair_center", "export_trajectory", "trajectory_input",
-                          "note"}, "gate")
-        kind = sec.get("type", "canonical_cz")
-        if kind not in ("canonical_cz", "pair_center", "custom"):
-            raise ParseError(f"gate.type must be canonical_cz, pair_center or custom, got {kind!r}")
-        self.gate_cfg = dict(sec)
-        self.gate_cfg["type"] = kind
-        # construction is cheap: build once to surface validation errors
-        build_gate_scenario(self.gate_cfg)
-
-    def _check_sweep(self):
-        sec = self.doc.get("sweep")
-        if sec is None:
-            self.sweep_grid = None
-            return
-        _known_keys(sec, {"grid"}, "sweep")
-        if "gate" not in self.doc:
-            raise ValidationError("sweep section needs a gate section")
-        grid = sec.get("grid", {})
-        _require(isinstance(grid, dict) and grid, "sweep.grid must be a non-empty mapping")
-        unknown = set(grid) - SWEEPABLE
-        if unknown:
-            raise ParseError(f"sweep.grid: unsupported parameters {sorted(unknown)}; "
-                             f"choose from {sorted(SWEEPABLE)}")
-        for k, v in grid.items():
-            _require(isinstance(v, list) and v, f"sweep.grid[{k!r}] must be a non-empty list")
-        self.sweep_grid = {k: [float(x) for x in v] for k, v in grid.items()}
+def _num(sec: dict, key: str, where: str, default=None, kind=float):
+    """sec[key] as a finite number; null or absent takes the default, if any."""
+    value = default if sec.get(key) is None else sec[key]
+    _require(value is not None, f"{where}.{key} is required", ParseError)
+    return _finite(value, f"{where}.{key}", kind)
 
 
-def build_gate_scenario(cfg: dict, **overrides) -> GateScenario:
-    """Build a GateScenario from the gate config section plus overrides.
+# -- typed sections ----------------------------------------------------------
 
-    Overrides are sweep parameters: delta_shift_rad_s, rabi_rad_s,
-    gamma_h_hz, or delta_over_omega (resolved against the Rabi value).
+@dataclass(frozen=True)
+class SpeciesSection:
+    registry: SpeciesRegistry
+    scheme: SpeciesScheme | None       # None: report every registry entry
+    u2_threshold: float
+
+
+@dataclass(frozen=True)
+class PulsesSection:
+    carrier_cm: float
+    emitter: EmitterRadiative
+    gamma_l: float
+    beam: BeamGeometry
+    rei_factor: float
+
+    def __post_init__(self):
+        _require(self.gamma_l > 0, "pulses.gamma_l_hz must be > 0", DomainError)
+        _require(self.carrier_cm > 0, "pulses.carrier_cm must be > 0", DomainError)
+        _require(self.rei_factor >= 0, "pulses.rei_intensity_factor must be >= 0",
+                 DomainError)
+
+
+@dataclass(frozen=True)
+class CrystalSection:
+    spec: CrystalSpec
+    n_ensemble: int
+    pair_radius: float
+    center_frequency: float
+    channel_min_gap: float
+    export_centers: bool
+    export_channels: bool
+
+    def __post_init__(self):
+        _require(self.n_ensemble >= 2, "crystal.n_ensemble must be at least 2")
+        _require(self.pair_radius > 0, "crystal.pair_radius must be > 0", DomainError)
+        _require(self.channel_min_gap >= 0, "crystal.channel_min_gap_hz must be >= 0",
+                 DomainError)
+
+
+@dataclass(frozen=True)
+class InteractionsSection:
+    model: BlockadeModel
+    u2_a: float
+    u2_b: float
+
+
+@dataclass(frozen=True)
+class GateSection:
+    scenario: GateScenario             # base scenario; sweep points replace fields
+    export_trajectory: bool
+    trajectory_input: str
+
+
+def _parse_species(sec: dict) -> SpeciesSection:
+    _known_keys(sec, {"use", "host", "registry_file", "u2_threshold"}, "species")
+    registry = load_registry(sec.get("registry_file"))
+    scheme = registry.get(sec["use"], sec.get("host")) if "use" in sec else None
+    return SpeciesSection(registry, scheme, _num(sec, "u2_threshold", "species", 1.0))
+
+
+def _parse_pulses(sec: dict) -> PulsesSection:
+    _known_keys(sec, {"carrier_cm", "radiative_lifetime_s", "gamma_l_hz",
+                      "cross_section_cm2", "refractive_index",
+                      "rei_intensity_factor"}, "pulses")
+    return PulsesSection(
+        carrier_cm=_num(sec, "carrier_cm", "pulses"),
+        emitter=EmitterRadiative(_num(sec, "radiative_lifetime_s", "pulses")),
+        gamma_l=_num(sec, "gamma_l_hz", "pulses"),
+        beam=BeamGeometry(
+            _num(sec, "cross_section_cm2", "pulses", BeamGeometry.cross_section),
+            _num(sec, "refractive_index", "pulses", BeamGeometry.refractive_index)),
+        rei_factor=_num(sec, "rei_intensity_factor", "pulses", 0.0),
+    )
+
+
+def _parse_crystal(sec: dict, pulses: PulsesSection | None) -> CrystalSection:
+    _known_keys(sec, {"concentration", "gamma_inh_hz", "gamma_h_hz", "box_size",
+                      "lattice_constant_nm", "distribution", "n_ensemble",
+                      "pair_radius", "channel_min_gap_hz", "center_frequency_hz",
+                      "export_centers", "export_channels"}, "crystal")
+    spec = CrystalSpec(
+        concentration=_num(sec, "concentration", "crystal"),
+        gamma_inh=_num(sec, "gamma_inh_hz", "crystal"),
+        gamma_h=_num(sec, "gamma_h_hz", "crystal"),
+        box_size=_num(sec, "box_size", "crystal", kind=int),
+        lattice_constant=_num(sec, "lattice_constant_nm", "crystal",
+                              CrystalSpec.lattice_constant),
+        distribution=sec.get("distribution", CrystalSpec.distribution),
+    )
+    _require(pulses is not None,
+             "crystal section needs pulses.gamma_l_hz for spectral selection")
+    _require(spec.gamma_h <= pulses.gamma_l,
+             "homogeneous width exceeds the laser width; lines are not resolvable")
+    return CrystalSection(
+        spec=spec,
+        n_ensemble=_num(sec, "n_ensemble", "crystal", 50, kind=int),
+        pair_radius=_num(sec, "pair_radius", "crystal", 2.0),
+        center_frequency=_num(sec, "center_frequency_hz", "crystal", 0.0),
+        channel_min_gap=_num(sec, "channel_min_gap_hz", "crystal", 3.0 * pulses.gamma_l),
+        export_centers=bool(sec.get("export_centers")),
+        export_channels=bool(sec.get("export_channels")),
+    )
+
+
+def _parse_interactions(sec: dict, crystal: CrystalSection | None,
+                        species: SpeciesSection | None) -> InteractionsSection:
+    _known_keys(sec, {"c_qq_hz", "c_dd_hz", "kappa", "u2_a", "u2_b"}, "interactions")
+    model = BlockadeModel(
+        c_qq=_num(sec, "c_qq_hz", "interactions", BlockadeModel.c_qq),
+        c_dd=_num(sec, "c_dd_hz", "interactions", BlockadeModel.c_dd),
+        blockade_margin=_num(sec, "kappa", "interactions", BlockadeModel.blockade_margin),
+    )
+    _require(crystal is not None, "interactions section needs a crystal section")
+    if sec.get("u2_a") is not None:
+        u2_a = _num(sec, "u2_a", "interactions")
+        u2_b = _num(sec, "u2_b", "interactions", u2_a)
+        _require(min(u2_a, u2_b) >= 0, "interactions.u2_a and u2_b must be >= 0", DomainError)
+        return InteractionsSection(model, u2_a, u2_b)
+    _require(species is not None and species.scheme is not None,
+             "interactions needs u2_a/u2_b or a species with an auxiliary level")
+    aux = species.scheme.role_level(LevelRole.AUXILIARY)
+    _require(aux is not None and aux.u2_diag_sq is not None,
+             f"species {species.scheme.species_name} has no auxiliary U(2) value")
+    return InteractionsSection(model, aux.u2_diag_sq, aux.u2_diag_sq)
+
+
+def build_gate_scenario(cfg: dict) -> GateScenario:
+    """The base GateScenario of a gate config section.
+
+    Reads and checks every field of the section except the trajectory
+    export ones; sweep points are copies with swept fields replaced.
     """
-    rabi = float(overrides.get("rabi_rad_s", cfg.get("rabi_rad_s", 2 * math.pi * 1e9)))
-    gamma_h = float(overrides.get("gamma_h_hz", cfg.get("gamma_h_hz", 0.0)))
-    gamma_l = float(cfg.get("gamma_l_hz", 1e9))
-    if "delta_over_omega" in overrides:
-        delta_shift = float(overrides["delta_over_omega"]) * rabi
-    else:
-        delta_shift = float(overrides.get("delta_shift_rad_s",
-                                          cfg.get("delta_shift_rad_s", 0.0)))
+    _known_keys(cfg, GATE_KEYS, "gate")
+    kind = cfg.get("type", "canonical_cz")
+    _require(kind in ("canonical_cz", "pair_center", "custom"),
+             f"gate.type must be canonical_cz, pair_center or custom, got {kind!r}", ParseError)
+    rabi = _num(cfg, "rabi_rad_s", "gate", 2 * math.pi * 1e9)
+    gamma_h = _num(cfg, "gamma_h_hz", "gate", GateScenario.gamma_h)
+    gamma_l = _num(cfg, "gamma_l_hz", "gate", GateScenario.gamma_l)
+    _require(gamma_h >= 0, "gate.gamma_h_hz must be >= 0")
+    _require(gamma_l > 0, "gate.gamma_l_hz must be > 0")
     noise_cfg = cfg.get("noise", {})
-    noise = NoiseFlags(lifetimes=bool(noise_cfg.get("lifetimes", False)),
-                       dephasing=bool(noise_cfg.get("dephasing", False)))
+    _known_keys(noise_cfg, {"lifetimes", "dephasing"}, "gate.noise")
+    noise = NoiseFlags(**{k: bool(v) for k, v in noise_cfg.items()})
 
-    if cfg["type"] == "pair_center":
+    if kind == "pair_center":
         pc = cfg.get("pair_center")
-        _require(isinstance(pc, dict), "gate.pair_center section is required for this type")
+        _known_keys(pc, {"control", "target", "distance_lu", "tau_single_s", "mode"},
+                    "gate.pair_center")
 
         def params(side: str) -> PairParams:
+            where = f"gate.pair_center.{side}"
             rec = pc.get(side)
-            _require(isinstance(rec, dict), f"gate.pair_center.{side} is required")
+            _known_keys(rec, {"mean_excitation_cm", "half_detuning_cm", "exchange_cm",
+                              "f1"}, where)
             return PairParams(
-                mean_excitation=float(rec["mean_excitation_cm"]),
-                half_detuning=float(rec["half_detuning_cm"]),
-                exchange=float(rec["exchange_cm"]),
-                single_oscillator_strength=float(rec.get("f1", 1.0)),
+                mean_excitation=_num(rec, "mean_excitation_cm", where),
+                half_detuning=_num(rec, "half_detuning_cm", where),
+                exchange=_num(rec, "exchange_cm", where),
+                single_oscillator_strength=_num(rec, "f1", where,
+                                                PairParams.single_oscillator_strength),
             )
 
+        mode = pc.get("mode", "perturbative")
+        _require(mode in ("perturbative", "exact"),
+                 f"gate.pair_center.mode must be perturbative or exact, got {mode!r}")
+        tau = pc.get("tau_single_s")
         scenario = pair_center_scenario(
             params("control"), params("target"),
-            distance=float(pc["distance_lu"]),
+            distance=_num(pc, "distance_lu", "gate.pair_center"),
             rabi=rabi,
-            tau_single=pc.get("tau_single_s"),
+            tau_single=None if tau is None else _finite(tau, "gate.pair_center.tau_single_s"),
             gamma_h=gamma_h,
             noise=noise,
             gamma_l=gamma_l,
-            mode=pc.get("mode", "perturbative"),
+            mode=mode,
         )
-        if "delta_shift_rad_s" in overrides or "delta_over_omega" in overrides:
-            scenario = replace(scenario, delta_shift=delta_shift)
     else:
-        control = QubitScheme(name="control")
-        target = QubitScheme(name="target")
-        scenario = GateScenario(control=control, target=target, rabi=rabi,
-                                delta_shift=delta_shift, gamma_h=gamma_h,
-                                gamma_l=gamma_l, noise=noise,
-                                gate_target=cfg.get("gate_target", "cz"))
+        scenario = GateScenario(
+            control=QubitScheme(name="control"), target=QubitScheme(name="target"),
+            rabi=rabi,
+            delta_shift=_num(cfg, "delta_shift_rad_s", "gate", GateScenario.delta_shift),
+            gamma_h=gamma_h, gamma_l=gamma_l, noise=noise,
+            gate_target=cfg.get("gate_target", GateScenario.gate_target))
 
-    if cfg["type"] == "custom" or cfg.get("sequence"):
-        steps = cfg.get("sequence")
+    steps = cfg.get("sequence")
+    if kind == "custom" or steps:
         _require(isinstance(steps, list) and steps, "gate.sequence must be a non-empty list")
         scenario = replace(scenario, sequence=build_sequence(steps, scenario.qubit_levels()))
     return scenario
 
 
-def _sweep_point(gate_cfg: dict, point: dict) -> dict:
-    row = dict(point)
-    try:
-        report = run_protocol(build_gate_scenario(gate_cfg, **point))
-        row.update({
-            "truth_table_fidelity": report.truth_table_fidelity,
-            "average_fidelity": report.average_fidelity,
-            "infidelity": 1.0 - report.average_fidelity,
-            "leakage": report.leakage,
-            "cz_phase_rad": report.cz_phase,
-            "status": "ok",
-        })
-    except (OqcsimError, ValueError) as exc:
-        row["status"] = f"error: {exc}"
-    return row
+def _parse_gate(sec: dict) -> GateSection:
+    scenario = build_gate_scenario(sec)
+    label = str(sec.get("trajectory_input", "11"))
+    _require(label in ("00", "01", "10", "11"),
+             "gate.trajectory_input must be one of 00, 01, 10, 11")
+    return GateSection(scenario, bool(sec.get("export_trajectory")), label)
+
+
+def _parse_sweep(sec: dict, gate: GateSection | None) -> dict[str, list[float]]:
+    _known_keys(sec, {"grid"}, "sweep")
+    _require(gate is not None, "sweep section needs a gate section")
+    grid = sec.get("grid", {})
+    _known_keys(grid, SWEEPABLE, "sweep.grid")
+    _require(grid, f"sweep.grid must name at least one of {sorted(SWEEPABLE)}")
+    for k, v in grid.items():
+        _require(isinstance(v, list) and v, f"sweep.grid[{k!r}] must be a non-empty list")
+    return {k: [_finite(x, f"sweep.grid[{k!r}]") for x in v] for k, v in grid.items()}
+
+
+class ScenarioConfig:
+    """A scenario config parsed once into typed, checked sections.
+
+    Each section attribute is None when the config omits that section.
+    The raw document is kept for the manifest's config hash.
+    """
+
+    def __init__(self, doc: dict, origin: str = "<config>"):
+        _known_keys(doc, KNOWN_SECTIONS, origin)
+        _require(any(k in doc for k in KNOWN_SECTIONS - {"seed", "output"}),
+                 f"{origin}: no runnable sections present", ParseError)
+        self.doc = doc
+        self.origin = origin
+        self.seed = doc.get("seed")
+        _require(self.seed is None or isinstance(self.seed, int),
+                 f"{origin}: seed must be an integer", ParseError)
+        _require("crystal" not in doc or self.seed is not None,
+                 f"{origin}: a seed is mandatory for stochastic sections")
+        output = doc.get("output", {})
+        _known_keys(output, {"dir"}, "output")
+        self.output_dir = output.get("dir")
+
+        def section(name, parse, *needs):
+            return parse(doc[name], *needs) if name in doc else None
+
+        self.species = section("species", _parse_species)
+        self.pulses = section("pulses", _parse_pulses)
+        self.crystal = section("crystal", _parse_crystal, self.pulses)
+        self.interactions = section("interactions", _parse_interactions,
+                                    self.crystal, self.species)
+        self.gate = section("gate", _parse_gate)
+        self.sweep = section("sweep", _parse_sweep, self.gate)
+
+
+def _point_scenario(base: GateScenario, **point) -> GateScenario:
+    """One sweep point: the base scenario with the swept fields replaced."""
+    rabi = point.get("rabi_rad_s", base.rabi)
+    changes = {"rabi": rabi, "gamma_h": point.get("gamma_h_hz", base.gamma_h)}
+    if "delta_over_omega" in point:
+        changes["delta_shift"] = point["delta_over_omega"] * rabi
+    elif "delta_shift_rad_s" in point:
+        changes["delta_shift"] = point["delta_shift_rad_s"]
+    return replace(base, **changes)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -315,7 +362,11 @@ def validate(path) -> ScenarioConfig:
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise DomainError(f"{path.name}: result is not finite") from None
+    path.write_text(text + "\n")
 
 
 def _config_hash(doc: dict) -> str:
@@ -331,62 +382,59 @@ def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> di
     """
     t0 = time.perf_counter()
     cfg = load_config(config_path)
-    doc = cfg.doc
     if seed is not None:
-        doc = {**doc, "seed": seed}
-        cfg = ScenarioConfig(doc, cfg.origin)
+        cfg = ScenarioConfig({**cfg.doc, "seed": seed}, cfg.origin)
     if out_dir is None:
-        out_dir = doc.get("output", {}).get("dir") or (
-            Path(config_path).with_suffix("").name + "_out")
+        out_dir = cfg.output_dir or (Path(config_path).with_suffix("").name + "_out")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
 
-    if cfg.scheme is not None or "species" in doc:
-        outputs["species_report"] = "species_report.json"
-        _write_json(out / "species_report.json", _species_report(cfg))
+    def report(name: str, payload: dict):
+        outputs[name] = f"{name}.json"
+        _write_json(out / outputs[name], payload)
+
+    if cfg.species is not None:
+        report("species_report", _species_report(cfg.species))
 
     if cfg.crystal is not None:
-        _run_ensemble(cfg, out, outputs)
+        data, centers = _run_ensemble(cfg.crystal, cfg.pulses.gamma_l, cfg.seed, out,
+                                      outputs)
+        report("ensemble_report", data)
 
-    if cfg.blockade is not None:
-        outputs["blockade_report"] = "blockade_report.json"
-        _write_json(out / "blockade_report.json", _run_blockade(cfg))
+    if cfg.interactions is not None:
+        report("blockade_report", _run_blockade(cfg.interactions, centers,
+                                                cfg.crystal.n_ensemble, cfg.pulses.gamma_l))
 
-    if cfg.pulse_inputs is not None:
-        outputs["pulse_report"] = "pulse_report.json"
-        _write_json(out / "pulse_report.json", _run_pulses(cfg))
+    if cfg.pulses is not None:
+        report("pulse_report", _run_pulses(cfg.pulses))
 
-    if cfg.gate_cfg is not None:
-        outputs["gate_report"] = "gate_report.json"
-        scenario = build_gate_scenario(cfg.gate_cfg)
-        report = run_protocol(scenario)
-        _write_json(out / "gate_report.json", report.to_dict())
-        if cfg.gate_cfg.get("export_trajectory"):
+    if cfg.gate is not None:
+        report("gate_report", run_protocol(cfg.gate.scenario).to_dict())
+        if cfg.gate.export_trajectory:
             outputs["trajectory"] = "trajectory.csv"
-            _export_gate_trajectory(scenario, cfg.gate_cfg, out / "trajectory.csv")
+            _export_gate_trajectory(cfg.gate, out / "trajectory.csv")
 
-    if cfg.sweep_grid is not None:
+    if cfg.sweep is not None:
         outputs["sweep"] = "sweep.csv"
-        _run_sweep_csv(cfg, out / "sweep.csv", jobs)
+        _run_sweep_csv(cfg.gate.scenario, cfg.sweep, out / "sweep.csv", jobs)
 
-    manifest = RunManifest(
-        config_hash=_config_hash(doc),
-        tool_version=__version__,
-        seed=doc.get("seed"),
-        wall_clock_s=time.perf_counter() - t0,
-        outputs=outputs,
-    )
-    _write_json(out / "manifest.json", manifest.to_dict())
-    return manifest.to_dict()
+    manifest = {
+        "config_hash": _config_hash(cfg.doc),
+        "tool_version": __version__,
+        "seed": cfg.seed,
+        "wall_clock_s": time.perf_counter() - t0,
+        "outputs": outputs,
+    }
+    _write_json(out / "manifest.json", manifest)
+    return manifest
 
 
-def _species_report(cfg: ScenarioConfig) -> dict:
-    threshold = float(cfg.doc.get("species", {}).get("u2_threshold", 1.0))
-    schemes = [cfg.scheme] if cfg.scheme is not None else list(cfg.registry)
+def _species_report(sec: SpeciesSection) -> dict:
+    schemes = [sec.scheme] if sec.scheme is not None else list(sec.registry)
     entries = []
     for sc in schemes:
-        report = validate_scheme(sc, threshold)
+        report = validate_scheme(sc, sec.u2_threshold)
         entries.append({
             "species": sc.species_name,
             "host": sc.host,
@@ -401,31 +449,31 @@ def _species_report(cfg: ScenarioConfig) -> dict:
             "diagnostics": [{"level": d.term_symbol, "status": d.status,
                              "message": d.message} for d in report.diagnostics],
         })
-    return {"u2_threshold": threshold, "species": entries}
+    return {"u2_threshold": sec.u2_threshold, "species": entries}
 
 
-def _run_ensemble(cfg: ScenarioConfig, out: Path, outputs: dict) -> None:
-    sec = cfg.doc["crystal"]
-    spec = cfg.crystal
-    gamma_l = float(cfg.doc["pulses"]["gamma_l_hz"])
-    seed = cfg.doc["seed"]
-    n_ensemble = int(sec.get("n_ensemble", 50))
+def _run_ensemble(sec: CrystalSection, gamma_l: float, seed: int, out: Path,
+                  outputs: dict) -> tuple[dict, CenterSet]:
+    """Sample, pair and select the ensemble and write its CSV exports.
 
+    Returns the ensemble report and the sampled centers.
+    """
+    spec = sec.spec
     centers = sample_lattice(spec, seed)
     centers = assign_frequencies(centers, spec, seed + 1)
-    centers = identify_pairs(centers, float(sec.get("pair_radius", 2.0)))
-    selected = spectral_select(centers, float(sec.get("center_frequency_hz", 0.0)), gamma_l)
+    centers = identify_pairs(centers, sec.pair_radius)
+    selected = spectral_select(centers, sec.center_frequency, gamma_l)
 
     n_sites = spec.box_size ** 3
+    r0 = mean_qubit_spacing(spec.concentration, gamma_l, spec.gamma_inh)
     data = {
         "n_sites": n_sites,
         "n_dopants": len(centers),
         "occupancy_fraction": len(centers) / n_sites,
-        "r0_lattice_units": mean_qubit_spacing(spec.concentration, gamma_l, spec.gamma_inh),
-        "ensemble_radius_lattice_units": ensemble_radius(n_ensemble, spec.concentration),
-        "n_ensemble": n_ensemble,
-        "min_pair_concentration_at_r0": min_pair_concentration(
-            mean_qubit_spacing(spec.concentration, gamma_l, spec.gamma_inh)),
+        "r0_lattice_units": r0,
+        "ensemble_radius_lattice_units": ensemble_radius(sec.n_ensemble, spec.concentration),
+        "n_ensemble": sec.n_ensemble,
+        "min_pair_concentration_at_r0": min_pair_concentration(r0),
         "n_selected": len(selected),
         "selected_fraction": len(selected) / max(1, len(centers)),
         "n_pair_members": int(np.sum(centers.is_pair_member)),
@@ -436,32 +484,27 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path, outputs: dict) -> None:
         nn = nearest_neighbor_distances(selected.positions, spec.box_size)
         data["selected_median_nn_lattice_units"] = float(np.median(nn))
 
-    if sec.get("export_centers"):
+    if sec.export_centers:
         outputs["centers"] = "centers.csv"
         export_centers_csv(out / "centers.csv", centers)
-    if sec.get("export_channels"):
-        gap = float(sec.get("channel_min_gap_hz", 3.0 * gamma_l))
-        alloc = allocate_channels(centers.frequencies, gap)
+    if sec.export_channels:
+        alloc = allocate_channels(centers.frequencies, sec.channel_min_gap)
         data["n_channels"] = len(alloc.selected_indices)
         outputs["channels"] = "channels.csv"
         export_allocation_csv(out / "channels.csv", alloc)
 
-    outputs["ensemble_report"] = "ensemble_report.json"
-    _write_json(out / "ensemble_report.json", data)
+    return data, centers
 
 
-def _run_blockade(cfg: ScenarioConfig) -> dict:
-    sec_crystal = cfg.doc["crystal"]
-    gamma_l = float(cfg.doc["pulses"]["gamma_l_hz"])
-    u2_a, u2_b = cfg.u2_pair
-    report = ensemble_blockade_report(
-        cfg.crystal, cfg.doc["seed"], u2_a, u2_b, gamma_l,
-        n_ensemble=int(sec_crystal.get("n_ensemble", 50)), model=cfg.blockade)
+def _run_blockade(sec: InteractionsSection, centers: CenterSet, n_ensemble: int,
+                  gamma_l: float) -> dict:
+    report = ensemble_blockade_report(centers, sec.u2_a, sec.u2_b, gamma_l,
+                                      n_ensemble=n_ensemble, model=sec.model)
     return {
-        "c_qq_hz_lu5": cfg.blockade.c_qq,
-        "c_dd_hz_lu3": cfg.blockade.c_dd,
-        "kappa": cfg.blockade.blockade_margin,
-        "u2_product": u2_a * u2_b,
+        "c_qq_hz_lu5": sec.model.c_qq,
+        "c_dd_hz_lu3": sec.model.c_dd,
+        "kappa": sec.model.blockade_margin,
+        "u2_product": sec.u2_a * sec.u2_b,
         "gamma_l_hz": gamma_l,
         "n_ensemble": report.n_ensemble,
         "median_nn_lattice_units": float(np.median(report.nn_distances)),
@@ -471,57 +514,52 @@ def _run_blockade(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _run_pulses(cfg: ScenarioConfig) -> dict:
-    p = cfg.pulse_inputs
-    budget = pi_pulse_budget(p["carrier_cm"], p["emitter"], p["gamma_l"], p["beam"])
+def _run_pulses(p: PulsesSection) -> dict:
+    budget = pi_pulse_budget(p.carrier_cm, p.emitter, p.gamma_l, p.beam)
     data = {
-        "carrier_cm": p["carrier_cm"],
-        "gamma_l_hz": p["gamma_l"],
-        "radiative_lifetime_s": p["emitter"].radiative_lifetime,
-        "cross_section_cm2": p["beam"].cross_section,
+        "carrier_cm": p.carrier_cm,
+        "gamma_l_hz": p.gamma_l,
+        "radiative_lifetime_s": p.emitter.radiative_lifetime,
+        "cross_section_cm2": p.beam.cross_section,
         "intensity_w_cm2": budget.intensity_w_cm2,
         "pulse_energy_j": budget.energy_j,
         "peak_field_v_cm": budget.field_v_cm,
     }
-    if p["rei_factor"]:
-        i_rei = budget.intensity_w_cm2 * p["rei_factor"]
-        data["rei_intensity_factor"] = p["rei_factor"]
+    if p.rei_factor:
+        i_rei = budget.intensity_w_cm2 * p.rei_factor
+        data["rei_intensity_factor"] = p.rei_factor
         data["rei_intensity_w_cm2"] = i_rei
-        data["rei_pulse_energy_j"] = pulse_energy(i_rei, p["beam"].cross_section, p["gamma_l"])
+        data["rei_pulse_energy_j"] = pulse_energy(i_rei, p.beam.cross_section, p.gamma_l)
         data["rei_peak_field_v_cm"] = peak_field(i_rei)
     return data
 
 
-def _export_gate_trajectory(scenario: GateScenario, gate_cfg: dict, path: Path):
-    from .gates import scenario_system
+def _export_gate_trajectory(gate: GateSection, path: Path):
+    scenario = gate.scenario
     system = scenario_system(scenario)
     sequence = scenario.sequence if scenario.sequence is not None \
         else canonical_blockade_sequence(scenario)
-    label = str(gate_cfg.get("trajectory_input", "11"))
-    _require(len(label) == 2 and set(label) <= {"0", "1"},
-             "gate.trajectory_input must be one of 00, 01, 10, 11")
-    assignment = {scenario.control.name: label[0], scenario.target.name: label[1]}
+    psi = system.basis_state(dict(zip((scenario.control.name, scenario.target.name),
+                                      gate.trajectory_input)))
     if scenario.noise.any:
-        psi = system.basis_state(assignment)
         traj = propagate_lindblad(system, sequence, np.outer(psi, psi.conj()),
                                   samples_per_segment=24)
     else:
-        traj = propagate_unitary(system, sequence, system.basis_state(assignment),
-                                 samples_per_segment=24)
+        traj = propagate_unitary(system, sequence, psi, samples_per_segment=24)
     export_trajectory_csv(path, traj)
 
 
-def _run_sweep_csv(cfg: ScenarioConfig, path: Path, jobs: int):
-    import itertools
-    grid = cfg.sweep_grid
-    keys = sorted(grid)
-    points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point,
-                                 itertools.repeat(cfg.gate_cfg), points))
+def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int):
+    make_scenario = partial(_point_scenario, base)
+    n_points = math.prod(len(values) for values in grid.values())
+    # a forked pool starts every worker up front, so never ask for idle ones
+    workers = max(1, min(jobs, n_points, os.cpu_count() or 1))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(partial(sweep_point, make_scenario), grid_points(grid)))
     else:
-        rows = run_sweep(lambda **pt: build_gate_scenario(cfg.gate_cfg, **pt), grid)
+        rows = run_sweep(make_scenario, grid)
+    keys = sorted(grid)
     metric_cols = ["truth_table_fidelity", "average_fidelity", "infidelity",
                    "leakage", "cz_phase_rad", "status"]
     with open(path, "w", newline="") as fh:
@@ -542,44 +580,36 @@ def emit_plot_data(results_dir, kind: str, out_path) -> None:
     comment line).  An empty result set yields a header-only CSV.
     """
     results = Path(results_dir)
-    out_path = Path(out_path)
+    comment = ""
     if kind == "fidelity-vs-delta":
         rows = _read_csv(results / "sweep.csv")
         xcol = "delta_over_omega" if "delta_over_omega" in (rows[0] if rows else {}) \
             else "delta_shift_rad_s"
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "series"])
-            for row in rows:
-                if row.get("status") == "ok" and xcol in row:
-                    writer.writerow([row[xcol], row["infidelity"], "infidelity"])
+        tidy = [[row[xcol], row["infidelity"], "infidelity"] for row in rows
+                if row.get("status") == "ok" and xcol in row]
     elif kind == "population-vs-time":
-        rows = _read_csv(results / "trajectory.csv")
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "series"])
-            for row in rows:
-                for col, val in row.items():
-                    if col.startswith("pop_"):
-                        writer.writerow([row["time_s"], val, col[4:]])
+        tidy = [[row["time_s"], val, col[4:]] for row in _read_csv(results / "trajectory.csv")
+                for col, val in row.items() if col.startswith("pop_")]
     elif kind == "spectrum":
         rows = _read_csv(results / "centers.csv")
         freqs = np.array([float(r["frequency_hz"]) for r in rows
                           if r.get("frequency_hz")])
-        with open(out_path, "w", newline="") as fh:
-            if len(freqs) >= 8:
-                fh.write(f"# fwhm_hz={estimate_fwhm(freqs)!r}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "series"])
-            if len(freqs):
-                counts, edges = np.histogram(freqs, bins=64)
-                mids = (edges[:-1] + edges[1:]) / 2.0
-                for x, y in zip(mids, counts):
-                    writer.writerow([repr(float(x)), int(y), "frequency"])
+        if len(freqs) >= 8:
+            comment = f"# fwhm_hz={estimate_fwhm(freqs)!r}\n"
+        tidy = []
+        if len(freqs):
+            counts, edges = np.histogram(freqs, bins=64)
+            mids = (edges[:-1] + edges[1:]) / 2.0
+            tidy = [[repr(float(x)), int(y), "frequency"] for x, y in zip(mids, counts)]
     else:
         raise ConfigurationError(
             f"unknown plot kind {kind!r}; choose fidelity-vs-delta, "
             "population-vs-time or spectrum")
+    with open(out_path, "w", newline="") as fh:
+        fh.write(comment)
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "series"])
+        writer.writerows(tidy)
 
 
 def _read_csv(path: Path) -> list[dict]:

@@ -311,7 +311,10 @@ def load_registry(source=None) -> SpeciesRegistry:
             doc, origin = source, "<dict>"
         else:
             if isinstance(source, (str, Path)):
-                text, origin = Path(source).read_text(), str(source)
+                try:
+                    text, origin = Path(source).read_text(), str(source)
+                except OSError as exc:
+                    raise ParseError(f"cannot read {source}: {exc.strerror}") from None
             elif isinstance(source, io.IOBase) or hasattr(source, "read"):
                 text, origin = source.read(), "<stream>"
             else:

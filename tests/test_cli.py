@@ -1,11 +1,15 @@
 import filecmp
 import json
+import math
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oqcsim import runner
 from oqcsim.cli import main
-from oqcsim.errors import ParseError, ValidationError
 from oqcsim.runner import emit_plot_data, run, validate
 
 CONFIG_DIR = resources.files("oqcsim.configs")
@@ -98,13 +102,64 @@ def test_cli_exit_codes(tmp_path):
     assert main(["validate", "--config", str(domain_error)]) == 3
 
 
-def test_validate_rejects_exactly_what_run_rejects(tmp_path):
+def small_crystal(**crystal):
+    return {
+        "seed": 1,
+        "crystal": {"concentration": 0.05, "gamma_inh_hz": 1e12, "gamma_h_hz": 1e6,
+                    "box_size": 10, "export_channels": True, **crystal},
+        "pulses": {"carrier_cm": 20000.0, "radiative_lifetime_s": 1e-9,
+                   "gamma_l_hz": 1e9},
+    }
+
+
+REJECTED = {
+    "negative-rabi": ({"gate": {"type": "canonical_cz", "rabi_rad_s": -1.0}}, 2),
+    "nan-rabi": ({"gate": {"rabi_rad_s": math.nan}}, 2),
+    "infinite-shift": ({"gate": {"delta_shift_rad_s": math.inf}}, 2),
+    "bad-trajectory-input": ({"gate": {"export_trajectory": True,
+                                       "trajectory_input": "22"}}, 2),
+    "gaussian-envelope-step": ({"gate": {"type": "custom", "sequence": [
+        {"qubit": "control", "transition": ["1", "1p"], "envelope": "gaussian"}]}}, 2),
+    "zero-pair-radius": (small_crystal(pair_radius=0), 3),
+    "negative-channel-gap": (small_crystal(channel_min_gap_hz=-1), 3),
+    "non-numeric-u2-threshold": ({"species": {"use": "Nd3+", "u2_threshold": "high"}}, 2),
+}
+
+
+@pytest.mark.parametrize("doc, code", REJECTED.values(), ids=REJECTED.keys())
+def test_validate_rejects_exactly_what_run_rejects(tmp_path, doc, code):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"gate": {"type": "canonical_cz", "rabi_rad_s": -1.0}}))
-    with pytest.raises((ParseError, ValidationError)):
-        validate(bad)
-    with pytest.raises((ParseError, ValidationError)):
-        run(bad, out_dir=tmp_path / "out")
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(bad)]) == code
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == code
+    assert not (tmp_path / "out").exists()
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+GATE_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+                        st.floats(min_value=-1e15, max_value=1e15))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    key: GATE_NUMBER for key in ("rabi_rad_s", "delta_shift_rad_s", "gamma_h_hz",
+                                 "gamma_l_hz")}))
+def test_fuzzed_gate_numbers_end_in_contract_codes(fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "gate.json", Path(tmp) / "out"
+        config.write_text(json.dumps({"gate": {"type": "canonical_cz", **fields}}))
+        checked = main(["validate", "--config", str(config)])
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        assert checked in (0, 2, 3, 4) and code in (0, 2, 3, 4)
+        if checked:
+            assert code == checked and not out.exists()
+        for path in out.glob("*.json"):
+            _strict_json(path)
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -189,6 +244,28 @@ def test_emit_plot_unknown_kind(tmp_path):
     with pytest.raises(SystemExit):
         main(["emit-plot", "--kind", "mystery", "--results", str(tmp_path),
               "--out", str(tmp_path / "x.csv")])
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [(1000, 64, 8), (1000, 3, 3), (2, 64, 2)])
+def test_sweep_workers_clamped(tmp_path, monkeypatch, jobs, cpus, expected):
+    started = []
+
+    class RecordingPool:          # records the worker count and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    run(config_path("blockade_cz_sweep"), out_dir=tmp_path, jobs=jobs)    # 8 points
+    assert started == [expected]
 
 
 def test_sweep_jobs_parallel_matches_serial(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oqcsim.dynamics import (DIMENSION_CAP, ExchangeCoupling, LevelSystem, QubitLevels,
+from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, QubitLevels,
                              ShiftCoupling, build_hamiltonian, collapse_operators,
                              export_trajectory_csv, lindblad_superoperator,
                              propagate_lindblad, propagate_unitary, rabi_transfer,
@@ -53,17 +53,6 @@ def test_shift_coupling_lands_on_joint_state():
     assert np.allclose(h, expected)
 
 
-def test_exchange_coupling_hermitian_and_placed():
-    system = LevelSystem(
-        [QubitLevels("a", ("g", "e")), QubitLevels("b", ("g", "e"))],
-        [ExchangeCoupling({"a": "e", "b": "g"}, {"a": "g", "b": "e"}, 3.0)])
-    h = build_hamiltonian(system)
-    i = system.basis_index({"a": "e", "b": "g"})
-    j = system.basis_index({"a": "g", "b": "e"})
-    assert h[i, j] == 3.0 and h[j, i] == 3.0
-    assert np.allclose(h, h.conj().T)
-
-
 def test_simultaneous_pulses_need_disjoint_pairs():
     system = LevelSystem([QubitLevels("q", ("g", "e", "f"))])
     with pytest.raises(ValidationError):
@@ -73,12 +62,6 @@ def test_simultaneous_pulses_need_disjoint_pairs():
 def test_unknown_target_rejected():
     with pytest.raises(ValidationError):
         build_hamiltonian(two_level(), drive(levels=("g", "x")))
-
-
-def test_gaussian_envelope_not_propagated():
-    soft = PulseSpec(target=("q", ("g", "e")), rabi_frequency=OMEGA, envelope="gaussian")
-    with pytest.raises(ValidationError, match="square"):
-        build_hamiltonian(two_level(), soft)
 
 
 def test_dimension_cap_enforced():

@@ -7,8 +7,8 @@ import pytest
 from oqcsim.ensemble import (CenterSet, ChannelAllocation, CrystalSpec,
                              allocate_channels, assign_frequencies, ensemble_radius,
                              estimate_fwhm, identify_pairs, mean_qubit_spacing,
-                             min_pair_concentration, nearest_neighbor_distances,
-                             sample_lattice, spectral_select)
+                             export_centers_csv, min_pair_concentration,
+                             nearest_neighbor_distances, sample_lattice, spectral_select)
 from oqcsim.errors import DomainError, ValidationError
 
 
@@ -166,9 +166,9 @@ def brute_force_mutual_pairs(positions, box, radius):
 def test_two_isolated_centers_pair_up():
     cs = CenterSet(np.array([[1, 1, 1], [2, 1, 1], [10, 10, 10]]), box_size=20)
     flagged = identify_pairs(cs, pair_radius=2.0)
-    assert flagged[0].partner_index == 1
-    assert flagged[1].partner_index == 0
-    assert not flagged[2].is_pair_member
+    assert flagged.partner_index[0] == 1
+    assert flagged.partner_index[1] == 0
+    assert not flagged.is_pair_member[2]
 
 
 def test_single_center_no_pairs():
@@ -274,3 +274,24 @@ def test_allocation_empty_input():
     alloc = allocate_channels([], 1.0)
     assert alloc.selected_indices == ()
     assert alloc.channel_frequencies == ()
+
+
+@pytest.mark.parametrize("with_frequencies", [True, False])
+def test_centers_csv_rows_across_blocks(tmp_path, with_frequencies):
+    # 9000 centers span several write blocks; compare with a per-row rendering
+    s = spec(c=0.05, box=60)
+    centers = identify_pairs(sample_lattice(s, 5), 2.0)
+    if with_frequencies:
+        centers = assign_frequencies(centers, s, 6)
+    assert len(centers) > 9000
+    path = tmp_path / "centers.csv"
+    export_centers_csv(path, centers)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,y,z,frequency_hz,is_pair_member,partner_index"
+    assert len(lines) == len(centers) + 1
+    for i in (0, 4095, 4096, 8191, 8192, len(centers) - 1):
+        x, y, z = (int(v) for v in centers.positions[i])
+        freq = repr(float(centers.frequencies[i])) if with_frequencies else ""
+        partner = int(centers.partner_index[i])
+        expected = [x, y, z, freq, int(partner >= 0), partner if partner >= 0 else ""]
+        assert lines[i + 1] == ",".join(str(v) for v in expected)

@@ -146,9 +146,11 @@ def test_sweep_continues_past_failures():
         if delta_over_omega < 0:
             raise ValidationError("bad point")
         return blockade_scenario(delta_over_omega)
-    rows = sweep(factory, {"delta_over_omega": [-1.0, 10.0]})
+    # 1e300 * Omega overflows the shift to infinity, which the scenario rejects
+    rows = sweep(factory, {"delta_over_omega": [-1.0, 10.0, 1e300]})
     assert rows[0]["status"].startswith("error")
     assert rows[1]["status"] == "ok"
+    assert rows[2]["status"] == "error: Rabi frequency, shift and gamma_h must be finite"
 
 
 def test_sweep_deterministic_ordering():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oqcsim.ensemble import CrystalSpec
+from oqcsim.ensemble import CrystalSpec, sample_lattice
 from oqcsim.errors import DomainError, ValidationError
 from oqcsim.interactions import (BlockadeModel, C_DD_DEFAULT, C_QQ_DEFAULT,
                                  REFERENCE_SPACING, blockade_feasible,
@@ -85,7 +85,8 @@ def test_reference_scenario_median_shift_ghz():
     # dopant neighborhood at concentration 0.01: median NN shift ~ 1 GHz,
     # comfortably above 3x a 0.1 GHz laser width
     spec = CrystalSpec(concentration=0.01, gamma_inh=1e12, gamma_h=1e6, box_size=50)
-    report = ensemble_blockade_report(spec, seed=42, u2_a=1.0, u2_b=1.0, gamma_l=1e8)
+    report = ensemble_blockade_report(sample_lattice(spec, 42), u2_a=1.0, u2_b=1.0,
+                                      gamma_l=1e8)
     assert report.median_shift_hz == pytest.approx(1e9, rel=0.7)
     assert report.feasible
 

@@ -191,19 +191,18 @@ def test_dark_state_lifetime_suppression():
 def test_exact_states_diagonalize_microscopic_register():
     # independent route: build the two-emitter register explicitly in the
     # dynamics engine and confirm the closed-form states are eigenvectors
-    from oqcsim.dynamics import (ExchangeCoupling, LevelSystem, QubitLevels,
-                                 build_hamiltonian)
+    from oqcsim.dynamics import LevelSystem, QubitLevels, build_hamiltonian
 
     e, eps, delta = 2000.0, 30.0, 80.0
     register = LevelSystem(
         [QubitLevels("c1", ("g", "e"), detunings={"e": e + eps}),
-         QubitLevels("c2", ("g", "e"), detunings={"e": e - eps})],
-        [ExchangeCoupling({"c1": "e", "c2": "g"}, {"c1": "g", "c2": "e"}, delta)])
+         QubitLevels("c2", ("g", "e"), detunings={"e": e - eps})])
     h = build_hamiltonian(register)
-
-    st = pair_eigensystem_exact(PairParams(e, eps, delta))
     ia = register.basis_index({"c1": "e", "c2": "g"})
     ib = register.basis_index({"c1": "g", "c2": "e"})
+    h[ia, ib] = h[ib, ia] = delta       # exchange between the singly excited states
+
+    st = pair_eigensystem_exact(PairParams(e, eps, delta))
     for mixing, energy in ((st.mixing_dark, st.energy_dark),
                            (st.mixing_bright, st.energy_bright)):
         psi = np.zeros(4, dtype=complex)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oqcsim.errors import DomainError, ValidationError
+from oqcsim.errors import DomainError, ParseError, ValidationError
 from oqcsim.pulses import (BeamGeometry, EmitterRadiative, PulseSequence, PulseSpec,
                            build_sequence, peak_field, pi_pulse_budget,
                            pi_pulse_intensity, pulse_energy)
@@ -141,6 +141,26 @@ def test_build_sequence_rejects_unknown_targets():
         build_sequence([{"qubit": "ancilla", "transition": ["0", "1"]}], QUBITS)
     with pytest.raises(ValidationError):
         build_sequence([{"qubit": "control", "transition": ["1", "2p"]}], QUBITS)
+
+
+@pytest.mark.parametrize("key, value", [("carrier_cm", 11530.0), ("envelope", "gaussian")])
+def test_build_sequence_rejects_unknown_step_keys(key, value):
+    step = {"qubit": "control", "transition": ["1", "1p"], key: value}
+    with pytest.raises(ParseError, match=key):
+        build_sequence([step], QUBITS)
+
+
+@pytest.mark.parametrize("field", ["pulse_area", "spectral_width", "rabi_frequency",
+                                   "detuning"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_pulse_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValidationError, match="finite"):
+        PulseSpec(target=("control", ("1", "1p")), **{field: value})
+
+
+def test_pulse_spec_rejects_overflowing_duration():
+    with pytest.raises(ValidationError, match="finite"):
+        PulseSpec(target=("control", ("1", "1p")), rabi_frequency=1e-320)
 
 
 def test_sequence_numbering_must_increase():
