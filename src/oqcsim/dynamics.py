@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,6 +105,22 @@ class LevelSystem:
         for cp in self.couplings:
             for qn, lv in cp.states.items():
                 self.qubit(qn).index(lv)
+        self._level_indices: dict[tuple[str, str], np.ndarray] = {}
+
+    @cached_property
+    def _detuning_diag(self) -> np.ndarray:
+        """Diagonal of the static detunings, part of every segment Hamiltonian."""
+        diag = np.zeros(self.dimension)
+        for q in self.qubits:
+            for lv, det in q.detunings.items():
+                if det != 0.0:
+                    diag[self.level_indices(q.name, lv)] += det
+        return diag
+
+    @cached_property
+    def _coupling_indices(self) -> list[np.ndarray]:
+        """Where each coupling's shift lands on the diagonal."""
+        return [self._matching_indices(cp.states) for cp in self.couplings]
 
     def qubit(self, name: str) -> QubitLevels:
         try:
@@ -124,13 +141,16 @@ class LevelSystem:
             labels = [lab + (lv,) for lab in labels for lv in q.levels]
         return labels
 
-    def lift(self, qubit_name: str, op: np.ndarray) -> np.ndarray:
-        """Embed a single-qubit operator into the full register."""
-        out = np.array([[1.0 + 0j]])
-        for q in self.qubits:
-            block = op if q.name == qubit_name else np.eye(len(q.levels))
-            out = np.kron(out, block)
-        return out
+    def level_indices(self, qubit_name: str, level: str) -> np.ndarray:
+        """Flat indices of the joint states with one qubit in the given level.
+
+        Ascending, so the lists of two levels of the same qubit pair up
+        state by state (the other qubits' levels agree).
+        """
+        key = (qubit_name, level)
+        if key not in self._level_indices:
+            self._level_indices[key] = self._matching_indices({qubit_name: level})
+        return self._level_indices[key]
 
     def _matching_indices(self, pins: Mapping[str, str]) -> np.ndarray:
         mask = np.ones(self.dimension, dtype=bool)
@@ -157,48 +177,57 @@ def build_hamiltonian(system: LevelSystem,
     the pulse detuning on the upper level.
     Several simultaneous pulses are allowed only on disjoint level pairs.
     """
-    h = np.zeros((system.dimension, system.dimension), dtype=complex)
+    specs = [] if pulse is None else [pulse] if isinstance(pulse, PulseSpec) else list(pulse)
+    return build_hamiltonians(system, [specs])[0]
 
-    for q in system.qubits:
-        for lv, det in q.detunings.items():
-            if det != 0.0:
-                n = np.zeros((len(q.levels), len(q.levels)))
-                n[q.index(lv), q.index(lv)] = det
-                h += system.lift(q.name, n)
 
-    for cp in system.couplings:
-        idx = system._matching_indices(cp.states)
-        h[idx, idx] += cp.shift
+def build_hamiltonians(system: LevelSystem, segments: Sequence[Sequence[PulseSpec]],
+                       shifts: np.ndarray | None = None) -> np.ndarray:
+    """Segment Hamiltonians of n registers of one structure, stacked (n, d, d).
 
-    if pulse is not None:
-        specs = [pulse] if isinstance(pulse, PulseSpec) else list(pulse)
-        used: set[tuple[str, str]] = set()
-        for p in specs:
-            q = system.qubit(p.qubit)
-            lo, hi = p.transition
-            for lv in (lo, hi):
-                key = (p.qubit, lv)
-                if key in used:
-                    raise ValidationError(
-                        f"simultaneous pulses must target disjoint level pairs; "
-                        f"{key} is driven twice")
-                used.add(key)
-            d = len(q.levels)
-            drive = np.zeros((d, d), dtype=complex)
-            drive[q.index(hi), q.index(lo)] = p.rabi_frequency / 2.0
-            drive[q.index(lo), q.index(hi)] = p.rabi_frequency / 2.0
-            drive[q.index(hi), q.index(hi)] = p.detuning
-            h += system.lift(p.qubit, drive)
+    Register i is driven by the simultaneous pulses segments[i].  Every
+    entry drives the same transitions in the same order, so the entries
+    differ only in numbers: H_i = H_static + sum_c shifts[i, c] P_c
+    + sum_k (Omega_ik / 2) D_k + Delta_ik E_k, with the index sets P_c
+    (coupling c), D_k and E_k (transition k) taken from the system.
+    shifts has shape (n, len(system.couplings)); by default every entry
+    takes the system's own coupling shifts.
+    """
+    n, d = len(segments), system.dimension
+    targets = [p.target for p in segments[0]] if n else []
+    used: set[tuple[str, str]] = set()
+    for qubit, levels in targets:
+        for lv in levels:
+            if (qubit, lv) in used:
+                raise ValidationError(
+                    f"simultaneous pulses must target disjoint level pairs; "
+                    f"{(qubit, lv)} is driven twice")
+            used.add((qubit, lv))
+    if any([p.target for p in specs] != targets for specs in segments):
+        raise ValidationError("stacked segments must drive the same transitions")
+    if shifts is None:
+        shifts = np.tile([cp.shift for cp in system.couplings], (n, 1))
 
+    diag = np.repeat(system._detuning_diag[None, :], n, axis=0)
+    for c, idx in enumerate(system._coupling_indices):
+        diag[:, idx] += shifts[:, c, None]
+    h = np.zeros((n, d, d), dtype=complex)
+    h[:, np.arange(d), np.arange(d)] = diag
+    for k, (qubit, (lo, hi)) in enumerate(targets):
+        upper, lower = system.level_indices(qubit, hi), system.level_indices(qubit, lo)
+        half_rabi = np.array([[specs[k].rabi_frequency / 2.0] for specs in segments])
+        h[:, upper, lower] += half_rabi
+        h[:, lower, upper] += half_rabi
+        h[:, upper, upper] += np.array([[specs[k].detuning] for specs in segments])
     return h
 
 
 def collapse_operators(system: LevelSystem) -> list[np.ndarray]:
     """Lindblad jump operators: radiative decay plus per-level dephasing."""
+    d = system.dimension
     ops = []
     for q in system.qubits:
         ground = q.levels[0]
-        d = len(q.levels)
         for lv, rate in q.decay_rates.items():
             if rate <= 0:
                 continue
@@ -206,20 +235,26 @@ def collapse_operators(system: LevelSystem) -> list[np.ndarray]:
             if dest == lv:
                 raise ValidationError(f"level {lv!r} cannot decay to itself")
             jump = np.zeros((d, d), dtype=complex)
-            jump[q.index(dest), q.index(lv)] = math.sqrt(rate)
-            ops.append(system.lift(q.name, jump))
+            jump[system.level_indices(q.name, dest), system.level_indices(q.name, lv)] = \
+                math.sqrt(rate)
+            ops.append(jump)
         if q.dephasing > 0:
             for lv in q.levels:
+                idx = system.level_indices(q.name, lv)
                 proj = np.zeros((d, d), dtype=complex)
-                proj[q.index(lv), q.index(lv)] = math.sqrt(q.dephasing)
-                ops.append(system.lift(q.name, proj))
+                proj[idx, idx] = math.sqrt(q.dephasing)
+                ops.append(proj)
     return ops
 
 
-def segment_unitary(h: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i H t) through the Hermitian eigendecomposition (exact)."""
+def segment_unitary(h: np.ndarray, duration) -> np.ndarray:
+    """exp(-i H t) through the Hermitian eigendecomposition (exact).
+
+    Also takes a stack: h of shape (n, d, d) with n durations.
+    """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * duration)) @ v.conj().T
+    phases = np.exp(-1j * w * np.asarray(duration)[..., None])
+    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def lindblad_superoperator(h: np.ndarray, collapse: Sequence[np.ndarray]) -> np.ndarray:
@@ -236,9 +271,25 @@ def lindblad_superoperator(h: np.ndarray, collapse: Sequence[np.ndarray]) -> np.
 
 def sequence_unitary(system: LevelSystem, sequence: PulseSequence) -> np.ndarray:
     """Total unitary of an ordered pulse sequence (closed system)."""
-    u = np.eye(system.dimension, dtype=complex)
-    for _, p in sequence:
-        u = segment_unitary(build_hamiltonian(system, p), p.duration) @ u
+    return sequence_unitaries(system, [sequence])[0]
+
+
+def sequence_unitaries(system: LevelSystem, sequences: Sequence[PulseSequence],
+                       shifts: np.ndarray | None = None) -> np.ndarray:
+    """Total unitaries (n, d, d) of n pulse sequences of one shape (closed system).
+
+    The sequences drive the same transitions in the same order and
+    differ only in Rabi frequencies, detunings and durations; shifts
+    (n, len(system.couplings)) gives each its own coupling shifts, as in
+    build_hamiltonians.  One stacked eigendecomposition per segment.
+    """
+    if len({len(seq) for seq in sequences}) > 1:
+        raise ValidationError("stacked sequences must have the same number of pulses")
+    d = system.dimension
+    u = np.repeat(np.eye(d, dtype=complex)[None], len(sequences), axis=0)
+    for segment in zip(*(seq.specs() for seq in sequences)):
+        h = build_hamiltonians(system, [[p] for p in segment], shifts)
+        u = segment_unitary(h, np.array([p.duration for p in segment])) @ u
     return u
 
 

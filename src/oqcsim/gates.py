@@ -28,13 +28,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import (LevelSystem, QubitLevels, ShiftCoupling,
-                       sequence_superoperator, sequence_unitary)
+from .dynamics import (LevelSystem, QubitLevels, ShiftCoupling, sequence_superoperator,
+                       sequence_unitaries, sequence_unitary)
 from .errors import DomainError, OqcsimError, ValidationError
 from .interactions import BlockadeModel, DEFAULT_MODEL, dipole_shift
 from .paircenter import PairParams, pair_eigensystem_exact, pair_eigensystem_perturbative
@@ -45,6 +45,11 @@ REQUIRED_ROLES = ("0", "1", "1p")
 COMPUTATIONAL = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
 
 _PHASE_FLOOR = 1e-12   # diagonal amplitude below which phases are meaningless
+
+# Sweep points propagated in one stack, and the unit of work of a --jobs
+# worker.  Larger chunks run no faster, since scoring each point costs
+# more than its share of the stacked eigh, but hold more memory.
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -128,12 +133,16 @@ def scenario_system(scenario: GateScenario) -> LevelSystem:
             decay_to=dict(qs.decay_to),
             dephasing=scenario.gamma_h if scenario.noise.dephasing else 0.0,
         ))
-    couplings = []
-    if scenario.delta_shift != 0.0:
-        couplings.append(ShiftCoupling(
-            {scenario.control.name: "1p", scenario.target.name: "1p"},
-            scenario.delta_shift))
-    return LevelSystem(qubits, couplings)
+    shift = ShiftCoupling({scenario.control.name: "1p", scenario.target.name: "1p"},
+                          scenario.delta_shift)
+    return LevelSystem(qubits, [shift])
+
+
+def protocol_sequence(scenario: GateScenario) -> PulseSequence:
+    """The scenario's own sequence, else the canonical blockade sequence."""
+    if scenario.sequence is not None:
+        return scenario.sequence
+    return canonical_blockade_sequence(scenario)
 
 
 def canonical_blockade_sequence(scenario: GateScenario) -> PulseSequence:
@@ -215,39 +224,42 @@ def _dressed_target(gate_target: str, phi00: float, phi01: float, phi10: float) 
     ]).astype(complex)
 
 
-def run_protocol(scenario: GateScenario) -> GateReport:
+def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None) -> GateReport:
     """Execute a scenario over all four computational inputs and score it.
 
     Closed-system scenarios propagate state vectors and score the
     restricted unitary; with any noise switch on, the full channel is
     composed from segment superoperators so decay and dephasing enter
-    the average-fidelity sum exactly.
+    the average-fidelity sum exactly.  propagator is that unitary (or
+    channel) of the scenario's sequence when the caller has already
+    computed it, as a batched sweep does; when None, the sequence is
+    built, checked and propagated here.
     """
     system = scenario_system(scenario)
-    sequence = scenario.sequence if scenario.sequence is not None \
-        else canonical_blockade_sequence(scenario)
-    sequence.validate_targets(scenario.qubit_levels())
+    if propagator is None:
+        sequence = protocol_sequence(scenario)
+        sequence.validate_targets(scenario.qubit_levels())
+        propagator = (sequence_unitary(system, sequence) if not scenario.noise.any
+                      else sequence_superoperator(system, sequence))
 
     comp = [system.basis_index({scenario.control.name: c, scenario.target.name: t})
             for c, t in COMPUTATIONAL]
     dim = system.dimension
 
     if not scenario.noise.any:
-        u = sequence_unitary(system, sequence)
-        m = u[np.ix_(comp, comp)]
+        m = propagator[np.ix_(comp, comp)]
         truth = np.abs(m.T) ** 2            # [input][output]
         phi00, phi01, phi10, cz = _extract_phases(np.diag(m))
         target = _dressed_target(scenario.gate_target, phi00, phi01, phi10)
         f_pro = abs(np.trace(target.conj().T @ m)) ** 2 / 16.0
         noisy = False
     else:
-        s = sequence_superoperator(system, sequence)
         blocks = {}
         for j in range(4):
             for k in range(4):
                 vec = np.zeros(dim * dim, dtype=complex)
                 vec[comp[j] * dim + comp[k]] = 1.0
-                out = (s @ vec).reshape(dim, dim)
+                out = (propagator @ vec).reshape(dim, dim)
                 blocks[(j, k)] = out
         truth = np.array([[np.real(blocks[(k, k)][comp[j], comp[j]]) for j in range(4)]
                           for k in range(4)])
@@ -288,11 +300,46 @@ def grid_points(grid: Mapping[str, Sequence]) -> Iterator[dict]:
         yield dict(zip(keys, combo))
 
 
-def sweep_point(make_scenario: Callable[..., GateScenario], point: dict) -> dict:
-    """One sweep row: the point plus the report fields, or an error status."""
-    row = dict(point)
-    try:
-        report = run_protocol(make_scenario(**point))
+def grid_chunks(grid: Mapping[str, Sequence], parts: int = 1) -> Iterator[list[dict]]:
+    """The grid's points in order, cut into contiguous chunks.
+
+    Chunks hold at most CHUNK points, and there are at least `parts` of
+    them when the grid has that many points.
+    """
+    size = max(1, min(CHUNK, math.prod(len(values) for values in grid.values()) // parts))
+    points = grid_points(grid)
+    while chunk := list(itertools.islice(points, size)):
+        yield chunk
+
+
+def sweep_chunk(make_scenario: Callable[..., GateScenario], points: Sequence[dict]) -> list[dict]:
+    """Sweep rows of some grid points: the point plus the report fields, or an error status.
+
+    Each point's scenario is built and scored on its own, by
+    make_scenario and run_protocol, so every check runs per point.  The
+    closed scenarios that differ from the chunk's first closed one only
+    in the swept numbers share its register; their sequence unitaries
+    are computed in one stack (see _stacked_unitaries) and handed to
+    run_protocol.
+    """
+    rows, scenarios = [], []
+    for point in points:
+        row = dict(point)
+        try:
+            scenarios.append(make_scenario(**point))
+        except (OqcsimError, ValueError) as exc:
+            scenarios.append(None)
+            row["status"] = f"error: {exc}"
+        rows.append(row)
+    unitaries = _stacked_unitaries(scenarios)
+    for i, (row, scenario) in enumerate(zip(rows, scenarios)):
+        if scenario is None:
+            continue
+        try:
+            report = run_protocol(scenario, unitaries.get(i))
+        except (OqcsimError, ValueError) as exc:
+            row["status"] = f"error: {exc}"
+            continue
         row.update({
             "truth_table_fidelity": report.truth_table_fidelity,
             "average_fidelity": report.average_fidelity,
@@ -301,13 +348,50 @@ def sweep_point(make_scenario: Callable[..., GateScenario], point: dict) -> dict
             "cz_phase_rad": report.cz_phase,
             "status": "ok",
         })
-    except (OqcsimError, ValueError) as exc:
-        row["status"] = f"error: {exc}"
-    return row
+    return rows
+
+
+# The numbers a sweep varies; scenarios equal in every other field share
+# one register and one sequence shape.
+_SWEPT = ("rabi", "delta_shift", "gamma_h")
+_SHARED = tuple(f.name for f in fields(GateScenario) if f.name not in _SWEPT)
+
+
+def _stacked_unitaries(scenarios: Sequence[GateScenario | None]) -> dict[int, np.ndarray]:
+    """Sequence unitaries of the batchable scenarios, keyed by position.
+
+    Batchable: closed, and equal to the first closed scenario in every
+    field but the swept numbers.  A scenario left out here, whose
+    sequence does not build, or every scenario when the stacked
+    propagation fails, is propagated by run_protocol alone, which then
+    reports its error.
+    """
+    closed = [(i, sc) for i, sc in enumerate(scenarios) if sc is not None and not sc.noise.any]
+    if not closed:
+        return {}
+    first = closed[0][1]
+    shared = tuple(getattr(first, name) for name in _SHARED)
+    batch, sequences = [], []
+    for i, sc in closed:
+        if tuple(getattr(sc, name) for name in _SHARED) != shared:
+            continue
+        try:
+            sequence = protocol_sequence(sc)
+            sequence.validate_targets(sc.qubit_levels())
+        except (OqcsimError, ValueError):
+            continue
+        batch.append((i, sc))
+        sequences.append(sequence)
+    try:
+        stacked = sequence_unitaries(scenario_system(first), sequences,
+                                     np.array([[sc.delta_shift] for _, sc in batch]))
+    except (OqcsimError, ValueError):
+        return {}
+    return {i: u for (i, _), u in zip(batch, stacked)}
 
 
 def sweep(make_scenario: Callable[..., GateScenario],
-          grid: Mapping[str, Sequence], skip: int = 0) -> list[dict]:
+          grid: Mapping[str, Sequence]) -> list[dict]:
     """Run a protocol over the cartesian product of a parameter grid.
 
     Parameters
@@ -316,19 +400,15 @@ def sweep(make_scenario: Callable[..., GateScenario],
         Keyword factory: called with one value per grid key.
     grid : mapping
         Parameter name -> finite sequence of values.
-    skip : int
-        Number of leading grid points to skip; the ordering is
-        deterministic (keys sorted, values in given order), so a partial
-        sweep can be resumed row by row.
 
     Returns
     -------
     list of dict
-        One row per executed grid point: the parameters plus the report
-        fields, or a status message when that point failed.
+        One row per grid point, in grid_points order: the parameters
+        plus the report fields, or a status message when that point
+        failed.  The points are scored chunk by chunk (sweep_chunk).
     """
-    return [sweep_point(make_scenario, point)
-            for point in itertools.islice(grid_points(grid), skip, None)]
+    return [row for chunk in grid_chunks(grid) for row in sweep_chunk(make_scenario, chunk)]
 
 
 def pair_center_scenario(params_control: PairParams, params_target: PairParams,

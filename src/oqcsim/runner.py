@@ -38,9 +38,9 @@ from .ensemble import (CenterSet, CrystalSpec, allocate_channels, assign_frequen
                        min_pair_concentration, nearest_neighbor_distances,
                        sample_lattice, spectral_select)
 from .errors import ConfigurationError, DomainError, ParseError, ValidationError
-from .gates import (GateScenario, NoiseFlags, QubitScheme, canonical_blockade_sequence,
-                    grid_points, pair_center_scenario, run_protocol, scenario_system,
-                    sweep as run_sweep, sweep_point)
+from .gates import (GateScenario, NoiseFlags, QubitScheme, grid_chunks,
+                    pair_center_scenario, protocol_sequence, run_protocol, scenario_system,
+                    sweep as run_sweep, sweep_chunk)
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
 from .paircenter import PairParams
@@ -295,6 +295,9 @@ def _parse_sweep(sec: dict, gate: GateSection | None) -> dict[str, list[float]]:
     grid = sec.get("grid", {})
     _known_keys(grid, SWEEPABLE, "sweep.grid")
     _require(grid, f"sweep.grid must name at least one of {sorted(SWEEPABLE)}")
+    _require(not {"delta_over_omega", "delta_shift_rad_s"} <= set(grid),
+             "sweep.grid may name delta_over_omega or delta_shift_rad_s, not both",
+             ParseError)
     for k, v in grid.items():
         _require(isinstance(v, list) and v, f"sweep.grid[{k!r}] must be a non-empty list")
     return {k: [_finite(x, f"sweep.grid[{k!r}]") for x in v] for k, v in grid.items()}
@@ -345,15 +348,18 @@ def _point_scenario(base: GateScenario, **point) -> GateScenario:
     return replace(base, **changes)
 
 
-def load_config(path) -> ScenarioConfig:
-    path = Path(path)
+def _read_document(path: Path) -> dict:
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError:
         raise ParseError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return ScenarioConfig(doc, origin=str(path))
+
+
+def load_config(path) -> ScenarioConfig:
+    path = Path(path)
+    return ScenarioConfig(_read_document(path), origin=str(path))
 
 
 def validate(path) -> ScenarioConfig:
@@ -378,14 +384,17 @@ def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> di
     """Execute a scenario config and write its outputs.
 
     Returns the manifest dictionary.  out_dir defaults to the config's
-    output.dir, else '<config stem>_out' next to the config.
+    output.dir, else '<config stem>_out' next to the config.  seed, when
+    given, replaces the config's seed before the config is parsed.
     """
     t0 = time.perf_counter()
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg = ScenarioConfig({**cfg.doc, "seed": seed}, cfg.origin)
+    path = Path(config_path)
+    doc = _read_document(path)
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
+    cfg = ScenarioConfig(doc, origin=str(path))
     if out_dir is None:
-        out_dir = cfg.output_dir or (Path(config_path).with_suffix("").name + "_out")
+        out_dir = cfg.output_dir or (path.with_suffix("").name + "_out")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
@@ -415,9 +424,12 @@ def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> di
             outputs["trajectory"] = "trajectory.csv"
             _export_gate_trajectory(cfg.gate, out / "trajectory.csv")
 
+    counters = {"sweep_points_ok": 0, "sweep_points_error": 0}
     if cfg.sweep is not None:
         outputs["sweep"] = "sweep.csv"
-        _run_sweep_csv(cfg.gate.scenario, cfg.sweep, out / "sweep.csv", jobs)
+        rows = _run_sweep_csv(cfg.gate.scenario, cfg.sweep, out / "sweep.csv", jobs)
+        counters["sweep_points_ok"] = sum(row["status"] == "ok" for row in rows)
+        counters["sweep_points_error"] = len(rows) - counters["sweep_points_ok"]
 
     manifest = {
         "config_hash": _config_hash(cfg.doc),
@@ -425,6 +437,7 @@ def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> di
         "seed": cfg.seed,
         "wall_clock_s": time.perf_counter() - t0,
         "outputs": outputs,
+        "counters": counters,
     }
     _write_json(out / "manifest.json", manifest)
     return manifest
@@ -537,8 +550,7 @@ def _run_pulses(p: PulsesSection) -> dict:
 def _export_gate_trajectory(gate: GateSection, path: Path):
     scenario = gate.scenario
     system = scenario_system(scenario)
-    sequence = scenario.sequence if scenario.sequence is not None \
-        else canonical_blockade_sequence(scenario)
+    sequence = protocol_sequence(scenario)
     psi = system.basis_state(dict(zip((scenario.control.name, scenario.target.name),
                                       gate.trajectory_input)))
     if scenario.noise.any:
@@ -549,14 +561,20 @@ def _export_gate_trajectory(gate: GateSection, path: Path):
     export_trajectory_csv(path, traj)
 
 
-def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int):
+def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> list[dict]:
+    """Write sweep.csv and return its rows.
+
+    Serial or pooled, the points are scored by gates.sweep_chunk; each
+    --jobs worker takes whole chunks, at least one per worker.
+    """
     make_scenario = partial(_point_scenario, base)
     n_points = math.prod(len(values) for values in grid.values())
     # a forked pool starts every worker up front, so never ask for idle ones
     workers = max(1, min(jobs, n_points, os.cpu_count() or 1))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(sweep_point, make_scenario), grid_points(grid)))
+            chunks = pool.map(partial(sweep_chunk, make_scenario), grid_chunks(grid, workers))
+            rows = [row for chunk in chunks for row in chunk]
     else:
         rows = run_sweep(make_scenario, grid)
     keys = sorted(grid)
@@ -569,6 +587,7 @@ def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int):
             writer.writerow([repr(row[k]) for k in keys]
                             + [repr(row[c]) if isinstance(row.get(c), float) else row.get(c, "")
                                for c in metric_cols])
+    return rows
 
 
 def emit_plot_data(results_dir, kind: str, out_path) -> None:

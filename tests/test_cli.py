@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oqcsim import runner
 from oqcsim.cli import main
+from oqcsim.gates import CHUNK
 from oqcsim.runner import emit_plot_data, run, validate
 
 CONFIG_DIR = resources.files("oqcsim.configs")
@@ -123,6 +125,8 @@ REJECTED = {
     "zero-pair-radius": (small_crystal(pair_radius=0), 3),
     "negative-channel-gap": (small_crystal(channel_min_gap_hz=-1), 3),
     "non-numeric-u2-threshold": ({"species": {"use": "Nd3+", "u2_threshold": "high"}}, 2),
+    "both-shift-keys": ({"gate": {}, "sweep": {"grid": {"delta_over_omega": [1.0],
+                                                       "delta_shift_rad_s": [1e12]}}}, 2),
 }
 
 
@@ -179,6 +183,44 @@ def test_seed_override_changes_samples(tmp_path):
     assert not filecmp.cmp(a / "centers.csv", b / "centers.csv", shallow=False)
     man = json.loads((b / "manifest.json").read_text())
     assert man["seed"] == 1234
+
+
+def test_seed_override_supplies_a_missing_seed(tmp_path):
+    doc = json.loads(Path(config_path("nd_caf2_ensemble")).read_text())
+    del doc["seed"]
+    config, out = tmp_path / "noseed.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(config)]) == 2
+    assert main(["run", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+
+
+def test_manifest_counts_sweep_points(tmp_path):
+    run(config_path("blockade_cz_sweep"), out_dir=tmp_path / "a")
+    counters = json.loads((tmp_path / "a" / "manifest.json").read_text())["counters"]
+    assert counters == {"sweep_points_ok": 8, "sweep_points_error": 0}
+
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps({"gate": {}, "sweep": {"grid": {
+        "rabi_rad_s": [-1.0, 0.0, 6.283185307179586e9]}}}))
+    run(config, out_dir=tmp_path / "b")
+    counters = json.loads((tmp_path / "b" / "manifest.json").read_text())["counters"]
+    assert counters == {"sweep_points_ok": 1, "sweep_points_error": 2}
+
+
+def test_bundled_csv_outputs_are_finite(tmp_path):
+    for name in BUNDLED:
+        run(config_path(name), out_dir=tmp_path / name)
+    tables = sorted(tmp_path.glob("*/*.csv"))
+    assert {p.name for p in tables} >= {"sweep.csv", "trajectory.csv"}
+    for path in tables:
+        for row in csv.reader(path.read_text().splitlines()):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue                 # header or status text
+                assert math.isfinite(value), f"{path.parent.name}/{path.name}: {cell}"
 
 
 def test_cli_run_and_species_and_pulse_calc(tmp_path, capsys):
@@ -272,4 +314,20 @@ def test_sweep_jobs_parallel_matches_serial(tmp_path):
     serial, parallel = tmp_path / "s", tmp_path / "p"
     run(config_path("blockade_cz_sweep"), out_dir=serial, jobs=1)
     run(config_path("blockade_cz_sweep"), out_dir=parallel, jobs=2)
+    assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()
+
+
+def test_sweep_jobs_parallel_matches_serial_across_chunks(tmp_path):
+    # 20 x 14 = 280 points: two chunks serially, two chunks of 140 with two workers
+    doc = json.loads(Path(config_path("blockade_cz_sweep")).read_text())
+    doc["sweep"]["grid"] = {
+        "delta_over_omega": [1.5 ** k for k in range(20)],
+        "rabi_rad_s": [2 * math.pi * 1e8 * (k + 1) for k in range(14)]}
+    doc["gate"]["export_trajectory"] = False
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(doc))
+    assert 280 > CHUNK
+    serial, parallel = tmp_path / "s", tmp_path / "p"
+    run(config, out_dir=serial, jobs=1)
+    run(config, out_dir=parallel, jobs=2)
     assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, QubitLevels,
-                             ShiftCoupling, build_hamiltonian, collapse_operators,
-                             export_trajectory_csv, lindblad_superoperator,
-                             propagate_lindblad, propagate_unitary, rabi_transfer,
-                             segment_unitary, sequence_unitary)
+                             ShiftCoupling, build_hamiltonian, build_hamiltonians,
+                             collapse_operators, export_trajectory_csv,
+                             lindblad_superoperator, propagate_lindblad, propagate_unitary,
+                             rabi_transfer, segment_unitary, sequence_unitaries,
+                             sequence_unitary)
 from oqcsim.errors import ResourceLimitError, ValidationError
 from oqcsim.pulses import PulseSequence, PulseSpec
 
@@ -62,6 +63,86 @@ def test_simultaneous_pulses_need_disjoint_pairs():
 def test_unknown_target_rejected():
     with pytest.raises(ValidationError):
         build_hamiltonian(two_level(), drive(levels=("g", "x")))
+
+
+def kron_hamiltonian(system, pulses):
+    """Reference assembly: each term embedded in the register with np.kron."""
+    def lift(name, op):
+        out = np.array([[1.0 + 0j]])
+        for q in system.qubits:
+            out = np.kron(out, op if q.name == name else np.eye(len(q.levels)))
+        return out
+
+    h = np.zeros((system.dimension, system.dimension), dtype=complex)
+    for q in system.qubits:
+        for lv, det in q.detunings.items():
+            if det != 0.0:
+                n = np.zeros((len(q.levels), len(q.levels)))
+                n[q.index(lv), q.index(lv)] = det
+                h += lift(q.name, n)
+    for cp in system.couplings:
+        idx = system._matching_indices(cp.states)
+        h[idx, idx] += cp.shift
+    for p in pulses:
+        q = system.qubit(p.qubit)
+        lo, hi = q.index(p.transition[0]), q.index(p.transition[1])
+        drive = np.zeros((len(q.levels), len(q.levels)), dtype=complex)
+        drive[hi, lo] = drive[lo, hi] = p.rabi_frequency / 2.0
+        drive[hi, hi] = p.detuning
+        h += lift(p.qubit, drive)
+    return h
+
+
+def three_qubit_register(shift=3.7e9):
+    return LevelSystem(
+        [QubitLevels("a", ("0", "1", "1p"), detunings={"1": 1.1e8, "1p": -2.3e9}),
+         QubitLevels("b", ("g", "e")),
+         QubitLevels("c", ("0", "1", "1p"), detunings={"0": 5e7})],
+        [ShiftCoupling({"a": "1p", "c": "1p"}, shift),
+         ShiftCoupling({"b": "e", "c": "1"}, -0.4e9)])
+
+
+def test_index_placement_equals_kron_assembly():
+    system = three_qubit_register()
+    simultaneous = [drive(qubit="a", levels=("1", "1p"), detuning=0.3 * OMEGA),
+                    drive(qubit="c", levels=("0", "1p"), omega=0.7 * OMEGA,
+                          detuning=-1.9e9),
+                    drive(qubit="b", levels=("e", "g"), omega=2.1 * OMEGA)]
+    for pulses in ([], simultaneous[:1], simultaneous):
+        assert np.array_equal(build_hamiltonian(system, pulses),
+                              kron_hamiltonian(system, pulses))
+
+
+def test_stacked_hamiltonians_equal_single_builds():
+    shifts = [3.7e9, 0.0, -1e12]
+    segments = [[drive(qubit="a", levels=("1", "1p"), omega=w, detuning=d)]
+                for w, d in ((OMEGA, 0.0), (0.3 * OMEGA, 2e9), (5 * OMEGA, -1e8))]
+    stacked = build_hamiltonians(three_qubit_register(), segments,
+                                 np.array([[s, -0.4e9] for s in shifts]))
+    for h, s, pulses in zip(stacked, shifts, segments):
+        assert np.array_equal(h, build_hamiltonian(three_qubit_register(s), pulses))
+
+
+def test_stacked_unitaries_equal_single_sequences():
+    shifts = [3.7e9, 0.0, 25.0 * OMEGA]
+    sequences = [seq(drive(qubit="a", levels=("1", "1p"), omega=w),
+                     drive(qubit="c", levels=("1", "1p"), omega=w, area=2 * math.pi,
+                           detuning=d))
+                 for w, d in ((OMEGA, 0.0), (0.3 * OMEGA, 2e9), (5 * OMEGA, -1e8))]
+    stacked = sequence_unitaries(three_qubit_register(), sequences,
+                                 np.array([[s, -0.4e9] for s in shifts]))
+    for u, s, sequence in zip(stacked, shifts, sequences):
+        assert np.array_equal(u, sequence_unitary(three_qubit_register(s), sequence))
+
+
+def test_stacked_entries_must_share_their_shape():
+    system = three_qubit_register()
+    with pytest.raises(ValidationError):
+        build_hamiltonians(system, [[drive(qubit="a", levels=("1", "1p"))],
+                                    [drive(qubit="c", levels=("1", "1p"))]])
+    with pytest.raises(ValidationError):
+        sequence_unitaries(system, [seq(drive(qubit="b")),
+                                    seq(drive(qubit="b"), drive(qubit="b"))])
 
 
 def test_dimension_cap_enforced():

@@ -1,15 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oqcsim.errors import ValidationError
-from oqcsim.gates import (COMPUTATIONAL, GateScenario, NoiseFlags, QubitScheme,
-                          canonical_blockade_sequence, pair_center_scenario,
+from oqcsim.errors import OqcsimError, ValidationError
+from oqcsim.gates import (CHUNK, COMPUTATIONAL, GateScenario, NoiseFlags, QubitScheme,
+                          canonical_blockade_sequence, grid_chunks, pair_center_scenario,
                           run_protocol, scenario_system, swap_roles, sweep)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
-from oqcsim.pulses import PulseSequence
+from oqcsim.pulses import PulseSequence, build_sequence
 from oqcsim.dynamics import sequence_unitary
 
 OMEGA = 2 * math.pi * 1e9
@@ -160,13 +162,95 @@ def test_sweep_deterministic_ordering():
     assert [r["delta_over_omega"] for r in rows] == [5.0, 10.0]
 
 
-def test_sweep_resumable_by_row():
-    grid = {"delta_over_omega": [5.0, 10.0, 20.0]}
-    full = sweep(lambda delta_over_omega: blockade_scenario(delta_over_omega), grid)
-    tail = sweep(lambda delta_over_omega: blockade_scenario(delta_over_omega),
-                 grid, skip=2)
-    assert len(tail) == 1
-    assert tail[0] == full[2]
+def reference_row(make_scenario, point):
+    """One sweep row from the single-run path: run_protocol alone."""
+    row = dict(point)
+    try:
+        report = run_protocol(make_scenario(**point))
+    except (OqcsimError, ValueError) as exc:
+        row["status"] = f"error: {exc}"
+        return row
+    row.update({"truth_table_fidelity": report.truth_table_fidelity,
+                "average_fidelity": report.average_fidelity,
+                "infidelity": 1.0 - report.average_fidelity,
+                "leakage": report.leakage,
+                "cz_phase_rad": report.cz_phase,
+                "status": "ok"})
+    return row
+
+
+def sweep_bases():
+    canonical = blockade_scenario(10.0)
+    p = PairParams(11530.0, 0.5, 5.0)
+    custom = replace(canonical, sequence=build_sequence([
+        {"qubit": "control", "transition": ["1", "1p"], "rabi_rad_s": 0.8 * OMEGA},
+        {"qubit": "target", "transition": ["1", "1p"], "area": "2pi",
+         "detuning_rad_s": 0.1 * OMEGA},
+        {"qubit": "control", "transition": ["1", "1p"], "rabi_rad_s": 0.8 * OMEGA},
+    ], canonical.qubit_levels()))
+    return {"canonical": canonical,
+            "pair_center": pair_center_scenario(p, p, distance=1.5, rabi=OMEGA),
+            "custom": custom}
+
+
+BASES = sweep_bases()
+
+# per-point departures from the base scenario; all but the last two fail
+SPECIAL = ("factory_raises", "rabi_zero", "rabi_negative", "ratio_1e300",
+           "identity_target", "noisy")
+
+
+def special_factory(base, specials, rabis, ratios):
+    def make(i):
+        kind = specials.get(i)
+        if kind == "factory_raises":
+            raise ValidationError("the factory refused this point")
+        rabi, ratio = rabis[i % len(rabis)], ratios[i % len(ratios)]
+        changes = {}
+        if kind == "rabi_zero":
+            rabi = 0.0
+        elif kind == "rabi_negative":
+            rabi = -rabi
+        elif kind == "ratio_1e300":
+            ratio = 1e300
+        elif kind == "identity_target":
+            changes["gate_target"] = "identity"
+        elif kind == "noisy":
+            changes.update(noise=NoiseFlags(dephasing=True), gamma_h=1e7)
+        return replace(base, rabi=rabi, delta_shift=ratio * rabi, **changes)
+    return make
+
+
+@st.composite
+def special_sweeps(draw):
+    size = draw(st.sampled_from([1, 3, CHUNK - 1, CHUNK, CHUNK + 1]))
+    specials = draw(st.dictionaries(st.integers(0, size - 1), st.sampled_from(SPECIAL),
+                                    max_size=4))
+    rabis = draw(st.lists(st.floats(0.2 * OMEGA, 5.0 * OMEGA), min_size=1, max_size=7))
+    ratios = draw(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=11))
+    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    return special_factory(base, specials, rabis, ratios), {"i": list(range(size))}
+
+
+@settings(max_examples=10, deadline=None)
+@given(special_sweeps())
+def test_batched_sweep_rows_equal_single_runs(case):
+    make_scenario, grid = case
+    rows = sweep(make_scenario, grid)
+    assert len(rows) == len(grid["i"])
+    for i, row in zip(grid["i"], rows):
+        expected = reference_row(make_scenario, {"i": i})
+        assert row.keys() == expected.keys()
+        for key in expected:
+            assert row[key] == expected[key], (i, key)
+
+
+@pytest.mark.parametrize("n, parts, sizes", [
+    (CHUNK + 1, 1, [CHUNK, 1]), (8, 2, [4, 4]), (9, 4, [2, 2, 2, 2, 1]), (3, 3, [1, 1, 1])])
+def test_grid_chunks_cover_the_grid_in_order(n, parts, sizes):
+    chunks = list(grid_chunks({"x": list(range(n))}, parts))
+    assert [len(c) for c in chunks] == sizes
+    assert [p["x"] for c in chunks for p in c] == list(range(n))
 
 
 # -- pair-center scenarios --------------------------------------------------
