@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .dynamics import (LevelSystem, QubitLevels, ShiftCoupling, sequence_superoperator,
-                       sequence_unitaries, sequence_unitary)
+                       sequence_superoperators, sequence_unitaries, sequence_unitary)
 from .errors import DomainError, OqcsimError, ValidationError
 from .interactions import BlockadeModel, DEFAULT_MODEL, dipole_shift
 from .paircenter import PairParams, pair_eigensystem_exact, pair_eigensystem_perturbative
@@ -48,7 +48,7 @@ _PHASE_FLOOR = 1e-12   # diagonal amplitude below which phases are meaningless
 
 # Sweep points propagated in one stack, and the unit of work of a --jobs
 # worker.  Larger chunks run no faster, since scoring each point costs
-# more than its share of the stacked eigh, but hold more memory.
+# more than its share of the stacked propagation, but hold more memory.
 CHUNK = 64
 
 
@@ -119,6 +119,11 @@ class GateScenario:
                 self.target.name: self.target.level_order}
 
 
+def _dephasing(scenario: GateScenario) -> float:
+    """Dephasing rate of both qubits of the scenario's register (1/s)."""
+    return scenario.gamma_h if scenario.noise.dephasing else 0.0
+
+
 def scenario_system(scenario: GateScenario) -> LevelSystem:
     """Materialize the scenario as a dynamics register."""
     qubits = []
@@ -131,7 +136,7 @@ def scenario_system(scenario: GateScenario) -> LevelSystem:
             detunings=dict(qs.detunings),
             decay_rates=decay,
             decay_to=dict(qs.decay_to),
-            dephasing=scenario.gamma_h if scenario.noise.dephasing else 0.0,
+            dephasing=_dephasing(scenario),
         ))
     shift = ShiftCoupling({scenario.control.name: "1p", scenario.target.name: "1p"},
                           scenario.delta_shift)
@@ -224,26 +229,38 @@ def _dressed_target(gate_target: str, phi00: float, phi01: float, phi10: float) 
     ]).astype(complex)
 
 
-def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None) -> GateReport:
+def _computational(scenario: GateScenario, system: LevelSystem) -> tuple[list[int], list[int]]:
+    """Basis indices of the four computational states, and the vectorized
+    positions of the sixteen operators |j><k| between them (j-major)."""
+    comp = [system.basis_index({scenario.control.name: c, scenario.target.name: t})
+            for c, t in COMPUTATIONAL]
+    return comp, [system.dimension * j + k for j in comp for k in comp]
+
+
+def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
+                 system: LevelSystem | None = None) -> GateReport:
     """Execute a scenario over all four computational inputs and score it.
 
     Closed-system scenarios propagate state vectors and score the
-    restricted unitary; with any noise switch on, the full channel is
-    composed from segment superoperators so decay and dephasing enter
-    the average-fidelity sum exactly.  propagator is that unitary (or
-    channel) of the scenario's sequence when the caller has already
-    computed it, as a batched sweep does; when None, the sequence is
-    built, checked and propagated here.
+    restricted unitary; with any noise switch on, the channel is
+    applied to the sixteen operators |j><k| of the computational
+    subspace, so decay and dephasing enter the average-fidelity sum
+    exactly.  propagator is that unitary, or with noise those sixteen
+    channel columns (as sequence_superoperator returns them), of the
+    scenario's sequence when the caller has already computed it, as a
+    batched sweep does; system is then a register of the scenario's
+    structure, in whose basis the propagator is written.  When
+    propagator is None, the sequence is built, checked and propagated
+    here on the scenario's own register.
     """
-    system = scenario_system(scenario)
+    if propagator is None or system is None:
+        system = scenario_system(scenario)
+    comp, columns = _computational(scenario, system)
     if propagator is None:
         sequence = protocol_sequence(scenario)
         sequence.validate_targets(scenario.qubit_levels())
         propagator = (sequence_unitary(system, sequence) if not scenario.noise.any
-                      else sequence_superoperator(system, sequence))
-
-    comp = [system.basis_index({scenario.control.name: c, scenario.target.name: t})
-            for c, t in COMPUTATIONAL]
+                      else sequence_superoperator(system, sequence, columns))
     dim = system.dimension
 
     if not scenario.noise.any:
@@ -254,13 +271,9 @@ def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None) -
         f_pro = abs(np.trace(target.conj().T @ m)) ** 2 / 16.0
         noisy = False
     else:
-        blocks = {}
-        for j in range(4):
-            for k in range(4):
-                vec = np.zeros(dim * dim, dtype=complex)
-                vec[comp[j] * dim + comp[k]] = 1.0
-                out = (propagator @ vec).reshape(dim, dim)
-                blocks[(j, k)] = out
+        # channel output of |comp_j><comp_k|, as a density-operator shape
+        blocks = {(j, k): propagator[:, 4 * j + k].reshape(dim, dim)
+                  for j in range(4) for k in range(4)}
         truth = np.array([[np.real(blocks[(k, k)][comp[j], comp[j]]) for j in range(4)]
                           for k in range(4)])
         # phases from the coherences against the |00> reference column
@@ -318,9 +331,10 @@ def sweep_chunk(make_scenario: Callable[..., GateScenario], points: Sequence[dic
     Each point's scenario is built and scored on its own, by
     make_scenario and run_protocol, so every check runs per point.  The
     closed scenarios that differ from the chunk's first closed one only
-    in the swept numbers share its register; their sequence unitaries
-    are computed in one stack (see _stacked_unitaries) and handed to
-    run_protocol.
+    in the swept numbers share its register, and so do the noisy ones
+    with the first noisy one; each group is propagated in one stack
+    (see _stacked_propagators) and its propagators and register are
+    handed to run_protocol.
     """
     rows, scenarios = [], []
     for point in points:
@@ -331,12 +345,12 @@ def sweep_chunk(make_scenario: Callable[..., GateScenario], points: Sequence[dic
             scenarios.append(None)
             row["status"] = f"error: {exc}"
         rows.append(row)
-    unitaries = _stacked_unitaries(scenarios)
+    propagators = _stacked_propagators(scenarios)
     for i, (row, scenario) in enumerate(zip(rows, scenarios)):
         if scenario is None:
             continue
         try:
-            report = run_protocol(scenario, unitaries.get(i))
+            report = run_protocol(scenario, *propagators.get(i, (None, None)))
         except (OqcsimError, ValueError) as exc:
             row["status"] = f"error: {exc}"
             continue
@@ -357,37 +371,52 @@ _SWEPT = ("rabi", "delta_shift", "gamma_h")
 _SHARED = tuple(f.name for f in fields(GateScenario) if f.name not in _SWEPT)
 
 
-def _stacked_unitaries(scenarios: Sequence[GateScenario | None]) -> dict[int, np.ndarray]:
-    """Sequence unitaries of the batchable scenarios, keyed by position.
+def _stacked_propagators(scenarios: Sequence[GateScenario | None]
+                         ) -> dict[int, tuple[np.ndarray, LevelSystem]]:
+    """Propagators of the batchable scenarios and their shared register, keyed by position.
 
-    Batchable: closed, and equal to the first closed scenario in every
-    field but the swept numbers.  A scenario left out here, whose
-    sequence does not build, or every scenario when the stacked
-    propagation fails, is propagated by run_protocol alone, which then
-    reports its error.
+    Batchable: equal to the first closed (or the first noisy) scenario
+    in every field but the swept numbers.  A closed group gets sequence
+    unitaries, a noisy group the sixteen computational columns of its
+    channels, each in one stacked propagation.  A scenario left out
+    here, whose sequence does not build, or every scenario of a group
+    whose stacked propagation fails, is propagated by run_protocol
+    alone, which then reports its error.
     """
-    closed = [(i, sc) for i, sc in enumerate(scenarios) if sc is not None and not sc.noise.any]
-    if not closed:
-        return {}
-    first = closed[0][1]
-    shared = tuple(getattr(first, name) for name in _SHARED)
-    batch, sequences = [], []
-    for i, sc in closed:
-        if tuple(getattr(sc, name) for name in _SHARED) != shared:
+    out = {}
+    for noisy in (False, True):
+        group = [(i, sc) for i, sc in enumerate(scenarios)
+                 if sc is not None and sc.noise.any == noisy]
+        if not group:
             continue
+        first = group[0][1]
+        shared = tuple(getattr(first, name) for name in _SHARED)
+        batch, sequences = [], []
+        for i, sc in group:
+            if tuple(getattr(sc, name) for name in _SHARED) != shared:
+                continue
+            try:
+                sequence = protocol_sequence(sc)
+                sequence.validate_targets(sc.qubit_levels())
+            except (OqcsimError, ValueError):
+                continue
+            batch.append((i, sc))
+            sequences.append(sequence)
+        if not batch:
+            continue
+        shifts = np.array([[sc.delta_shift] for _, sc in batch])
         try:
-            sequence = protocol_sequence(sc)
-            sequence.validate_targets(sc.qubit_levels())
+            system = scenario_system(first)
+            if noisy:
+                dephasing = np.array([[_dephasing(sc)] * 2 for _, sc in batch])
+                stacked = sequence_superoperators(system, sequences, shifts, dephasing,
+                                                  _computational(first, system)[1])
+            else:
+                stacked = sequence_unitaries(system, sequences, shifts)
         except (OqcsimError, ValueError):
             continue
-        batch.append((i, sc))
-        sequences.append(sequence)
-    try:
-        stacked = sequence_unitaries(scenario_system(first), sequences,
-                                     np.array([[sc.delta_shift] for _, sc in batch]))
-    except (OqcsimError, ValueError):
-        return {}
-    return {i: u for (i, _), u in zip(batch, stacked)}
+        out.update({i: (p, system) for (i, _), p in zip(batch, stacked)})
+    return out
 
 
 def sweep(make_scenario: Callable[..., GateScenario],

@@ -298,6 +298,9 @@ def _parse_sweep(sec: dict, gate: GateSection | None) -> dict[str, list[float]]:
     _require(not {"delta_over_omega", "delta_shift_rad_s"} <= set(grid),
              "sweep.grid may name delta_over_omega or delta_shift_rad_s, not both",
              ParseError)
+    _require(gate.scenario.sequence is None or "rabi_rad_s" not in grid,
+             "sweep.grid.rabi_rad_s has no effect on a gate with its own sequence, "
+             "whose steps carry their own Rabi frequency", ParseError)
     for k, v in grid.items():
         _require(isinstance(v, list) and v, f"sweep.grid[{k!r}] must be a non-empty list")
     return {k: [_finite(x, f"sweep.grid[{k!r}]") for x in v] for k, v in grid.items()}

@@ -127,6 +127,9 @@ REJECTED = {
     "non-numeric-u2-threshold": ({"species": {"use": "Nd3+", "u2_threshold": "high"}}, 2),
     "both-shift-keys": ({"gate": {}, "sweep": {"grid": {"delta_over_omega": [1.0],
                                                        "delta_shift_rad_s": [1e12]}}}, 2),
+    "rabi-sweep-of-own-sequence": ({"gate": {"type": "custom", "sequence": [
+        {"qubit": "control", "transition": ["1", "1p"], "rabi_rad_s": 6.3e9}]},
+        "sweep": {"grid": {"rabi_rad_s": [1e9, 1e10, 1e11]}}}, 2),
 }
 
 

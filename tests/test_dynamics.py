@@ -1,14 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import expm
 
+from oqcsim import dynamics
 from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, QubitLevels,
-                             ShiftCoupling, build_hamiltonian, build_hamiltonians,
-                             collapse_operators, export_trajectory_csv,
-                             lindblad_superoperator, propagate_lindblad, propagate_unitary,
-                             rabi_transfer, segment_unitary, sequence_unitaries,
-                             sequence_unitary)
+                             ShiftCoupling, _block_exponentials, build_hamiltonian,
+                             build_hamiltonians, collapse_operators, export_trajectory_csv,
+                             jump_operators, lindblad_superoperator, liouvillian_blocks,
+                             propagate_lindblad, propagate_unitary, rabi_transfer,
+                             segment_unitary, sequence_superoperator,
+                             sequence_superoperators, sequence_unitaries, sequence_unitary)
 from oqcsim.errors import ResourceLimitError, ValidationError
 from oqcsim.pulses import PulseSequence, PulseSpec
 
@@ -65,21 +70,23 @@ def test_unknown_target_rejected():
         build_hamiltonian(two_level(), drive(levels=("g", "x")))
 
 
+def kron_lift(system, name, op):
+    """A single-qubit operator embedded in the register with np.kron."""
+    out = np.array([[1.0 + 0j]])
+    for q in system.qubits:
+        out = np.kron(out, op if q.name == name else np.eye(len(q.levels)))
+    return out
+
+
 def kron_hamiltonian(system, pulses):
     """Reference assembly: each term embedded in the register with np.kron."""
-    def lift(name, op):
-        out = np.array([[1.0 + 0j]])
-        for q in system.qubits:
-            out = np.kron(out, op if q.name == name else np.eye(len(q.levels)))
-        return out
-
     h = np.zeros((system.dimension, system.dimension), dtype=complex)
     for q in system.qubits:
         for lv, det in q.detunings.items():
             if det != 0.0:
                 n = np.zeros((len(q.levels), len(q.levels)))
                 n[q.index(lv), q.index(lv)] = det
-                h += lift(q.name, n)
+                h += kron_lift(system, q.name, n)
     for cp in system.couplings:
         idx = system._matching_indices(cp.states)
         h[idx, idx] += cp.shift
@@ -89,7 +96,7 @@ def kron_hamiltonian(system, pulses):
         drive = np.zeros((len(q.levels), len(q.levels)), dtype=complex)
         drive[hi, lo] = drive[lo, hi] = p.rabi_frequency / 2.0
         drive[hi, hi] = p.detuning
-        h += lift(p.qubit, drive)
+        h += kron_lift(system, p.qubit, drive)
     return h
 
 
@@ -327,6 +334,161 @@ def test_lindblad_generator_trace_free_column_sums():
     d = 2
     tr_rows = gen.reshape(d, d, d, d)[np.arange(d), np.arange(d)].sum(axis=0)
     assert np.max(np.abs(tr_rows)) < 1e-9
+
+
+def kron_collapse(system):
+    """Reference jump operators, each lifted from its qubit with np.kron."""
+    ops = []
+    for q in system.qubits:
+        n = len(q.levels)
+        for lv, rate in q.decay_rates.items():
+            if rate > 0:
+                jump = np.zeros((n, n))
+                jump[q.index(q.decay_to.get(lv, q.levels[0])), q.index(lv)] = math.sqrt(rate)
+                ops.append(kron_lift(system, q.name, jump))
+        if q.dephasing > 0:
+            for lv in q.levels:
+                proj = np.zeros((n, n))
+                proj[q.index(lv), q.index(lv)] = math.sqrt(q.dephasing)
+                ops.append(kron_lift(system, q.name, proj))
+    return ops
+
+
+def kron_liouvillian(h, collapse):
+    """Reference master-equation generator, assembled with np.kron."""
+    ident = np.eye(h.shape[0])
+    gen = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    for L in collapse:
+        ldl = L.conj().T @ L
+        gen += np.kron(L, L.conj()) - 0.5 * (np.kron(ldl, ident) + np.kron(ident, ldl.T))
+    return gen
+
+
+@st.composite
+def noisy_registers(draw):
+    """1-3 qubits (dimension <= 12) with decay branching and dephasing, and 0-4 pulses."""
+    qubits = []
+    for i in range(draw(st.integers(1, 3))):
+        levels = ("g", "e", "f")[:draw(st.integers(2, 3))]
+        decay = draw(st.dictionaries(st.sampled_from(levels), st.floats(1e6, 1e9), max_size=3))
+        decay_to = {}
+        for lv in decay:
+            # None keeps the default destination, the first level, unless lv is that level
+            dest = draw(st.sampled_from([None] + [x for x in levels if x != lv]))
+            if dest is not None or lv == levels[0]:
+                decay_to[lv] = dest or levels[1]
+        qubits.append(QubitLevels(f"q{i}", levels, decay_rates=decay, decay_to=decay_to,
+                                  dephasing=draw(st.sampled_from([0.0, 3e7, 2e8]))))
+    assume(math.prod(len(q.levels) for q in qubits) <= 12)
+    last = qubits[-1]
+    system = LevelSystem(qubits, [ShiftCoupling({last.name: last.levels[-1]},
+                                                draw(st.floats(-3e9, 3e9)))])
+    pulses = []
+    for _ in range(draw(st.integers(0, 4))):
+        q = draw(st.sampled_from(qubits))
+        levels = draw(st.permutations(q.levels))[:2]
+        pulses.append(PulseSpec(target=(q.name, tuple(levels)),
+                                pulse_area=draw(st.floats(0.3, 2 * math.pi)),
+                                rabi_frequency=draw(st.floats(0.2, 3.0)) * OMEGA,
+                                detuning=draw(st.floats(-1e9, 1e9))))
+    return system, pulses
+
+
+def with_dephasing(system, gamma):
+    return LevelSystem([replace(q, dephasing=gamma) for q in system.qubits], system.couplings)
+
+
+@settings(max_examples=25, deadline=None)
+@given(noisy_registers(), st.lists(st.sampled_from([0.0, 1e6, 4e7, 5e8]), min_size=1,
+                                   max_size=3))
+def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
+    system, pulses = case
+    d, n = system.dimension, len(gammas)
+    segment, used = [], set()          # the pulses that can run simultaneously
+    for p in pulses:
+        pins = {(p.qubit, lv) for lv in p.transition}
+        if not pins & used:
+            segment.append(p)
+            used |= pins
+    # stack entry i: its own dephasing rate on every qubit, its own Rabi frequencies
+    stack = [[replace(p, rabi_frequency=p.rabi_frequency * (1 + 0.3 * i)) for p in segment]
+             for i in range(n)]
+    systems = [with_dephasing(system, g) for g in gammas]
+    jumps, rates = jump_operators(system, [[g] * len(system.qubits) for g in gammas])
+    h = build_hamiltonians(system, stack)
+    stacked = lindblad_superoperator(h, jumps, rates)
+    references = [kron_liouvillian(kron_hamiltonian(sys_i, specs), kron_collapse(sys_i))
+                  for sys_i, specs in zip(systems, stack)]
+    for gen, ref in zip(stacked, references):
+        assert np.max(np.abs(gen - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    blocks = liouvillian_blocks(system, [p.target for p in segment], jumps)
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
+    label = np.empty(d * d, dtype=int)
+    for b, block in enumerate(blocks):
+        label[block] = b
+    apart = label[:, None] != label[None, :]
+    for ref in references:
+        assert not np.any(ref[apart])          # no entry couples two blocks
+
+    durations = np.array([max([p.duration for p in specs], default=1e-9) for specs in stack])
+    channel = np.zeros((n, d * d, d * d), dtype=complex)
+    for block, s, e in _block_exponentials(h, jumps, rates, durations, blocks):
+        channel[s, block[:, None], block[None, :]] = e
+    for c, ref, t in zip(channel, references, durations):
+        assert np.max(np.abs(c - expm(ref * t))) < 1e-10
+
+    # the same pulses one after another, through the stacked sequence channels
+    sequences = [seq(*(replace(p, rabi_frequency=p.rabi_frequency * (1 + 0.3 * i))
+                       for p in pulses)) for i in range(n)]
+    columns = np.arange(0, d * d, 5)
+    stacked = sequence_superoperators(system, sequences,
+                                      dephasing=[[g] * len(system.qubits) for g in gammas],
+                                      columns=columns)
+    for out, sys_i, sequence in zip(stacked, systems, sequences):
+        ref = np.eye(d * d)
+        for p in sequence.specs():
+            gen = kron_liouvillian(kron_hamiltonian(sys_i, [p]), kron_collapse(sys_i))
+            ref = expm(gen * p.duration) @ ref
+        assert np.max(np.abs(out - ref[:, columns])) < 1e-10
+        assert np.array_equal(out, sequence_superoperator(sys_i, sequence, columns))
+
+
+def test_jump_operators_are_the_unscaled_collapse_operators():
+    system = LevelSystem([
+        QubitLevels("a", ("g", "m", "e"), decay_rates={"e": 1e8, "m": 0.0},
+                    decay_to={"e": "m"}, dephasing=5e7),
+        QubitLevels("b", ("g", "e"), decay_rates={"e": 2e8})])
+    ops, rates = jump_operators(system)
+    assert rates.tolist() == [[1e8, 5e7, 5e7, 5e7, 2e8, 0.0, 0.0]]
+    scaled = [math.sqrt(r) * op for op, r in zip(ops, rates[0]) if r > 0]
+    assert all(np.array_equal(a, b) for a, b in zip(collapse_operators(system), scaled))
+    assert len(collapse_operators(system)) == 5
+
+
+def test_stack_slices_leave_the_channels_unchanged(monkeypatch):
+    system = LevelSystem([QubitLevels("a", ("g", "e", "f"), decay_rates={"f": 3e8, "e": 1e7},
+                                      decay_to={"f": "e"}),
+                          QubitLevels("b", ("g", "e"))],
+                         [ShiftCoupling({"a": "f", "b": "e"}, 2e10)])
+    sequences = [seq(drive(qubit="a", levels=("e", "f"), omega=w), drive(qubit="b", omega=w))
+                 for w in (0.5 * OMEGA, OMEGA, 2 * OMEGA)]
+    dephasing = [[0.0, 1e6], [2e7, 0.0], [5e8, 5e8]]
+    whole = sequence_superoperators(system, sequences, dephasing=dephasing)
+    monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 1)    # one matrix per expm call
+    assert np.array_equal(sequence_superoperators(system, sequences, dephasing=dephasing),
+                          whole)
+
+
+def test_pair_center_register_blocks():
+    # two (1, 0, 1p) qubits, the 1p -> 1 and 0 -> 1 decays, a drive on 1 <-> 1p
+    qubits = [QubitLevels(name, ("1", "0", "1p"), decay_rates={"1p": 1e8, "0": 1e6},
+                          dephasing=1e6) for name in ("control", "target")]
+    system = LevelSystem(qubits)
+    blocks = liouvillian_blocks(system, [("control", ("1", "1p"))],
+                                jump_operators(system)[0])
+    assert len(blocks) == 21
+    assert max(len(b) for b in blocks) == 15
 
 
 def test_invalid_initial_states_rejected():

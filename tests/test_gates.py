@@ -190,6 +190,9 @@ def sweep_bases():
     ], canonical.qubit_levels()))
     return {"canonical": canonical,
             "pair_center": pair_center_scenario(p, p, distance=1.5, rabi=OMEGA),
+            "noisy_pair_center": pair_center_scenario(
+                p, p, distance=1.5, rabi=OMEGA, tau_single=2e-8, gamma_h=1e6,
+                noise=NoiseFlags(lifetimes=True, dephasing=True)),
             "custom": custom}
 
 
@@ -200,13 +203,13 @@ SPECIAL = ("factory_raises", "rabi_zero", "rabi_negative", "ratio_1e300",
            "identity_target", "noisy")
 
 
-def special_factory(base, specials, rabis, ratios):
+def special_factory(base, specials, rabis, ratios, gammas):
     def make(i):
         kind = specials.get(i)
         if kind == "factory_raises":
             raise ValidationError("the factory refused this point")
         rabi, ratio = rabis[i % len(rabis)], ratios[i % len(ratios)]
-        changes = {}
+        changes = {"gamma_h": gammas[i % len(gammas)]}
         if kind == "rabi_zero":
             rabi = 0.0
         elif kind == "rabi_negative":
@@ -222,20 +225,19 @@ def special_factory(base, specials, rabis, ratios):
 
 
 @st.composite
-def special_sweeps(draw):
+def special_sweeps(draw, bases=tuple(sorted(BASES))):
     size = draw(st.sampled_from([1, 3, CHUNK - 1, CHUNK, CHUNK + 1]))
     specials = draw(st.dictionaries(st.integers(0, size - 1), st.sampled_from(SPECIAL),
                                     max_size=4))
     rabis = draw(st.lists(st.floats(0.2 * OMEGA, 5.0 * OMEGA), min_size=1, max_size=7))
     ratios = draw(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=11))
-    base = BASES[draw(st.sampled_from(sorted(BASES)))]
-    return special_factory(base, specials, rabis, ratios), {"i": list(range(size))}
+    gammas = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e3, 1e9)), min_size=1,
+                           max_size=5))
+    base = BASES[draw(st.sampled_from(bases))]
+    return special_factory(base, specials, rabis, ratios, gammas), {"i": list(range(size))}
 
 
-@settings(max_examples=10, deadline=None)
-@given(special_sweeps())
-def test_batched_sweep_rows_equal_single_runs(case):
-    make_scenario, grid = case
+def assert_rows_equal_single_runs(make_scenario, grid):
     rows = sweep(make_scenario, grid)
     assert len(rows) == len(grid["i"])
     for i, row in zip(grid["i"], rows):
@@ -243,6 +245,18 @@ def test_batched_sweep_rows_equal_single_runs(case):
         assert row.keys() == expected.keys()
         for key in expected:
             assert row[key] == expected[key], (i, key)
+
+
+@settings(max_examples=10, deadline=None)
+@given(special_sweeps())
+def test_batched_sweep_rows_equal_single_runs(case):
+    assert_rows_equal_single_runs(*case)
+
+
+@settings(max_examples=3, deadline=None)
+@given(special_sweeps(bases=("noisy_pair_center",)))
+def test_batched_noisy_sweep_rows_equal_single_runs(case):
+    assert_rows_equal_single_runs(*case)
 
 
 @pytest.mark.parametrize("n, parts, sizes", [
