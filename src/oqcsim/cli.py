@@ -91,8 +91,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .runner import validate
-    validate(args.config)
+    from .runner import load_config
+    load_config(args.config)
     print("ok")
     return EXIT_OK
 

@@ -16,12 +16,12 @@ Frequencies entering the Hamiltonian (detunings, shifts, Rabi) are
 angular (rad/s); decay and dephasing rates are ordinary rates (1/s).
 
 The register dimension is capped at 64 states.  At the cap the blocks
-stay small, but their number and the columns propagated set the cost:
-for three 4-level qubits with decay and dephasing (1568 blocks of at
-most 16 positions per pulse), two pulses took 0.05 s for the sixteen
-operators a gate score reads and 12 s for the whole 4096-column
-channel on a 2-vCPU machine, and a dense generator alone would hold
-268 MB.
+stay small, but their number and the columns propagated set the cost,
+so a channel is only ever computed on the columns asked for: for three
+4-level qubits with decay and dephasing (1568 blocks of at most 16
+positions per pulse), two pulses took 0.05 s for the sixteen operators
+a gate score reads on a 2-vCPU machine, against 12 s for all 4096
+columns, and a dense generator alone would hold 268 MB.
 """
 from __future__ import annotations
 
@@ -417,25 +417,23 @@ def sequence_unitaries(system: LevelSystem, sequences: Sequence[PulseSequence],
 
 
 def sequence_superoperator(system: LevelSystem, sequence: PulseSequence,
-                           columns: Sequence[int] | None = None) -> np.ndarray:
-    """Total quantum channel of a pulse sequence as a superoperator matrix.
+                           columns: Sequence[int]) -> np.ndarray:
+    """Some columns of a pulse sequence's quantum channel as a superoperator matrix.
 
-    With columns, only those columns: the channel applied to the basis
-    operators at those row-major vectorized positions.
+    The channel applied to the basis operators at the given row-major
+    vectorized positions.
     """
-    return sequence_superoperators(system, [sequence], columns=columns)[0]
+    return sequence_superoperators(system, [sequence], columns)[0]
 
 
 def sequence_superoperators(system: LevelSystem, sequences: Sequence[PulseSequence],
-                            shifts: np.ndarray | None = None,
-                            dephasing: np.ndarray | None = None,
-                            columns: Sequence[int] | None = None) -> np.ndarray:
+                            columns: Sequence[int], shifts: np.ndarray | None = None,
+                            dephasing: np.ndarray | None = None) -> np.ndarray:
     """Channels of n pulse sequences of one shape, applied to some basis operators.
 
     Returns (n, d^2, m): column c of entry i is sequence i's channel
     applied to the basis operator at row-major vectorized position
-    columns[c]; every position by default, which gives the whole
-    superoperator.  The sequences share a shape as in
+    columns[c].  The sequences share a shape as in
     sequence_unitaries; shifts (n, len(system.couplings)) and dephasing
     (n, len(system.qubits)) give each entry its own coupling shifts and
     dephasing rates.  Each segment's generator is exponentiated block by
@@ -445,7 +443,7 @@ def sequence_superoperators(system: LevelSystem, sequences: Sequence[PulseSequen
     if len({len(seq) for seq in sequences}) > 1:
         raise ValidationError("stacked sequences must have the same number of pulses")
     n, d2 = len(sequences), system.dimension ** 2
-    columns = np.arange(d2) if columns is None else np.asarray(columns)
+    columns = np.asarray(columns)
     jumps, rates = jump_operators(system, dephasing)
     rates = np.broadcast_to(rates, (n, rates.shape[1]))
     out = np.zeros((n, d2, len(columns)), dtype=complex)

@@ -37,7 +37,6 @@ class CrystalSpec:
     gamma_inh: float          # inhomogeneous FWHM, Hz
     gamma_h: float            # homogeneous width, Hz
     box_size: int             # lattice units per box edge
-    lattice_constant: float = 0.546   # nm; used only to label distances
     distribution: str = "gaussian"
 
     def __post_init__(self):

@@ -28,7 +28,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -46,9 +49,10 @@ COMPUTATIONAL = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
 
 _PHASE_FLOOR = 1e-12   # diagonal amplitude below which phases are meaningless
 
-# Sweep points propagated in one stack, and the unit of work of a --jobs
-# worker.  Larger chunks run no faster, since scoring each point costs
-# more than its share of the stacked propagation, but hold more memory.
+# Sweep points propagated in one stack, and the unit of work of a sweep
+# worker; serial and pooled sweeps cut the grid alike.  Larger chunks
+# run no faster, since scoring each point costs more than its share of
+# the stacked propagation, but hold more memory.
 CHUNK = 64
 
 
@@ -313,15 +317,10 @@ def grid_points(grid: Mapping[str, Sequence]) -> Iterator[dict]:
         yield dict(zip(keys, combo))
 
 
-def grid_chunks(grid: Mapping[str, Sequence], parts: int = 1) -> Iterator[list[dict]]:
-    """The grid's points in order, cut into contiguous chunks.
-
-    Chunks hold at most CHUNK points, and there are at least `parts` of
-    them when the grid has that many points.
-    """
-    size = max(1, min(CHUNK, math.prod(len(values) for values in grid.values()) // parts))
+def grid_chunks(grid: Mapping[str, Sequence]) -> Iterator[list[dict]]:
+    """The grid's points in order, cut into contiguous chunks of CHUNK points."""
     points = grid_points(grid)
-    while chunk := list(itertools.islice(points, size)):
+    while chunk := list(itertools.islice(points, CHUNK)):
         yield chunk
 
 
@@ -409,8 +408,9 @@ def _stacked_propagators(scenarios: Sequence[GateScenario | None]
             system = scenario_system(first)
             if noisy:
                 dephasing = np.array([[_dephasing(sc)] * 2 for _, sc in batch])
-                stacked = sequence_superoperators(system, sequences, shifts, dephasing,
-                                                  _computational(first, system)[1])
+                stacked = sequence_superoperators(system, sequences,
+                                                  _computational(first, system)[1],
+                                                  shifts, dephasing)
             else:
                 stacked = sequence_unitaries(system, sequences, shifts)
         except (OqcsimError, ValueError):
@@ -420,15 +420,20 @@ def _stacked_propagators(scenarios: Sequence[GateScenario | None]
 
 
 def sweep(make_scenario: Callable[..., GateScenario],
-          grid: Mapping[str, Sequence]) -> list[dict]:
+          grid: Mapping[str, Sequence], jobs: int = 1) -> list[dict]:
     """Run a protocol over the cartesian product of a parameter grid.
 
     Parameters
     ----------
     make_scenario : callable
-        Keyword factory: called with one value per grid key.
+        Keyword factory: called with one value per grid key; picklable
+        when jobs > 1.
     grid : mapping
         Parameter name -> finite sequence of values.
+    jobs : int
+        Most worker processes to score chunks in.  A pool starts only
+        when more than one worker is left after limiting them to the
+        number of chunks and of CPUs.
 
     Returns
     -------
@@ -437,7 +442,16 @@ def sweep(make_scenario: Callable[..., GateScenario],
         plus the report fields, or a status message when that point
         failed.  The points are scored chunk by chunk (sweep_chunk).
     """
-    return [row for chunk in grid_chunks(grid) for row in sweep_chunk(make_scenario, chunk)]
+    score = partial(sweep_chunk, make_scenario)
+    n_chunks = -(-math.prod(len(values) for values in grid.values()) // CHUNK)
+    # a forked pool starts every worker up front, so never ask for idle ones
+    workers = min(jobs, n_chunks, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(score, grid_chunks(grid)))
+    else:
+        chunks = map(score, grid_chunks(grid))
+    return [row for chunk in chunks for row in chunk]
 
 
 def pair_center_scenario(params_control: PairParams, params_target: PairParams,

@@ -46,8 +46,7 @@ STEP_KEYS = {"qubit", "transition", "area", "rabi_rad_s", "detuning_rad_s",
              "gamma_l_hz", "number"}
 
 
-def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float,
-                       calibration: float = INTENSITY_CALIBRATION) -> float:
+def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float) -> float:
     """Intensity (W/cm^2) of a pi-pulse with spectral width Gamma_L.
 
     Parameters
@@ -58,8 +57,6 @@ def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float,
         Radiative decay rate of the driven transition, 1/s.
     gamma_l : float
         Spectral width of the pulse, 1/s.
-    calibration : float
-        Unit-convention constant; leave at the default.
 
     Notes
     -----
@@ -70,7 +67,7 @@ def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float,
     if gamma0 <= 0:
         raise DomainError("radiative rate gamma0 must be > 0")
     raw = 4.0 * math.pi**2 * CONSTANTS.hbar * gamma_l**2 * k**3 / (3.0 * gamma0 * CONSTANTS.z0)
-    return calibration * raw
+    return INTENSITY_CALIBRATION * raw
 
 
 def pulse_energy(intensity: float, cross_section: float, gamma_l: float) -> float:
@@ -209,10 +206,6 @@ class PulseSequence:
 
     def specs(self) -> list[PulseSpec]:
         return [p for _, p in self.pulses]
-
-    @property
-    def total_duration(self) -> float:
-        return sum(p.duration for _, p in self.pulses)
 
     def validate_targets(self, qubits: Mapping[str, Iterable[str]]) -> None:
         """Check every pulse target against the scenario's qubit/level map."""

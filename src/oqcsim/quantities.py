@@ -87,10 +87,6 @@ def wavenumber_cm(value: float) -> SpectralQuantity:
     return SpectralQuantity(value, SpectralUnit.WAVENUMBER)
 
 
-def angular_frequency(value: float) -> SpectralQuantity:
-    return SpectralQuantity(value, SpectralUnit.ANGULAR)
-
-
 def wave_number(omega: float, n: float) -> float:
     """Wave number k = omega * n / c of light in a medium.
 
@@ -113,15 +109,12 @@ def wave_number(omega: float, n: float) -> float:
     return omega * n / CONSTANTS.c_light
 
 
-def wave_number_from_cm(carrier_cm: float, n: float = 1.0, angular: bool = True) -> float:
+def wave_number_from_cm(carrier_cm: float, n: float = 1.0) -> float:
     """Wave number (1/m) for a carrier quoted in cm^-1.
 
     Spectroscopists quote "wave numbers" in cm^-1 without the 2*pi;
-    the propagation wave number k = omega n / c carries it.  Both
-    conventions are in circulation, so the factor is selectable:
-    ``angular=True`` (default) gives k = 2*pi * vtilde * n, and
-    ``angular=False`` gives the plain reciprocal-wavelength k = vtilde * n.
+    the propagation wave number k = omega n / c = 2*pi * vtilde * n
+    carries it.
     """
     omega = convert(wavenumber_cm(carrier_cm), SpectralUnit.ANGULAR).value
-    k = wave_number(omega, n)
-    return k if angular else k / TWO_PI
+    return wave_number(omega, n)

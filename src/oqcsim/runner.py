@@ -12,7 +12,7 @@ guarantee.
 The documented schema lives in the README.  ScenarioConfig parses each
 section once into a frozen dataclass, where every value a stage reads
 is converted, defaulted and range-checked, and NaN or infinity is
-rejected.  So validate() rejects everything run() rejects, except
+rejected.  So load_config() rejects everything run() rejects, except
 errors that depend on the sampled data (an ensemble larger than the
 number of dopants drawn) or on a result overflowing double precision.
 """
@@ -22,9 +22,7 @@ import csv
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -38,9 +36,8 @@ from .ensemble import (CenterSet, CrystalSpec, allocate_channels, assign_frequen
                        min_pair_concentration, nearest_neighbor_distances,
                        sample_lattice, spectral_select)
 from .errors import ConfigurationError, DomainError, ParseError, ValidationError
-from .gates import (GateScenario, NoiseFlags, QubitScheme, grid_chunks,
-                    pair_center_scenario, protocol_sequence, run_protocol, scenario_system,
-                    sweep as run_sweep, sweep_chunk)
+from .gates import (GateScenario, NoiseFlags, QubitScheme, pair_center_scenario,
+                    protocol_sequence, run_protocol, scenario_system, sweep as run_sweep)
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
 from .paircenter import PairParams
@@ -166,16 +163,13 @@ def _parse_pulses(sec: dict) -> PulsesSection:
 
 def _parse_crystal(sec: dict, pulses: PulsesSection | None) -> CrystalSection:
     _known_keys(sec, {"concentration", "gamma_inh_hz", "gamma_h_hz", "box_size",
-                      "lattice_constant_nm", "distribution", "n_ensemble",
-                      "pair_radius", "channel_min_gap_hz", "center_frequency_hz",
-                      "export_centers", "export_channels"}, "crystal")
+                      "distribution", "n_ensemble", "pair_radius", "channel_min_gap_hz",
+                      "center_frequency_hz", "export_centers", "export_channels"}, "crystal")
     spec = CrystalSpec(
         concentration=_num(sec, "concentration", "crystal"),
         gamma_inh=_num(sec, "gamma_inh_hz", "crystal"),
         gamma_h=_num(sec, "gamma_h_hz", "crystal"),
         box_size=_num(sec, "box_size", "crystal", kind=int),
-        lattice_constant=_num(sec, "lattice_constant_nm", "crystal",
-                              CrystalSpec.lattice_constant),
         distribution=sec.get("distribution", CrystalSpec.distribution),
     )
     _require(pulses is not None,
@@ -363,11 +357,6 @@ def _read_document(path: Path) -> dict:
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     return ScenarioConfig(_read_document(path), origin=str(path))
-
-
-def validate(path) -> ScenarioConfig:
-    """Full schema, cross-reference and precondition check; no side effects."""
-    return load_config(path)
 
 
 def _write_json(path: Path, payload: dict):
@@ -565,21 +554,8 @@ def _export_gate_trajectory(gate: GateSection, path: Path):
 
 
 def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> list[dict]:
-    """Write sweep.csv and return its rows.
-
-    Serial or pooled, the points are scored by gates.sweep_chunk; each
-    --jobs worker takes whole chunks, at least one per worker.
-    """
-    make_scenario = partial(_point_scenario, base)
-    n_points = math.prod(len(values) for values in grid.values())
-    # a forked pool starts every worker up front, so never ask for idle ones
-    workers = max(1, min(jobs, n_points, os.cpu_count() or 1))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(partial(sweep_chunk, make_scenario), grid_chunks(grid, workers))
-            rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = run_sweep(make_scenario, grid)
+    """Write sweep.csv and return its rows (gates.sweep over at most jobs workers)."""
+    rows = run_sweep(partial(_point_scenario, base), grid, jobs)
     keys = sorted(grid)
     metric_cols = ["truth_table_fidelity", "average_fidelity", "infidelity",
                    "leakage", "cz_phase_rad", "status"]

@@ -110,10 +110,6 @@ class SpeciesScheme:
                     "references an unknown level"
                 )
 
-    @property
-    def ground_level(self) -> EnergyLevel:
-        return next(lv for lv in self.levels if lv.energy == 0.0)
-
     def level(self, term_symbol: str) -> EnergyLevel:
         for lv in self.levels:
             if lv.term_symbol == term_symbol:

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqcsim import runner
+from oqcsim import gates
 from oqcsim.cli import main
 from oqcsim.gates import CHUNK
-from oqcsim.runner import emit_plot_data, run, validate
+from oqcsim.runner import emit_plot_data, load_config, run
 
 CONFIG_DIR = resources.files("oqcsim.configs")
 BUNDLED = ["pulse_budget_ns_emitter", "nd_caf2_ensemble",
@@ -25,7 +25,7 @@ def config_path(name: str) -> str:
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_validate_accepts_bundled_configs(name):
-    validate(config_path(name))
+    load_config(config_path(name))
     assert main(["validate", "--config", config_path(name)]) == 0
 
 
@@ -291,11 +291,25 @@ def test_emit_plot_unknown_kind(tmp_path):
               "--out", str(tmp_path / "x.csv")])
 
 
-@pytest.mark.parametrize("jobs, cpus, expected", [(1000, 64, 8), (1000, 3, 3), (2, 64, 2)])
-def test_sweep_workers_clamped(tmp_path, monkeypatch, jobs, cpus, expected):
+def big_sweep_config(tmp_path) -> Path:
+    """The bundled blockade sweep on a 20 x 14 = 280-point grid: five chunks."""
+    doc = json.loads(Path(config_path("blockade_cz_sweep")).read_text())
+    doc["sweep"]["grid"] = {
+        "delta_over_omega": [1.5 ** k for k in range(20)],
+        "rabi_rad_s": [2 * math.pi * 1e8 * (k + 1) for k in range(14)]}
+    doc["gate"]["export_trajectory"] = False
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(doc))
+    assert -(-280 // CHUNK) == 5
+    return config
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The worker counts of the sweep pools started; no process is started."""
     started = []
 
-    class RecordingPool:          # records the worker count and starts no process
+    class RecordingPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -307,10 +321,21 @@ def test_sweep_workers_clamped(tmp_path, monkeypatch, jobs, cpus, expected):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-    run(config_path("blockade_cz_sweep"), out_dir=tmp_path, jobs=jobs)    # 8 points
-    assert started == [expected]
+    monkeypatch.setattr(gates, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [(1000, 64, 5), (1000, 3, 3), (2, 64, 2)])
+def test_sweep_workers_clamped(tmp_path, monkeypatch, recording_pool, jobs, cpus, expected):
+    monkeypatch.setattr(gates.os, "cpu_count", lambda: cpus)
+    run(big_sweep_config(tmp_path), out_dir=tmp_path / "out", jobs=jobs)
+    assert recording_pool == [expected]
+
+
+def test_one_chunk_sweep_starts_no_pool(tmp_path, monkeypatch, recording_pool):
+    monkeypatch.setattr(gates.os, "cpu_count", lambda: 64)
+    run(config_path("blockade_cz_sweep"), out_dir=tmp_path, jobs=2)      # 8 points
+    assert recording_pool == []
 
 
 def test_sweep_jobs_parallel_matches_serial(tmp_path):
@@ -321,15 +346,8 @@ def test_sweep_jobs_parallel_matches_serial(tmp_path):
 
 
 def test_sweep_jobs_parallel_matches_serial_across_chunks(tmp_path):
-    # 20 x 14 = 280 points: two chunks serially, two chunks of 140 with two workers
-    doc = json.loads(Path(config_path("blockade_cz_sweep")).read_text())
-    doc["sweep"]["grid"] = {
-        "delta_over_omega": [1.5 ** k for k in range(20)],
-        "rabi_rad_s": [2 * math.pi * 1e8 * (k + 1) for k in range(14)]}
-    doc["gate"]["export_trajectory"] = False
-    config = tmp_path / "big.json"
-    config.write_text(json.dumps(doc))
-    assert 280 > CHUNK
+    # the same five chunks of the 280-point grid, in one process or spread over two
+    config = big_sweep_config(tmp_path)
     serial, parallel = tmp_path / "s", tmp_path / "p"
     run(config, out_dir=serial, jobs=1)
     run(config, out_dir=parallel, jobs=2)

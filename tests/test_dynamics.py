@@ -474,10 +474,11 @@ def test_stack_slices_leave_the_channels_unchanged(monkeypatch):
     sequences = [seq(drive(qubit="a", levels=("e", "f"), omega=w), drive(qubit="b", omega=w))
                  for w in (0.5 * OMEGA, OMEGA, 2 * OMEGA)]
     dephasing = [[0.0, 1e6], [2e7, 0.0], [5e8, 5e8]]
-    whole = sequence_superoperators(system, sequences, dephasing=dephasing)
+    every = np.arange(system.dimension ** 2)
+    whole = sequence_superoperators(system, sequences, every, dephasing=dephasing)
     monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 1)    # one matrix per expm call
-    assert np.array_equal(sequence_superoperators(system, sequences, dephasing=dephasing),
-                          whole)
+    assert np.array_equal(sequence_superoperators(system, sequences, every,
+                                                  dephasing=dephasing), whole)
 
 
 def test_pair_center_register_blocks():

@@ -259,10 +259,10 @@ def test_batched_noisy_sweep_rows_equal_single_runs(case):
     assert_rows_equal_single_runs(*case)
 
 
-@pytest.mark.parametrize("n, parts, sizes", [
-    (CHUNK + 1, 1, [CHUNK, 1]), (8, 2, [4, 4]), (9, 4, [2, 2, 2, 2, 1]), (3, 3, [1, 1, 1])])
-def test_grid_chunks_cover_the_grid_in_order(n, parts, sizes):
-    chunks = list(grid_chunks({"x": list(range(n))}, parts))
+@pytest.mark.parametrize("n, sizes", [
+    (1, [1]), (CHUNK, [CHUNK]), (CHUNK + 1, [CHUNK, 1]), (2 * CHUNK + 3, [CHUNK, CHUNK, 3])])
+def test_grid_chunks_cover_the_grid_in_order(n, sizes):
+    chunks = list(grid_chunks({"x": list(range(n))}))
     assert [len(c) for c in chunks] == sizes
     assert [p["x"] for c in chunks for p in c] == list(range(n))
 

@@ -89,7 +89,6 @@ def test_wave_number_rejects_subunity_index():
 
 
 def test_wave_number_from_cm_conventions():
-    k_ang = wave_number_from_cm(20000.0)
-    k_plain = wave_number_from_cm(20000.0, angular=False)
-    assert k_ang == pytest.approx(2 * math.pi * k_plain, rel=1e-12)
-    assert k_plain == pytest.approx(20000.0 * 100.0, rel=1e-12)
+    # k = 2 pi * vtilde * n, vtilde in 1/m
+    assert wave_number_from_cm(20000.0) == pytest.approx(2 * math.pi * 20000.0 * 100.0,
+                                                         rel=1e-12)
