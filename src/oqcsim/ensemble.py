@@ -7,7 +7,13 @@ lorentzian selectable), and all distance computations use periodic
 boundary conditions to avoid edge bias at desk scale.
 
 Sampling is pure given (spec, seed): a fixed seed reproduces every
-array bit for bit.
+array bit for bit.  Pair identification and the ensemble neighborhood
+are exact integer searches on the lattice that break distance ties by
+the smaller site key (z*L + y)*L + x, so their results depend only on
+the positions, never on the order of the input.  ``cKDTree`` remains
+only for `nearest_neighbor_distances`, whose distances no tie can
+change; it is imported there, so runs that never ask for distances do
+not load ``scipy.spatial``.
 """
 from __future__ import annotations
 
@@ -17,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, ValidationError
 
@@ -27,6 +32,9 @@ _GAUSSIAN_FWHM_MASS = math.erf(math.sqrt(math.log(2.0)))
 
 _SLICE_LIMIT = 1 << 22    # sites per RNG chunk when sampling occupancy
 _CSV_BLOCK = 1 << 12      # rows per block when writing centers.csv
+# Largest pair radius, lattice units: the search stencil then holds 2,108
+# offsets; an unbounded radius would make the stencil unbounded.
+PAIR_RADIUS_MAX = 8.0
 
 
 @dataclass(frozen=True)
@@ -171,26 +179,79 @@ def min_pair_concentration(r0: float) -> float:
     return r0 ** -3.0
 
 
+def _site_keys(positions: np.ndarray, box_size: int) -> np.ndarray:
+    """Linear site keys (z*L + y)*L + x of lattice positions, wrapped into the box."""
+    x, y, z = (positions % box_size).T
+    return (z * box_size + y) * box_size + x
+
+
+def _stencil(radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero integer offsets with sqrt(d2) <= radius and their d2, by d2."""
+    span = np.arange(-math.floor(radius), math.floor(radius) + 1)
+    offsets = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+    d2 = (offsets ** 2).sum(axis=1)
+    inside = (d2 > 0) & (np.sqrt(d2) <= radius)
+    order = np.argsort(d2[inside], kind="stable")
+    return offsets[inside][order], d2[inside][order]
+
+
 def identify_pairs(centers: CenterSet, pair_radius: float = 2.0) -> CenterSet:
     """Flag mutual-nearest-neighbor pairs closer than pair_radius.
 
     Geometric stand-in for heat-treatment conversion of close single
     centers into pair centers.  Each center joins at most one pair; the
-    partner relation is symmetric.  Distances are periodic.
+    partner relation is symmetric.  Distances are periodic; a center's
+    nearest neighbor is the one at the smallest distance and, among
+    equidistant ones, the one with the smallest site key (z*L + y)*L + x.
+    Two centers pair when each is the other's nearest neighbor and
+    sqrt(d2) <= pair_radius for their integer squared distance d2.  The
+    result depends only on the positions, not on their order.
+
+    The search is exact: it walks the lattice offsets inside the radius
+    in order of increasing distance and looks up the sorted site keys,
+    only for the centers that have no neighbor yet.  pair_radius must
+    lie in (0, PAIR_RADIUS_MAX].
     """
-    if pair_radius <= 0:
-        raise DomainError("pair radius must be > 0")
+    if not 0.0 < pair_radius <= PAIR_RADIUS_MAX:
+        raise DomainError(f"pair radius must be in (0, {PAIR_RADIUS_MAX:g}]")
     n = len(centers)
+    box = centers.box_size
     partner = np.full(n, -1, dtype=np.int64)
     if n >= 2:
-        tree = cKDTree(centers.positions.astype(float), boxsize=centers.box_size)
-        dist, idx = tree.query(centers.positions.astype(float), k=2)
-        nn, nn_dist = idx[:, 1], dist[:, 1]
-        mutual = nn[nn[np.arange(n)]] == np.arange(n)
-        close = nn_dist <= pair_radius
-        take = mutual & close
-        partner[take] = nn[take]
-    return CenterSet(centers.positions, centers.box_size,
+        wrapped = centers.positions % box
+        keys = _site_keys(wrapped, box)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            raise ValidationError("two centers occupy the same lattice site")
+        offsets, d2 = _stencil(pair_radius)
+        nearest = np.full(n, -1, dtype=np.int64)
+        pending = order                          # no neighbor yet, in key order
+        none = np.iinfo(np.int64).max
+        start = 0
+        while start < len(d2) and len(pending):
+            stop = int(np.searchsorted(d2, d2[start], side="right"))
+            shell = offsets[start:stop]
+            x, y, z = wrapped[pending].T
+            # wrapped key parts of each coordinate shift this shell uses
+            kx = {d: (x + d) % box for d in set(shell[:, 0].tolist())}
+            ky = {d: (y + d) % box * box for d in set(shell[:, 1].tolist())}
+            kz = {d: (z + d) % box * (box * box) for d in set(shell[:, 2].tolist())}
+            best = np.full(len(pending), none)
+            for dx, dy, dz in shell.tolist():
+                k = kx[dx] + ky[dy] + kz[dz]
+                found = sorted_keys[np.minimum(np.searchsorted(sorted_keys, k), n - 1)]
+                np.minimum(best, np.where(found == k, k, none), out=best)
+            # an offset that wraps onto the center itself has d2 >= L^2, beyond
+            # every other site of the box (d2 <= 3L^2/4), so it never comes first
+            hit = best != none
+            nearest[pending[hit]] = order[np.searchsorted(sorted_keys, best[hit])]
+            pending = pending[~hit]
+            start = stop
+        linked = np.flatnonzero(nearest >= 0)
+        mutual = linked[nearest[nearest[linked]] == linked]
+        partner[mutual] = nearest[mutual]
+    return CenterSet(centers.positions, box,
                      None if centers.frequencies is None else centers.frequencies.copy(),
                      partner)
 
@@ -240,6 +301,8 @@ def allocate_channels(frequencies, min_gap: float) -> ChannelAllocation:
 
 def nearest_neighbor_distances(positions: np.ndarray, box_size: int) -> np.ndarray:
     """Periodic nearest-neighbor distance of every point (lattice units)."""
+    from scipy.spatial import cKDTree
+
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     if len(positions) < 2:
         return np.empty(0)
@@ -248,22 +311,31 @@ def nearest_neighbor_distances(positions: np.ndarray, box_size: int) -> np.ndarr
     return dist[:, 1]
 
 
+def _closest(delta: np.ndarray, period: int, keys: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest (periodic d2 of delta, key), in that order."""
+    delta = np.abs(delta) % period
+    d2 = (np.minimum(delta, period - delta) ** 2).sum(axis=1)
+    near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+    return near[np.lexsort((keys[near], d2[near]))[:k]]
+
+
 def ensemble_neighborhood(centers: CenterSet, n_ensemble: int) -> np.ndarray:
     """Indices of the reference center plus its n_ensemble nearest dopants.
 
     The reference is the dopant closest to the box center; distances are
-    periodic.  Mirrors the working unit of one processor instance: an
+    periodic and ties go to the smaller site key, so the indices are
+    ordered by (distance, site key) and do not depend on the order of
+    the input.  Mirrors the working unit of one processor instance: an
     excited center and the N dopants around it.
     """
     n = len(centers)
     if n < n_ensemble + 1:
         raise DomainError(f"need at least {n_ensemble + 1} centers, have {n}")
-    pos = centers.positions.astype(float)
-    tree = cKDTree(pos, boxsize=centers.box_size)
-    mid = np.full(3, centers.box_size / 2.0)
-    _, ref = tree.query(mid, k=1)
-    _, idx = tree.query(pos[int(ref)], k=n_ensemble + 1)
-    return np.asarray(idx, dtype=np.int64)
+    box = centers.box_size
+    keys = _site_keys(centers.positions, box)
+    # doubled coordinates put the box center L/2 on the integer grid
+    ref = _closest(2 * centers.positions - box, 2 * box, keys, 1)[0]
+    return _closest(centers.positions - centers.positions[ref], box, keys, n_ensemble + 1)
 
 
 def estimate_fwhm(frequencies, distribution: str = "gaussian") -> float:
@@ -286,18 +358,22 @@ def estimate_fwhm(frequencies, distribution: str = "gaussian") -> float:
 
 
 def export_centers_csv(path, centers: CenterSet) -> None:
-    """Write centers as CSV rows (x, y, z, frequency_hz, is_pair, partner)."""
+    """Write centers as CSV rows (x, y, z, frequency_hz, is_pair, partner).
+
+    Each block of rows is formatted in one pass and written at once; the
+    bytes are those `csv.writer` writes, CRLF line ends included.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "frequency_hz", "is_pair_member", "partner_index"])
+        fh.write("x,y,z,frequency_hz,is_pair_member,partner_index\r\n")
         for start in range(0, len(centers), _CSV_BLOCK):
             block = slice(start, start + _CSV_BLOCK)
             xyz = centers.positions[block].tolist()
             partners = centers.partner_index[block].tolist()
             freqs = ([""] * len(xyz) if centers.frequencies is None
                      else map(repr, centers.frequencies[block].tolist()))
-            writer.writerows([*pos, f, int(k >= 0), k if k >= 0 else ""]
-                             for pos, f, k in zip(xyz, freqs, partners))
+            fh.write("".join([f"{x},{y},{z},{f},1,{k}\r\n" if k >= 0
+                              else f"{x},{y},{z},{f},0,\r\n"
+                              for (x, y, z), f, k in zip(xyz, freqs, partners)]))
 
 
 def export_allocation_csv(path, allocation: ChannelAllocation) -> None:

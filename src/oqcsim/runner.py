@@ -30,11 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensemble import (CenterSet, CrystalSpec, allocate_channels, assign_frequencies,
-                       ensemble_radius, estimate_fwhm, export_allocation_csv,
-                       export_centers_csv, identify_pairs, mean_qubit_spacing,
-                       min_pair_concentration, nearest_neighbor_distances,
-                       sample_lattice, spectral_select)
+from .ensemble import (PAIR_RADIUS_MAX, CenterSet, CrystalSpec, allocate_channels,
+                       assign_frequencies, ensemble_radius, estimate_fwhm,
+                       export_allocation_csv, export_centers_csv, identify_pairs,
+                       mean_qubit_spacing, min_pair_concentration,
+                       nearest_neighbor_distances, sample_lattice, spectral_select)
 from .errors import ConfigurationError, DomainError, ParseError, ValidationError
 from .gates import (GateScenario, NoiseFlags, QubitScheme, pair_center_scenario,
                     protocol_sequence, run_protocol, scenario_system, sweep as run_sweep)
@@ -120,7 +120,8 @@ class CrystalSection:
 
     def __post_init__(self):
         _require(self.n_ensemble >= 2, "crystal.n_ensemble must be at least 2")
-        _require(self.pair_radius > 0, "crystal.pair_radius must be > 0", DomainError)
+        _require(0 < self.pair_radius <= PAIR_RADIUS_MAX,
+                 f"crystal.pair_radius must be in (0, {PAIR_RADIUS_MAX:g}]", DomainError)
         _require(self.channel_min_gap >= 0, "crystal.channel_min_gap_hz must be >= 0",
                  DomainError)
 

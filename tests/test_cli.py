@@ -123,6 +123,7 @@ REJECTED = {
     "gaussian-envelope-step": ({"gate": {"type": "custom", "sequence": [
         {"qubit": "control", "transition": ["1", "1p"], "envelope": "gaussian"}]}}, 2),
     "zero-pair-radius": (small_crystal(pair_radius=0), 3),
+    "pair-radius-above-bound": (small_crystal(pair_radius=8.5), 3),
     "negative-channel-gap": (small_crystal(channel_min_gap_hz=-1), 3),
     "non-numeric-u2-threshold": ({"species": {"use": "Nd3+", "u2_threshold": "high"}}, 2),
     "both-shift-keys": ({"gate": {}, "sweep": {"grid": {"delta_over_omega": [1.0],

@@ -1,13 +1,15 @@
+import csv
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oqcsim.ensemble import (CenterSet, ChannelAllocation, CrystalSpec,
-                             allocate_channels, assign_frequencies, ensemble_radius,
-                             estimate_fwhm, identify_pairs, mean_qubit_spacing,
-                             export_centers_csv, min_pair_concentration,
+from oqcsim.ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpec,
+                             allocate_channels, assign_frequencies, ensemble_neighborhood,
+                             ensemble_radius, estimate_fwhm, identify_pairs,
+                             mean_qubit_spacing, export_centers_csv, min_pair_concentration,
                              nearest_neighbor_distances, sample_lattice, spectral_select)
 from oqcsim.errors import DomainError, ValidationError
 
@@ -145,22 +147,53 @@ def test_same_frequency_spacing_consistent_with_formula():
 
 # -- pair identification --------------------------------------------------
 
+def periodic_d2(positions, origin, box):
+    d = np.abs(positions - origin) % box
+    return (np.minimum(d, box - d) ** 2).sum(axis=-1)
+
+
+def site_keys(positions, box):
+    x, y, z = (positions % box).T
+    return (z * box + y) * box + x
+
+
 def brute_force_mutual_pairs(positions, box, radius):
-    """O(n^2) oracle: periodic mutual nearest neighbors within radius."""
+    """O(n^2) oracle: periodic mutual nearest neighbors within radius.
+
+    A center's nearest neighbor has the smallest squared distance d2 and,
+    among equidistant ones, the smallest site key; a mutual pair counts
+    when sqrt(d2) <= radius.
+    """
     n = len(positions)
     if n < 2:
         return np.full(n, -1)
-    deltas = np.abs(positions[:, None, :] - positions[None, :, :]).astype(float)
-    deltas = np.minimum(deltas, box - deltas)
-    d2 = (deltas ** 2).sum(axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    nn = d2.argmin(axis=1)
+    d2 = periodic_d2(positions[:, None, :], positions[None, :, :], box)
+    rank = d2 * box**3 + site_keys(positions, box)[None, :]   # (d2, key) order
+    np.fill_diagonal(rank, np.iinfo(np.int64).max)
+    nn = rank.argmin(axis=1)
     partner = np.full(n, -1)
     for i in range(n):
         j = nn[i]
-        if nn[j] == i and d2[i, j] <= radius ** 2:
+        if nn[j] == i and math.sqrt(d2[i, j]) <= radius:
             partner[i] = j
     return partner
+
+
+def brute_force_neighborhood(positions, box, n_ensemble):
+    """Oracle: the center nearest the box center, then all by (d2, key)."""
+    keys = site_keys(positions, box)
+    to_mid = periodic_d2(2 * positions, box, 2 * box)
+    ref = min(range(len(positions)), key=lambda i: (to_mid[i], keys[i]))
+    d2 = periodic_d2(positions, positions[ref], box)
+    return np.array(sorted(range(len(positions)), key=lambda i: (d2[i], keys[i]))
+                    [:n_ensemble + 1])
+
+
+def random_occupation(rng, box):
+    """Distinct sites of a box at a log-uniform filling in [3%, 1], in random order."""
+    occupied = np.flatnonzero(rng.random(box**3) < 10 ** rng.uniform(-1.5, 0.0))
+    sites = rng.permutation(occupied)
+    return np.stack([sites % box, sites // box % box, sites // box**2], axis=1)
 
 
 def test_two_isolated_centers_pair_up():
@@ -177,21 +210,51 @@ def test_single_center_no_pairs():
 
 
 def test_pairs_match_brute_force_oracle():
-    s = spec(c=0.01, box=22)
     for seed in (1, 2, 3):
-        centers = sample_lattice(s, seed=seed)
+        centers = sample_lattice(spec(c=0.01, box=22), seed=seed)
         flagged = identify_pairs(centers, pair_radius=2.0)
         oracle = brute_force_mutual_pairs(centers.positions, 22, 2.0)
-        # partner sets must agree (nearest-neighbor ties may pick either member)
-        got = {frozenset((i, int(p))) for i, p in enumerate(flagged.partner_index) if p >= 0}
-        want = {frozenset((i, int(p))) for i, p in enumerate(oracle) if p >= 0}
-        sym_diff = got ^ want
-        # any disagreement must come from exact distance ties, not logic
-        for pair in sym_diff:
-            i, j = tuple(pair)
-            d = np.abs(centers.positions[i] - centers.positions[j]).astype(float)
-            d = np.minimum(d, 22 - d)
-            assert math.sqrt((d ** 2).sum()) <= 2.0
+        assert np.array_equal(flagged.partner_index, oracle)
+    # boxes narrower than 2r + 1 wrap stencil offsets onto one site or the center
+    rng = np.random.default_rng(8)
+    for box, radius, _ in itertools.product(range(1, 9), (math.sqrt(3), 2.0, 3.5), range(6)):
+        positions = random_occupation(rng, box)
+        flagged = identify_pairs(CenterSet(positions, box), pair_radius=radius)
+        assert np.array_equal(flagged.partner_index,
+                              brute_force_mutual_pairs(positions, box, radius))
+
+
+@settings(max_examples=60, deadline=None)
+@given(box=st.integers(2, 8), radius=st.sampled_from([1.0, math.sqrt(3), 2.0, 3.5]),
+       data=st.data())
+def test_pairs_and_neighborhood_ignore_input_order(box, radius, data):
+    sites = data.draw(st.lists(st.integers(0, box**3 - 1), min_size=2,
+                               max_size=min(box**3, 60), unique=True))
+    positions = np.array([[s % box, s // box % box, s // box**2] for s in sites])
+    perm = np.array(data.draw(st.permutations(range(len(sites)))))
+    shuffled = CenterSet(positions[perm], box)
+
+    partner = identify_pairs(CenterSet(positions, box), radius).partner_index
+    shuffled_partner = identify_pairs(shuffled, radius).partner_index
+    mapped = np.full(len(sites), -1)
+    linked = shuffled_partner >= 0
+    mapped[perm[linked]] = perm[shuffled_partner[linked]]
+    assert np.array_equal(mapped, partner)
+
+    n_ensemble = data.draw(st.integers(1, len(sites) - 1))
+    idx = ensemble_neighborhood(CenterSet(positions, box), n_ensemble)
+    assert np.array_equal(idx, brute_force_neighborhood(positions, box, n_ensemble))
+    assert np.array_equal(perm[ensemble_neighborhood(shuffled, n_ensemble)], idx)
+
+
+def test_pair_radius_bounded_and_sites_distinct():
+    centers = CenterSet(np.array([[0, 0, 0], [1, 0, 0]]), box_size=20)
+    for bad in (0.0, -1.0, math.nan, PAIR_RADIUS_MAX + 1e-9, 1e6):
+        with pytest.raises(DomainError):
+            identify_pairs(centers, pair_radius=bad)
+    assert identify_pairs(centers, pair_radius=PAIR_RADIUS_MAX).partner_index.tolist() == [1, 0]
+    with pytest.raises(ValidationError):
+        identify_pairs(CenterSet(np.array([[0, 0, 0], [20, 0, 0]]), box_size=20))
 
 
 def test_pair_relation_symmetric_and_idempotent():
@@ -278,20 +341,26 @@ def test_allocation_empty_input():
 
 @pytest.mark.parametrize("with_frequencies", [True, False])
 def test_centers_csv_rows_across_blocks(tmp_path, with_frequencies):
-    # 9000 centers span several write blocks; compare with a per-row rendering
+    # 9000 centers span several write blocks, 4097 rows just cross one;
+    # the file holds the bytes csv.writer writes for the same rows
     s = spec(c=0.05, box=60)
     centers = identify_pairs(sample_lattice(s, 5), 2.0)
     if with_frequencies:
         centers = assign_frequencies(centers, s, 6)
     assert len(centers) > 9000
-    path = tmp_path / "centers.csv"
-    export_centers_csv(path, centers)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,z,frequency_hz,is_pair_member,partner_index"
-    assert len(lines) == len(centers) + 1
-    for i in (0, 4095, 4096, 8191, 8192, len(centers) - 1):
-        x, y, z = (int(v) for v in centers.positions[i])
-        freq = repr(float(centers.frequencies[i])) if with_frequencies else ""
-        partner = int(centers.partner_index[i])
-        expected = [x, y, z, freq, int(partner >= 0), partner if partner >= 0 else ""]
-        assert lines[i + 1] == ",".join(str(v) for v in expected)
+    head = CenterSet(centers.positions[:4097], s.box_size,
+                     None if centers.frequencies is None else centers.frequencies[:4097],
+                     centers.partner_index[:4097])
+    for rows in (centers, head):
+        path, reference = tmp_path / "centers.csv", tmp_path / "reference.csv"
+        export_centers_csv(path, rows)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "z", "frequency_hz", "is_pair_member",
+                             "partner_index"])
+            for i in range(len(rows)):
+                partner = int(rows.partner_index[i])
+                freq = "" if rows.frequencies is None else repr(float(rows.frequencies[i]))
+                writer.writerow([*rows.positions[i].tolist(), freq, int(partner >= 0),
+                                 partner if partner >= 0 else ""])
+        assert path.read_bytes() == reference.read_bytes()

@@ -29,6 +29,16 @@ assert not missing, missing
 inspect.signature(runner.run).bind("config.json", "out", jobs=1)
 """
 
+# A closed sweep, started as bench/child.py starts a run, loads no scipy.spatial:
+# only ensemble distances need cKDTree, and it is imported where they are taken.
+CLOSED_RUN = """
+import sys
+import oqcsim
+from oqcsim import cli, runner
+runner.run(sys.argv[1], "out", jobs=1)
+assert "scipy.spatial" not in sys.modules, "scipy.spatial imported"
+"""
+
 
 def run_python(args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -39,6 +49,13 @@ def run_python(args, cwd):
 def test_benchmark_bindings_resolve(tmp_path):
     done = run_python(["-c", BENCH_HOOKS, str(ROOT / "bench" / "tracing.py")], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_closed_run_leaves_scipy_spatial_unloaded(tmp_path):
+    config = ROOT / "src" / "oqcsim" / "configs" / "blockade_cz_sweep.json"
+    done = run_python(["-c", CLOSED_RUN, str(config)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
