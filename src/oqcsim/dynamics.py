@@ -29,7 +29,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -119,6 +119,7 @@ class LevelSystem:
             for qn, lv in cp.states.items():
                 self.qubit(qn).index(lv)
         self._level_indices: dict[tuple[str, str], np.ndarray] = {}
+        self._basis_indices: dict[tuple, np.ndarray] = {}
 
     @cached_property
     def _detuning_diag(self) -> np.ndarray:
@@ -147,6 +148,20 @@ class LevelSystem:
             raise ValidationError("assignment must name every qubit exactly once")
         return sum(q.index(assignment[q.name]) * s
                    for q, s in zip(self.qubits, self._strides))
+
+    def basis_indices(self, qubits: tuple[str, ...],
+                      states: tuple[tuple[str, ...], ...]) -> np.ndarray:
+        """basis_index of each joint state, states[i][j] being the level of qubits[j].
+
+        Cached per (qubits, states) and read-only, so a caller scoring
+        many propagators of one register looks its indices up once.
+        """
+        key = (qubits, states)
+        if key not in self._basis_indices:
+            idx = np.array([self.basis_index(dict(zip(qubits, s))) for s in states])
+            idx.flags.writeable = False
+            self._basis_indices[key] = idx
+        return self._basis_indices[key]
 
     def basis_labels(self) -> list[tuple[str, ...]]:
         labels = [()]
@@ -200,14 +215,31 @@ def build_hamiltonians(system: LevelSystem, segments: Sequence[Sequence[PulseSpe
 
     Register i is driven by the simultaneous pulses segments[i].  Every
     entry drives the same transitions in the same order, so the entries
-    differ only in numbers: H_i = H_static + sum_c shifts[i, c] P_c
-    + sum_k (Omega_ik / 2) D_k + Delta_ik E_k, with the index sets P_c
-    (coupling c), D_k and E_k (transition k) taken from the system.
-    shifts has shape (n, len(system.couplings)); by default every entry
-    takes the system's own coupling shifts.
+    differ only in numbers (see segment_hamiltonians).
     """
-    n, d = len(segments), system.dimension
+    n = len(segments)
     targets = [p.target for p in segments[0]] if n else []
+    if any([p.target for p in specs] != targets for specs in segments):
+        raise ValidationError("stacked segments must drive the same transitions")
+    rabi = np.array([[p.rabi_frequency for p in specs] for specs in segments], dtype=float)
+    detuning = np.array([[p.detuning for p in specs] for specs in segments], dtype=float)
+    shape = (n, len(targets))
+    return segment_hamiltonians(system, targets, rabi.reshape(shape),
+                                detuning.reshape(shape), shifts)
+
+
+def segment_hamiltonians(system: LevelSystem, targets: Sequence[tuple[str, tuple[str, str]]],
+                         rabi: np.ndarray, detuning: np.ndarray,
+                         shifts: np.ndarray | None = None) -> np.ndarray:
+    """Hamiltonians (n, d, d) of n registers of one structure under simultaneous drives.
+
+    H_i = H_static + sum_c shifts[i, c] P_c + sum_k (rabi[i, k] / 2) D_k
+    + detuning[i, k] E_k, with the index sets P_c (coupling c), D_k and
+    E_k (transition targets[k]) taken from the system.  rabi and
+    detuning have shape (n, len(targets)), shifts (n,
+    len(system.couplings)); by default every entry takes the system's
+    own coupling shifts.
+    """
     used: set[tuple[str, str]] = set()
     for qubit, levels in targets:
         for lv in levels:
@@ -216,8 +248,7 @@ def build_hamiltonians(system: LevelSystem, segments: Sequence[Sequence[PulseSpe
                     f"simultaneous pulses must target disjoint level pairs; "
                     f"{(qubit, lv)} is driven twice")
             used.add((qubit, lv))
-    if any([p.target for p in specs] != targets for specs in segments):
-        raise ValidationError("stacked segments must drive the same transitions")
+    n, d = len(rabi), system.dimension
     if shifts is None:
         shifts = np.tile([cp.shift for cp in system.couplings], (n, 1))
 
@@ -228,10 +259,10 @@ def build_hamiltonians(system: LevelSystem, segments: Sequence[Sequence[PulseSpe
     h[:, np.arange(d), np.arange(d)] = diag
     for k, (qubit, (lo, hi)) in enumerate(targets):
         upper, lower = system.level_indices(qubit, hi), system.level_indices(qubit, lo)
-        half_rabi = np.array([[specs[k].rabi_frequency / 2.0] for specs in segments])
+        half_rabi = rabi[:, k, None] / 2.0
         h[:, upper, lower] += half_rabi
         h[:, lower, upper] += half_rabi
-        h[:, upper, upper] += np.array([[specs[k].detuning] for specs in segments])
+        h[:, upper, upper] += detuning[:, k, None]
     return h
 
 
@@ -392,6 +423,37 @@ def _block_exponentials(h: np.ndarray, collapse: Sequence[np.ndarray],
             yield block, s, expm(gen * durations[s, None, None])
 
 
+class PulseArrays(NamedTuple):
+    """The numbers of n pulse sequences of one shape, one row per segment.
+
+    Segment k drives the transition targets[k] in every sequence; rabi
+    and detuning (rad/s) and duration (s) have shape (segments, n), so
+    zip(*arrays) walks the segments.
+    """
+
+    targets: tuple[tuple[str, tuple[str, str]], ...]
+    rabi: np.ndarray
+    detuning: np.ndarray
+    duration: np.ndarray
+
+    @classmethod
+    def of(cls, sequences: Sequence[PulseSequence]) -> PulseArrays:
+        """The arrays of sequences that drive the same transitions in the same order."""
+        if len({len(seq) for seq in sequences}) > 1:
+            raise ValidationError("stacked sequences must have the same number of pulses")
+        specs = [seq.specs() for seq in sequences]
+        targets = tuple(p.target for p in specs[0]) if specs else ()
+        if any(tuple(p.target for p in s) != targets for s in specs):
+            raise ValidationError("stacked segments must drive the same transitions")
+        shape = (len(sequences), len(targets))
+
+        def rows(value):
+            return np.array([[value(p) for p in s] for s in specs], dtype=float).reshape(shape).T
+
+        return cls(targets, rows(lambda p: p.rabi_frequency), rows(lambda p: p.detuning),
+                   rows(lambda p: p.duration))
+
+
 def sequence_unitary(system: LevelSystem, sequence: PulseSequence) -> np.ndarray:
     """Total unitary of an ordered pulse sequence (closed system)."""
     return sequence_unitaries(system, [sequence])[0]
@@ -402,17 +464,25 @@ def sequence_unitaries(system: LevelSystem, sequences: Sequence[PulseSequence],
     """Total unitaries (n, d, d) of n pulse sequences of one shape (closed system).
 
     The sequences drive the same transitions in the same order and
-    differ only in Rabi frequencies, detunings and durations; shifts
-    (n, len(system.couplings)) gives each its own coupling shifts, as in
-    build_hamiltonians.  One stacked eigendecomposition per segment.
+    differ only in Rabi frequencies, detunings and durations; see
+    stacked_unitaries.
     """
-    if len({len(seq) for seq in sequences}) > 1:
-        raise ValidationError("stacked sequences must have the same number of pulses")
-    d = system.dimension
-    u = np.repeat(np.eye(d, dtype=complex)[None], len(sequences), axis=0)
-    for segment in zip(*(seq.specs() for seq in sequences)):
-        h = build_hamiltonians(system, [[p] for p in segment], shifts)
-        u = segment_unitary(h, np.array([p.duration for p in segment])) @ u
+    return stacked_unitaries(system, PulseArrays.of(sequences), shifts)
+
+
+def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
+                      shifts: np.ndarray | None = None) -> np.ndarray:
+    """Total unitaries (n, d, d) of n pulse sequences given as arrays (closed system).
+
+    shifts (n, len(system.couplings)) gives each entry its own coupling
+    shifts, as in segment_hamiltonians.  One stacked eigendecomposition
+    per segment.
+    """
+    n, d = pulses.rabi.shape[1], system.dimension
+    u = np.repeat(np.eye(d, dtype=complex)[None], n, axis=0)
+    for target, rabi, detuning, duration in zip(*pulses):
+        h = segment_hamiltonians(system, [target], rabi[:, None], detuning[:, None], shifts)
+        u = segment_unitary(h, duration) @ u
     return u
 
 
@@ -431,18 +501,27 @@ def sequence_superoperators(system: LevelSystem, sequences: Sequence[PulseSequen
                             dephasing: np.ndarray | None = None) -> np.ndarray:
     """Channels of n pulse sequences of one shape, applied to some basis operators.
 
+    The sequences share a shape as in sequence_unitaries; see
+    stacked_superoperators.
+    """
+    return stacked_superoperators(system, PulseArrays.of(sequences), columns, shifts,
+                                  dephasing)
+
+
+def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Sequence[int],
+                           shifts: np.ndarray | None = None,
+                           dephasing: np.ndarray | None = None) -> np.ndarray:
+    """Channels of n pulse sequences given as arrays, applied to some basis operators.
+
     Returns (n, d^2, m): column c of entry i is sequence i's channel
     applied to the basis operator at row-major vectorized position
-    columns[c].  The sequences share a shape as in
-    sequence_unitaries; shifts (n, len(system.couplings)) and dephasing
+    columns[c].  shifts (n, len(system.couplings)) and dephasing
     (n, len(system.qubits)) give each entry its own coupling shifts and
     dephasing rates.  Each segment's generator is exponentiated block by
     block (liouvillian_blocks), skipping the blocks that no column
     reaches, in one stacked expm per block.
     """
-    if len({len(seq) for seq in sequences}) > 1:
-        raise ValidationError("stacked sequences must have the same number of pulses")
-    n, d2 = len(sequences), system.dimension ** 2
+    n, d2 = pulses.rabi.shape[1], system.dimension ** 2
     columns = np.asarray(columns)
     jumps, rates = jump_operators(system, dephasing)
     rates = np.broadcast_to(rates, (n, rates.shape[1]))
@@ -450,12 +529,11 @@ def sequence_superoperators(system: LevelSystem, sequences: Sequence[PulseSequen
     out[:, columns, np.arange(len(columns))] = 1.0
     reached = np.zeros(d2, dtype=bool)
     reached[columns] = True
-    for segment in zip(*(seq.specs() for seq in sequences)):
-        h = build_hamiltonians(system, [[p] for p in segment], shifts)
-        blocks = [block for block in liouvillian_blocks(system, [segment[0].target], jumps)
+    for target, rabi, detuning, duration in zip(*pulses):
+        h = segment_hamiltonians(system, [target], rabi[:, None], detuning[:, None], shifts)
+        blocks = [block for block in liouvillian_blocks(system, [target], jumps)
                   if reached[block].any()]
-        durations = np.array([p.duration for p in segment])
-        for block, s, e in _block_exponentials(h, jumps, rates, durations, blocks):
+        for block, s, e in _block_exponentials(h, jumps, rates, duration, blocks):
             out[s, block] = e @ out[s, block]
         for block in blocks:
             reached[block] = True

@@ -156,7 +156,10 @@ def mean_qubit_spacing(concentration: float, gamma_l: float, gamma_inh: float) -
     """
     if concentration <= 0 or gamma_l <= 0 or gamma_inh <= 0:
         raise DomainError("all arguments must be > 0")
-    return (concentration * gamma_l / gamma_inh) ** (-1.0 / 3.0)
+    density = concentration * gamma_l / gamma_inh
+    if not 0.0 < density < math.inf:
+        raise DomainError("c * Gamma_L / Gamma_inh is outside double precision")
+    return density ** (-1.0 / 3.0)
 
 
 def ensemble_radius(n_centers: float, concentration: float) -> float:
@@ -176,7 +179,10 @@ def min_pair_concentration(r0: float) -> float:
     """
     if r0 <= 0:
         raise DomainError("R0 must be > 0")
-    return r0 ** -3.0
+    try:
+        return r0 ** -3.0
+    except OverflowError:
+        raise DomainError("1 / R0^3 overflows double precision") from None
 
 
 def _site_keys(positions: np.ndarray, box_size: int) -> np.ndarray:
@@ -277,7 +283,10 @@ def allocate_channels(frequencies, min_gap: float) -> ChannelAllocation:
     Sort-and-sweep greedy: walk the frequencies in increasing order and
     keep each one that clears the last kept frequency by more than
     min_gap.  For this one-dimensional packing the greedy subset has
-    maximum cardinality.
+    maximum cardinality.  The frequencies that clear a kept one, f -
+    last > min_gap, are a suffix of the sorted ones (NaN sorts last and
+    clears nothing), so each step is a binary search, corrected against
+    that exact test; ties keep the input order.
     """
     if min_gap < 0:
         raise DomainError("minimum gap must be >= 0")
@@ -285,17 +294,22 @@ def allocate_channels(frequencies, min_gap: float) -> ChannelAllocation:
     if freqs.ndim != 1:
         raise ValidationError("frequencies must be a flat list")
     order = np.argsort(freqs, kind="stable")
-    selected: list[int] = []
-    last = -math.inf
-    for i in order:
-        f = freqs[i]
-        if f - last > min_gap or not selected:
-            selected.append(int(i))
-            last = f
+    ordered = freqs[order]
+    end = len(ordered) - int(np.count_nonzero(np.isnan(freqs)))
+    kept: list[int] = []
+    j = 0
+    while j < len(ordered) and (not kept or j < end):
+        kept.append(j)
+        last, lo = ordered[j], j + 1
+        j = lo + int(ordered[lo:end].searchsorted(last + min_gap, side="right"))
+        while j > lo and ordered[j - 1] - last > min_gap:
+            j -= 1
+        while j < end and not ordered[j] - last > min_gap:
+            j += 1
     return ChannelAllocation(
-        selected_indices=tuple(selected),
+        selected_indices=tuple(order[kept].tolist()),
         min_gap=min_gap,
-        channel_frequencies=tuple(float(freqs[i]) for i in selected),
+        channel_frequencies=tuple(ordered[kept].tolist()),
     )
 
 

@@ -32,12 +32,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import (LevelSystem, QubitLevels, ShiftCoupling, sequence_superoperator,
-                       sequence_superoperators, sequence_unitaries, sequence_unitary)
+from .dynamics import (LevelSystem, PulseArrays, QubitLevels, ShiftCoupling,
+                       sequence_superoperator, sequence_unitary, stacked_superoperators,
+                       stacked_unitaries)
 from .errors import DomainError, OqcsimError, ValidationError
 from .interactions import BlockadeModel, DEFAULT_MODEL, dipole_shift
 from .paircenter import PairParams, pair_eigensystem_exact, pair_eigensystem_perturbative
@@ -157,10 +159,11 @@ def protocol_sequence(scenario: GateScenario) -> PulseSequence:
 def canonical_blockade_sequence(scenario: GateScenario) -> PulseSequence:
     """The three-segment blockade controlled-phase sequence.
 
-    pi on the control qubit's |1> -> |1'>, 2pi on the target's, pi back.
-    With the |1'>|1'> shift large against the drive the 2pi pulse is
-    blocked whenever the control sits in |1'>, leaving the controlled
-    phase that makes the core entangling.
+    pi on the control qubit's |1> -> |1'>, 2pi on the target's, pi back,
+    each undetuned at the scenario's Rabi frequency.  With the |1'>|1'>
+    shift large against the drive the 2pi pulse is blocked whenever the
+    control sits in |1'>, leaving the controlled phase that makes the
+    core entangling.
     """
     for qs in (scenario.control, scenario.target):
         if "1p" not in qs.level_order:
@@ -213,7 +216,7 @@ def _extract_phases(m_diag: np.ndarray) -> tuple[float, float, float, float]:
     Extracted from the diagonal of the computational-subspace map; all
     zero when any diagonal amplitude is too small to carry a phase.
     """
-    if np.min(np.abs(m_diag)) < _PHASE_FLOOR:
+    if min(map(abs, m_diag.tolist())) < _PHASE_FLOOR:
         return 0.0, 0.0, 0.0, 0.0
     ref = m_diag[0]
     phi00 = cmath.phase(ref)
@@ -224,21 +227,25 @@ def _extract_phases(m_diag: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def _dressed_target(gate_target: str, phi00: float, phi01: float, phi10: float) -> np.ndarray:
+    """Diagonal of the target gate dressed with the protocol's phases."""
     sign = -1.0 if gate_target == "cz" else 1.0
-    return np.exp(1j * phi00) * np.diag([
+    return np.exp(1j * phi00) * np.array([
         1.0,
         np.exp(1j * phi01),
         np.exp(1j * phi10),
         sign * np.exp(1j * (phi01 + phi10)),
-    ]).astype(complex)
+    ])
 
 
-def _computational(scenario: GateScenario, system: LevelSystem) -> tuple[list[int], list[int]]:
-    """Basis indices of the four computational states, and the vectorized
-    positions of the sixteen operators |j><k| between them (j-major)."""
-    comp = [system.basis_index({scenario.control.name: c, scenario.target.name: t})
-            for c, t in COMPUTATIONAL]
-    return comp, [system.dimension * j + k for j in comp for k in comp]
+def _computational(scenario: GateScenario, system: LevelSystem) -> np.ndarray:
+    """Basis indices of the four computational states (cached by the register)."""
+    return system.basis_indices((scenario.control.name, scenario.target.name), COMPUTATIONAL)
+
+
+def _columns(comp: np.ndarray, system: LevelSystem) -> np.ndarray:
+    """Vectorized positions of the sixteen operators |j><k| between the
+    computational states (j-major)."""
+    return (system.dimension * comp[:, None] + comp).ravel()
 
 
 def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
@@ -259,20 +266,22 @@ def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
     """
     if propagator is None or system is None:
         system = scenario_system(scenario)
-    comp, columns = _computational(scenario, system)
+    comp = _computational(scenario, system)
     if propagator is None:
         sequence = protocol_sequence(scenario)
         sequence.validate_targets(scenario.qubit_levels())
         propagator = (sequence_unitary(system, sequence) if not scenario.noise.any
-                      else sequence_superoperator(system, sequence, columns))
+                      else sequence_superoperator(system, sequence, _columns(comp, system)))
     dim = system.dimension
 
     if not scenario.noise.any:
-        m = propagator[np.ix_(comp, comp)]
+        m = propagator[comp[:, None], comp]
         truth = np.abs(m.T) ** 2            # [input][output]
-        phi00, phi01, phi10, cz = _extract_phases(np.diag(m))
+        m_diag = m.diagonal()
+        phi00, phi01, phi10, cz = _extract_phases(m_diag)
+        # the dressed target is diagonal: trace(T^dagger M) over the diagonals
         target = _dressed_target(scenario.gate_target, phi00, phi01, phi10)
-        f_pro = abs(np.trace(target.conj().T @ m)) ** 2 / 16.0
+        f_pro = abs((target.conj() * m_diag).sum()) ** 2 / 16.0
         noisy = False
     else:
         # channel output of |comp_j><comp_k|, as a density-operator shape
@@ -283,7 +292,7 @@ def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
         # phases from the coherences against the |00> reference column
         m_diag = np.array([blocks[(k, 0)][comp[k], comp[0]] for k in range(4)])
         phi00, phi01, phi10, cz = _extract_phases(m_diag)
-        target = _dressed_target(scenario.gate_target, phi00, phi01, phi10)
+        target = np.diag(_dressed_target(scenario.gate_target, phi00, phi01, phi10))
         f_pro = 0.0
         for j in range(4):
             for k in range(4):
@@ -292,17 +301,15 @@ def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
         f_pro /= 16.0
         noisy = True
 
-    if not np.all(np.isfinite([*truth.ravel(), f_pro, phi01, phi10, cz])):
+    if not (np.isfinite(truth).all() and all(map(math.isfinite, (f_pro, phi01, phi10, cz)))):
         raise DomainError("protocol result is not finite; the pulse durations and "
                           "shifts are too far apart for double precision")
     avg_fidelity = (4.0 * f_pro + 1.0) / 5.0
-    row_sums = truth.sum(axis=1)
-    leakage = float(np.max(1.0 - row_sums))
     return GateReport(
-        truth_table=tuple(tuple(float(x) for x in row) for row in truth),
-        truth_table_fidelity=float(np.mean(np.diag(truth))),
+        truth_table=tuple(map(tuple, truth.tolist())),
+        truth_table_fidelity=float(truth.diagonal().sum()) / 4.0,
         average_fidelity=float(min(max(avg_fidelity, 0.0), 1.0)),
-        leakage=leakage,
+        leakage=float((1.0 - truth.sum(axis=1)).max()),
         cz_phase=float(cz),
         local_phases=(float(phi01), float(phi10)),
         noisy=noisy,
@@ -327,13 +334,17 @@ def grid_chunks(grid: Mapping[str, Sequence]) -> Iterator[list[dict]]:
 def sweep_chunk(make_scenario: Callable[..., GateScenario], points: Sequence[dict]) -> list[dict]:
     """Sweep rows of some grid points: the point plus the report fields, or an error status.
 
-    Each point's scenario is built and scored on its own, by
-    make_scenario and run_protocol, so every check runs per point.  The
-    closed scenarios that differ from the chunk's first closed one only
-    in the swept numbers share its register, and so do the noisy ones
-    with the first noisy one; each group is propagated in one stack
-    (see _stacked_propagators) and its propagators and register are
-    handed to run_protocol.
+    Each point's scenario is built by make_scenario and scored by one
+    run_protocol call, so every check runs per point.  The closed
+    scenarios that differ from the chunk's first closed one only in the
+    swept numbers form a group, and so do the noisy ones with the first
+    noisy one.  A group's sequence is built and validated once; each
+    point's Rabi frequencies, detunings and durations are read into
+    arrays and the group is propagated in one stack
+    (_stacked_propagators), whose propagators and register are handed
+    to run_protocol.  A point left out of the stack, such as one whose
+    pulse durations are not finite, is propagated by run_protocol alone,
+    which reports its error.
     """
     rows, scenarios = [], []
     for point in points:
@@ -367,7 +378,41 @@ def sweep_chunk(make_scenario: Callable[..., GateScenario], points: Sequence[dic
 # The numbers a sweep varies; scenarios equal in every other field share
 # one register and one sequence shape.
 _SWEPT = ("rabi", "delta_shift", "gamma_h")
-_SHARED = tuple(f.name for f in fields(GateScenario) if f.name not in _SWEPT)
+_shared = attrgetter(*(f.name for f in fields(GateScenario) if f.name not in _SWEPT))
+
+
+def _group_pulses(group: Sequence[GateScenario]) -> tuple[PulseArrays, np.ndarray] | None:
+    """Pulse arrays of scenarios equal in all but the swept numbers, and which they hold.
+
+    The sequence is built and validated once, on the first scenario
+    whose sequence builds (None when none does).  A scenario's own
+    sequence is the same for the whole group; the canonical one drives
+    the same transitions for all, each point at its own Rabi frequency.
+    The mask leaves out the points whose pulse durations are not finite,
+    which are the points whose canonical sequence does not build; the
+    arrays hold the points it keeps.
+    """
+    for ref in group:
+        try:
+            sequence = protocol_sequence(ref)
+            sequence.validate_targets(ref.qubit_levels())
+            break
+        except (OqcsimError, ValueError):
+            continue
+    else:
+        return None
+    pulses = PulseArrays.of([sequence])
+    if ref.sequence is not None:
+        shape = (len(pulses.targets), len(group))
+        return (PulseArrays(pulses.targets, *(np.broadcast_to(a, shape) for a in pulses[1:])),
+                np.ones(len(group), dtype=bool))
+    rabi = np.array([[sc.rabi for sc in group]])
+    with np.errstate(over="ignore"):
+        duration = np.array([[p.pulse_area] for p in sequence.specs()]) / rabi
+    keep = np.isfinite(duration).all(axis=0)
+    duration = duration[:, keep]
+    return (PulseArrays(pulses.targets, np.broadcast_to(rabi[:, keep], duration.shape),
+                        np.zeros(duration.shape), duration), keep)
 
 
 def _stacked_propagators(scenarios: Sequence[GateScenario | None]
@@ -375,12 +420,15 @@ def _stacked_propagators(scenarios: Sequence[GateScenario | None]
     """Propagators of the batchable scenarios and their shared register, keyed by position.
 
     Batchable: equal to the first closed (or the first noisy) scenario
-    in every field but the swept numbers.  A closed group gets sequence
-    unitaries, a noisy group the sixteen computational columns of its
-    channels, each in one stacked propagation.  A scenario left out
-    here, whose sequence does not build, or every scenario of a group
-    whose stacked propagation fails, is propagated by run_protocol
-    alone, which then reports its error.
+    in every field but the swept numbers, with finite pulse durations.
+    Each group's sequence is built and validated once (_group_pulses),
+    and its points' pulse parameters enter as (segments, n) arrays.  A
+    closed group gets sequence unitaries, a noisy group the sixteen
+    computational columns of its channels, each in one stacked
+    propagation.  A scenario left out here, or every scenario of a
+    group whose sequence does not build or whose stacked propagation
+    fails, is propagated by run_protocol alone, which then reports its
+    error.
     """
     out = {}
     for noisy in (False, True):
@@ -389,18 +437,13 @@ def _stacked_propagators(scenarios: Sequence[GateScenario | None]
         if not group:
             continue
         first = group[0][1]
-        shared = tuple(getattr(first, name) for name in _SHARED)
-        batch, sequences = [], []
-        for i, sc in group:
-            if tuple(getattr(sc, name) for name in _SHARED) != shared:
-                continue
-            try:
-                sequence = protocol_sequence(sc)
-                sequence.validate_targets(sc.qubit_levels())
-            except (OqcsimError, ValueError):
-                continue
-            batch.append((i, sc))
-            sequences.append(sequence)
+        shared = _shared(first)
+        group = [(i, sc) for i, sc in group if _shared(sc) == shared]
+        grouped = _group_pulses([sc for _, sc in group])
+        if grouped is None:
+            continue
+        pulses, keep = grouped
+        batch = [member for member, kept in zip(group, keep) if kept]
         if not batch:
             continue
         shifts = np.array([[sc.delta_shift] for _, sc in batch])
@@ -408,11 +451,11 @@ def _stacked_propagators(scenarios: Sequence[GateScenario | None]
             system = scenario_system(first)
             if noisy:
                 dephasing = np.array([[_dephasing(sc)] * 2 for _, sc in batch])
-                stacked = sequence_superoperators(system, sequences,
-                                                  _computational(first, system)[1],
-                                                  shifts, dephasing)
+                stacked = stacked_superoperators(
+                    system, pulses, _columns(_computational(first, system), system),
+                    shifts, dephasing)
             else:
-                stacked = sequence_unitaries(system, sequences, shifts)
+                stacked = stacked_unitaries(system, pulses, shifts)
         except (OqcsimError, ValueError):
             continue
         out.update({i: (p, system) for (i, _), p in zip(batch, stacked)})

@@ -66,8 +66,18 @@ def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float) -> float:
         raise DomainError("k and Gamma_L must be > 0")
     if gamma0 <= 0:
         raise DomainError("radiative rate gamma0 must be > 0")
-    raw = 4.0 * math.pi**2 * CONSTANTS.hbar * gamma_l**2 * k**3 / (3.0 * gamma0 * CONSTANTS.z0)
-    return INTENSITY_CALIBRATION * raw
+    try:
+        raw = 4.0 * math.pi**2 * CONSTANTS.hbar * gamma_l**2 * k**3 / (3.0 * gamma0 * CONSTANTS.z0)
+    except OverflowError:
+        raw = math.inf
+    return _finite(INTENSITY_CALIBRATION * raw, "pi-pulse intensity")
+
+
+def _finite(value: float, what: str) -> float:
+    """value, or DomainError when it left double precision."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} overflows double precision")
+    return value
 
 
 def pulse_energy(intensity: float, cross_section: float, gamma_l: float) -> float:
@@ -76,7 +86,7 @@ def pulse_energy(intensity: float, cross_section: float, gamma_l: float) -> floa
         raise DomainError("cross section and Gamma_L must be > 0")
     if intensity < 0:
         raise DomainError("intensity must be >= 0")
-    return intensity * cross_section / gamma_l
+    return _finite(intensity * cross_section / gamma_l, "pulse energy")
 
 
 def peak_field(intensity: float) -> float:
@@ -88,7 +98,7 @@ def peak_field(intensity: float) -> float:
     if intensity < 0:
         raise DomainError("intensity must be >= 0")
     e_v_per_m = math.sqrt(2.0 * CONSTANTS.z0 * intensity * 1e4)
-    return e_v_per_m / 100.0
+    return _finite(e_v_per_m / 100.0, "peak field")
 
 
 @dataclass(frozen=True)

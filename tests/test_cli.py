@@ -170,6 +170,64 @@ def test_fuzzed_gate_numbers_end_in_contract_codes(fields):
             _strict_json(path)
 
 
+def small_ensemble_run():
+    """A config that reads every pulses, crystal and interactions number."""
+    doc = small_crystal(box_size=6, concentration=0.2, n_ensemble=10, export_centers=True)
+    doc["pulses"]["rei_intensity_factor"] = 2.0
+    doc["interactions"] = {"u2_a": 0.01}
+    return doc
+
+
+SECTION_NUMBERS = {
+    "pulses": ("carrier_cm", "radiative_lifetime_s", "gamma_l_hz", "cross_section_cm2",
+               "refractive_index", "rei_intensity_factor"),
+    "crystal": ("concentration", "gamma_inh_hz", "gamma_h_hz", "pair_radius",
+                "channel_min_gap_hz", "center_frequency_hz", "n_ensemble"),
+    "interactions": ("c_qq_hz", "c_dd_hz", "kappa", "u2_a", "u2_b"),
+}
+
+EXTREME_NUMBER = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-310, 1e-200,
+                     1e100, 1e200, 1e300, 1.7e308]),
+    st.floats(min_value=-1e15, max_value=1e15))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.sampled_from([(sec, key) for sec, keys in SECTION_NUMBERS.items()
+                                 for key in keys]), min_size=1, max_size=3, unique=True)
+       .flatmap(lambda keys: st.tuples(st.just(keys),
+                                       st.lists(EXTREME_NUMBER, min_size=len(keys),
+                                                max_size=len(keys)))))
+def test_fuzzed_section_numbers_end_in_contract_codes(case):
+    keys, values = case
+    doc = small_ensemble_run()
+    for (sec, key), value in zip(keys, values):
+        doc[sec][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "ensemble.json", Path(tmp) / "out"
+        config.write_text(json.dumps(doc))
+        checked = main(["validate", "--config", str(config)])     # no exception escapes
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        assert checked in (0, 2, 3, 4) and code in (0, 2, 3, 4)
+        if checked:
+            assert code == checked and not out.exists()
+        for path in out.glob("*.json"):
+            _strict_json(path)
+
+
+@pytest.mark.parametrize("sec, key, value", [
+    ("pulses", "carrier_cm", 1e100), ("pulses", "gamma_l_hz", 1e200),
+    ("pulses", "refractive_index", 1e100), ("crystal", "concentration", 5e-324)])
+def test_numbers_out_of_double_range_exit_3(tmp_path, capsys, sec, key, value):
+    doc = small_ensemble_run()
+    doc[sec][key] = value
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("oqcsim: domain: ") and err.count("\n") == 1
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(config_path("nd_caf2_ensemble"), out_dir=a)

@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from oqcsim import dynamics
-from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, QubitLevels,
+from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, PulseArrays, QubitLevels,
                              ShiftCoupling, _block_exponentials, build_hamiltonian,
                              build_hamiltonians, collapse_operators, export_trajectory_csv,
                              jump_operators, lindblad_superoperator, liouvillian_blocks,
                              propagate_lindblad, propagate_unitary, rabi_transfer,
                              segment_unitary, sequence_superoperator,
-                             sequence_superoperators, sequence_unitaries, sequence_unitary)
+                             sequence_superoperators, sequence_unitaries, sequence_unitary,
+                             stacked_superoperators, stacked_unitaries)
 from oqcsim.errors import ResourceLimitError, ValidationError
 from oqcsim.pulses import PulseSequence, PulseSpec
 
@@ -142,6 +143,38 @@ def test_stacked_unitaries_equal_single_sequences():
         assert np.array_equal(u, sequence_unitary(three_qubit_register(s), sequence))
 
 
+def test_pulse_arrays_propagate_like_their_sequences():
+    # three sequences of one shape, two of them detuned, written as arrays by hand
+    system = three_qubit_register()
+    rabi = np.array([[OMEGA, 0.3 * OMEGA, 5 * OMEGA], [0.8 * OMEGA, 0.3 * OMEGA, 2 * OMEGA]])
+    detuning = np.array([[0.0, 2e9, -1e8], [0.1 * OMEGA, 0.0, -3e9]])
+    area = np.array([[math.pi], [2 * math.pi]])
+    targets = (("a", ("1", "1p")), ("c", ("1", "1p")))
+    pulses = PulseArrays(targets, rabi, detuning, area / rabi)
+    sequences = [seq(*(PulseSpec(target=t, pulse_area=area[k, 0], rabi_frequency=rabi[k, i],
+                                 detuning=detuning[k, i]) for k, t in enumerate(targets)))
+                 for i in range(3)]
+    of = PulseArrays.of(sequences)
+    assert of.targets == targets
+    assert all(np.array_equal(x, y) for x, y in zip(of[1:], pulses[1:]))
+    shifts = np.array([[3.7e9, -0.4e9], [0.0, -0.4e9], [25.0 * OMEGA, 1e9]])
+    stacked = stacked_unitaries(system, pulses, shifts)
+    assert np.array_equal(stacked, sequence_unitaries(system, sequences, shifts))
+    for u, s, sequence in zip(stacked, shifts, sequences):
+        single = LevelSystem(system.qubits, [replace(cp, shift=x)
+                                             for cp, x in zip(system.couplings, s)])
+        assert np.array_equal(u, sequence_unitary(single, sequence))
+    columns = [0, 13, 40, 323]
+    dephasing = [[1e6, 0.0, 2e7], [0.0, 0.0, 0.0], [5e8, 1e7, 0.0]]
+    assert np.array_equal(
+        stacked_superoperators(system, pulses, columns, shifts, dephasing),
+        sequence_superoperators(system, sequences, columns, shifts, dephasing))
+    # no segments: n identities
+    empty = PulseArrays((), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
+    assert np.array_equal(stacked_unitaries(system, empty),
+                          np.repeat(np.eye(system.dimension)[None], 2, axis=0))
+
+
 def test_stacked_entries_must_share_their_shape():
     system = three_qubit_register()
     with pytest.raises(ValidationError):
@@ -150,6 +183,8 @@ def test_stacked_entries_must_share_their_shape():
     with pytest.raises(ValidationError):
         sequence_unitaries(system, [seq(drive(qubit="b")),
                                     seq(drive(qubit="b"), drive(qubit="b"))])
+    with pytest.raises(ValidationError):
+        PulseArrays.of([seq(drive(qubit="b")), seq(drive(qubit="a", levels=("1", "1p")))])
 
 
 def test_dimension_cap_enforced():

@@ -313,6 +313,43 @@ def test_greedy_matches_dp_and_exhaustive_oracles():
             assert got == exhaustive_max_channels(list(freqs), gap)
 
 
+def greedy_scan(freqs, min_gap):
+    """The plain greedy scan over every frequency in stable sorted order."""
+    freqs = np.asarray(freqs, dtype=float)
+    selected, last = [], -math.inf
+    for i in np.argsort(freqs, kind="stable"):
+        if freqs[i] - last > min_gap or not selected:
+            selected.append(int(i))
+            last = freqs[i]
+    return tuple(selected)
+
+
+def test_allocation_equals_the_plain_greedy_scan():
+    rng = np.random.default_rng(9)
+    cases = [(rng.normal(0, 1e12, size=5000), 3e8),           # the ensemble's scale
+             (rng.uniform(0, 10, size=2000), 0.0),              # every distinct value
+             (rng.integers(0, 30, size=3000).astype(float), 0.0),    # duplicate-heavy
+             (rng.integers(0, 30, size=3000).astype(float), 2.0),
+             (np.repeat([0.1, 0.2, 0.3 + 1e-17, 0.4], 50), 0.1),      # gaps at rounding
+             ([math.nan, 1.0, -math.inf, 2.0, math.inf, math.nan, 1.0], 0.5),
+             ([math.nan, math.nan], 1.0), ([3.0], 0.0), ([-math.inf, -math.inf, 0.0], 0.0)]
+    cases += [(rng.choice([0.0, 0.1, 0.2, 0.30000000000000004, 0.7], size=n),
+               float(rng.choice([0.0, 0.1, 0.2, 0.5]))) for n in (1, 2, 5, 40, 400)]
+    for freqs, gap in cases:
+        alloc = allocate_channels(freqs, gap)
+        assert alloc.selected_indices == greedy_scan(freqs, gap)
+        assert np.array_equal(alloc.channel_frequencies,
+                              np.asarray(freqs)[list(alloc.selected_indices)], equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 1e-300, -2.5, 1e16, 1e16 + 2]) |
+                st.floats(-1e3, 1e3), max_size=60),
+       st.sampled_from([0.0, 0.1, 0.2, 1.0, 2.0, 1e-300]))
+def test_allocation_equals_the_plain_greedy_scan_fuzzed(freqs, gap):
+    assert allocate_channels(freqs, gap).selected_indices == greedy_scan(freqs, gap)
+
+
 def test_allocation_output_respects_gap_and_subset():
     rng = np.random.default_rng(5)
     freqs = rng.normal(0, 1e9, size=200)

@@ -1,18 +1,22 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oqcsim import gates
 from oqcsim.errors import OqcsimError, ValidationError
 from oqcsim.gates import (CHUNK, COMPUTATIONAL, GateScenario, NoiseFlags, QubitScheme,
+                          _computational, _group_pulses, _stacked_propagators,
                           canonical_blockade_sequence, grid_chunks, pair_center_scenario,
-                          run_protocol, scenario_system, swap_roles, sweep)
+                          protocol_sequence, run_protocol, scenario_system, swap_roles, sweep)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
 from oqcsim.pulses import PulseSequence, build_sequence
-from oqcsim.dynamics import sequence_unitary
+from oqcsim.dynamics import PulseArrays, sequence_unitary
+from oqcsim.runner import _point_scenario
 
 OMEGA = 2 * math.pi * 1e9
 
@@ -199,7 +203,8 @@ def sweep_bases():
 BASES = sweep_bases()
 
 # per-point departures from the base scenario; all but the last two fail
-SPECIAL = ("factory_raises", "rabi_zero", "rabi_negative", "ratio_1e300",
+# (rabi_1e-310 only where the canonical sequence gets infinite durations)
+SPECIAL = ("factory_raises", "rabi_zero", "rabi_negative", "ratio_1e300", "rabi_1e-310",
            "identity_target", "noisy")
 
 
@@ -216,6 +221,8 @@ def special_factory(base, specials, rabis, ratios, gammas):
             rabi = -rabi
         elif kind == "ratio_1e300":
             ratio = 1e300
+        elif kind == "rabi_1e-310":
+            rabi = 1e-310
         elif kind == "identity_target":
             changes["gate_target"] = "identity"
         elif kind == "noisy":
@@ -257,6 +264,63 @@ def test_batched_sweep_rows_equal_single_runs(case):
 @given(special_sweeps(bases=("noisy_pair_center",)))
 def test_batched_noisy_sweep_rows_equal_single_runs(case):
     assert_rows_equal_single_runs(*case)
+
+
+def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
+    base = BASES["canonical"]
+    make = partial(_point_scenario, base)
+    rabis = [1e-310, 0.5 * OMEGA, OMEGA, 1e-310, 3.0 * OMEGA]
+    grid = {"delta_over_omega": [10.0], "rabi_rad_s": rabis}
+    points = list(gates.grid_points(grid))
+    # the tiny points stay out of the stack; the others still share one
+    stacked = _stacked_propagators([make(**point) for point in points])
+    assert sorted(stacked) == [1, 2, 4]
+    rows = sweep(make, grid)
+    for point, row in zip(points, rows):
+        if point["rabi_rad_s"] == 1e-310:
+            assert row["status"] == "error: pulse parameters and duration must be finite"
+        assert row == reference_row(make, point)
+
+
+def test_group_pulses_equal_each_points_sequence():
+    for name in ("canonical", "custom", "noisy_pair_center"):
+        group = [replace(BASES[name], rabi=w * OMEGA, delta_shift=3 * w * OMEGA)
+                 for w in (0.5, 1.0, 2.5)]
+        pulses, keep = _group_pulses(group)
+        assert keep.all()
+        expected = PulseArrays.of([protocol_sequence(sc) for sc in group])
+        assert pulses.targets == expected.targets
+        assert all(np.array_equal(x, y) for x, y in zip(pulses[1:], expected[1:]))
+
+
+def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
+    # The benchmark's per-point metrics (gates.run_protocol calls, p50 and
+    # p99) are read off these calls, so a sweep must keep scoring each
+    # point through its own run_protocol call.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "run_protocol", counting)
+    n = 2 * CHUNK + 5
+    rows = sweep(partial(_point_scenario, BASES["canonical"]),
+                 {"delta_over_omega": [1.0 + i for i in range(n)]})
+    assert len(calls) == n
+    assert all(row["status"] == "ok" for row in rows)
+
+
+@pytest.mark.parametrize("order", [("1p", "0", "1"), ("1", "0", "1p")])
+def test_cached_computational_indices_equal_basis_index(order):
+    scenario = GateScenario(control=QubitScheme("control", level_order=order),
+                            target=QubitScheme("target", level_order=order), rabi=OMEGA)
+    system = scenario_system(scenario)
+    comp = _computational(scenario, system)
+    assert comp.tolist() == [system.basis_index({"control": c, "target": t})
+                             for c, t in COMPUTATIONAL]
+    assert _computational(scenario, system) is comp
+    assert not comp.flags.writeable
 
 
 @pytest.mark.parametrize("n, sizes", [
