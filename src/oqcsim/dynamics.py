@@ -2,15 +2,22 @@
 
 Everything is phrased in the rotating frame of the driven transitions,
 so each pulse segment has a time-independent Hamiltonian: diagonal
-detunings and conditional shifts, plus Omega/2 on the driven transition.
-Closed-system segments are propagated exactly through the Hermitian
-eigendecomposition; open-system segments through the exponential of the
-Lindblad superoperator with radiative decay (1/tau per level) and pure
-per-level dephasing at the homogeneous width.  Decay and dephasing keep
-each qubit's offset between ket and bra level and only the driven
-transitions change it, so the dimension^2 x dimension^2 superoperator
-splits into blocks it never couples (liouvillian_blocks), and it is
-exponentiated block by block.
+detunings and conditional shifts, plus Omega/2 on the one transition
+its pulse drives (pulse numbers rise strictly, so a segment holds one
+pulse).  Closed-system segments are propagated exactly through the
+Hermitian eigendecomposition; open-system segments through the
+exponential of the Lindblad superoperator with radiative decay (1/tau
+per level) and pure per-level dephasing at the homogeneous width.
+Decay and dephasing keep each qubit's offset between ket and bra level
+and only the driven transition changes it, so the dimension^2 x
+dimension^2 superoperator splits into blocks it never couples
+(liouvillian_blocks), and it is exponentiated block by block.
+
+n sequences of one shape, differing only in Rabi frequencies,
+detunings, durations, coupling shifts and dephasing rates, are
+described by PulseArrays and propagated in one stack by
+stacked_unitaries and stacked_superoperators; sequence_unitary and
+sequence_superoperator are their n = 1 case.
 
 Frequencies entering the Hamiltonian (detunings, shifts, Rabi) are
 angular (rad/s); decay and dephasing rates are ordinary rates (1/s).
@@ -196,58 +203,30 @@ class LevelSystem:
         return psi
 
 
-def build_hamiltonian(system: LevelSystem,
-                      pulse: PulseSpec | Sequence[PulseSpec] | None = None) -> np.ndarray:
+def build_hamiltonian(system: LevelSystem, pulse: PulseSpec | None = None) -> np.ndarray:
     """Rotating-frame segment Hamiltonian (rad/s), Hermitian by construction.
 
     Diagonal: per-level static detunings plus conditional shift
-    couplings.  Off-diagonal: Omega/2 on each driven transition, with
-    the pulse detuning on the upper level.
-    Several simultaneous pulses are allowed only on disjoint level pairs.
+    couplings.  Off-diagonal: Omega/2 on the driven transition, with
+    the pulse detuning on the upper level; no pulse, no drive.
     """
-    specs = [] if pulse is None else [pulse] if isinstance(pulse, PulseSpec) else list(pulse)
-    return build_hamiltonians(system, [specs])[0]
+    if pulse is None:
+        return segment_hamiltonians(system, None, np.zeros(1), np.zeros(1))[0]
+    return segment_hamiltonians(system, pulse.target, np.array([pulse.rabi_frequency]),
+                                np.array([pulse.detuning]))[0]
 
 
-def build_hamiltonians(system: LevelSystem, segments: Sequence[Sequence[PulseSpec]],
-                       shifts: np.ndarray | None = None) -> np.ndarray:
-    """Segment Hamiltonians of n registers of one structure, stacked (n, d, d).
-
-    Register i is driven by the simultaneous pulses segments[i].  Every
-    entry drives the same transitions in the same order, so the entries
-    differ only in numbers (see segment_hamiltonians).
-    """
-    n = len(segments)
-    targets = [p.target for p in segments[0]] if n else []
-    if any([p.target for p in specs] != targets for specs in segments):
-        raise ValidationError("stacked segments must drive the same transitions")
-    rabi = np.array([[p.rabi_frequency for p in specs] for specs in segments], dtype=float)
-    detuning = np.array([[p.detuning for p in specs] for specs in segments], dtype=float)
-    shape = (n, len(targets))
-    return segment_hamiltonians(system, targets, rabi.reshape(shape),
-                                detuning.reshape(shape), shifts)
-
-
-def segment_hamiltonians(system: LevelSystem, targets: Sequence[tuple[str, tuple[str, str]]],
+def segment_hamiltonians(system: LevelSystem, target: tuple[str, tuple[str, str]] | None,
                          rabi: np.ndarray, detuning: np.ndarray,
                          shifts: np.ndarray | None = None) -> np.ndarray:
-    """Hamiltonians (n, d, d) of n registers of one structure under simultaneous drives.
+    """Hamiltonians (n, d, d) of n registers of one structure driven on one transition.
 
-    H_i = H_static + sum_c shifts[i, c] P_c + sum_k (rabi[i, k] / 2) D_k
-    + detuning[i, k] E_k, with the index sets P_c (coupling c), D_k and
-    E_k (transition targets[k]) taken from the system.  rabi and
-    detuning have shape (n, len(targets)), shifts (n,
-    len(system.couplings)); by default every entry takes the system's
-    own coupling shifts.
+    H_i = H_static + sum_c shifts[i, c] P_c + (rabi[i] / 2) D + detuning[i] E,
+    with the index sets P_c (coupling c), D and E (the transition
+    target, None for no drive) taken from the system.  rabi and
+    detuning have shape (n,), shifts (n, len(system.couplings)); by
+    default every entry takes the system's own coupling shifts.
     """
-    used: set[tuple[str, str]] = set()
-    for qubit, levels in targets:
-        for lv in levels:
-            if (qubit, lv) in used:
-                raise ValidationError(
-                    f"simultaneous pulses must target disjoint level pairs; "
-                    f"{(qubit, lv)} is driven twice")
-            used.add((qubit, lv))
     n, d = len(rabi), system.dimension
     if shifts is None:
         shifts = np.tile([cp.shift for cp in system.couplings], (n, 1))
@@ -257,12 +236,13 @@ def segment_hamiltonians(system: LevelSystem, targets: Sequence[tuple[str, tuple
         diag[:, idx] += shifts[:, c, None]
     h = np.zeros((n, d, d), dtype=complex)
     h[:, np.arange(d), np.arange(d)] = diag
-    for k, (qubit, (lo, hi)) in enumerate(targets):
+    if target is not None:
+        qubit, (lo, hi) = target
         upper, lower = system.level_indices(qubit, hi), system.level_indices(qubit, lo)
-        half_rabi = rabi[:, k, None] / 2.0
+        half_rabi = rabi[:, None] / 2.0
         h[:, upper, lower] += half_rabi
         h[:, lower, upper] += half_rabi
-        h[:, upper, upper] += detuning[:, k, None]
+        h[:, upper, upper] += detuning[:, None]
     return h
 
 
@@ -315,13 +295,13 @@ def collapse_operators(system: LevelSystem) -> list[np.ndarray]:
     return [math.sqrt(rate) * op for op, rate in zip(ops, rates[0]) if rate > 0]
 
 
-def liouvillian_blocks(system: LevelSystem, targets: Sequence[tuple[str, tuple[str, str]]],
+def liouvillian_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
                        collapse: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Blocks of a segment's Lindblad generator: the connected components
     of its off-diagonal structure.
 
     Position i*d + k of a row-major vectorized state holds <i|rho|k>.  The
-    drive on a (qubit, (lo, hi)) target moves the ket or the bra of that
+    drive on the (qubit, (lo, hi)) target moves the ket or the bra of that
     qubit between lo and hi; a jump operator c moves ket and bra together
     (c rho c^dagger), so decay and dephasing keep each qubit's offset
     between ket and bra level and only a driven transition changes it.
@@ -334,10 +314,10 @@ def liouvillian_blocks(system: LevelSystem, targets: Sequence[tuple[str, tuple[s
     """
     d = system.dimension
     pos = np.arange(d * d).reshape(d, d)
-    joined = []                     # pairs of equal-shape position arrays
-    for qubit, (lo, hi) in targets:
-        upper, lower = system.level_indices(qubit, hi), system.level_indices(qubit, lo)
-        joined += [(pos[upper], pos[lower]), (pos[:, upper], pos[:, lower])]
+    qubit, (lo, hi) = target
+    upper, lower = system.level_indices(qubit, hi), system.level_indices(qubit, lo)
+    # pairs of equal-shape position arrays
+    joined = [(pos[upper], pos[lower]), (pos[:, upper], pos[:, lower])]
     for c in collapse:
         pattern = (c != 0).astype(int)
         rows, cols = np.nonzero(pattern)
@@ -345,8 +325,8 @@ def liouvillian_blocks(system: LevelSystem, targets: Sequence[tuple[str, tuple[s
         # off-diagonal entries of c^dagger c move the ket or the bra alone
         a, b = np.nonzero(np.triu(pattern.T @ pattern, 1))
         joined += [(pos[a], pos[b]), (pos[:, a], pos[:, b])]
-    u = np.concatenate([x.ravel() for x, _ in joined] + [np.zeros(0, dtype=int)])
-    v = np.concatenate([y.ravel() for _, y in joined] + [np.zeros(0, dtype=int)])
+    u = np.concatenate([x.ravel() for x, _ in joined])
+    v = np.concatenate([y.ravel() for _, y in joined])
     # label propagation: every position ends labelled with its component's smallest
     label = np.arange(d * d)
     while True:
@@ -437,37 +417,20 @@ class PulseArrays(NamedTuple):
     duration: np.ndarray
 
     @classmethod
-    def of(cls, sequences: Sequence[PulseSequence]) -> PulseArrays:
-        """The arrays of sequences that drive the same transitions in the same order."""
-        if len({len(seq) for seq in sequences}) > 1:
-            raise ValidationError("stacked sequences must have the same number of pulses")
-        specs = [seq.specs() for seq in sequences]
-        targets = tuple(p.target for p in specs[0]) if specs else ()
-        if any(tuple(p.target for p in s) != targets for s in specs):
-            raise ValidationError("stacked segments must drive the same transitions")
-        shape = (len(sequences), len(targets))
+    def of(cls, sequence: PulseSequence) -> PulseArrays:
+        """The arrays of one sequence (n = 1)."""
+        specs = sequence.specs()
 
         def rows(value):
-            return np.array([[value(p) for p in s] for s in specs], dtype=float).reshape(shape).T
+            return np.array([value(p) for p in specs], dtype=float).reshape(-1, 1)
 
-        return cls(targets, rows(lambda p: p.rabi_frequency), rows(lambda p: p.detuning),
-                   rows(lambda p: p.duration))
+        return cls(tuple(p.target for p in specs), rows(lambda p: p.rabi_frequency),
+                   rows(lambda p: p.detuning), rows(lambda p: p.duration))
 
 
 def sequence_unitary(system: LevelSystem, sequence: PulseSequence) -> np.ndarray:
     """Total unitary of an ordered pulse sequence (closed system)."""
-    return sequence_unitaries(system, [sequence])[0]
-
-
-def sequence_unitaries(system: LevelSystem, sequences: Sequence[PulseSequence],
-                       shifts: np.ndarray | None = None) -> np.ndarray:
-    """Total unitaries (n, d, d) of n pulse sequences of one shape (closed system).
-
-    The sequences drive the same transitions in the same order and
-    differ only in Rabi frequencies, detunings and durations; see
-    stacked_unitaries.
-    """
-    return stacked_unitaries(system, PulseArrays.of(sequences), shifts)
+    return stacked_unitaries(system, PulseArrays.of(sequence))[0]
 
 
 def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
@@ -481,7 +444,7 @@ def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
     n, d = pulses.rabi.shape[1], system.dimension
     u = np.repeat(np.eye(d, dtype=complex)[None], n, axis=0)
     for target, rabi, detuning, duration in zip(*pulses):
-        h = segment_hamiltonians(system, [target], rabi[:, None], detuning[:, None], shifts)
+        h = segment_hamiltonians(system, target, rabi, detuning, shifts)
         u = segment_unitary(h, duration) @ u
     return u
 
@@ -493,19 +456,7 @@ def sequence_superoperator(system: LevelSystem, sequence: PulseSequence,
     The channel applied to the basis operators at the given row-major
     vectorized positions.
     """
-    return sequence_superoperators(system, [sequence], columns)[0]
-
-
-def sequence_superoperators(system: LevelSystem, sequences: Sequence[PulseSequence],
-                            columns: Sequence[int], shifts: np.ndarray | None = None,
-                            dephasing: np.ndarray | None = None) -> np.ndarray:
-    """Channels of n pulse sequences of one shape, applied to some basis operators.
-
-    The sequences share a shape as in sequence_unitaries; see
-    stacked_superoperators.
-    """
-    return stacked_superoperators(system, PulseArrays.of(sequences), columns, shifts,
-                                  dephasing)
+    return stacked_superoperators(system, PulseArrays.of(sequence), columns)[0]
 
 
 def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Sequence[int],
@@ -530,8 +481,8 @@ def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Se
     reached = np.zeros(d2, dtype=bool)
     reached[columns] = True
     for target, rabi, detuning, duration in zip(*pulses):
-        h = segment_hamiltonians(system, [target], rabi[:, None], detuning[:, None], shifts)
-        blocks = [block for block in liouvillian_blocks(system, [target], jumps)
+        h = segment_hamiltonians(system, target, rabi, detuning, shifts)
+        blocks = [block for block in liouvillian_blocks(system, target, jumps)
                   if reached[block].any()]
         for block, s, e in _block_exponentials(h, jumps, rates, duration, blocks):
             out[s, block] = e @ out[s, block]
@@ -552,11 +503,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    def populations(self) -> np.ndarray:
-        if self.kind == "state_vector":
-            return np.array([np.abs(s) ** 2 for s in self.states])
-        return np.array([np.real(np.diag(s)) for s in self.states])
 
 
 def _check_state_vector(psi: np.ndarray, dim: int) -> np.ndarray:
@@ -612,7 +558,7 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     Decay channels (per-level lifetimes) and pure dephasing (homogeneous
     width) enter through the standard dissipator; each segment is the
     exact exponential of the Lindblad superoperator, taken block by
-    block as in sequence_superoperators.  Trace is conserved
+    block as in stacked_superoperators.  Trace is conserved
     and eigenvalues stay positive to solver accuracy.
     """
     rho = _check_density(rho0, system.dimension)
@@ -624,7 +570,7 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
         dt = p.duration / samples_per_segment
         step = [(block, e[0]) for block, _, e in _block_exponentials(
             build_hamiltonian(system, p)[None], collapse, None, np.array([dt]),
-            liouvillian_blocks(system, [p.target], collapse))]
+            liouvillian_blocks(system, p.target, collapse))]
         for _ in range(samples_per_segment):
             vec, out = rho.reshape(-1), np.empty(dim * dim, dtype=complex)
             for block, e in step:

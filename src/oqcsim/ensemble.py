@@ -168,7 +168,10 @@ def ensemble_radius(n_centers: float, concentration: float) -> float:
         raise DomainError("ensemble must contain at least one center")
     if concentration <= 0:
         raise DomainError("concentration must be > 0")
-    return (n_centers / concentration) ** (1.0 / 3.0)
+    radius = (n_centers / concentration) ** (1.0 / 3.0)
+    if not math.isfinite(radius):
+        raise DomainError("(N / c)^(1/3) overflows double precision")
+    return radius
 
 
 def min_pair_concentration(r0: float) -> float:

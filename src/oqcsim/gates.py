@@ -401,7 +401,7 @@ def _group_pulses(group: Sequence[GateScenario]) -> tuple[PulseArrays, np.ndarra
             continue
     else:
         return None
-    pulses = PulseArrays.of([sequence])
+    pulses = PulseArrays.of(sequence)
     if ref.sequence is not None:
         shape = (len(pulses.targets), len(group))
         return (PulseArrays(pulses.targets, *(np.broadcast_to(a, shape) for a in pulses[1:])),

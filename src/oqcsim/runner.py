@@ -12,9 +12,13 @@ guarantee.
 The documented schema lives in the README.  ScenarioConfig parses each
 section once into a frozen dataclass, where every value a stage reads
 is converted, defaulted and range-checked, and NaN or infinity is
-rejected.  So load_config() rejects everything run() rejects, except
-errors that depend on the sampled data (an ensemble larger than the
-number of dopants drawn) or on a result overflowing double precision.
+rejected.  The pulse budget and the ensemble's derived lengths (R0,
+the minimum pair concentration, the ensemble radius) are computed while
+parsing, so a value overflowing double precision there is rejected too.
+So load_config() rejects everything run() rejects, except errors that
+depend on the sampled data (an ensemble larger than the number of
+dopants drawn) or on a gate's propagation (a protocol result that is
+not finite).
 """
 from __future__ import annotations
 
@@ -41,8 +45,8 @@ from .gates import (GateScenario, NoiseFlags, QubitScheme, pair_center_scenario,
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
 from .paircenter import PairParams
-from .pulses import (BeamGeometry, EmitterRadiative, build_sequence, peak_field,
-                     pi_pulse_budget, pulse_energy)
+from .pulses import (BeamGeometry, EmitterRadiative, PulseBudget, build_sequence,
+                     peak_field, pi_pulse_budget, pulse_energy)
 from .species import (LevelRole, SpeciesRegistry, SpeciesScheme, load_registry,
                       validate_scheme)
 
@@ -73,7 +77,11 @@ def _finite(value, where: str, kind=float):
         value = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where} must be a number, got {value!r}") from None
-    _require(math.isfinite(value), f"{where} must be finite, got {value!r}", ParseError)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:              # an integer beyond double precision
+        finite = False
+    _require(finite, f"{where} must be finite, got {value!r}", ParseError)
     return value
 
 
@@ -82,6 +90,14 @@ def _num(sec: dict, key: str, where: str, default=None, kind=float):
     value = default if sec.get(key) is None else sec[key]
     _require(value is not None, f"{where}.{key} is required", ParseError)
     return _finite(value, f"{where}.{key}", kind)
+
+
+def _flag(sec: dict, key: str, where: str) -> bool:
+    """sec[key] as a JSON boolean; null or absent is false."""
+    value = sec.get(key)
+    _require(value is None or isinstance(value, bool),
+             f"{where}.{key} must be true or false, got {value!r}", ParseError)
+    return bool(value)
 
 
 # -- typed sections ----------------------------------------------------------
@@ -100,12 +116,8 @@ class PulsesSection:
     gamma_l: float
     beam: BeamGeometry
     rei_factor: float
-
-    def __post_init__(self):
-        _require(self.gamma_l > 0, "pulses.gamma_l_hz must be > 0", DomainError)
-        _require(self.carrier_cm > 0, "pulses.carrier_cm must be > 0", DomainError)
-        _require(self.rei_factor >= 0, "pulses.rei_intensity_factor must be >= 0",
-                 DomainError)
+    budget: PulseBudget                # the pi-pulse budget at the carrier
+    rei: PulseBudget | None            # at rei_factor times its intensity; None when 0
 
 
 @dataclass(frozen=True)
@@ -117,13 +129,9 @@ class CrystalSection:
     channel_min_gap: float
     export_centers: bool
     export_channels: bool
-
-    def __post_init__(self):
-        _require(self.n_ensemble >= 2, "crystal.n_ensemble must be at least 2")
-        _require(0 < self.pair_radius <= PAIR_RADIUS_MAX,
-                 f"crystal.pair_radius must be in (0, {PAIR_RADIUS_MAX:g}]", DomainError)
-        _require(self.channel_min_gap >= 0, "crystal.channel_min_gap_hz must be >= 0",
-                 DomainError)
+    r0: float                          # same-frequency spacing, lattice units
+    min_pair_concentration: float      # at r0
+    ensemble_radius: float             # of n_ensemble dopants, lattice units
 
 
 @dataclass(frozen=True)
@@ -151,15 +159,23 @@ def _parse_pulses(sec: dict) -> PulsesSection:
     _known_keys(sec, {"carrier_cm", "radiative_lifetime_s", "gamma_l_hz",
                       "cross_section_cm2", "refractive_index",
                       "rei_intensity_factor"}, "pulses")
-    return PulsesSection(
-        carrier_cm=_num(sec, "carrier_cm", "pulses"),
-        emitter=EmitterRadiative(_num(sec, "radiative_lifetime_s", "pulses")),
-        gamma_l=_num(sec, "gamma_l_hz", "pulses"),
-        beam=BeamGeometry(
-            _num(sec, "cross_section_cm2", "pulses", BeamGeometry.cross_section),
-            _num(sec, "refractive_index", "pulses", BeamGeometry.refractive_index)),
-        rei_factor=_num(sec, "rei_intensity_factor", "pulses", 0.0),
-    )
+    carrier_cm = _num(sec, "carrier_cm", "pulses")
+    emitter = EmitterRadiative(_num(sec, "radiative_lifetime_s", "pulses"))
+    gamma_l = _num(sec, "gamma_l_hz", "pulses")
+    beam = BeamGeometry(
+        _num(sec, "cross_section_cm2", "pulses", BeamGeometry.cross_section),
+        _num(sec, "refractive_index", "pulses", BeamGeometry.refractive_index))
+    rei_factor = _num(sec, "rei_intensity_factor", "pulses", 0.0)
+    _require(gamma_l > 0, "pulses.gamma_l_hz must be > 0", DomainError)
+    _require(carrier_cm > 0, "pulses.carrier_cm must be > 0", DomainError)
+    _require(rei_factor >= 0, "pulses.rei_intensity_factor must be >= 0", DomainError)
+    budget = pi_pulse_budget(carrier_cm, emitter, gamma_l, beam)
+    rei = None
+    if rei_factor:
+        i_rei = budget.intensity_w_cm2 * rei_factor
+        rei = PulseBudget(i_rei, pulse_energy(i_rei, beam.cross_section, gamma_l),
+                          peak_field(i_rei))
+    return PulsesSection(carrier_cm, emitter, gamma_l, beam, rei_factor, budget, rei)
 
 
 def _parse_crystal(sec: dict, pulses: PulsesSection | None) -> CrystalSection:
@@ -177,15 +193,20 @@ def _parse_crystal(sec: dict, pulses: PulsesSection | None) -> CrystalSection:
              "crystal section needs pulses.gamma_l_hz for spectral selection")
     _require(spec.gamma_h <= pulses.gamma_l,
              "homogeneous width exceeds the laser width; lines are not resolvable")
-    return CrystalSection(
-        spec=spec,
-        n_ensemble=_num(sec, "n_ensemble", "crystal", 50, kind=int),
-        pair_radius=_num(sec, "pair_radius", "crystal", 2.0),
-        center_frequency=_num(sec, "center_frequency_hz", "crystal", 0.0),
-        channel_min_gap=_num(sec, "channel_min_gap_hz", "crystal", 3.0 * pulses.gamma_l),
-        export_centers=bool(sec.get("export_centers")),
-        export_channels=bool(sec.get("export_channels")),
-    )
+    n_ensemble = _num(sec, "n_ensemble", "crystal", 50, kind=int)
+    pair_radius = _num(sec, "pair_radius", "crystal", 2.0)
+    center_frequency = _num(sec, "center_frequency_hz", "crystal", 0.0)
+    channel_min_gap = _num(sec, "channel_min_gap_hz", "crystal", 3.0 * pulses.gamma_l)
+    export_centers = _flag(sec, "export_centers", "crystal")
+    export_channels = _flag(sec, "export_channels", "crystal")
+    _require(n_ensemble >= 2, "crystal.n_ensemble must be at least 2")
+    _require(0 < pair_radius <= PAIR_RADIUS_MAX,
+             f"crystal.pair_radius must be in (0, {PAIR_RADIUS_MAX:g}]", DomainError)
+    _require(channel_min_gap >= 0, "crystal.channel_min_gap_hz must be >= 0", DomainError)
+    r0 = mean_qubit_spacing(spec.concentration, pulses.gamma_l, spec.gamma_inh)
+    return CrystalSection(spec, n_ensemble, pair_radius, center_frequency, channel_min_gap,
+                          export_centers, export_channels, r0, min_pair_concentration(r0),
+                          ensemble_radius(n_ensemble, spec.concentration))
 
 
 def _parse_interactions(sec: dict, crystal: CrystalSection | None,
@@ -227,7 +248,7 @@ def build_gate_scenario(cfg: dict) -> GateScenario:
     _require(gamma_l > 0, "gate.gamma_l_hz must be > 0")
     noise_cfg = cfg.get("noise", {})
     _known_keys(noise_cfg, {"lifetimes", "dephasing"}, "gate.noise")
-    noise = NoiseFlags(**{k: bool(v) for k, v in noise_cfg.items()})
+    noise = NoiseFlags(*(_flag(noise_cfg, k, "gate.noise") for k in ("lifetimes", "dephasing")))
 
     if kind == "pair_center":
         pc = cfg.get("pair_center")
@@ -281,7 +302,7 @@ def _parse_gate(sec: dict) -> GateSection:
     label = str(sec.get("trajectory_input", "11"))
     _require(label in ("00", "01", "10", "11"),
              "gate.trajectory_input must be one of 00, 01, 10, 11")
-    return GateSection(scenario, bool(sec.get("export_trajectory")), label)
+    return GateSection(scenario, _flag(sec, "export_trajectory", "gate"), label)
 
 
 def _parse_sweep(sec: dict, gate: GateSection | None) -> dict[str, list[float]]:
@@ -471,15 +492,14 @@ def _run_ensemble(sec: CrystalSection, gamma_l: float, seed: int, out: Path,
     selected = spectral_select(centers, sec.center_frequency, gamma_l)
 
     n_sites = spec.box_size ** 3
-    r0 = mean_qubit_spacing(spec.concentration, gamma_l, spec.gamma_inh)
     data = {
         "n_sites": n_sites,
         "n_dopants": len(centers),
         "occupancy_fraction": len(centers) / n_sites,
-        "r0_lattice_units": r0,
-        "ensemble_radius_lattice_units": ensemble_radius(sec.n_ensemble, spec.concentration),
+        "r0_lattice_units": sec.r0,
+        "ensemble_radius_lattice_units": sec.ensemble_radius,
         "n_ensemble": sec.n_ensemble,
-        "min_pair_concentration_at_r0": min_pair_concentration(r0),
+        "min_pair_concentration_at_r0": sec.min_pair_concentration,
         "n_selected": len(selected),
         "selected_fraction": len(selected) / max(1, len(centers)),
         "n_pair_members": int(np.sum(centers.is_pair_member)),
@@ -521,22 +541,20 @@ def _run_blockade(sec: InteractionsSection, centers: CenterSet, n_ensemble: int,
 
 
 def _run_pulses(p: PulsesSection) -> dict:
-    budget = pi_pulse_budget(p.carrier_cm, p.emitter, p.gamma_l, p.beam)
     data = {
         "carrier_cm": p.carrier_cm,
         "gamma_l_hz": p.gamma_l,
         "radiative_lifetime_s": p.emitter.radiative_lifetime,
         "cross_section_cm2": p.beam.cross_section,
-        "intensity_w_cm2": budget.intensity_w_cm2,
-        "pulse_energy_j": budget.energy_j,
-        "peak_field_v_cm": budget.field_v_cm,
+        "intensity_w_cm2": p.budget.intensity_w_cm2,
+        "pulse_energy_j": p.budget.energy_j,
+        "peak_field_v_cm": p.budget.field_v_cm,
     }
-    if p.rei_factor:
-        i_rei = budget.intensity_w_cm2 * p.rei_factor
+    if p.rei is not None:
         data["rei_intensity_factor"] = p.rei_factor
-        data["rei_intensity_w_cm2"] = i_rei
-        data["rei_pulse_energy_j"] = pulse_energy(i_rei, p.beam.cross_section, p.gamma_l)
-        data["rei_peak_field_v_cm"] = peak_field(i_rei)
+        data["rei_intensity_w_cm2"] = p.rei.intensity_w_cm2
+        data["rei_pulse_energy_j"] = p.rei.energy_j
+        data["rei_peak_field_v_cm"] = p.rei.field_v_cm
     return data
 
 

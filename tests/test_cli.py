@@ -114,6 +114,27 @@ def small_crystal(**crystal):
     }
 
 
+def small_ensemble_run():
+    """A config that reads every pulses, crystal and interactions number."""
+    doc = small_crystal(box_size=6, concentration=0.2, n_ensemble=10, export_centers=True)
+    doc["pulses"]["rei_intensity_factor"] = 2.0
+    doc["interactions"] = {"u2_a": 0.01}
+    return doc
+
+
+def with_number(sec, key, value):
+    """small_ensemble_run with one number replaced."""
+    doc = small_ensemble_run()
+    doc[sec][key] = value
+    return doc
+
+
+# (section, key, value) whose derived numbers leave double precision
+OVERFLOWING = [
+    ("pulses", "carrier_cm", 1e100), ("pulses", "gamma_l_hz", 1e200),
+    ("pulses", "refractive_index", 1e100), ("crystal", "concentration", 5e-324),
+    ("pulses", "rei_intensity_factor", 1e300), ("crystal", "concentration", 1e-310)]
+
 REJECTED = {
     "negative-rabi": ({"gate": {"type": "canonical_cz", "rabi_rad_s": -1.0}}, 2),
     "nan-rabi": ({"gate": {"rabi_rad_s": math.nan}}, 2),
@@ -131,6 +152,10 @@ REJECTED = {
     "rabi-sweep-of-own-sequence": ({"gate": {"type": "custom", "sequence": [
         {"qubit": "control", "transition": ["1", "1p"], "rabi_rad_s": 6.3e9}]},
         "sweep": {"grid": {"rabi_rad_s": [1e9, 1e10, 1e11]}}}, 2),
+    "string-noise-flag": ({"gate": {"noise": {"lifetimes": "false", "dephasing": "false"}}}, 2),
+    "string-export-flag": (small_crystal(export_centers="false"), 2),
+    "integer-beyond-double": (small_crystal(n_ensemble=10 ** 400), 2),
+    **{f"{key}-{value!r}": (with_number(sec, key, value), 3) for sec, key, value in OVERFLOWING},
 }
 
 
@@ -170,14 +195,6 @@ def test_fuzzed_gate_numbers_end_in_contract_codes(fields):
             _strict_json(path)
 
 
-def small_ensemble_run():
-    """A config that reads every pulses, crystal and interactions number."""
-    doc = small_crystal(box_size=6, concentration=0.2, n_ensemble=10, export_centers=True)
-    doc["pulses"]["rei_intensity_factor"] = 2.0
-    doc["interactions"] = {"u2_a": 0.01}
-    return doc
-
-
 SECTION_NUMBERS = {
     "pulses": ("carrier_cm", "radiative_lifetime_s", "gamma_l_hz", "cross_section_cm2",
                "refractive_index", "rei_intensity_factor"),
@@ -215,14 +232,10 @@ def test_fuzzed_section_numbers_end_in_contract_codes(case):
             _strict_json(path)
 
 
-@pytest.mark.parametrize("sec, key, value", [
-    ("pulses", "carrier_cm", 1e100), ("pulses", "gamma_l_hz", 1e200),
-    ("pulses", "refractive_index", 1e100), ("crystal", "concentration", 5e-324)])
+@pytest.mark.parametrize("sec, key, value", OVERFLOWING)
 def test_numbers_out_of_double_range_exit_3(tmp_path, capsys, sec, key, value):
-    doc = small_ensemble_run()
-    doc[sec][key] = value
     config = tmp_path / "big.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps(with_number(sec, key, value)))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("oqcsim: domain: ") and err.count("\n") == 1

@@ -9,11 +9,10 @@ from scipy.linalg import expm
 from oqcsim import dynamics
 from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, PulseArrays, QubitLevels,
                              ShiftCoupling, _block_exponentials, build_hamiltonian,
-                             build_hamiltonians, collapse_operators, export_trajectory_csv,
-                             jump_operators, lindblad_superoperator, liouvillian_blocks,
-                             propagate_lindblad, propagate_unitary, rabi_transfer,
-                             segment_unitary, sequence_superoperator,
-                             sequence_superoperators, sequence_unitaries, sequence_unitary,
+                             collapse_operators, export_trajectory_csv, jump_operators,
+                             lindblad_superoperator, liouvillian_blocks, propagate_lindblad,
+                             propagate_unitary, rabi_transfer, segment_hamiltonians,
+                             segment_unitary, sequence_superoperator, sequence_unitary,
                              stacked_superoperators, stacked_unitaries)
 from oqcsim.errors import ResourceLimitError, ValidationError
 from oqcsim.pulses import PulseSequence, PulseSpec
@@ -34,6 +33,12 @@ def drive(area=math.pi, detuning=0.0, omega=OMEGA, qubit="q", levels=("g", "e"))
 
 def seq(*pulses):
     return PulseSequence(tuple((i + 1, p) for i, p in enumerate(pulses)))
+
+
+def stacked_arrays(sequences):
+    """PulseArrays of sequences of one shape, column i from sequences[i]."""
+    arrays = [PulseArrays.of(s) for s in sequences]
+    return PulseArrays(arrays[0].targets, *(np.hstack(a) for a in list(zip(*arrays))[1:]))
 
 
 # -- Hamiltonian construction ----------------------------------------------
@@ -58,12 +63,6 @@ def test_shift_coupling_lands_on_joint_state():
     expected = np.zeros((9, 9))
     expected[idx, idx] = 7.0
     assert np.allclose(h, expected)
-
-
-def test_simultaneous_pulses_need_disjoint_pairs():
-    system = LevelSystem([QubitLevels("q", ("g", "e", "f"))])
-    with pytest.raises(ValidationError):
-        build_hamiltonian(system, [drive(levels=("g", "e")), drive(levels=("e", "f"))])
 
 
 def test_unknown_target_rejected():
@@ -112,23 +111,24 @@ def three_qubit_register(shift=3.7e9):
 
 def test_index_placement_equals_kron_assembly():
     system = three_qubit_register()
-    simultaneous = [drive(qubit="a", levels=("1", "1p"), detuning=0.3 * OMEGA),
-                    drive(qubit="c", levels=("0", "1p"), omega=0.7 * OMEGA,
-                          detuning=-1.9e9),
-                    drive(qubit="b", levels=("e", "g"), omega=2.1 * OMEGA)]
-    for pulses in ([], simultaneous[:1], simultaneous):
-        assert np.array_equal(build_hamiltonian(system, pulses),
-                              kron_hamiltonian(system, pulses))
+    assert np.array_equal(build_hamiltonian(system), kron_hamiltonian(system, []))
+    for pulse in (drive(qubit="a", levels=("1", "1p"), detuning=0.3 * OMEGA),
+                  drive(qubit="c", levels=("0", "1p"), omega=0.7 * OMEGA, detuning=-1.9e9),
+                  drive(qubit="b", levels=("e", "g"), omega=2.1 * OMEGA)):
+        assert np.array_equal(build_hamiltonian(system, pulse),
+                              kron_hamiltonian(system, [pulse]))
 
 
 def test_stacked_hamiltonians_equal_single_builds():
     shifts = [3.7e9, 0.0, -1e12]
-    segments = [[drive(qubit="a", levels=("1", "1p"), omega=w, detuning=d)]
-                for w, d in ((OMEGA, 0.0), (0.3 * OMEGA, 2e9), (5 * OMEGA, -1e8))]
-    stacked = build_hamiltonians(three_qubit_register(), segments,
-                                 np.array([[s, -0.4e9] for s in shifts]))
-    for h, s, pulses in zip(stacked, shifts, segments):
-        assert np.array_equal(h, build_hamiltonian(three_qubit_register(s), pulses))
+    pulses = [drive(qubit="a", levels=("1", "1p"), omega=w, detuning=d)
+              for w, d in ((OMEGA, 0.0), (0.3 * OMEGA, 2e9), (5 * OMEGA, -1e8))]
+    stacked = segment_hamiltonians(three_qubit_register(), ("a", ("1", "1p")),
+                                   np.array([p.rabi_frequency for p in pulses]),
+                                   np.array([p.detuning for p in pulses]),
+                                   np.array([[s, -0.4e9] for s in shifts]))
+    for h, s, pulse in zip(stacked, shifts, pulses):
+        assert np.array_equal(h, build_hamiltonian(three_qubit_register(s), pulse))
 
 
 def test_stacked_unitaries_equal_single_sequences():
@@ -137,8 +137,8 @@ def test_stacked_unitaries_equal_single_sequences():
                      drive(qubit="c", levels=("1", "1p"), omega=w, area=2 * math.pi,
                            detuning=d))
                  for w, d in ((OMEGA, 0.0), (0.3 * OMEGA, 2e9), (5 * OMEGA, -1e8))]
-    stacked = sequence_unitaries(three_qubit_register(), sequences,
-                                 np.array([[s, -0.4e9] for s in shifts]))
+    stacked = stacked_unitaries(three_qubit_register(), stacked_arrays(sequences),
+                                np.array([[s, -0.4e9] for s in shifts]))
     for u, s, sequence in zip(stacked, shifts, sequences):
         assert np.array_equal(u, sequence_unitary(three_qubit_register(s), sequence))
 
@@ -154,37 +154,25 @@ def test_pulse_arrays_propagate_like_their_sequences():
     sequences = [seq(*(PulseSpec(target=t, pulse_area=area[k, 0], rabi_frequency=rabi[k, i],
                                  detuning=detuning[k, i]) for k, t in enumerate(targets)))
                  for i in range(3)]
-    of = PulseArrays.of(sequences)
-    assert of.targets == targets
-    assert all(np.array_equal(x, y) for x, y in zip(of[1:], pulses[1:]))
+    for i, sequence in enumerate(sequences):
+        of = PulseArrays.of(sequence)
+        assert of.targets == targets
+        assert all(np.array_equal(x, y[:, i:i + 1]) for x, y in zip(of[1:], pulses[1:]))
     shifts = np.array([[3.7e9, -0.4e9], [0.0, -0.4e9], [25.0 * OMEGA, 1e9]])
-    stacked = stacked_unitaries(system, pulses, shifts)
-    assert np.array_equal(stacked, sequence_unitaries(system, sequences, shifts))
-    for u, s, sequence in zip(stacked, shifts, sequences):
-        single = LevelSystem(system.qubits, [replace(cp, shift=x)
-                                             for cp, x in zip(system.couplings, s)])
-        assert np.array_equal(u, sequence_unitary(single, sequence))
-    columns = [0, 13, 40, 323]
     dephasing = [[1e6, 0.0, 2e7], [0.0, 0.0, 0.0], [5e8, 1e7, 0.0]]
-    assert np.array_equal(
-        stacked_superoperators(system, pulses, columns, shifts, dephasing),
-        sequence_superoperators(system, sequences, columns, shifts, dephasing))
+    columns = [0, 13, 40, 323]
+    unitaries = stacked_unitaries(system, pulses, shifts)
+    channels = stacked_superoperators(system, pulses, columns, shifts, dephasing)
+    for u, c, s, g, sequence in zip(unitaries, channels, shifts, dephasing, sequences):
+        # a register of entry i's own shifts and dephasing rates
+        single = LevelSystem([replace(q, dephasing=x) for q, x in zip(system.qubits, g)],
+                             [replace(cp, shift=x) for cp, x in zip(system.couplings, s)])
+        assert np.array_equal(u, sequence_unitary(single, sequence))
+        assert np.array_equal(c, sequence_superoperator(single, sequence, columns))
     # no segments: n identities
     empty = PulseArrays((), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
     assert np.array_equal(stacked_unitaries(system, empty),
                           np.repeat(np.eye(system.dimension)[None], 2, axis=0))
-
-
-def test_stacked_entries_must_share_their_shape():
-    system = three_qubit_register()
-    with pytest.raises(ValidationError):
-        build_hamiltonians(system, [[drive(qubit="a", levels=("1", "1p"))],
-                                    [drive(qubit="c", levels=("1", "1p"))]])
-    with pytest.raises(ValidationError):
-        sequence_unitaries(system, [seq(drive(qubit="b")),
-                                    seq(drive(qubit="b"), drive(qubit="b"))])
-    with pytest.raises(ValidationError):
-        PulseArrays.of([seq(drive(qubit="b")), seq(drive(qubit="a", levels=("1", "1p")))])
 
 
 def test_dimension_cap_enforced():
@@ -439,47 +427,43 @@ def with_dephasing(system, gamma):
 def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
     system, pulses = case
     d, n = system.dimension, len(gammas)
-    segment, used = [], set()          # the pulses that can run simultaneously
-    for p in pulses:
-        pins = {(p.qubit, lv) for lv in p.transition}
-        if not pins & used:
-            segment.append(p)
-            used |= pins
     # stack entry i: its own dephasing rate on every qubit, its own Rabi frequencies
-    stack = [[replace(p, rabi_frequency=p.rabi_frequency * (1 + 0.3 * i)) for p in segment]
-             for i in range(n)]
     systems = [with_dephasing(system, g) for g in gammas]
-    jumps, rates = jump_operators(system, [[g] * len(system.qubits) for g in gammas])
-    h = build_hamiltonians(system, stack)
-    stacked = lindblad_superoperator(h, jumps, rates)
-    references = [kron_liouvillian(kron_hamiltonian(sys_i, specs), kron_collapse(sys_i))
-                  for sys_i, specs in zip(systems, stack)]
-    for gen, ref in zip(stacked, references):
-        assert np.max(np.abs(gen - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    blocks = liouvillian_blocks(system, [p.target for p in segment], jumps)
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
-    label = np.empty(d * d, dtype=int)
-    for b, block in enumerate(blocks):
-        label[block] = b
-    apart = label[:, None] != label[None, :]
-    for ref in references:
-        assert not np.any(ref[apart])          # no entry couples two blocks
-
-    durations = np.array([max([p.duration for p in specs], default=1e-9) for specs in stack])
-    channel = np.zeros((n, d * d, d * d), dtype=complex)
-    for block, s, e in _block_exponentials(h, jumps, rates, durations, blocks):
-        channel[s, block[:, None], block[None, :]] = e
-    for c, ref, t in zip(channel, references, durations):
-        assert np.max(np.abs(c - expm(ref * t))) < 1e-10
-
-    # the same pulses one after another, through the stacked sequence channels
+    dephasing = [[g] * len(system.qubits) for g in gammas]
     sequences = [seq(*(replace(p, rabi_frequency=p.rabi_frequency * (1 + 0.3 * i))
                        for p in pulses)) for i in range(n)]
+    jumps, rates = jump_operators(system, dephasing)
+    for k, pulse in enumerate(pulses):
+        stack = [sequence.specs()[k] for sequence in sequences]
+        h = segment_hamiltonians(system, pulse.target,
+                                 np.array([p.rabi_frequency for p in stack]),
+                                 np.array([p.detuning for p in stack]))
+        stacked = lindblad_superoperator(h, jumps, rates)
+        references = [kron_liouvillian(kron_hamiltonian(sys_i, [p]), kron_collapse(sys_i))
+                      for sys_i, p in zip(systems, stack)]
+        for gen, ref in zip(stacked, references):
+            assert np.max(np.abs(gen - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        blocks = liouvillian_blocks(system, pulse.target, jumps)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
+        label = np.empty(d * d, dtype=int)
+        for b, block in enumerate(blocks):
+            label[block] = b
+        apart = label[:, None] != label[None, :]
+        for ref in references:
+            assert not np.any(ref[apart])          # no entry couples two blocks
+
+        durations = np.array([p.duration for p in stack])
+        channel = np.zeros((n, d * d, d * d), dtype=complex)
+        for block, s, e in _block_exponentials(h, jumps, rates, durations, blocks):
+            channel[s, block[:, None], block[None, :]] = e
+        for c, ref, t in zip(channel, references, durations):
+            assert np.max(np.abs(c - expm(ref * t))) < 1e-10
+
+    # the pulses one after another, through the stacked sequence channels
     columns = np.arange(0, d * d, 5)
-    stacked = sequence_superoperators(system, sequences,
-                                      dephasing=[[g] * len(system.qubits) for g in gammas],
-                                      columns=columns)
+    stacked = stacked_superoperators(system, stacked_arrays(sequences), columns,
+                                     dephasing=dephasing)
     for out, sys_i, sequence in zip(stacked, systems, sequences):
         ref = np.eye(d * d)
         for p in sequence.specs():
@@ -510,10 +494,11 @@ def test_stack_slices_leave_the_channels_unchanged(monkeypatch):
                  for w in (0.5 * OMEGA, OMEGA, 2 * OMEGA)]
     dephasing = [[0.0, 1e6], [2e7, 0.0], [5e8, 5e8]]
     every = np.arange(system.dimension ** 2)
-    whole = sequence_superoperators(system, sequences, every, dephasing=dephasing)
+    pulses = stacked_arrays(sequences)
+    whole = stacked_superoperators(system, pulses, every, dephasing=dephasing)
     monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 1)    # one matrix per expm call
-    assert np.array_equal(sequence_superoperators(system, sequences, every,
-                                                  dephasing=dephasing), whole)
+    assert np.array_equal(stacked_superoperators(system, pulses, every, dephasing=dephasing),
+                          whole)
 
 
 def test_pair_center_register_blocks():
@@ -521,8 +506,7 @@ def test_pair_center_register_blocks():
     qubits = [QubitLevels(name, ("1", "0", "1p"), decay_rates={"1p": 1e8, "0": 1e6},
                           dephasing=1e6) for name in ("control", "target")]
     system = LevelSystem(qubits)
-    blocks = liouvillian_blocks(system, [("control", ("1", "1p"))],
-                                jump_operators(system)[0])
+    blocks = liouvillian_blocks(system, ("control", ("1", "1p")), jump_operators(system)[0])
     assert len(blocks) == 21
     assert max(len(b) for b in blocks) == 15
 

@@ -288,9 +288,10 @@ def test_group_pulses_equal_each_points_sequence():
                  for w in (0.5, 1.0, 2.5)]
         pulses, keep = _group_pulses(group)
         assert keep.all()
-        expected = PulseArrays.of([protocol_sequence(sc) for sc in group])
-        assert pulses.targets == expected.targets
-        assert all(np.array_equal(x, y) for x, y in zip(pulses[1:], expected[1:]))
+        for i, sc in enumerate(group):
+            expected = PulseArrays.of(protocol_sequence(sc))
+            assert pulses.targets == expected.targets
+            assert all(np.array_equal(x[:, i:i + 1], y) for x, y in zip(pulses[1:], expected[1:]))
 
 
 def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
