@@ -10,10 +10,7 @@ Sampling is pure given (spec, seed): a fixed seed reproduces every
 array bit for bit.  Pair identification and the ensemble neighborhood
 are exact integer searches on the lattice that break distance ties by
 the smaller site key (z*L + y)*L + x, so their results depend only on
-the positions, never on the order of the input.  ``cKDTree`` remains
-only for `nearest_neighbor_distances`, whose distances no tie can
-change; it is imported there, so runs that never ask for distances do
-not load ``scipy.spatial``.
+the positions, never on the order of the input.
 """
 from __future__ import annotations
 
@@ -32,6 +29,7 @@ _GAUSSIAN_FWHM_MASS = math.erf(math.sqrt(math.log(2.0)))
 
 _SLICE_LIMIT = 1 << 22    # sites per RNG chunk when sampling occupancy
 _CSV_BLOCK = 1 << 12      # rows per block when writing centers.csv
+_NN_CHUNK_PAIRS = 1 << 16  # point pairs per chunk of the nearest-neighbor pass
 # Largest pair radius, lattice units: the search stencil then holds 2,108
 # offsets; an unbounded radius would make the stencil unbounded.
 PAIR_RADIUS_MAX = 8.0
@@ -301,14 +299,17 @@ def allocate_channels(frequencies, min_gap: float) -> ChannelAllocation:
     end = len(ordered) - int(np.count_nonzero(np.isnan(freqs)))
     kept: list[int] = []
     j = 0
-    while j < len(ordered) and (not kept or j < end):
-        kept.append(j)
-        last, lo = ordered[j], j + 1
-        j = lo + int(ordered[lo:end].searchsorted(last + min_gap, side="right"))
-        while j > lo and ordered[j - 1] - last > min_gap:
-            j -= 1
-        while j < end and not ordered[j] - last > min_gap:
-            j += 1
+    # f - last overflows to inf for far-apart huge frequencies and is NaN
+    # for equal infinities; both answer the gap test rightly, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j < len(ordered) and (not kept or j < end):
+            kept.append(j)
+            last, lo = ordered[j], j + 1
+            j = lo + int(ordered[lo:end].searchsorted(last + min_gap, side="right"))
+            while j > lo and ordered[j - 1] - last > min_gap:
+                j -= 1
+            while j < end and not ordered[j] - last > min_gap:
+                j += 1
     return ChannelAllocation(
         selected_indices=tuple(order[kept].tolist()),
         min_gap=min_gap,
@@ -317,15 +318,30 @@ def allocate_channels(frequencies, min_gap: float) -> ChannelAllocation:
 
 
 def nearest_neighbor_distances(positions: np.ndarray, box_size: int) -> np.ndarray:
-    """Periodic nearest-neighbor distance of every point (lattice units)."""
-    from scipy.spatial import cKDTree
+    """Periodic nearest-neighbor distance of every point (lattice units).
 
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    if len(positions) < 2:
+    An exact dense pass: the periodic squared distance of every pair of
+    points, taken in row chunks of at most _NN_CHUNK_PAIRS pairs, then
+    the square root of each row's minimum over the other points.  It
+    costs O(n^2) time and O(n) memory beyond one chunk; the callers pass
+    at most about 1,300 points (an ensemble neighborhood, the spectrally
+    selected centers, a calibration box).
+    """
+    coords = (np.asarray(positions, dtype=float).reshape(-1, 3) % box_size).T
+    n = coords.shape[1]
+    if n < 2:
         return np.empty(0)
-    tree = cKDTree(positions, boxsize=box_size)
-    dist, _ = tree.query(positions, k=2)
-    return dist[:, 1]
+    nearest = np.empty(n)
+    step = max(1, _NN_CHUNK_PAIRS // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        d2 = 0.0
+        for rows, axis in zip(coords[:, start:stop], coords):
+            delta = np.abs(rows[:, None] - axis)      # below box_size: both are wrapped
+            d2 = d2 + np.minimum(delta, box_size - delta) ** 2
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        nearest[start:stop] = d2.min(axis=1)
+    return np.sqrt(nearest)
 
 
 def _closest(delta: np.ndarray, period: int, keys: np.ndarray, k: int) -> np.ndarray:

@@ -139,6 +139,7 @@ class InteractionsSection:
     model: BlockadeModel
     u2_a: float
     u2_b: float
+    u2_product: float
 
 
 @dataclass(frozen=True)
@@ -222,13 +223,16 @@ def _parse_interactions(sec: dict, crystal: CrystalSection | None,
         u2_a = _num(sec, "u2_a", "interactions")
         u2_b = _num(sec, "u2_b", "interactions", u2_a)
         _require(min(u2_a, u2_b) >= 0, "interactions.u2_a and u2_b must be >= 0", DomainError)
-        return InteractionsSection(model, u2_a, u2_b)
-    _require(species is not None and species.scheme is not None,
-             "interactions needs u2_a/u2_b or a species with an auxiliary level")
-    aux = species.scheme.role_level(LevelRole.AUXILIARY)
-    _require(aux is not None and aux.u2_diag_sq is not None,
-             f"species {species.scheme.species_name} has no auxiliary U(2) value")
-    return InteractionsSection(model, aux.u2_diag_sq, aux.u2_diag_sq)
+    else:
+        _require(species is not None and species.scheme is not None,
+                 "interactions needs u2_a/u2_b or a species with an auxiliary level")
+        aux = species.scheme.role_level(LevelRole.AUXILIARY)
+        _require(aux is not None and aux.u2_diag_sq is not None,
+                 f"species {species.scheme.species_name} has no auxiliary U(2) value")
+        u2_a = u2_b = aux.u2_diag_sq
+    u2_product = u2_a * u2_b
+    _require(math.isfinite(u2_product), "interactions.u2_a * u2_b overflows", DomainError)
+    return InteractionsSection(model, u2_a, u2_b, u2_product)
 
 
 def build_gate_scenario(cfg: dict) -> GateScenario:
@@ -530,7 +534,7 @@ def _run_blockade(sec: InteractionsSection, centers: CenterSet, n_ensemble: int,
         "c_qq_hz_lu5": sec.model.c_qq,
         "c_dd_hz_lu3": sec.model.c_dd,
         "kappa": sec.model.blockade_margin,
-        "u2_product": sec.u2_a * sec.u2_b,
+        "u2_product": sec.u2_product,
         "gamma_l_hz": gamma_l,
         "n_ensemble": report.n_ensemble,
         "median_nn_lattice_units": float(np.median(report.nn_distances)),

@@ -133,7 +133,8 @@ def with_number(sec, key, value):
 OVERFLOWING = [
     ("pulses", "carrier_cm", 1e100), ("pulses", "gamma_l_hz", 1e200),
     ("pulses", "refractive_index", 1e100), ("crystal", "concentration", 5e-324),
-    ("pulses", "rei_intensity_factor", 1e300), ("crystal", "concentration", 1e-310)]
+    ("pulses", "rei_intensity_factor", 1e300), ("crystal", "concentration", 1e-310),
+    ("interactions", "u2_a", 1e200)]
 
 REJECTED = {
     "negative-rabi": ({"gate": {"type": "canonical_cz", "rabi_rad_s": -1.0}}, 2),

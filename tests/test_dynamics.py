@@ -14,7 +14,7 @@ from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, PulseArrays, QubitLevel
                              propagate_unitary, rabi_transfer, segment_hamiltonians,
                              segment_unitary, sequence_superoperator, sequence_unitary,
                              stacked_superoperators, stacked_unitaries)
-from oqcsim.errors import ResourceLimitError, ValidationError
+from oqcsim.errors import DomainError, ResourceLimitError, ValidationError
 from oqcsim.pulses import PulseSequence, PulseSpec
 
 OMEGA = 2 * math.pi * 1e9
@@ -471,6 +471,74 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
             ref = expm(gen * p.duration) @ ref
         assert np.max(np.abs(out - ref[:, columns])) < 1e-10
         assert np.array_equal(out, sequence_superoperator(sys_i, sequence, columns))
+
+
+# -- the stacked Padé exponential against scipy.linalg.expm ---------------
+
+def assert_expm_matches_scipy(stack):
+    got, ref = dynamics.expm(stack), expm(stack)
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+# 1-norms of the drawn matrices: 0 is the zero matrix, and 1e3 takes 8 squarings
+EXPM_NORMS = [0.0, 1e-8, 0.3, 5.0, 40.0, 1e3]
+
+
+@st.composite
+def matrix_stacks(draw):
+    n, b = draw(st.integers(1, 64)), draw(st.integers(1, 16))
+    norms = np.array(draw(st.lists(st.sampled_from(EXPM_NORMS), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.normal(size=(n, b, b)) + 1j * rng.normal(size=(n, b, b))
+    # the largest norm is given to generators -iH - D (D >= 0 diagonal, at most a
+    # twentieth of H), whose exponentials stay bounded and far from underflow, so
+    # the squarings are tested and not the conditioning
+    h = m + m.conj().swapaxes(1, 2)
+    damping = rng.uniform(size=(n, b, 1)) * np.abs(h).sum(axis=1).max(axis=1)[:, None, None]
+    m = np.where(norms[:, None, None] > 40, -1j * h - damping * np.eye(b) / 20, m)
+    return m * (norms / np.abs(m).sum(axis=1).max(axis=1))[:, None, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_stacks())
+def test_expm_matches_scipy_on_stacks_of_mixed_norms(stack):
+    assert_expm_matches_scipy(stack)
+
+
+@settings(max_examples=25, deadline=None)
+@given(noisy_registers(), st.lists(st.sampled_from([0.0, 1e6, 4e7, 5e8]), min_size=1,
+                                   max_size=4), st.sampled_from([1.0, 40.0]))
+def test_expm_matches_scipy_on_lindblad_blocks(case, gammas, stretch):
+    system, pulses = case
+    jumps, rates = jump_operators(system, [[g] * len(system.qubits) for g in gammas])
+    for pulse in pulses:
+        rabi = pulse.rabi_frequency * (1 + 0.3 * np.arange(len(gammas)))
+        h = segment_hamiltonians(system, pulse.target, rabi,
+                                 np.full(len(gammas), pulse.detuning))
+        for block in liouvillian_blocks(system, pulse.target, jumps):
+            gen = lindblad_superoperator(h, jumps, rates, block)
+            assert_expm_matches_scipy(gen * stretch * pulse.duration)
+
+
+def test_expm_of_one_matrix_is_its_stack_entry():
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(dynamics.expm(a), dynamics.expm(a[None])[0])
+    assert np.allclose(dynamics.expm(a), [[math.cos(1), math.sin(1)],
+                                          [-math.sin(1), math.cos(1)]], atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_expm_rejects_non_finite_input_and_overflow():
+    fine = np.eye(3, dtype=complex)[None]
+    infinite = fine.copy()
+    infinite[0, 1, 2] = np.inf
+    nan = fine * np.nan
+    grows = np.diag([1e3, -1.0, 0.0])[None] + 0j            # e^1000 overflows in squaring
+    huge = np.full((1, 3, 3), 1e308)                         # its 1-norm overflows
+    for bad in (infinite, nan, grows, huge):
+        with pytest.raises(DomainError):
+            dynamics.expm(np.concatenate([fine, bad]))
 
 
 def test_jump_operators_are_the_unscaled_collapse_operators():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from oqcsim.ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpec,
                              allocate_channels, assign_frequencies, ensemble_neighborhood,
@@ -143,6 +144,25 @@ def test_same_frequency_spacing_consistent_with_formula():
     med = float(np.median(nearest_neighbor_distances(sel.positions, s.box_size)))
     r0 = mean_qubit_spacing(s.concentration, gamma_l, s.gamma_inh)
     assert r0 / 2 <= med <= r0 * 2
+
+
+def kdtree_nearest(positions, box):
+    points = np.asarray(positions, dtype=float)
+    return cKDTree(points, boxsize=box).query(points, k=2)[0][:, 1]
+
+
+def test_nearest_neighbor_distances_equal_the_kdtree_query():
+    rng = np.random.default_rng(12)
+    # crowded integer points: distances repeat, and points may coincide
+    for box, n in [(3, 2), (3, 40), (5, 200), (8, 500), (30, 1500)]:
+        positions = rng.integers(0, box, size=(n, 3))
+        assert np.array_equal(nearest_neighbor_distances(positions, box),
+                              kdtree_nearest(positions, box))
+    # the box calibrate_blockade_constants measures
+    centers = sample_lattice(spec(c=0.01, box=50), seed=20240101)
+    assert len(centers) == 1224
+    assert np.array_equal(nearest_neighbor_distances(centers.positions, 50),
+                          kdtree_nearest(centers.positions, 50))
 
 
 # -- pair identification --------------------------------------------------
@@ -317,13 +337,15 @@ def greedy_scan(freqs, min_gap):
     """The plain greedy scan over every frequency in stable sorted order."""
     freqs = np.asarray(freqs, dtype=float)
     selected, last = [], -math.inf
-    for i in np.argsort(freqs, kind="stable"):
-        if freqs[i] - last > min_gap or not selected:
-            selected.append(int(i))
-            last = freqs[i]
+    with np.errstate(over="ignore", invalid="ignore"):     # plain IEEE gap test
+        for i in np.argsort(freqs, kind="stable"):
+            if freqs[i] - last > min_gap or not selected:
+                selected.append(int(i))
+                last = freqs[i]
     return tuple(selected)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_allocation_equals_the_plain_greedy_scan():
     rng = np.random.default_rng(9)
     cases = [(rng.normal(0, 1e12, size=5000), 3e8),           # the ensemble's scale
@@ -332,7 +354,8 @@ def test_allocation_equals_the_plain_greedy_scan():
              (rng.integers(0, 30, size=3000).astype(float), 2.0),
              (np.repeat([0.1, 0.2, 0.3 + 1e-17, 0.4], 50), 0.1),      # gaps at rounding
              ([math.nan, 1.0, -math.inf, 2.0, math.inf, math.nan, 1.0], 0.5),
-             ([math.nan, math.nan], 1.0), ([3.0], 0.0), ([-math.inf, -math.inf, 0.0], 0.0)]
+             ([math.nan, math.nan], 1.0), ([3.0], 0.0), ([-math.inf, -math.inf, 0.0], 0.0),
+             ([1.7e308, -1.7e308, 1e308, math.inf, -1.7e308], 1e300)]   # gaps overflow
     cases += [(rng.choice([0.0, 0.1, 0.2, 0.30000000000000004, 0.7], size=n),
                float(rng.choice([0.0, 0.1, 0.2, 0.5]))) for n in (1, 2, 5, 40, 400)]
     for freqs, gap in cases:

@@ -29,14 +29,18 @@ assert not missing, missing
 inspect.signature(runner.run).bind("config.json", "out", jobs=1)
 """
 
-# A closed sweep, started as bench/child.py starts a run, loads no scipy.spatial:
-# only ensemble distances need cKDTree, and it is imported where they are taken.
-CLOSED_RUN = """
+# Every bundled config, validated and run as bench/child.py runs one, with
+# scipy made unimportable: running needs only numpy.
+NO_SCIPY_RUNS = """
 import sys
-import oqcsim
+sys.modules["scipy"] = None                         # any scipy import now fails
 from oqcsim import cli, runner
-runner.run(sys.argv[1], "out", jobs=1)
-assert "scipy.spatial" not in sys.modules, "scipy.spatial imported"
+for config in sys.argv[1:]:
+    out = config.rsplit("/", 1)[1].removesuffix(".json")
+    assert cli.main(["validate", "--config", config]) == 0, config
+    assert cli.main(["run", "--config", config, "--out", out]) == 0, config
+loaded = [m for m, module in sys.modules.items() if m.startswith("scipy") and module]
+assert not loaded, loaded
 """
 
 
@@ -51,11 +55,13 @@ def test_benchmark_bindings_resolve(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_closed_run_leaves_scipy_spatial_unloaded(tmp_path):
-    config = ROOT / "src" / "oqcsim" / "configs" / "blockade_cz_sweep.json"
-    done = run_python(["-c", CLOSED_RUN, str(config)], tmp_path)
+def test_bundled_configs_run_without_scipy(tmp_path):
+    configs = sorted((ROOT / "src" / "oqcsim" / "configs").glob("*.json"))
+    assert [c.stem for c in configs] == ["blockade_cz_sweep", "nd_caf2_ensemble",
+                                         "pair_center_cnot", "pulse_budget_ns_emitter"]
+    done = run_python(["-c", NO_SCIPY_RUNS, *map(str, configs)], tmp_path)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "out" / "sweep.csv").exists()
+    assert all((tmp_path / c.stem / "manifest.json").exists() for c in configs)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
