@@ -10,7 +10,9 @@ Sampling is pure given (spec, seed): a fixed seed reproduces every
 array bit for bit.  Pair identification and the ensemble neighborhood
 are exact integer searches on the lattice that break distance ties by
 the smaller site key (z*L + y)*L + x, so their results depend only on
-the positions, never on the order of the input.
+the positions, never on the order of the input.  Nearest-neighbor
+distances come from a cell-grid search on the same integer squared
+distances, exact and near-linear for points spread through the box.
 """
 from __future__ import annotations
 
@@ -29,7 +31,9 @@ _GAUSSIAN_FWHM_MASS = math.erf(math.sqrt(math.log(2.0)))
 
 _SLICE_LIMIT = 1 << 22    # sites per RNG chunk when sampling occupancy
 _CSV_BLOCK = 1 << 12      # rows per block when writing centers.csv
-_NN_CHUNK_PAIRS = 1 << 16  # point pairs per chunk of the nearest-neighbor pass
+_NN_CHUNK_PAIRS = 1 << 16  # point pairs per chunk of the nearest-neighbor search
+_NN_DENSE_PAIRS = 1 << 20  # open points times n at which that search goes dense
+_NN_CELL_FILL = 1          # mean points per cell of its grid
 # Largest pair radius, lattice units: the search stencil then holds 2,108
 # offsets; an unbounded radius would make the stencil unbounded.
 PAIR_RADIUS_MAX = 8.0
@@ -140,7 +144,10 @@ def spectral_select(centers: CenterSet, f0: float, gamma_l: float) -> CenterSet:
         raise DomainError("window width must be >= 0")
     if gamma_l == 0.0:
         return centers.subset(np.empty(0, dtype=np.int64))
-    mask = np.abs(centers.frequencies - f0) <= gamma_l / 2.0
+    # f - f0 overflows to inf for far-apart huge frequencies, which rightly
+    # falls outside every finite window
+    with np.errstate(over="ignore"):
+        mask = np.abs(centers.frequencies - f0) <= gamma_l / 2.0
     return centers.subset(np.flatnonzero(mask))
 
 
@@ -317,37 +324,105 @@ def allocate_channels(frequencies, min_gap: float) -> ChannelAllocation:
     )
 
 
-def nearest_neighbor_distances(positions: np.ndarray, box_size: int) -> np.ndarray:
-    """Periodic nearest-neighbor distance of every point (lattice units).
+def _periodic_d2(components, period: int) -> np.ndarray:
+    """Squared minimum-image length of integer offsets given as their x, y, z arrays.
 
-    An exact dense pass: the periodic squared distance of every pair of
-    points, taken in row chunks of at most _NN_CHUNK_PAIRS pairs, then
-    the square root of each row's minimum over the other points.  It
-    costs O(n^2) time and O(n) memory beyond one chunk; the callers pass
-    at most about 1,300 points (an ensemble neighborhood, the spectrally
-    selected centers, a calibration box).
+    Each component must satisfy |delta| <= period.
     """
-    coords = (np.asarray(positions, dtype=float).reshape(-1, 3) % box_size).T
-    n = coords.shape[1]
+    d2 = 0
+    for delta in components:
+        delta = np.abs(delta)
+        d2 = d2 + np.minimum(delta, period - delta) ** 2
+    return d2
+
+
+def _cell_ring(r: int, m: int) -> np.ndarray:
+    """Offsets mod m of the cells at cyclic Chebyshev distance r in an m^3 grid."""
+    span = np.unique(np.arange(-r, r + 1) % m)
+    offsets = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+    return offsets[~np.isin(offsets, np.arange(1 - r, r) % m).all(axis=1)]
+
+
+def _runs(counts: np.ndarray, budget: int):
+    """Slices of consecutive counts summing to at most budget (or one count)."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
+def nearest_neighbor_distances(positions: np.ndarray, box_size: int) -> np.ndarray:
+    """Periodic nearest-neighbor distance of every lattice point (lattice units).
+
+    Exact, on integer squared distances.  The points go into an m^3 grid
+    of cells of edge L/m, about _NN_CELL_FILL points per cell, and each
+    point scans the cells around its own ring by ring: after rings 0..r
+    every point not yet seen lies farther than r*L/m, so a point whose
+    best d2 is at most (r*L/m)^2 is done.  Once the open points times n
+    is at most _NN_DENSE_PAIRS, the rest are compared with every point
+    (for n <= 1024 that is the whole job).  Pairs are formed in chunks
+    of at most max(n, _NN_CHUNK_PAIRS).  Each point meets each other
+    point at most once, so the worst case is the O(n^2) dense pass; for
+    points spread through the box a point meets the points of about 27
+    cells, and the cost is O(n log n).
+    """
+    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 3) % box_size
+    n = len(pos)
     if n < 2:
         return np.empty(0)
-    nearest = np.empty(n)
+    m = min(box_size, max(1, round((n / _NN_CELL_FILL) ** (1.0 / 3.0))))
+    cells = pos.T * m // box_size                  # x, y, z cell indices
+    cell_keys = (cells[0] * m + cells[1]) * m + cells[2]
+    order = np.argsort(cell_keys, kind="stable")
+    cells, coords = cells[:, order], pos.T[:, order]  # points of one cell are consecutive
+    cell_start = np.concatenate(([0], np.cumsum(np.bincount(cell_keys, minlength=m**3))))
+    far = np.iinfo(np.int64).max
+    best = np.full(n, far)
+    pending = np.arange(n)
+    r = 0
+    while len(pending) * n > _NN_DENSE_PAIRS:
+        ring = _cell_ring(r, m)
+        step = max(1, _NN_CHUNK_PAIRS // len(ring))
+        for start in range(0, len(pending), step):
+            rows = pending[start:start + step]
+            near_keys = 0
+            for cell, offset in zip(cells, ring.T):      # offsets are reduced mod m
+                near = cell[rows, None] + offset
+                near_keys = near_keys * m + np.where(near >= m, near - m, near)
+            near_keys = near_keys.ravel()
+            lo = cell_start[near_keys]
+            counts = cell_start[near_keys + 1] - lo
+            owners = np.repeat(rows, len(ring))
+            for run in _runs(counts, _NN_CHUNK_PAIRS):
+                # pair j of a lookup is the j-th point of its cell
+                c = counts[run]
+                a = np.repeat(owners[run], c)
+                b = np.arange(len(a)) + np.repeat(lo[run] - (np.cumsum(c) - c), c)
+                d2 = _periodic_d2([x.take(a) - x.take(b) for x in coords], box_size)
+                d2[a == b] = far
+                np.minimum.at(best, a, d2)
+        if 2 * r + 1 >= m:          # every cell seen
+            pending = pending[:0]
+        else:
+            pending = pending[best[pending] > (r * box_size) ** 2 // (m * m)]
+        r += 1
     step = max(1, _NN_CHUNK_PAIRS // n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        d2 = 0.0
-        for rows, axis in zip(coords[:, start:stop], coords):
-            delta = np.abs(rows[:, None] - axis)      # below box_size: both are wrapped
-            d2 = d2 + np.minimum(delta, box_size - delta) ** 2
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        nearest[start:stop] = d2.min(axis=1)
-    return np.sqrt(nearest)
+    for start in range(0, len(pending), step):
+        rows = pending[start:start + step]
+        d2 = _periodic_d2([x[rows, None] - x for x in coords], box_size)
+        d2[np.arange(len(rows)), rows] = far
+        best[rows] = d2.min(axis=1)
+    nearest = np.empty(n)
+    nearest[order] = np.sqrt(best)
+    return nearest
 
 
 def _closest(delta: np.ndarray, period: int, keys: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest (periodic d2 of delta, key), in that order."""
-    delta = np.abs(delta) % period
-    d2 = (np.minimum(delta, period - delta) ** 2).sum(axis=1)
+    d2 = _periodic_d2(delta.T, period)
     near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
     return near[np.lexsort((keys[near], d2[near]))[:k]]
 
@@ -365,10 +440,11 @@ def ensemble_neighborhood(centers: CenterSet, n_ensemble: int) -> np.ndarray:
     if n < n_ensemble + 1:
         raise DomainError(f"need at least {n_ensemble + 1} centers, have {n}")
     box = centers.box_size
-    keys = _site_keys(centers.positions, box)
+    wrapped = centers.positions % box
+    keys = _site_keys(wrapped, box)
     # doubled coordinates put the box center L/2 on the integer grid
-    ref = _closest(2 * centers.positions - box, 2 * box, keys, 1)[0]
-    return _closest(centers.positions - centers.positions[ref], box, keys, n_ensemble + 1)
+    ref = _closest(2 * wrapped - box, 2 * box, keys, 1)[0]
+    return _closest(wrapped - wrapped[ref], box, keys, n_ensemble + 1)
 
 
 def estimate_fwhm(frequencies, distribution: str = "gaussian") -> float:

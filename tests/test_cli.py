@@ -50,6 +50,20 @@ def test_run_nd_ensemble_outputs(tmp_path):
     assert (tmp_path / "channels.csv").exists()
 
 
+def test_run_with_a_window_as_wide_as_the_line(tmp_path):
+    # Gamma_L = Gamma_inh selects about 76% of the dopants of a gaussian line
+    config = tmp_path / "wide.json"
+    doc = small_crystal(box_size=60, concentration=0.05)
+    doc["pulses"]["gamma_l_hz"] = 1e12
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    ens = json.loads((tmp_path / "out" / "ensemble_report.json").read_text())
+    assert ens["n_selected"] > 0.7 * ens["n_dopants"] > 7000
+    median = ens["selected_median_nn_lattice_units"]
+    assert float(round(median**2)) == pytest.approx(median**2, abs=1e-12)   # a lattice distance
+    assert ens["r0_lattice_units"] / 2 <= median <= ens["r0_lattice_units"]
+
+
 def test_run_gate_sweep_outputs(tmp_path):
     run(config_path("blockade_cz_sweep"), out_dir=tmp_path)
     gate = json.loads((tmp_path / "gate_report.json").read_text())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from oqcsim import ensemble
 from oqcsim.ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpec,
                              allocate_channels, assign_frequencies, ensemble_neighborhood,
                              ensemble_radius, estimate_fwhm, identify_pairs,
@@ -88,12 +89,16 @@ def test_frequencies_scale_linearly_with_width():
 
 # -- spectral selection ---------------------------------------------------
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_select_whole_line_and_nothing():
     s = spec(box=20)
     centers = assign_frequencies(sample_lattice(s, seed=5), s, seed=6)
     span = centers.frequencies.max() - centers.frequencies.min()
     assert len(spectral_select(centers, 0.0, 10 * span)) == len(centers)
     assert len(spectral_select(centers, 0.0, 0.0)) == 0
+    # f - f0 overflows: the far line lies outside the window, without a warning
+    far = CenterSet(np.zeros((2, 3)), 4, np.array([-1.7e308, 1.7e308]))
+    assert spectral_select(far, 1.7e308, 1e9).frequencies.tolist() == [1.7e308]
 
 
 def test_selected_fraction_order_of_magnitude():
@@ -153,16 +158,43 @@ def kdtree_nearest(positions, box):
 
 def test_nearest_neighbor_distances_equal_the_kdtree_query():
     rng = np.random.default_rng(12)
-    # crowded integer points: distances repeat, and points may coincide
-    for box, n in [(3, 2), (3, 40), (5, 200), (8, 500), (30, 1500)]:
+    # crowded integer points: distances repeat, and points may coincide;
+    # above 1,024 points the search scans a cell grid ring by ring
+    for box, n in [(3, 2), (3, 40), (5, 200), (8, 500), (30, 1500), (12, 5000), (250, 3000)]:
         positions = rng.integers(0, box, size=(n, 3))
         assert np.array_equal(nearest_neighbor_distances(positions, box),
                               kdtree_nearest(positions, box))
+    # a dense cluster in a thin haze keeps rings 2 and up open
+    clustered = np.vstack([rng.integers(100, 110, size=(3000, 3)),
+                           rng.integers(0, 1000, size=(1000, 3))])
+    straddling = rng.integers(-6, 6, size=(2000, 3))        # across the box faces
+    for positions, box in [(clustered, 1000), (straddling, 200)]:
+        assert np.array_equal(nearest_neighbor_distances(positions, box),
+                              kdtree_nearest(positions % box, box))
     # the box calibrate_blockade_constants measures
     centers = sample_lattice(spec(c=0.01, box=50), seed=20240101)
     assert len(centers) == 1224
     assert np.array_equal(nearest_neighbor_distances(centers.positions, 50),
                           kdtree_nearest(centers.positions, 50))
+
+
+def test_nearest_neighbor_search_meets_few_points_each(monkeypatch):
+    # a spectral window as wide as the line selects most of a box: the
+    # search must stay near-linear there, not compare every pair
+    centers = sample_lattice(spec(c=0.05, box=120), seed=5)
+    met = []
+    periodic_d2 = ensemble._periodic_d2
+
+    def counted(components, period):
+        d2 = periodic_d2(components, period)
+        met.append(d2.size)
+        return d2
+
+    monkeypatch.setattr(ensemble, "_periodic_d2", counted)
+    nn = nearest_neighbor_distances(centers.positions, 120)
+    assert len(centers) > 80_000
+    assert sum(met) <= 40 * len(centers)       # about 30 at one point per cell
+    assert np.array_equal(nn, kdtree_nearest(centers.positions, 120))
 
 
 # -- pair identification --------------------------------------------------
