@@ -29,8 +29,7 @@ print(f"controlled phase {r0.cz_phase:+.6f} rad (trivial), "
 
 print()
 print("-- blockade scan --")
-rows = sweep(lambda delta_over_omega: scenario(delta_over_omega),
-             {"delta_over_omega": [1.0, 3.0, 10.0, 30.0, 100.0, 300.0]})
+rows = sweep(scenario(0.0), {"delta_over_omega": [1.0, 3.0, 10.0, 30.0, 100.0, 300.0]})
 print(f"{'delta/Omega':>12s} {'avg fidelity':>13s} {'infidelity':>11s} "
       f"{'cz phase':>9s} {'leakage':>9s}")
 for row in rows:

@@ -20,6 +20,11 @@ arg(U11) + arg(U00) - arg(U01) - arg(U10) is reported so entangling
 power can be checked directly; population left outside the
 computational subspace is reported as leakage, never renormalized away.
 
+A sweep scores one base scenario over the cartesian product of a grid
+of the numbers SWEEPABLE names, in config units: each point is the base
+with those numbers replaced (point_scenario), and check_grid holds the
+rules a grid must meet.
+
 Angular units: delta_shift and the Rabi frequency are rad/s (multiply
 shifts from the interactions module, which are in Hz, by 2 pi).
 """
@@ -30,17 +35,16 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
-from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dynamics import (LevelSystem, PulseArrays, QubitLevels, ShiftCoupling,
                        sequence_superoperator, sequence_unitary, stacked_superoperators,
                        stacked_unitaries)
-from .errors import DomainError, OqcsimError, ValidationError
+from .errors import DomainError, OqcsimError, ParseError, ValidationError
 from .interactions import BlockadeModel, DEFAULT_MODEL, dipole_shift
 from .paircenter import PairParams, pair_eigensystem_exact, pair_eigensystem_perturbative
 from .pulses import PI_AREA, TWO_PI_AREA, PulseSequence, PulseSpec
@@ -317,6 +321,48 @@ def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
     )
 
 
+# delta_over_omega and delta_shift_rad_s both set the shift, the first in
+# units of the point's Rabi frequency.
+SWEEPABLE = ("delta_over_omega", "delta_shift_rad_s", "gamma_h_hz", "rabi_rad_s")
+
+
+def check_grid(base: GateScenario, grid: Mapping[str, Sequence]) -> None:
+    """Reject a grid that sweeps of base cannot run.
+
+    A grid maps sweepable keys, at most one of the two shift keys, to
+    non-empty lists.  It may not name a number that base ignores.
+    """
+    if not isinstance(grid, Mapping):
+        raise ParseError("sweep.grid must be a JSON object")
+    unknown = set(grid) - set(SWEEPABLE)
+    if unknown:
+        raise ParseError(f"sweep.grid: unknown fields {sorted(unknown)}")
+    if not grid:
+        raise ValidationError(f"sweep.grid must name at least one of {list(SWEEPABLE)}")
+    if {"delta_over_omega", "delta_shift_rad_s"} <= set(grid):
+        raise ParseError("sweep.grid may name delta_over_omega or delta_shift_rad_s, not both")
+    if base.sequence is not None and "rabi_rad_s" in grid:
+        raise ParseError("sweep.grid.rabi_rad_s has no effect on a gate with its own "
+                         "sequence, whose steps carry their own Rabi frequency")
+    if not base.noise.dephasing and "gamma_h_hz" in grid:
+        raise ParseError("sweep.grid.gamma_h_hz has no effect on a gate with "
+                         "gate.noise.dephasing off")
+    for k, v in grid.items():
+        if not (isinstance(v, list) and v):
+            raise ValidationError(f"sweep.grid[{k!r}] must be a non-empty list")
+
+
+def point_scenario(base: GateScenario, point: Mapping[str, float]) -> GateScenario:
+    """One sweep point: the base scenario with the swept numbers replaced."""
+    rabi = point.get("rabi_rad_s", base.rabi)
+    changes = {"rabi": rabi, "gamma_h": point.get("gamma_h_hz", base.gamma_h)}
+    if "delta_over_omega" in point:
+        changes["delta_shift"] = point["delta_over_omega"] * rabi
+    elif "delta_shift_rad_s" in point:
+        changes["delta_shift"] = point["delta_shift_rad_s"]
+    return replace(base, **changes)
+
+
 def grid_points(grid: Mapping[str, Sequence]) -> Iterator[dict]:
     """Cartesian product of a grid: keys sorted, values in given order."""
     keys = sorted(grid)
@@ -331,31 +377,27 @@ def grid_chunks(grid: Mapping[str, Sequence]) -> Iterator[list[dict]]:
         yield chunk
 
 
-def sweep_chunk(make_scenario: Callable[..., GateScenario], points: Sequence[dict]) -> list[dict]:
+def sweep_chunk(base: GateScenario, points: Sequence[dict]) -> list[dict]:
     """Sweep rows of some grid points: the point plus the report fields, or an error status.
 
-    Each point's scenario is built by make_scenario and scored by one
-    run_protocol call, so every check runs per point.  The closed
-    scenarios that differ from the chunk's first closed one only in the
-    swept numbers form a group, and so do the noisy ones with the first
-    noisy one.  A group's sequence is built and validated once; each
-    point's Rabi frequencies, detunings and durations are read into
-    arrays and the group is propagated in one stack
-    (_stacked_propagators), whose propagators and register are handed
-    to run_protocol.  A point left out of the stack, such as one whose
-    pulse durations are not finite, is propagated by run_protocol alone,
-    which reports its error.
+    Each point's scenario is the base with the point's numbers
+    (point_scenario), scored by one run_protocol call, so every check
+    runs per point.  The points share the base's register and sequence,
+    and are propagated in one stack (_stacked_propagators), whose
+    propagators and register are handed to run_protocol.  A point left
+    out of the stack, such as one whose pulse durations are not finite,
+    is propagated by run_protocol alone, which reports its error.
     """
     rows, scenarios = [], []
     for point in points:
         row = dict(point)
         try:
-            scenarios.append(make_scenario(**point))
+            scenarios.append(point_scenario(base, point))
         except (OqcsimError, ValueError) as exc:
             scenarios.append(None)
             row["status"] = f"error: {exc}"
         rows.append(row)
-    propagators = _stacked_propagators(scenarios)
+    propagators = _stacked_propagators(base, scenarios)
     for i, (row, scenario) in enumerate(zip(rows, scenarios)):
         if scenario is None:
             continue
@@ -375,34 +417,20 @@ def sweep_chunk(make_scenario: Callable[..., GateScenario], points: Sequence[dic
     return rows
 
 
-# The numbers a sweep varies; scenarios equal in every other field share
-# one register and one sequence shape.
-_SWEPT = ("rabi", "delta_shift", "gamma_h")
-_shared = attrgetter(*(f.name for f in fields(GateScenario) if f.name not in _SWEPT))
+def _group_pulses(base: GateScenario, group: Sequence[GateScenario]
+                  ) -> tuple[PulseArrays, np.ndarray]:
+    """Pulse arrays of the sweep points of base, and which points they hold.
 
-
-def _group_pulses(group: Sequence[GateScenario]) -> tuple[PulseArrays, np.ndarray] | None:
-    """Pulse arrays of scenarios equal in all but the swept numbers, and which they hold.
-
-    The sequence is built and validated once, on the first scenario
-    whose sequence builds (None when none does).  A scenario's own
-    sequence is the same for the whole group; the canonical one drives
-    the same transitions for all, each point at its own Rabi frequency.
+    The sequence is built and validated once, on base.  A gate's own
+    sequence is the same for every point; the canonical one drives the
+    same transitions for all, each point at its own Rabi frequency.
     The mask leaves out the points whose pulse durations are not finite,
-    which are the points whose canonical sequence does not build; the
-    arrays hold the points it keeps.
+    whose canonical sequence does not build.
     """
-    for ref in group:
-        try:
-            sequence = protocol_sequence(ref)
-            sequence.validate_targets(ref.qubit_levels())
-            break
-        except (OqcsimError, ValueError):
-            continue
-    else:
-        return None
+    sequence = protocol_sequence(base)
+    sequence.validate_targets(base.qubit_levels())
     pulses = PulseArrays.of(sequence)
-    if ref.sequence is not None:
+    if base.sequence is not None:
         shape = (len(pulses.targets), len(group))
         return (PulseArrays(pulses.targets, *(np.broadcast_to(a, shape) for a in pulses[1:])),
                 np.ones(len(group), dtype=bool))
@@ -415,64 +443,50 @@ def _group_pulses(group: Sequence[GateScenario]) -> tuple[PulseArrays, np.ndarra
                         np.zeros(duration.shape), duration), keep)
 
 
-def _stacked_propagators(scenarios: Sequence[GateScenario | None]
+def _stacked_propagators(base: GateScenario, scenarios: Sequence[GateScenario | None]
                          ) -> dict[int, tuple[np.ndarray, LevelSystem]]:
-    """Propagators of the batchable scenarios and their shared register, keyed by position.
+    """Propagators of the sweep points of base and its register, keyed by position.
 
-    Batchable: equal to the first closed (or the first noisy) scenario
-    in every field but the swept numbers, with finite pulse durations.
-    Each group's sequence is built and validated once (_group_pulses),
-    and its points' pulse parameters enter as (segments, n) arrays.  A
-    closed group gets sequence unitaries, a noisy group the sixteen
-    computational columns of its channels, each in one stacked
-    propagation.  A scenario left out here, or every scenario of a
-    group whose sequence does not build or whose stacked propagation
-    fails, is propagated by run_protocol alone, which then reports its
-    error.
+    The points' pulse parameters enter as (segments, n) arrays
+    (_group_pulses).  Without noise the points get sequence unitaries;
+    with any noise switch of base on, the sixteen computational columns
+    of their channels; each in one stacked propagation.  A point left
+    out here (None, or with pulse durations that are not finite), or
+    every point when the sequence does not build or the stacked
+    propagation fails, is propagated by run_protocol alone, which then
+    reports its error.
     """
-    out = {}
-    for noisy in (False, True):
-        group = [(i, sc) for i, sc in enumerate(scenarios)
-                 if sc is not None and sc.noise.any == noisy]
-        if not group:
-            continue
-        first = group[0][1]
-        shared = _shared(first)
-        group = [(i, sc) for i, sc in group if _shared(sc) == shared]
-        grouped = _group_pulses([sc for _, sc in group])
-        if grouped is None:
-            continue
-        pulses, keep = grouped
-        batch = [member for member, kept in zip(group, keep) if kept]
+    batch = [(i, sc) for i, sc in enumerate(scenarios) if sc is not None]
+    try:
+        pulses, keep = _group_pulses(base, [sc for _, sc in batch])
+        batch = [member for member, kept in zip(batch, keep) if kept]
         if not batch:
-            continue
+            return {}
         shifts = np.array([[sc.delta_shift] for _, sc in batch])
-        try:
-            system = scenario_system(first)
-            if noisy:
-                dephasing = np.array([[_dephasing(sc)] * 2 for _, sc in batch])
-                stacked = stacked_superoperators(
-                    system, pulses, _columns(_computational(first, system), system),
-                    shifts, dephasing)
-            else:
-                stacked = stacked_unitaries(system, pulses, shifts)
-        except (OqcsimError, ValueError):
-            continue
-        out.update({i: (p, system) for (i, _), p in zip(batch, stacked)})
-    return out
+        system = scenario_system(base)
+        if base.noise.any:
+            dephasing = np.array([[_dephasing(sc)] * 2 for _, sc in batch])
+            stacked = stacked_superoperators(
+                system, pulses, _columns(_computational(base, system), system),
+                shifts, dephasing)
+        else:
+            stacked = stacked_unitaries(system, pulses, shifts)
+    except (OqcsimError, ValueError):
+        return {}
+    return {i: (p, system) for (i, _), p in zip(batch, stacked)}
 
 
-def sweep(make_scenario: Callable[..., GateScenario],
-          grid: Mapping[str, Sequence], jobs: int = 1) -> list[dict]:
+def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> list[dict]:
     """Run a protocol over the cartesian product of a parameter grid.
 
     Parameters
     ----------
-    make_scenario : callable
-        Keyword factory: called with one value per grid key; picklable
-        when jobs > 1.
+    base : GateScenario
+        The scenario every point starts from; a point replaces only the
+        numbers its grid keys name (point_scenario).
     grid : mapping
-        Parameter name -> finite sequence of values.
+        Sweepable key (SWEEPABLE) -> non-empty list of values, checked
+        by check_grid.
     jobs : int
         Most worker processes to score chunks in.  A pool starts only
         when more than one worker is left after limiting them to the
@@ -485,7 +499,8 @@ def sweep(make_scenario: Callable[..., GateScenario],
         plus the report fields, or a status message when that point
         failed.  The points are scored chunk by chunk (sweep_chunk).
     """
-    score = partial(sweep_chunk, make_scenario)
+    check_grid(base, grid)
+    score = partial(sweep_chunk, base)
     n_chunks = -(-math.prod(len(values) for values in grid.values()) // CHUNK)
     # a forked pool starts every worker up front, so never ask for idle ones
     workers = min(jobs, n_chunks, os.cpu_count() or 1)

@@ -14,7 +14,8 @@ section once into a frozen dataclass, where every value a stage reads
 is converted, defaulted and range-checked, and NaN or infinity is
 rejected.  The pulse budget and the ensemble's derived lengths (R0,
 the minimum pair concentration, the ensemble radius) are computed while
-parsing, so a value overflowing double precision there is rejected too.
+parsing, so a value overflowing double precision there is rejected too,
+and the sweep grid is checked by gates.check_grid, as every sweep is.
 So load_config() rejects everything run() rejects, except errors that
 depend on the sampled data (an ensemble larger than the number of
 dopants drawn) or on a gate's propagation (a protocol result that is
@@ -28,7 +29,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .ensemble import (PAIR_RADIUS_MAX, CenterSet, CrystalSpec, allocate_channel
                        mean_qubit_spacing, min_pair_concentration,
                        nearest_neighbor_distances, sample_lattice, spectral_select)
 from .errors import ConfigurationError, DomainError, ParseError, ValidationError
-from .gates import (GateScenario, NoiseFlags, QubitScheme, pair_center_scenario,
+from .gates import (GateScenario, NoiseFlags, QubitScheme, check_grid, pair_center_scenario,
                     protocol_sequence, run_protocol, scenario_system, sweep as run_sweep)
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
@@ -56,8 +56,6 @@ KNOWN_SECTIONS = {"seed", "output", "species", "crystal", "pulses",
 GATE_KEYS = {"type", "rabi_rad_s", "delta_shift_rad_s", "gamma_h_hz", "gamma_l_hz",
              "noise", "gate_target", "sequence", "pair_center", "export_trajectory",
              "trajectory_input", "note"}
-
-SWEEPABLE = {"delta_shift_rad_s", "delta_over_omega", "rabi_rad_s", "gamma_h_hz"}
 
 
 def _require(cond: bool, msg: str, error=ValidationError):
@@ -255,6 +253,9 @@ def build_gate_scenario(cfg: dict) -> GateScenario:
     noise = NoiseFlags(*(_flag(noise_cfg, k, "gate.noise") for k in ("lifetimes", "dephasing")))
 
     if kind == "pair_center":
+        _require(cfg.get("delta_shift_rad_s") is None,
+                 "gate.delta_shift_rad_s does not apply to type pair_center, whose "
+                 "shift follows from gate.pair_center.distance_lu", ParseError)
         pc = cfg.get("pair_center")
         _known_keys(pc, {"control", "target", "distance_lu", "tau_single_s", "mode"},
                     "gate.pair_center")
@@ -291,14 +292,14 @@ def build_gate_scenario(cfg: dict) -> GateScenario:
             control=QubitScheme(name="control"), target=QubitScheme(name="target"),
             rabi=rabi,
             delta_shift=_num(cfg, "delta_shift_rad_s", "gate", GateScenario.delta_shift),
-            gamma_h=gamma_h, gamma_l=gamma_l, noise=noise,
-            gate_target=cfg.get("gate_target", GateScenario.gate_target))
+            gamma_h=gamma_h, gamma_l=gamma_l, noise=noise)
 
+    changes = {"gate_target": cfg.get("gate_target", GateScenario.gate_target)}
     steps = cfg.get("sequence")
     if kind == "custom" or steps:
         _require(isinstance(steps, list) and steps, "gate.sequence must be a non-empty list")
-        scenario = replace(scenario, sequence=build_sequence(steps, scenario.qubit_levels()))
-    return scenario
+        changes["sequence"] = build_sequence(steps, scenario.qubit_levels())
+    return replace(scenario, **changes)
 
 
 def _parse_gate(sec: dict) -> GateSection:
@@ -313,16 +314,7 @@ def _parse_sweep(sec: dict, gate: GateSection | None) -> dict[str, list[float]]:
     _known_keys(sec, {"grid"}, "sweep")
     _require(gate is not None, "sweep section needs a gate section")
     grid = sec.get("grid", {})
-    _known_keys(grid, SWEEPABLE, "sweep.grid")
-    _require(grid, f"sweep.grid must name at least one of {sorted(SWEEPABLE)}")
-    _require(not {"delta_over_omega", "delta_shift_rad_s"} <= set(grid),
-             "sweep.grid may name delta_over_omega or delta_shift_rad_s, not both",
-             ParseError)
-    _require(gate.scenario.sequence is None or "rabi_rad_s" not in grid,
-             "sweep.grid.rabi_rad_s has no effect on a gate with its own sequence, "
-             "whose steps carry their own Rabi frequency", ParseError)
-    for k, v in grid.items():
-        _require(isinstance(v, list) and v, f"sweep.grid[{k!r}] must be a non-empty list")
+    check_grid(gate.scenario, grid)
     return {k: [_finite(x, f"sweep.grid[{k!r}]") for x in v] for k, v in grid.items()}
 
 
@@ -358,17 +350,6 @@ class ScenarioConfig:
                                     self.crystal, self.species)
         self.gate = section("gate", _parse_gate)
         self.sweep = section("sweep", _parse_sweep, self.gate)
-
-
-def _point_scenario(base: GateScenario, **point) -> GateScenario:
-    """One sweep point: the base scenario with the swept fields replaced."""
-    rabi = point.get("rabi_rad_s", base.rabi)
-    changes = {"rabi": rabi, "gamma_h": point.get("gamma_h_hz", base.gamma_h)}
-    if "delta_over_omega" in point:
-        changes["delta_shift"] = point["delta_over_omega"] * rabi
-    elif "delta_shift_rad_s" in point:
-        changes["delta_shift"] = point["delta_shift_rad_s"]
-    return replace(base, **changes)
 
 
 def _read_document(path: Path) -> dict:
@@ -578,7 +559,7 @@ def _export_gate_trajectory(gate: GateSection, path: Path):
 
 def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> list[dict]:
     """Write sweep.csv and return its rows (gates.sweep over at most jobs workers)."""
-    rows = run_sweep(partial(_point_scenario, base), grid, jobs)
+    rows = run_sweep(base, grid, jobs)
     keys = sorted(grid)
     metric_cols = ["truth_table_fidelity", "average_fidelity", "infidelity",
                    "leakage", "cz_phase_rad", "status"]

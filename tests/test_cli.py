@@ -150,6 +150,13 @@ OVERFLOWING = [
     ("pulses", "rei_intensity_factor", 1e300), ("crystal", "concentration", 1e-310),
     ("interactions", "u2_a", 1e200)]
 
+def bundled_with_gate(name, **gate):
+    """A bundled config with some gate keys set."""
+    doc = json.loads(Path(config_path(name)).read_text())
+    doc["gate"].update(gate)
+    return doc
+
+
 REJECTED = {
     "negative-rabi": ({"gate": {"type": "canonical_cz", "rabi_rad_s": -1.0}}, 2),
     "nan-rabi": ({"gate": {"rabi_rad_s": math.nan}}, 2),
@@ -167,6 +174,9 @@ REJECTED = {
     "rabi-sweep-of-own-sequence": ({"gate": {"type": "custom", "sequence": [
         {"qubit": "control", "transition": ["1", "1p"], "rabi_rad_s": 6.3e9}]},
         "sweep": {"grid": {"rabi_rad_s": [1e9, 1e10, 1e11]}}}, 2),
+    "pair-center-shift-key": (bundled_with_gate("pair_center_cnot", delta_shift_rad_s=0.0), 2),
+    "gamma-h-sweep-without-dephasing": ({"gate": {}, "sweep": {"grid": {
+        "gamma_h_hz": [0.0, 1e6, 1e9]}}}, 2),
     "string-noise-flag": ({"gate": {"noise": {"lifetimes": "false", "dephasing": "false"}}}, 2),
     "string-export-flag": (small_crystal(export_centers="false"), 2),
     "integer-beyond-double": (small_crystal(n_ensemble=10 ** 400), 2),
@@ -283,6 +293,14 @@ def test_seed_override_supplies_a_missing_seed(tmp_path):
     assert main(["validate", "--config", str(config)]) == 2
     assert main(["run", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+
+
+def test_pair_center_gate_reads_gate_target(tmp_path):
+    config = tmp_path / "identity.json"
+    config.write_text(json.dumps(bundled_with_gate("pair_center_cnot", gate_target="identity")))
+    run(config, out_dir=tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "gate_report.json").read_text())
+    assert report["gate_target"] == "identity"
 
 
 def test_manifest_counts_sweep_points(tmp_path):

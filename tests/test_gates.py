@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,12 +10,12 @@ from oqcsim.errors import OqcsimError, ValidationError
 from oqcsim.gates import (CHUNK, COMPUTATIONAL, GateScenario, NoiseFlags, QubitScheme,
                           _computational, _group_pulses, _stacked_propagators,
                           canonical_blockade_sequence, grid_chunks, pair_center_scenario,
-                          protocol_sequence, run_protocol, scenario_system, swap_roles, sweep)
+                          point_scenario, protocol_sequence, run_protocol, scenario_system,
+                          swap_roles, sweep)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
 from oqcsim.pulses import PulseSequence, build_sequence
 from oqcsim.dynamics import PulseArrays, sequence_unitary
-from oqcsim.runner import _point_scenario
 
 OMEGA = 2 * math.pi * 1e9
 
@@ -139,8 +138,7 @@ def test_swap_roles_symmetric_scenario():
 
 
 def test_sweep_single_point_equals_run_protocol():
-    rows = sweep(lambda delta_over_omega: blockade_scenario(delta_over_omega),
-                 {"delta_over_omega": [15.0]})
+    rows = sweep(blockade_scenario(0.0), {"delta_over_omega": [15.0]})
     direct = run_protocol(blockade_scenario(15.0))
     assert len(rows) == 1
     assert rows[0]["status"] == "ok"
@@ -148,29 +146,26 @@ def test_sweep_single_point_equals_run_protocol():
 
 
 def test_sweep_continues_past_failures():
-    def factory(delta_over_omega):
-        if delta_over_omega < 0:
-            raise ValidationError("bad point")
-        return blockade_scenario(delta_over_omega)
     # 1e300 * Omega overflows the shift to infinity, which the scenario rejects
-    rows = sweep(factory, {"delta_over_omega": [-1.0, 10.0, 1e300]})
-    assert rows[0]["status"].startswith("error")
-    assert rows[1]["status"] == "ok"
-    assert rows[2]["status"] == "error: Rabi frequency, shift and gamma_h must be finite"
+    rows = sweep(blockade_scenario(0.0), {"delta_over_omega": [10.0, 1e300],
+                                          "rabi_rad_s": [-OMEGA, OMEGA]})
+    assert [r["status"] for r in rows] == [
+        "error: Rabi frequency must be > 0", "ok",
+        "error: Rabi frequency must be > 0",
+        "error: Rabi frequency, shift and gamma_h must be finite"]
 
 
 def test_sweep_deterministic_ordering():
-    grid = {"delta_over_omega": [5.0, 10.0], "rabi": [OMEGA]}
-    rows = sweep(lambda delta_over_omega, rabi:
-                 blockade_scenario(delta_over_omega), grid)
+    grid = {"delta_over_omega": [5.0, 10.0], "rabi_rad_s": [OMEGA]}
+    rows = sweep(blockade_scenario(0.0), grid)
     assert [r["delta_over_omega"] for r in rows] == [5.0, 10.0]
 
 
-def reference_row(make_scenario, point):
+def reference_row(base, point):
     """One sweep row from the single-run path: run_protocol alone."""
     row = dict(point)
     try:
-        report = run_protocol(make_scenario(**point))
+        report = run_protocol(point_scenario(base, point))
     except (OqcsimError, ValueError) as exc:
         row["status"] = f"error: {exc}"
         return row
@@ -202,91 +197,111 @@ def sweep_bases():
 
 BASES = sweep_bases()
 
-# per-point departures from the base scenario; all but the last two fail
-# (rabi_1e-310 only where the canonical sequence gets infinite durations)
-SPECIAL = ("factory_raises", "rabi_zero", "rabi_negative", "ratio_1e300", "rabi_1e-310",
-           "identity_target", "noisy")
+# grid values that fail their point: a Rabi frequency of 0 or below, a
+# shift that overflows, and (for the canonical sequence, whose durations
+# it makes infinite) a Rabi frequency of 1e-310
+BAD_VALUES = {"rabi_rad_s": [0.0, -OMEGA, 1e-310], "delta_over_omega": [1e300]}
 
 
-def special_factory(base, specials, rabis, ratios, gammas):
-    def make(i):
-        kind = specials.get(i)
-        if kind == "factory_raises":
-            raise ValidationError("the factory refused this point")
-        rabi, ratio = rabis[i % len(rabis)], ratios[i % len(ratios)]
-        changes = {"gamma_h": gammas[i % len(gammas)]}
-        if kind == "rabi_zero":
-            rabi = 0.0
-        elif kind == "rabi_negative":
-            rabi = -rabi
-        elif kind == "ratio_1e300":
-            ratio = 1e300
-        elif kind == "rabi_1e-310":
-            rabi = 1e-310
-        elif kind == "identity_target":
-            changes["gate_target"] = "identity"
-        elif kind == "noisy":
-            changes.update(noise=NoiseFlags(dephasing=True), gamma_h=1e7)
-        return replace(base, rabi=rabi, delta_shift=ratio * rabi, **changes)
-    return make
+def grid_keys(base):
+    """Sweepable keys that have an effect on base, the shift key first."""
+    keys = ["delta_over_omega"]
+    if base.sequence is None:
+        keys.append("rabi_rad_s")
+    if base.noise.dephasing:
+        keys.append("gamma_h_hz")
+    return keys
 
 
 @st.composite
-def special_sweeps(draw, bases=tuple(sorted(BASES))):
-    size = draw(st.sampled_from([1, 3, CHUNK - 1, CHUNK, CHUNK + 1]))
-    specials = draw(st.dictionaries(st.integers(0, size - 1), st.sampled_from(SPECIAL),
-                                    max_size=4))
-    rabis = draw(st.lists(st.floats(0.2 * OMEGA, 5.0 * OMEGA), min_size=1, max_size=7))
-    ratios = draw(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=11))
-    gammas = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e3, 1e9)), min_size=1,
-                           max_size=5))
+def sweep_cases(draw, bases=tuple(sorted(BASES)), bad_values=True):
     base = BASES[draw(st.sampled_from(bases))]
-    return special_factory(base, specials, rabis, ratios, gammas), {"i": list(range(size))}
+    keys = grid_keys(base)
+    if draw(st.booleans()):
+        keys[0] = "delta_shift_rad_s"
+    size = draw(st.sampled_from([1, 3, CHUNK - 1, CHUNK, CHUNK + 1]))
+    # split size into one list length per key
+    lengths, rest = {}, size
+    for key in draw(st.permutations(keys))[:-1]:
+        lengths[key] = draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0]))
+        rest //= lengths[key]
+    values = {"delta_over_omega": st.floats(0.0, 300.0),
+              "delta_shift_rad_s": st.floats(0.0, 300.0 * OMEGA),
+              "rabi_rad_s": st.floats(0.2 * OMEGA, 5.0 * OMEGA),
+              "gamma_h_hz": st.one_of(st.just(0.0), st.floats(1e3, 1e9))}
+    grid = {}
+    for key in keys:
+        n = lengths.get(key, rest)
+        grid[key] = draw(st.lists(values[key], min_size=n, max_size=n))
+        if bad_values and key in BAD_VALUES:
+            bad = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(BAD_VALUES[key]),
+                                       max_size=2))
+            for i, value in bad.items():
+                grid[key][i] = value
+    return base, grid
 
 
-def assert_rows_equal_single_runs(make_scenario, grid):
-    rows = sweep(make_scenario, grid)
-    assert len(rows) == len(grid["i"])
-    for i, row in zip(grid["i"], rows):
-        expected = reference_row(make_scenario, {"i": i})
+def assert_rows_equal_single_runs(base, grid):
+    rows = sweep(base, grid)
+    points = list(gates.grid_points(grid))
+    assert len(rows) == len(points) == math.prod(map(len, grid.values()))
+    for point, row in zip(points, rows):
+        expected = reference_row(base, point)
         assert row.keys() == expected.keys()
         for key in expected:
-            assert row[key] == expected[key], (i, key)
+            assert row[key] == expected[key], (point, key)
 
 
 @settings(max_examples=10, deadline=None)
-@given(special_sweeps())
+@given(sweep_cases())
 def test_batched_sweep_rows_equal_single_runs(case):
     assert_rows_equal_single_runs(*case)
 
 
 @settings(max_examples=3, deadline=None)
-@given(special_sweeps(bases=("noisy_pair_center",)))
+@given(sweep_cases(bases=("noisy_pair_center",)))
 def test_batched_noisy_sweep_rows_equal_single_runs(case):
     assert_rows_equal_single_runs(*case)
 
 
+@settings(max_examples=8, deadline=None)
+@given(sweep_cases(bad_values=False))
+def test_stack_holds_every_point_of_a_valid_grid(case):
+    # no point of a valid grid falls back to its own propagation
+    base, grid = case
+    scenarios = [point_scenario(base, point) for point in gates.grid_points(grid)]
+    assert sorted(_stacked_propagators(base, scenarios)) == list(range(len(scenarios)))
+
+
+def test_point_scenario_replaces_only_the_swept_numbers():
+    base = BASES["noisy_pair_center"]
+    point = point_scenario(base, {"delta_over_omega": 3.0, "rabi_rad_s": 2 * OMEGA,
+                                  "gamma_h_hz": 5e6})
+    assert (point.rabi, point.delta_shift, point.gamma_h) == (2 * OMEGA, 6 * OMEGA, 5e6)
+    assert point == replace(base, rabi=2 * OMEGA, delta_shift=6 * OMEGA, gamma_h=5e6)
+    assert point_scenario(base, {"delta_shift_rad_s": 1e9}) == replace(base, delta_shift=1e9)
+
+
 def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
     base = BASES["canonical"]
-    make = partial(_point_scenario, base)
     rabis = [1e-310, 0.5 * OMEGA, OMEGA, 1e-310, 3.0 * OMEGA]
     grid = {"delta_over_omega": [10.0], "rabi_rad_s": rabis}
     points = list(gates.grid_points(grid))
     # the tiny points stay out of the stack; the others still share one
-    stacked = _stacked_propagators([make(**point) for point in points])
+    stacked = _stacked_propagators(base, [point_scenario(base, point) for point in points])
     assert sorted(stacked) == [1, 2, 4]
-    rows = sweep(make, grid)
+    rows = sweep(base, grid)
     for point, row in zip(points, rows):
         if point["rabi_rad_s"] == 1e-310:
             assert row["status"] == "error: pulse parameters and duration must be finite"
-        assert row == reference_row(make, point)
+        assert row == reference_row(base, point)
 
 
 def test_group_pulses_equal_each_points_sequence():
     for name in ("canonical", "custom", "noisy_pair_center"):
         group = [replace(BASES[name], rabi=w * OMEGA, delta_shift=3 * w * OMEGA)
                  for w in (0.5, 1.0, 2.5)]
-        pulses, keep = _group_pulses(group)
+        pulses, keep = _group_pulses(BASES[name], group)
         assert keep.all()
         for i, sc in enumerate(group):
             expected = PulseArrays.of(protocol_sequence(sc))
@@ -306,8 +321,7 @@ def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
 
     monkeypatch.setattr(gates, "run_protocol", counting)
     n = 2 * CHUNK + 5
-    rows = sweep(partial(_point_scenario, BASES["canonical"]),
-                 {"delta_over_omega": [1.0 + i for i in range(n)]})
+    rows = sweep(BASES["canonical"], {"delta_over_omega": [1.0 + i for i in range(n)]})
     assert len(calls) == n
     assert all(row["status"] == "ok" for row in rows)
 
