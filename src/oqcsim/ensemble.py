@@ -6,17 +6,23 @@ drawn i.i.d. from the inhomogeneous line (gaussian by default,
 lorentzian selectable), and all distance computations use periodic
 boundary conditions to avoid edge bias at desk scale.
 
-Sampling is pure given (spec, seed): a fixed seed reproduces every
-array bit for bit.  Pair identification and the ensemble neighborhood
-are exact integer searches on the lattice that break distance ties by
-the smaller site key (z*L + y)*L + x, so their results depend only on
-the positions, never on the order of the input.  Nearest-neighbor
-distances come from a cell-grid search on the same integer squared
-distances, exact and near-linear for points spread through the box.
+The first two stages work on linear site keys (z*L + y)*L + x.
+Sampling draws one uniform double per site in site-key order, in
+chunks of at most _SLICE_LIMIT sites through one reused buffer, so
+the draw buffer is bounded for any box, and it is pure given (spec,
+seed): a fixed seed reproduces every array bit for bit, whatever the
+chunk size.  Pair identification and the ensemble neighborhood are exact
+integer searches on the lattice that break distance ties by the
+smaller site key, so their results depend only on the positions,
+never on the order of the input.  The pair search tests shifted keys
+in a packed occupancy filter of O(n) bits and confirms only its hits
+against the sorted keys, so its memory does not grow with the box.
+Nearest-neighbor distances come from a cell-grid search on the same
+integer squared distances, exact and near-linear for points spread
+through the box.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +35,7 @@ GAUSSIAN_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # central probability mass of a gaussian between its half-maximum points
 _GAUSSIAN_FWHM_MASS = math.erf(math.sqrt(math.log(2.0)))
 
-_SLICE_LIMIT = 1 << 22    # sites per RNG chunk when sampling occupancy
+_SLICE_LIMIT = 1 << 20    # sites per RNG chunk when sampling occupancy
 _CSV_BLOCK = 1 << 12      # rows per block when writing centers.csv
 _NN_CHUNK_PAIRS = 1 << 16  # point pairs per chunk of the nearest-neighbor search
 _NN_DENSE_PAIRS = 1 << 20  # open points times n at which that search goes dense
@@ -92,30 +98,30 @@ class CenterSet:
 def sample_lattice(spec: CrystalSpec, seed: int) -> CenterSet:
     """Occupy each cation site of the box independently with probability c.
 
-    Sites are visited in a fixed z-slice order so the draw sequence, and
-    hence the output, is deterministic under the seed.  A box expected
-    to hold fewer than ~10 dopants draws a statistics warning.
+    Sites are drawn in site-key order (z*L + y)*L + x, one uniform double
+    per site, in chunks of at most _SLICE_LIMIT sites that reuse one
+    buffer; the generator yields one double per 64-bit draw, so the
+    stream, and hence the output, is the one-shot draw of the whole box
+    under the seed, whatever the chunk size.  Positions come out in
+    site-key order.  A box expected to hold fewer than ~10 dopants draws
+    a statistics warning.
     """
     rng = np.random.default_rng(seed)
     n = spec.box_size
-    if spec.concentration * n**3 < 10:
+    sites = n**3
+    if spec.concentration * sites < 10:
         warnings.warn(
-            f"box of {n}^3 sites holds ~{spec.concentration * n**3:.1f} dopants; "
+            f"box of {n}^3 sites holds ~{spec.concentration * sites:.1f} dopants; "
             "statistics will be poor", stacklevel=2)
-    slab = max(1, min(n, _SLICE_LIMIT // max(1, n * n)))
-    chunks = []
-    for z0 in range(0, n, slab):
-        depth = min(slab, n - z0)
-        occ = rng.random((depth, n, n)) < spec.concentration
-        zyx = np.argwhere(occ)
-        if len(zyx):
-            zyx[:, 0] += z0
-            chunks.append(zyx[:, ::-1])   # store as (x, y, z)
-    if chunks:
-        positions = np.concatenate(chunks, axis=0)
-    else:
-        positions = np.empty((0, 3), dtype=np.int64)
-    return CenterSet(positions, n)
+    buf = np.empty(min(sites, _SLICE_LIMIT))
+    keys = []
+    for k0 in range(0, sites, len(buf)):
+        draw = buf[:min(len(buf), sites - k0)]
+        rng.random(out=draw)
+        keys.append(np.flatnonzero(draw < spec.concentration) + k0)
+    zy, x = np.divmod(np.concatenate(keys), n)
+    z, y = np.divmod(zy, n)
+    return CenterSet(np.stack([x, y, z], axis=1), n)
 
 
 def assign_frequencies(centers: CenterSet, spec: CrystalSpec, seed: int) -> CenterSet:
@@ -222,9 +228,16 @@ def identify_pairs(centers: CenterSet, pair_radius: float = 2.0) -> CenterSet:
     result depends only on the positions, not on their order.
 
     The search is exact: it walks the lattice offsets inside the radius
-    in order of increasing distance and looks up the sorted site keys,
-    only for the centers that have no neighbor yet.  pair_radius must
-    lie in (0, PAIR_RADIUS_MAX].
+    in order of increasing distance, only for the centers that have no
+    neighbor yet.  A shifted site key is key + delta for a center whose
+    coordinates all lie in [r, L - r), r = floor(pair_radius), and is
+    rebuilt from the wrapped coordinates for the others.  Each is looked
+    up in a packed filter of M bits, M the smallest power of two >= 16n
+    (at least 64), which has bit key & (M - 1) set for every center.
+    Only lookups on a set bit are confirmed against the sorted keys, so
+    a collision costs one extra search, never a wrong pair, and memory
+    is O(n) whatever the box size.  pair_radius must lie in
+    (0, PAIR_RADIUS_MAX].
     """
     if not 0.0 < pair_radius <= PAIR_RADIUS_MAX:
         raise DomainError(f"pair radius must be in (0, {PAIR_RADIUS_MAX:g}]")
@@ -238,7 +251,15 @@ def identify_pairs(centers: CenterSet, pair_radius: float = 2.0) -> CenterSet:
         sorted_keys = keys[order]
         if np.any(sorted_keys[1:] == sorted_keys[:-1]):
             raise ValidationError("two centers occupy the same lattice site")
+        mask = max(64, 1 << (16 * n - 1).bit_length()) - 1
+        slots = sorted_keys & mask
+        occupied = np.zeros((mask + 1) >> 3, dtype=np.uint8)
+        np.bitwise_or.at(occupied, slots >> 3, (1 << (slots & 7)).astype(np.uint8))
         offsets, d2 = _stencil(pair_radius)
+        reach = math.floor(pair_radius)
+        # a shift of up to reach sites moves a center off the box only across
+        # a face within reach of it; elsewhere the shifted key is key + delta
+        near_face = ((wrapped < reach) | (wrapped >= box - reach)).any(axis=1)
         nearest = np.full(n, -1, dtype=np.int64)
         pending = order                          # no neighbor yet, in key order
         none = np.iinfo(np.int64).max
@@ -246,16 +267,22 @@ def identify_pairs(centers: CenterSet, pair_radius: float = 2.0) -> CenterSet:
         while start < len(d2) and len(pending):
             stop = int(np.searchsorted(d2, d2[start], side="right"))
             shell = offsets[start:stop]
-            x, y, z = wrapped[pending].T
+            pending_keys = keys[pending]
+            edge = np.flatnonzero(near_face[pending])
+            x, y, z = wrapped[pending[edge]].T
             # wrapped key parts of each coordinate shift this shell uses
             kx = {d: (x + d) % box for d in set(shell[:, 0].tolist())}
             ky = {d: (y + d) % box * box for d in set(shell[:, 1].tolist())}
             kz = {d: (z + d) % box * (box * box) for d in set(shell[:, 2].tolist())}
             best = np.full(len(pending), none)
             for dx, dy, dz in shell.tolist():
-                k = kx[dx] + ky[dy] + kz[dz]
+                k = pending_keys + ((dz * box + dy) * box + dx)
+                k[edge] = kx[dx] + ky[dy] + kz[dz]
+                slot = k & mask
+                seen = np.flatnonzero(occupied.take(slot >> 3) >> (slot & 7).astype(np.uint8) & 1)
+                k = k[seen]
                 found = sorted_keys[np.minimum(np.searchsorted(sorted_keys, k), n - 1)]
-                np.minimum(best, np.where(found == k, k, none), out=best)
+                best[seen] = np.minimum(best[seen], np.where(found == k, k, none))
             # an offset that wraps onto the center itself has d2 >= L^2, beyond
             # every other site of the box (d2 <= 3L^2/4), so it never comes first
             hit = best != none
@@ -486,10 +513,12 @@ def export_centers_csv(path, centers: CenterSet) -> None:
 
 
 def export_allocation_csv(path, allocation: ChannelAllocation) -> None:
-    """Write an allocation as CSV rows (channel, input_index, frequency_hz)."""
+    """Write an allocation as CSV rows (channel, input_index, frequency_hz).
+
+    The rows are formatted in one pass and written at once; the bytes are
+    those `csv.writer` writes, CRLF line ends included.
+    """
+    rows = zip(allocation.selected_indices, allocation.channel_frequencies)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "input_index", "frequency_hz"])
-        for ch, (idx, f) in enumerate(zip(allocation.selected_indices,
-                                          allocation.channel_frequencies)):
-            writer.writerow([ch, idx, repr(f)])
+        fh.write("channel,input_index,frequency_hz\r\n")
+        fh.write("".join([f"{ch},{idx},{f!r}\r\n" for ch, (idx, f) in enumerate(rows)]))

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from oqcsim import ensemble
 from oqcsim.ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpec,
                              allocate_channels, assign_frequencies, ensemble_neighborhood,
                              ensemble_radius, estimate_fwhm, identify_pairs,
-                             mean_qubit_spacing, export_centers_csv, min_pair_concentration,
+                             mean_qubit_spacing, export_allocation_csv, export_centers_csv,
+                             min_pair_concentration,
                              nearest_neighbor_distances, sample_lattice, spectral_select)
 from oqcsim.errors import DomainError, ValidationError
 
@@ -45,6 +47,19 @@ def test_sampling_deterministic_under_seed():
     fa = assign_frequencies(a, spec(), seed=78)
     fb = assign_frequencies(b, spec(), seed=78)
     assert np.array_equal(fa.frequencies, fb.frequencies)
+
+
+@pytest.mark.parametrize("limit, box", [(1, 7), (50, 7), (1000, 7), (None, 102)])
+def test_sampling_equals_one_shot_draw(monkeypatch, limit, box):
+    # chunks of one site, a last chunk of 343 % 50 = 43 sites, one chunk
+    # larger than the box, and the default limit over two chunks of 102^3
+    if limit is not None:
+        monkeypatch.setattr(ensemble, "_SLICE_LIMIT", limit)
+    seed, c = 31, 0.05
+    oracle = np.argwhere(np.random.default_rng(seed).random((box, box, box)) < c)[:, ::-1]
+    positions = sample_lattice(spec(c=c, box=box), seed=seed).positions
+    assert positions.shape == oracle.shape
+    assert (positions == oracle).all()
 
 
 def test_crystal_spec_invariants():
@@ -299,6 +314,38 @@ def test_pairs_and_neighborhood_ignore_input_order(box, radius, data):
     assert np.array_equal(perm[ensemble_neighborhood(shuffled, n_ensemble)], idx)
 
 
+def test_pair_filter_collisions_and_memory():
+    # a box of 4096 (6.9e10 sites) holding copies of random parts of one
+    # 5^3 cluster; the first straddles the periodic corner, the others are
+    # shifted by 2048 in x or by whole rows, keys apart by multiples of 2048
+    box = 4096
+    rng = np.random.default_rng(13)
+    cube = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    shifts = [(0, 0, 0), (2048, 0, 0), (0, 8, 0), (0, 0, 8), (2048, 2048, 2048)]
+    positions = np.concatenate([cube[rng.choice(len(cube), 8, replace=False)] + shift
+                                for shift in shifts]) % box
+    positions = positions[rng.permutation(len(positions))]
+    n = len(positions)
+    # the filter has M = 1024 bits: lookups of empty sites land on set bits
+    m = max(64, 1 << (16 * n - 1).bit_length())
+    keys = site_keys(positions, box)
+    looked_up = site_keys((positions[:, None, :] + cube).reshape(-1, 3), box)
+    collide = ~np.isin(looked_up, keys) & np.isin(looked_up % m, keys % m)
+    assert m == 1024 and collide.sum() > 100
+
+    centers = CenterSet(positions, box)
+    tracemalloc.start()
+    try:
+        flagged = identify_pairs(centers, pair_radius=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    oracle = brute_force_mutual_pairs(positions, box, 2.0)
+    assert np.array_equal(flagged.partner_index, oracle)
+    assert (oracle >= 0).sum() >= 10
+    assert peak < 1 << 20      # a box^3 bitset would take 8.6 GB
+
+
 def test_pair_radius_bounded_and_sites_distinct():
     centers = CenterSet(np.array([[0, 0, 0], [1, 0, 0]]), box_size=20)
     for bad in (0.0, -1.0, math.nan, PAIR_RADIUS_MAX + 1e-9, 1e6):
@@ -456,3 +503,21 @@ def test_centers_csv_rows_across_blocks(tmp_path, with_frequencies):
                 writer.writerow([*rows.positions[i].tolist(), freq, int(partner >= 0),
                                  partner if partner >= 0 else ""])
         assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("freqs", [
+    [-math.inf, -1e300, -0.0, 5e-324, 1.5, 1e300, math.inf],
+    [math.nan],
+    [],
+])
+def test_allocation_csv_equals_csv_writer(tmp_path, freqs):
+    allocation = ChannelAllocation(tuple(range(3 * len(freqs), 0, -3)), 0.0, tuple(freqs))
+    path, reference = tmp_path / "channels.csv", tmp_path / "reference.csv"
+    export_allocation_csv(path, allocation)
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["channel", "input_index", "frequency_hz"])
+        for ch, (idx, f) in enumerate(zip(allocation.selected_indices,
+                                          allocation.channel_frequencies)):
+            writer.writerow([ch, idx, repr(f)])
+    assert path.read_bytes() == reference.read_bytes()
