@@ -12,8 +12,10 @@ Decay and dephasing keep each qubit's offset between ket and bra level
 and only the driven transition changes it, so the dimension^2 x
 dimension^2 superoperator splits into blocks it never couples
 (liouvillian_blocks), and it is exponentiated block by block.  The
-exponential is the package's own expm, the scaling-and-squaring Padé-13
-method of Higham (2005), taken on a whole stack of blocks at once.
+blocks come in few sizes; the blocks of one size, for every sequence of
+a stack, are built in one gather and exponentiated in one call of the
+package's own expm, the scaling-and-squaring Padé-13 method of Higham
+(2005) taken on a whole stack of matrices at once.
 
 n sequences of one shape, differing only in Rabi frequencies,
 detunings, durations, coupling shifts and dephasing rates, are
@@ -27,10 +29,11 @@ angular (rad/s); decay and dephasing rates are ordinary rates (1/s).
 The register dimension is capped at 64 states.  At the cap the blocks
 stay small, but their number and the columns propagated set the cost,
 so a channel is only ever computed on the columns asked for: for three
-4-level qubits with decay and dephasing (1568 blocks of at most 16
-positions per pulse), two pulses took 0.07 s for the sixteen operators
-a gate score reads on a 2-vCPU machine, against 2.1-2.5 s for all 4096
-columns, and a dense generator alone would hold 268 MB.
+4-level qubits with decay and dephasing (2025 blocks of five sizes, at
+most 16 positions, per pulse), two pulses took 0.02-0.04 s for the
+sixteen operators a gate score reads on a 2-vCPU machine, against
+0.6-0.7 s for all 4096 columns, and a dense generator alone would hold
+268 MB.
 """
 from __future__ import annotations
 
@@ -51,8 +54,9 @@ NORM_TOL = 1e-8
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
 
-# Most matrix entries one stacked expm call takes: a stack of large
-# blocks is exponentiated in slices, which bounds its memory.
+# Most matrix entries one stacked expm call takes: the blocks of one size
+# are exponentiated in slices of the stack and of the blocks, which
+# bounds their memory.
 _EXPM_STACK_ENTRIES = 1 << 20
 
 
@@ -415,45 +419,61 @@ def lindblad_superoperator(h: np.ndarray, collapse: Sequence[np.ndarray],
     entry i's dissipator as sum_k rates[i, k] D[c_k], linear in the
     rates (weights 1 by default).  index, ascending positions of
     vectorized states, gives only the rows and columns of one block,
-    L[index][:, index].
+    L[index][:, index]; index of shape (m, b) gives m blocks of b
+    positions at once, as generators of shape (n, m, b, b).
     """
     d = h.shape[-1]
     ket, bra = np.divmod(np.arange(d * d) if index is None else np.asarray(index), d)
-    rk, ck, rb, cb = ket[:, None], ket[None, :], bra[:, None], bra[None, :]
+    rk, ck, rb, cb = ket[..., :, None], ket[..., None, :], bra[..., :, None], bra[..., None, :]
     same_ket, same_bra = rk == ck, rb == cb
     gen = -1j * (h[..., rk, ck] * same_bra - same_ket * h[..., cb, rb])
     if len(collapse):
-        c = np.asarray(collapse)
         # only the rows and columns of each c^dagger c that these positions need
         kets, ket_at = np.unique(ket, return_inverse=True)
         bras, bra_at = np.unique(bra, return_inverse=True)
-        cdc_ket = c[:, :, kets].conj().swapaxes(1, 2) @ c[:, :, kets]
-        cdc_bra = c[:, :, bras].conj().swapaxes(1, 2) @ c[:, :, bras]
-        ka, kb, ba, bb = ket_at[:, None], ket_at[None, :], bra_at[None, :], bra_at[:, None]
-        for k in range(len(c)):
-            term = c[k, rk, ck] * c[k, rb, cb].conj() - 0.5 * (
-                cdc_ket[k, ka, kb] * same_bra + same_ket * cdc_bra[k, ba, bb])
-            gen += term if rates is None else rates[..., k, None, None] * term
+        ket_at, bra_at = ket_at.reshape(ket.shape), bra_at.reshape(bra.shape)
+        ka, kb = ket_at[..., :, None], ket_at[..., None, :]
+        ba, bb = bra_at[..., None, :], bra_at[..., :, None]
+        if rates is not None:
+            # rates[k] of shape (n, 1, ..., 1), one axis per axis of a block stack
+            rates = np.moveaxis(rates, -1, 0)[(...,) + (None,) * (ket.ndim + 1)]
+        for k, c in enumerate(collapse):
+            c_ket, c_bra = c[:, kets], c[:, bras]
+            term = c[rk, ck] * c[rb, cb].conj() - 0.5 * (
+                (c_ket.conj().T @ c_ket)[ka, kb] * same_bra
+                + same_ket * (c_bra.conj().T @ c_bra)[ba, bb])
+            gen += term if rates is None else rates[k] * term
     return gen
 
 
 def _block_exponentials(h: np.ndarray, collapse: Sequence[np.ndarray],
                         rates: np.ndarray | None, durations: np.ndarray,
                         blocks: Sequence[np.ndarray]) -> Iterator[tuple]:
-    """exp(L_i t_i) of a stack of generators, block by block.
+    """exp(L_i t_i) of a stack of generators, by block size class.
 
-    Yields (block, stack slice, exponentials of shape (m, b, b)), one
-    stacked expm per block and slice; a stack of large blocks is cut
-    into slices of at most _EXPM_STACK_ENTRIES matrix entries.
+    The blocks of one size b are built in one lindblad_superoperator
+    call and exponentiated in one stacked expm.  Yields (index of shape
+    (m, b), stack slice, exponentials of shape (n, m, b, b)); a class
+    larger than _EXPM_STACK_ENTRIES matrix entries is cut into slices
+    of the stack and, when one stack entry's class alone is larger,
+    of the class's blocks, which bounds the memory.
     """
-    collapse = np.asarray(collapse)
+    by_size: dict[int, list[np.ndarray]] = {}
     for block in blocks:
-        step = max(1, _EXPM_STACK_ENTRIES // len(block) ** 2)
-        for start in range(0, len(h), step):
-            s = slice(start, start + step)
-            gen = lindblad_superoperator(h[s], collapse,
-                                         None if rates is None else rates[s], block)
-            yield block, s, expm(gen * durations[s, None, None])
+        by_size.setdefault(len(block), []).append(block)
+    for size, members in by_size.items():
+        index = np.stack(members)
+        # blocks, then stack entries, per slice
+        width = min(len(index), max(1, _EXPM_STACK_ENTRIES // size ** 2))
+        step = max(1, _EXPM_STACK_ENTRIES // (width * size ** 2))
+        for first in range(0, len(index), width):
+            part = index[first:first + width]
+            for start in range(0, len(h), step):
+                s = slice(start, start + step)
+                gen = lindblad_superoperator(h[s], collapse,
+                                             None if rates is None else rates[s], part)
+                gen *= durations[s, None, None, None]
+                yield part, s, expm(gen.reshape(-1, size, size)).reshape(gen.shape)
 
 
 class PulseArrays(NamedTuple):
@@ -523,7 +543,7 @@ def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Se
     (n, len(system.qubits)) give each entry its own coupling shifts and
     dephasing rates.  Each segment's generator is exponentiated block by
     block (liouvillian_blocks), skipping the blocks that no column
-    reaches, in one stacked expm per block.
+    reaches, in one stacked expm and one stacked product per block size.
     """
     n, d2 = pulses.rabi.shape[1], system.dimension ** 2
     columns = np.asarray(columns)
@@ -537,8 +557,8 @@ def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Se
         h = segment_hamiltonians(system, target, rabi, detuning, shifts)
         blocks = [block for block in liouvillian_blocks(system, target, jumps)
                   if reached[block].any()]
-        for block, s, e in _block_exponentials(h, jumps, rates, duration, blocks):
-            out[s, block] = e @ out[s, block]
+        for index, s, e in _block_exponentials(h, jumps, rates, duration, blocks):
+            out[s, index] = e @ out[s, index]
         for block in blocks:
             reached[block] = True
     return out
@@ -611,8 +631,9 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     Decay channels (per-level lifetimes) and pure dephasing (homogeneous
     width) enter through the standard dissipator; each segment is the
     exact exponential of the Lindblad superoperator, taken block by
-    block as in stacked_superoperators.  Trace is conserved
-    and eigenvalues stay positive to solver accuracy.
+    block as in stacked_superoperators and applied in one stacked
+    product per block size.  Trace is conserved and eigenvalues stay
+    positive to solver accuracy.
     """
     rho = _check_density(rho0, system.dimension)
     collapse = collapse_operators(system)
@@ -621,13 +642,13 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     t = 0.0
     for _, p in sequence:
         dt = p.duration / samples_per_segment
-        step = [(block, e[0]) for block, _, e in _block_exponentials(
+        step = [(index, e[0]) for index, _, e in _block_exponentials(
             build_hamiltonian(system, p)[None], collapse, None, np.array([dt]),
             liouvillian_blocks(system, p.target, collapse))]
         for _ in range(samples_per_segment):
             vec, out = rho.reshape(-1), np.empty(dim * dim, dtype=complex)
-            for block, e in step:
-                out[block] = e @ vec[block]
+            for index, e in step:
+                out[index] = (e @ vec[index][..., None])[..., 0]
             rho = out.reshape(dim, dim)
             t += dt
             times.append(t)

@@ -35,7 +35,7 @@ GAUSSIAN_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # central probability mass of a gaussian between its half-maximum points
 _GAUSSIAN_FWHM_MASS = math.erf(math.sqrt(math.log(2.0)))
 
-_SLICE_LIMIT = 1 << 20    # sites per RNG chunk when sampling occupancy
+_SLICE_LIMIT = 1 << 16    # sites per RNG chunk when sampling occupancy
 _CSV_BLOCK = 1 << 12      # rows per block when writing centers.csv
 _NN_CHUNK_PAIRS = 1 << 16  # point pairs per chunk of the nearest-neighbor search
 _NN_DENSE_PAIRS = 1 << 20  # open points times n at which that search goes dense

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,8 +457,8 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
 
         durations = np.array([p.duration for p in stack])
         channel = np.zeros((n, d * d, d * d), dtype=complex)
-        for block, s, e in _block_exponentials(h, jumps, rates, durations, blocks):
-            channel[s, block[:, None], block[None, :]] = e
+        for index, s, e in _block_exponentials(h, jumps, rates, durations, blocks):
+            channel[s, index[..., :, None], index[..., None, :]] = e
         for c, ref, t in zip(channel, references, durations):
             assert np.max(np.abs(c - expm(ref * t))) < 1e-10
 
@@ -567,6 +569,94 @@ def test_stack_slices_leave_the_channels_unchanged(monkeypatch):
     monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 1)    # one matrix per expm call
     assert np.array_equal(stacked_superoperators(system, pulses, every, dephasing=dephasing),
                           whole)
+
+
+def block_by_block_channels(system, pulses, columns, dephasing):
+    """stacked_superoperators' columns through one expm per block and segment."""
+    n, d2 = pulses.rabi.shape[1], system.dimension ** 2
+    jumps, rates = jump_operators(system, dephasing)
+    out = np.zeros((n, d2, len(columns)), dtype=complex)
+    out[:, columns, np.arange(len(columns))] = 1.0
+    for target, rabi, detuning, duration in zip(*pulses):
+        h = segment_hamiltonians(system, target, rabi, detuning)
+        for block in liouvillian_blocks(system, target, jumps):
+            gen = lindblad_superoperator(h, jumps, rates, block)
+            out[:, block] = dynamics.expm(gen * duration[:, None, None]) @ out[:, block]
+    return out
+
+
+def block_by_block_states(system, sequence, rho, samples):
+    """propagate_lindblad's states through one expm per block and segment."""
+    collapse = collapse_operators(system)
+    states = [rho]
+    for _, p in sequence:
+        h, dt = build_hamiltonian(system, p), p.duration / samples
+        steps = [(block, dynamics.expm(lindblad_superoperator(h, collapse, None, block) * dt))
+                 for block in liouvillian_blocks(system, p.target, collapse)]
+        for _ in range(samples):
+            vec = rho.reshape(-1).copy()
+            for block, e in steps:
+                vec[block] = e @ vec[block]
+            rho = vec.reshape(rho.shape)
+            states.append(rho)
+    return states
+
+
+# limit 1: one matrix per expm call; 12: a class of more than twelve 1x1 or
+# three 2x2 blocks is cut into slices of its blocks, and a small class takes
+# several stack entries per slice
+@pytest.mark.parametrize("limit", [1, 12, None])
+@settings(max_examples=15, deadline=None)
+@given(noisy_registers(), st.lists(st.sampled_from([0.0, 1e6, 4e7, 5e8]), min_size=1,
+                                   max_size=3), st.integers(0, 2 ** 32 - 1))
+def test_size_classes_equal_block_by_block_reference(limit, case, gammas, seed):
+    system, pulses = case
+    d, n = system.dimension, len(gammas)
+    sequences = [seq(*(replace(p, rabi_frequency=p.rabi_frequency * (1 + 0.3 * i))
+                       for p in pulses)) for i in range(n)]
+    dephasing = [[g] * len(system.qubits) for g in gammas]
+    columns = np.arange(0, d * d, 3)
+    psi = np.array([1, 1j]) @ np.random.default_rng(seed).normal(size=(2, d))
+    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    with mock.patch.object(dynamics, "_EXPM_STACK_ENTRIES",
+                           limit or dynamics._EXPM_STACK_ENTRIES):
+        channels = stacked_superoperators(system, stacked_arrays(sequences), columns,
+                                          dephasing=dephasing)
+        states = propagate_lindblad(system, sequences[0], rho, samples_per_segment=2).states
+    assert np.array_equal(channels, block_by_block_channels(
+        system, stacked_arrays(sequences), columns, dephasing))
+    reference = block_by_block_states(system, sequences[0], rho, 2)
+    assert len(states) == len(reference)
+    assert all(np.array_equal(a, b) for a, b in zip(states, reference))
+
+
+def test_block_exponentials_memory_at_the_cap(monkeypatch):
+    # three 4-level qubits (dimension 64) with decay and dephasing: 2025 blocks,
+    # the largest size class 312 blocks of 4 positions, 4992 matrix entries a
+    # stack entry, about twenty times the 256 the slices are held to here
+    system = LevelSystem([QubitLevels(name, ("g", "e", "f", "h"), decay_rates={"e": 1e8},
+                                      dephasing=1e6) for name in "abc"])
+    n, d = 6, system.dimension
+    jumps, rates = jump_operators(system, np.linspace(0.0, 1e8, 3 * n).reshape(n, 3))
+    target = ("a", ("g", "e"))
+    h = segment_hamiltonians(system, target, np.linspace(1, 2, n) * OMEGA, np.zeros(n))
+    blocks = liouvillian_blocks(system, target, jumps)
+    monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 256)
+    largest = max(256, max(len(b) for b in blocks) ** 2)      # entries of one slice
+    covered = np.zeros((n, d * d), dtype=int)
+    tracemalloc.start()
+    try:
+        for index, s, e in _block_exponentials(h, jumps, rates, np.full(n, 1e-9), blocks):
+            assert e.size <= largest
+            covered[s, index.ravel()] += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (covered == 1).all()            # every block of every stack entry, once
+    # the generators of a slice, the Padé terms and their products stay under 24
+    # complex arrays of a slice's size; each c^dagger c, formed on the kets and
+    # bras of the positions, takes a few arrays of d^2 more
+    assert peak < 16 * (24 * largest + 6 * d * d)
 
 
 def test_pair_center_register_blocks():

@@ -52,7 +52,8 @@ def test_sampling_deterministic_under_seed():
 @pytest.mark.parametrize("limit, box", [(1, 7), (50, 7), (1000, 7), (None, 102)])
 def test_sampling_equals_one_shot_draw(monkeypatch, limit, box):
     # chunks of one site, a last chunk of 343 % 50 = 43 sites, one chunk
-    # larger than the box, and the default limit over two chunks of 102^3
+    # larger than the box, and the default limit over the 102^3 sites: 16
+    # full chunks and a last one of 12,632 sites
     if limit is not None:
         monkeypatch.setattr(ensemble, "_SLICE_LIMIT", limit)
     seed, c = 31, 0.05
