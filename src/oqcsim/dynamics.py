@@ -4,10 +4,13 @@ Everything is phrased in the rotating frame of the driven transitions,
 so each pulse segment has a time-independent Hamiltonian: diagonal
 detunings and conditional shifts, plus Omega/2 on the one transition
 its pulse drives (pulse numbers rise strictly, so a segment holds one
-pulse).  Closed-system segments are propagated exactly through the
-Hermitian eigendecomposition; open-system segments through the
-exponential of the Lindblad superoperator with radiative decay (1/tau
-per level) and pure per-level dephasing at the homogeneous width.
+pulse).  That drive couples the joint states in pairs, so a segment
+Hamiltonian is a direct sum of 1 x 1 and 2 x 2 blocks, and closed-system
+segments are propagated exactly in closed form: a phase on each
+unpaired state and a two-level rotation on each pair (segment_unitary).
+Open-system segments are propagated through the exponential of the
+Lindblad superoperator with radiative decay (1/tau per level) and pure
+per-level dephasing at the homogeneous width.
 Decay and dephasing keep each qubit's offset between ket and bra level
 and only the driven transition changes it, so the dimension^2 x
 dimension^2 superoperator splits into blocks it never couples
@@ -132,6 +135,7 @@ class LevelSystem:
                 self.qubit(qn).index(lv)
         self._level_indices: dict[tuple[str, str], np.ndarray] = {}
         self._basis_indices: dict[tuple, np.ndarray] = {}
+        self._liouvillian_blocks: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     @cached_property
     def _detuning_diag(self) -> np.ndarray:
@@ -242,13 +246,27 @@ def segment_hamiltonians(system: LevelSystem, target: tuple[str, tuple[str, str]
     h = np.zeros((n, d, d), dtype=complex)
     h[:, np.arange(d), np.arange(d)] = diag
     if target is not None:
-        qubit, (lo, hi) = target
-        upper, lower = system.level_indices(qubit, hi), system.level_indices(qubit, lo)
+        lower, upper = drive_pairs(system, target)
         half_rabi = rabi[:, None] / 2.0
         h[:, upper, lower] += half_rabi
         h[:, lower, upper] += half_rabi
         h[:, upper, upper] += detuning[:, None]
     return h
+
+
+def drive_pairs(system: LevelSystem, target: tuple[str, tuple[str, str]] | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): the joint states a drive on the target couples, pair by pair.
+
+    lower[k] and upper[k] differ only in the driven qubit's level, lo
+    and hi; a state is in at most one pair, since the drive's levels
+    differ.  Empty arrays for no drive (target None).
+    """
+    if target is None:
+        empty = np.zeros(0, dtype=int)
+        return empty, empty
+    qubit, (lo, hi) = target
+    return system.level_indices(qubit, lo), system.level_indices(qubit, hi)
 
 
 def jump_operators(system: LevelSystem,
@@ -301,7 +319,7 @@ def collapse_operators(system: LevelSystem) -> list[np.ndarray]:
 
 
 def liouvillian_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
-                       collapse: Sequence[np.ndarray]) -> list[np.ndarray]:
+                       collapse: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Blocks of a segment's Lindblad generator: the connected components
     of its off-diagonal structure.
 
@@ -316,7 +334,22 @@ def liouvillian_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
     transitions are driven and where the jump operators have entries,
     never from the numbers, so a register gets the same blocks alone and
     in a stack.  Ascending index arrays, ordered by their first position.
+
+    Cached per driven transition, in either direction, and pattern of
+    the jump operators' entries, and read-only, so the segments of one
+    register that drive the same transition compute the blocks once.
     """
+    qubit, levels = target
+    key = (qubit, tuple(sorted(levels)),
+           tuple(np.packbits(c != 0).tobytes() for c in collapse))
+    if key not in system._liouvillian_blocks:
+        system._liouvillian_blocks[key] = _connected_blocks(system, target, collapse)
+    return system._liouvillian_blocks[key]
+
+
+def _connected_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
+                      collapse: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The blocks of liouvillian_blocks, computed afresh."""
     d = system.dimension
     pos = np.arange(d * d).reshape(d, d)
     qubit, (lo, hi) = target
@@ -342,17 +375,45 @@ def liouvillian_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
         np.minimum.at(label, v, low)
         label = label[label]
     order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    order.flags.writeable = False              # and with it every block, a view of it
+    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
-def segment_unitary(h: np.ndarray, duration) -> np.ndarray:
-    """exp(-i H t) through the Hermitian eigendecomposition (exact).
+def segment_unitary(h: np.ndarray, duration,
+                    pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """exp(-i H t) in closed form (exact) for a Hermitian H whose only
+    off-diagonal entries join the states of pairs = (lower, upper).
 
-    Also takes a stack: h of shape (n, d, d) with n durations.
+    A segment Hamiltonian couples only the pairs its drive joins
+    (drive_pairs), so H is a direct sum of 1 x 1 and 2 x 2 blocks.  An
+    unpaired state k takes the phase exp(-i H_kk t).  A pair (a, b) with
+    mean m = (H_aa + H_bb)/2 and K = H_ab,ab - m 1 rotates as
+    exp(-i m t) (cos(w t) 1 - i sin(w t)/w K), where K^2 = w^2 1 with
+    w = hypot((H_aa - H_bb)/2, |H_ba|).  Numbers too large for double
+    precision give non-finite entries, not warnings.  Also takes a
+    stack: h of shape (n, d, d) with n durations.
     """
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * np.asarray(duration)[..., None])
-    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    lower, upper = pairs
+    t = np.asarray(duration, dtype=float)[..., None]
+    e = h.diagonal(axis1=-2, axis2=-1).real
+    ea, eb = e[..., lower], e[..., upper]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # halved first, so that energies near the double range do not overflow
+        mean, half = ea / 2 + eb / 2, ea / 2 - eb / 2
+        w = np.hypot(half, np.abs(h[..., upper, lower]))
+        wt = w * t
+        sin_over_w = np.where(w > 0, np.sin(wt) / w, t)
+        phase = np.exp(-1j * (mean * t))        # exp(-i m t), common to a pair
+        cos = phase * np.cos(wt)
+        sin = -1j * phase * sin_over_w          # times K, the rest of the rotation
+        u = np.zeros(h.shape, dtype=complex)
+        states = np.arange(h.shape[-1])
+        u[..., states, states] = np.exp(-1j * (e * t))
+        u[..., lower, lower] = cos + sin * half
+        u[..., upper, upper] = cos - sin * half
+        u[..., lower, upper] = sin * h[..., lower, upper]
+        u[..., upper, lower] = sin * h[..., upper, lower]
+    return u
 
 
 # Coefficients b_0 .. b_13 of the degree-13 Padé approximant to exp, and
@@ -511,14 +572,14 @@ def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
     """Total unitaries (n, d, d) of n pulse sequences given as arrays (closed system).
 
     shifts (n, len(system.couplings)) gives each entry its own coupling
-    shifts, as in segment_hamiltonians.  One stacked eigendecomposition
-    per segment.
+    shifts, as in segment_hamiltonians.  One stacked closed-form
+    exponential (segment_unitary) per segment.
     """
     n, d = pulses.rabi.shape[1], system.dimension
     u = np.repeat(np.eye(d, dtype=complex)[None], n, axis=0)
     for target, rabi, detuning, duration in zip(*pulses):
         h = segment_hamiltonians(system, target, rabi, detuning, shifts)
-        u = segment_unitary(h, duration) @ u
+        u = segment_unitary(h, duration, drive_pairs(system, target)) @ u
     return u
 
 
@@ -604,7 +665,7 @@ def propagate_unitary(system: LevelSystem, sequence: PulseSequence, psi0,
                       samples_per_segment: int = 1) -> Trajectory:
     """Closed-system evolution of a state vector through a pulse sequence.
 
-    Each segment is propagated exactly (eigendecomposition exponential);
+    Each segment is propagated exactly (the closed form of segment_unitary);
     the trajectory holds the state at every segment boundary, plus
     interior samples when samples_per_segment > 1.  The norm is
     conserved to floating-point accuracy.
@@ -615,7 +676,7 @@ def propagate_unitary(system: LevelSystem, sequence: PulseSequence, psi0,
     for _, p in sequence:
         h = build_hamiltonian(system, p)
         dt = p.duration / samples_per_segment
-        step = segment_unitary(h, dt)
+        step = segment_unitary(h, dt, drive_pairs(system, p.target))
         for _ in range(samples_per_segment):
             psi = step @ psi
             t += dt

@@ -214,13 +214,13 @@ def _wrap(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _extract_phases(m_diag: np.ndarray) -> tuple[float, float, float, float]:
+def _extract_phases(m_diag: Sequence[complex]) -> tuple[float, float, float, float]:
     """Global phase, single-qubit framing phases and controlled phase.
 
     Extracted from the diagonal of the computational-subspace map; all
     zero when any diagonal amplitude is too small to carry a phase.
     """
-    if min(map(abs, m_diag.tolist())) < _PHASE_FLOOR:
+    if min(map(abs, m_diag)) < _PHASE_FLOOR:
         return 0.0, 0.0, 0.0, 0.0
     ref = m_diag[0]
     phi00 = cmath.phase(ref)
@@ -230,15 +230,13 @@ def _extract_phases(m_diag: np.ndarray) -> tuple[float, float, float, float]:
     return phi00, phi01, phi10, cz
 
 
-def _dressed_target(gate_target: str, phi00: float, phi01: float, phi10: float) -> np.ndarray:
+def _dressed_target(gate_target: str, phi00: float, phi01: float, phi10: float
+                    ) -> list[complex]:
     """Diagonal of the target gate dressed with the protocol's phases."""
     sign = -1.0 if gate_target == "cz" else 1.0
-    return np.exp(1j * phi00) * np.array([
-        1.0,
-        np.exp(1j * phi01),
-        np.exp(1j * phi10),
-        sign * np.exp(1j * (phi01 + phi10)),
-    ])
+    ref = cmath.exp(1j * phi00)
+    return [ref, ref * cmath.exp(1j * phi01), ref * cmath.exp(1j * phi10),
+            ref * (sign * cmath.exp(1j * (phi01 + phi10)))]
 
 
 def _computational(scenario: GateScenario, system: LevelSystem) -> np.ndarray:
@@ -250,6 +248,12 @@ def _columns(comp: np.ndarray, system: LevelSystem) -> np.ndarray:
     """Vectorized positions of the sixteen operators |j><k| between the
     computational states (j-major)."""
     return (system.dimension * comp[:, None] + comp).ravel()
+
+
+def _require_finite(populations_finite, *numbers: float) -> None:
+    if not (populations_finite and all(map(math.isfinite, numbers))):
+        raise DomainError("protocol result is not finite; the pulse durations and "
+                          "shifts are too far apart for double precision")
 
 
 def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
@@ -279,13 +283,20 @@ def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
     dim = system.dimension
 
     if not scenario.noise.any:
+        # scored on Python numbers, which for a 4 x 4 map cost less than numpy calls
         m = propagator[comp[:, None], comp]
-        truth = np.abs(m.T) ** 2            # [input][output]
-        m_diag = m.diagonal()
+        truth = (np.abs(m.T) ** 2).tolist()           # [input][output]
+        m_diag = m.diagonal().tolist()
         phi00, phi01, phi10, cz = _extract_phases(m_diag)
         # the dressed target is diagonal: trace(T^dagger M) over the diagonals
-        target = _dressed_target(scenario.gate_target, phi00, phi01, phi10)
-        f_pro = abs((target.conj() * m_diag).sum()) ** 2 / 16.0
+        t00, t01, t10, t11 = _dressed_target(scenario.gate_target, phi00, phi01, phi10)
+        f_pro = abs(t00.conjugate() * m_diag[0] + t01.conjugate() * m_diag[1]
+                    + t10.conjugate() * m_diag[2] + t11.conjugate() * m_diag[3]) ** 2 / 16.0
+        totals = [sum(row) for row in truth]
+        # populations are >= 0 or NaN, so a row is finite when its total is
+        _require_finite(all(map(math.isfinite, totals)), f_pro, phi01, phi10, cz)
+        truth_fidelity = (truth[0][0] + truth[1][1] + truth[2][2] + truth[3][3]) / 4.0
+        leakage = 1.0 - min(totals)
         noisy = False
     else:
         # channel output of |comp_j><comp_k|, as a density-operator shape
@@ -303,17 +314,18 @@ def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
                 f_pro += np.real(
                     target[:, j].conj() @ blocks[(j, k)][np.ix_(comp, comp)] @ target[:, k])
         f_pro /= 16.0
+        _require_finite(np.isfinite(truth).all(), f_pro, phi01, phi10, cz)
+        truth_fidelity = float(truth.diagonal().sum()) / 4.0
+        leakage = float((1.0 - truth.sum(axis=1)).max())
+        truth = truth.tolist()
         noisy = True
 
-    if not (np.isfinite(truth).all() and all(map(math.isfinite, (f_pro, phi01, phi10, cz)))):
-        raise DomainError("protocol result is not finite; the pulse durations and "
-                          "shifts are too far apart for double precision")
     avg_fidelity = (4.0 * f_pro + 1.0) / 5.0
     return GateReport(
-        truth_table=tuple(map(tuple, truth.tolist())),
-        truth_table_fidelity=float(truth.diagonal().sum()) / 4.0,
+        truth_table=tuple(map(tuple, truth)),
+        truth_table_fidelity=truth_fidelity,
         average_fidelity=float(min(max(avg_fidelity, 0.0), 1.0)),
-        leakage=float((1.0 - truth.sum(axis=1)).max()),
+        leakage=leakage,
         cz_phase=float(cz),
         local_phases=(float(phi01), float(phi10)),
         noisy=noisy,
@@ -353,14 +365,20 @@ def check_grid(base: GateScenario, grid: Mapping[str, Sequence]) -> None:
 
 
 def point_scenario(base: GateScenario, point: Mapping[str, float]) -> GateScenario:
-    """One sweep point: the base scenario with the swept numbers replaced."""
+    """One sweep point: the base scenario with the swept numbers replaced.
+
+    Built by the constructor, not dataclasses.replace, which costs more
+    per point; __post_init__ checks the point all the same.
+    """
     rabi = point.get("rabi_rad_s", base.rabi)
-    changes = {"rabi": rabi, "gamma_h": point.get("gamma_h_hz", base.gamma_h)}
     if "delta_over_omega" in point:
-        changes["delta_shift"] = point["delta_over_omega"] * rabi
-    elif "delta_shift_rad_s" in point:
-        changes["delta_shift"] = point["delta_shift_rad_s"]
-    return replace(base, **changes)
+        delta_shift = point["delta_over_omega"] * rabi
+    else:
+        delta_shift = point.get("delta_shift_rad_s", base.delta_shift)
+    return GateScenario(control=base.control, target=base.target, rabi=rabi,
+                        delta_shift=delta_shift, gamma_h=point.get("gamma_h_hz", base.gamma_h),
+                        gamma_l=base.gamma_l, noise=base.noise, sequence=base.sequence,
+                        gate_target=base.gate_target)
 
 
 def grid_points(grid: Mapping[str, Sequence]) -> Iterator[dict]:

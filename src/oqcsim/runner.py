@@ -27,6 +27,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -557,19 +558,34 @@ def _export_gate_trajectory(gate: GateSection, path: Path):
     export_trajectory_csv(path, traj)
 
 
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer's default dialect writes it: quoted, with quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> list[dict]:
-    """Write sweep.csv and return its rows (gates.sweep over at most jobs workers)."""
+    """Write sweep.csv and return its rows (gates.sweep over at most jobs workers).
+
+    The rows are formatted in one pass and written at once; the bytes are
+    those csv.writer writes, CRLF line ends and quoted statuses included.
+    An error row leaves the metric columns empty.
+    """
     rows = run_sweep(base, grid, jobs)
     keys = sorted(grid)
     metric_cols = ["truth_table_fidelity", "average_fidelity", "infidelity",
-                   "leakage", "cz_phase_rad", "status"]
+                   "leakage", "cz_phase_rad"]
+    lines = [",".join(keys + metric_cols + ["status"])]
+    lines += [",".join([repr(row[k]) for k in keys]
+                       + [repr(row[c]) if c in row else "" for c in metric_cols]
+                       + [_csv_field(row["status"])]) for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys + metric_cols)
-        for row in rows:
-            writer.writerow([repr(row[k]) for k in keys]
-                            + [repr(row[c]) if isinstance(row.get(c), float) else row.get(c, "")
-                               for c in metric_cols])
+        fh.write("\r\n".join(lines) + "\r\n")
     return rows
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqcsim import gates
+from oqcsim import gates, runner
 from oqcsim.cli import main
 from oqcsim.gates import CHUNK
 from oqcsim.runner import emit_plot_data, load_config, run
@@ -301,6 +301,38 @@ def test_pair_center_gate_reads_gate_target(tmp_path):
     run(config, out_dir=tmp_path / "out")
     report = json.loads((tmp_path / "out" / "gate_report.json").read_text())
     assert report["gate_target"] == "identity"
+
+
+SWEEP_METRICS = ["truth_table_fidelity", "average_fidelity", "infidelity", "leakage",
+                 "cz_phase_rad"]
+
+
+@pytest.mark.parametrize("values", [
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324],
+    [0.25, 1e300, -1e-300, 3.0, 1.0],
+])
+def test_sweep_csv_equals_csv_writer(tmp_path, monkeypatch, values):
+    ok = dict(zip(SWEEP_METRICS, values), status="ok")
+    rows = [{"delta_over_omega": 2.0, "rabi_rad_s": -0.0, **ok},
+            {"delta_over_omega": math.nan, "rabi_rad_s": 5e-324,
+             "status": "error: bad point, twice"},
+            {"delta_over_omega": math.inf, "rabi_rad_s": -math.inf,
+             "status": 'error: "quoted", with a comma'},
+            {"delta_over_omega": 1e300, "rabi_rad_s": 1.0, "status": 'error: "just quoted"'},
+            {"delta_over_omega": -1.5, "rabi_rad_s": 2.0, "status": "error: line\r\nbreaks\n"},
+            {"delta_over_omega": 7.0, "rabi_rad_s": 1e-310, **ok}]
+    monkeypatch.setattr(runner, "run_sweep", lambda base, grid, jobs: rows)
+    path, reference = tmp_path / "sweep.csv", tmp_path / "reference.csv"
+    keys = ["rabi_rad_s", "delta_over_omega"]
+    assert runner._run_sweep_csv(None, dict.fromkeys(keys), path, 1) is rows
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sorted(keys) + SWEEP_METRICS + ["status"])
+        for row in rows:
+            writer.writerow([repr(row[k]) for k in sorted(keys)]
+                            + [repr(row[c]) if c in row else "" for c in SWEEP_METRICS]
+                            + [row["status"]])
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_manifest_counts_sweep_points(tmp_path):

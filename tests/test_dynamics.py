@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from dataclasses import replace
@@ -5,14 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from oqcsim import dynamics
 from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, PulseArrays, QubitLevels,
                              ShiftCoupling, _block_exponentials, build_hamiltonian,
-                             collapse_operators, export_trajectory_csv, jump_operators,
-                             lindblad_superoperator, liouvillian_blocks, propagate_lindblad,
+                             collapse_operators, drive_pairs, export_trajectory_csv,
+                             jump_operators, lindblad_superoperator, liouvillian_blocks,
+                             propagate_lindblad,
                              propagate_unitary, rabi_transfer, segment_hamiltonians,
                              segment_unitary, sequence_superoperator, sequence_unitary,
                              stacked_superoperators, stacked_unitaries)
@@ -218,12 +220,77 @@ def test_norm_preserved_along_trajectory():
 
 
 def test_semigroup_property():
-    h = build_hamiltonian(two_level(), drive(detuning=0.3 * OMEGA))
+    system, pulse = two_level(), drive(detuning=0.3 * OMEGA)
+    h, pairs = build_hamiltonian(system, pulse), drive_pairs(system, pulse.target)
     t = 1.7e-9
     for split in (0.3, 0.5, 0.9):
-        u_whole = segment_unitary(h, t)
-        u_split = segment_unitary(h, t * (1 - split)) @ segment_unitary(h, t * split)
+        u_whole = segment_unitary(h, t, pairs)
+        u_split = segment_unitary(h, t * (1 - split), pairs) @ segment_unitary(
+            h, t * split, pairs)
         assert np.max(np.abs(u_whole - u_split)) < 1e-10
+
+
+# numbers up to 1e6 times the Rabi frequency, of either sign
+RATIOS = st.one_of(st.just(0.0), st.floats(-30.0, 30.0),
+                   st.sampled_from([-1e6, -2e3, 1e-3, 1.0, 1e3, 1e6]))
+
+
+@st.composite
+def driven_registers(draw):
+    """A register of 1-3 qubits of 2-4 levels, the three-qubit one at the dimension
+    cap among them, a drive on one of its transitions or none, and the Rabi
+    frequencies, their scale (the Rabi frequency, or OMEGA for 0), the
+    detunings and the shifts of a stack of 1-4 segments."""
+    sizes = ([4, 4, 4] if draw(st.booleans())
+             else draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    qubits = []
+    for i, size in enumerate(sizes):
+        levels = ("g", "e", "f", "h")[:size]
+        detunings = draw(st.dictionaries(st.sampled_from(levels), RATIOS, max_size=2))
+        qubits.append(QubitLevels(f"q{i}", levels,
+                                  detunings={lv: r * OMEGA for lv, r in detunings.items()}))
+    pins = {q.name: q.levels[-1] for q in qubits[-2:]}
+    system = LevelSystem(qubits, [ShiftCoupling(pins, 0.0)])
+    target = None
+    if draw(st.booleans()) or draw(st.booleans()):
+        q = draw(st.sampled_from(qubits))
+        target = (q.name, tuple(draw(st.permutations(q.levels))[:2]))
+    n = draw(st.integers(1, 4))
+    # a Rabi frequency of 0 leaves pairs that do not rotate
+    rabi = np.array([draw(st.one_of(st.just(0.0), st.floats(0.2, 3.0))) * OMEGA
+                     for _ in range(n)])
+    scale = np.where(rabi > 0, rabi, OMEGA)
+    detuning = np.array([draw(RATIOS) for _ in range(n)]) * scale
+    shifts = np.array([[draw(RATIOS)] for _ in range(n)]) * scale[:, None]
+    return system, target, rabi, scale, detuning, shifts
+
+
+def unitarity_error(u):
+    return np.abs(u @ np.swapaxes(u.conj(), -1, -2) - np.eye(u.shape[-1])).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(driven_registers(), st.floats(0.0, 30.0), st.floats(0.3, 2 * math.pi),
+       st.floats(-math.pi, math.pi))
+# an undriven pair of equal energies, which does not rotate at all
+@example((two_level(), ("q", ("g", "e")), np.zeros(1), np.full(1, OMEGA), np.zeros(1),
+          np.zeros((1, 0))), 3.0, math.pi, 0.0)
+def test_segment_unitary_matches_expm_oracle(case, phase, area, angle):
+    system, target, rabi, scale, detuning, shifts = case
+    h = segment_hamiltonians(system, target, rabi, detuning, shifts)
+    pairs = drive_pairs(system, target)
+    # any Hermitian coupling of the pairs, complex ones too
+    h[:, pairs[1], pairs[0]] *= cmath.exp(1j * angle)
+    h[:, pairs[0], pairs[1]] *= cmath.exp(-1j * angle)
+    # |H| t at most 30: any exponential of -i H t carries rounding errors of
+    # about 1e-16 |H| t, the oracle's as much as the rotation's
+    t = phase / np.maximum(np.abs(h).max(axis=(1, 2)), OMEGA)
+    u = segment_unitary(h, t, pairs)
+    for u_k, h_k, t_k in zip(u, h, t):
+        assert np.abs(u_k - expm(-1j * h_k * t_k)).max() <= 1e-12
+        assert np.array_equal(segment_unitary(h_k, t_k, pairs), u_k)
+    # a whole pulse, whose phases reach 1e6 * 2 pi at the largest ratios
+    assert unitarity_error(segment_unitary(h, area / scale, pairs)) <= 1e-13
 
 
 def test_off_resonant_ceiling_property():
@@ -657,6 +724,33 @@ def test_block_exponentials_memory_at_the_cap(monkeypatch):
     # complex arrays of a slice's size; each c^dagger c, formed on the kets and
     # bras of the positions, takes a few arrays of d^2 more
     assert peak < 16 * (24 * largest + 6 * d * d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(noisy_registers())
+def test_cached_liouvillian_blocks_equal_fresh_ones(case):
+    system, pulses = case
+    jumps = jump_operators(system)[0]
+    for pulse in pulses:
+        blocks = liouvillian_blocks(system, pulse.target, jumps)
+        fresh = dynamics._connected_blocks(system, pulse.target, jumps)
+        assert len(blocks) == len(fresh)
+        assert all(np.array_equal(b, f) for b, f in zip(blocks, fresh))
+        assert not any(b.flags.writeable for b in blocks)
+        # the same transition driven either way, or by a register of the same
+        # structure, reads the same blocks
+        qubit, (lo, hi) = pulse.target
+        assert liouvillian_blocks(system, (qubit, (hi, lo)), jumps) is blocks
+        twin = LevelSystem(system.qubits, system.couplings)
+        twin_blocks = liouvillian_blocks(twin, pulse.target, jump_operators(twin)[0])
+        assert all(np.array_equal(b, f) for b, f in zip(twin_blocks, fresh))
+        # as many jump operators with other entries are cached apart: identities
+        # join no positions, where a decay does
+        bare = [np.eye(system.dimension)] * len(jumps)
+        bare_blocks = liouvillian_blocks(system, pulse.target, bare)
+        bare_fresh = dynamics._connected_blocks(system, pulse.target, bare)
+        assert len(bare_blocks) == len(bare_fresh)
+        assert all(np.array_equal(b, f) for b, f in zip(bare_blocks, bare_fresh))
 
 
 def test_pair_center_register_blocks():

@@ -104,6 +104,41 @@ def test_superoperator_path_matches_unitary_at_zero_rates():
     assert np.allclose(channel.truth_table, base.truth_table, atol=1e-12)
 
 
+def mixing_sequence(levels):
+    """A detuned sequence that moves population between computational states
+    and into the auxiliary levels, so the truth table is not symmetric."""
+    return build_sequence([
+        {"qubit": "control", "transition": ["0", "1"], "area": 1.1, "rabi_rad_s": OMEGA,
+         "detuning_rad_s": 0.3 * OMEGA},
+        {"qubit": "target", "transition": ["1", "1p"], "area": 5.5, "rabi_rad_s": OMEGA},
+        {"qubit": "control", "transition": ["1", "1p"], "area": 2.0, "rabi_rad_s": OMEGA,
+         "detuning_rad_s": -0.7 * OMEGA},
+        {"qubit": "target", "transition": ["0", "1"], "area": 0.4, "rabi_rad_s": 2 * OMEGA},
+    ], levels)
+
+
+@pytest.mark.parametrize("gate_target", ["cz", "identity"])
+@pytest.mark.parametrize("shift, mixing", [(3.0, False), (2.0, True)])
+def test_closed_score_equals_the_channel_score_at_zero_rates(gate_target, shift, mixing):
+    # the closed branch scores on Python numbers, the channel branch on numpy
+    # arrays of another propagator; every field of the reports must agree
+    scenario = blockade_scenario(shift, gate_target=gate_target)
+    if mixing:
+        # a detuned |1> gives the control's framing phase a generic value
+        scenario = replace(scenario, sequence=mixing_sequence(scenario.qubit_levels()),
+                           control=QubitScheme("control", detunings={"1": 0.37 * OMEGA}))
+    closed = run_protocol(scenario)
+    channel = run_protocol(replace(scenario, noise=NoiseFlags(lifetimes=True, dephasing=True)))
+    assert not closed.noisy and channel.noisy
+    assert np.allclose(closed.truth_table, channel.truth_table, rtol=0.0, atol=1e-12)
+    for field in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase"):
+        assert getattr(closed, field) == pytest.approx(getattr(channel, field), abs=1e-12)
+    assert closed.local_phases == pytest.approx(channel.local_phases, abs=1e-12)
+    if mixing:
+        table = np.array(closed.truth_table)
+        assert np.abs(table - table.T).max() > 1e-3 and closed.leakage > 1e-3
+
+
 def test_dephasing_strictly_lowers_fidelity():
     base = run_protocol(blockade_scenario(20.0))
     pulse_duration = math.pi / OMEGA
@@ -295,6 +330,27 @@ def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
         if point["rabi_rad_s"] == 1e-310:
             assert row["status"] == "error: pulse parameters and duration must be finite"
         assert row == reference_row(base, point)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_rows_depend_on_the_rabi_scale_only_through_delta_over_omega():
+    # durations scale as 1/Omega, so a canonical point's report is the same at
+    # any Rabi frequency; 1e-310 makes the durations infinite and 1e300 * Omega
+    # overflows the shift, and those points keep their error rows
+    rabis = [1e-310, 1e-200, 1e-5, OMEGA, 1e200, 1e300]
+    grid = {"delta_over_omega": [0.0, 3.0, 20.0, 200.0, 1e300], "rabi_rad_s": rabis}
+    rows = {(r["delta_over_omega"], r["rabi_rad_s"]): r for r in sweep(BASES["canonical"], grid)}
+    for (ratio, rabi), row in rows.items():
+        if rabi == 1e-310:
+            assert row["status"] == "error: pulse parameters and duration must be finite"
+        elif ratio == 1e300 and rabi > 1e-5:
+            assert row["status"] == "error: Rabi frequency, shift and gamma_h must be finite"
+        elif ratio == 1e300:                     # a perfect blockade
+            assert row["average_fidelity"] >= 1.0 - 1e-12
+            assert abs(abs(row["cz_phase_rad"]) - math.pi) <= 1e-12
+        else:
+            for key in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase_rad"):
+                assert abs(row[key] - rows[ratio, OMEGA][key]) <= 1e-12, (ratio, rabi, key)
 
 
 def test_group_pulses_equal_each_points_sequence():
