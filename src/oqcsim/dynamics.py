@@ -387,25 +387,34 @@ def segment_unitary(h: np.ndarray, duration,
     A segment Hamiltonian couples only the pairs its drive joins
     (drive_pairs), so H is a direct sum of 1 x 1 and 2 x 2 blocks.  An
     unpaired state k takes the phase exp(-i H_kk t).  A pair (a, b) with
-    mean m = (H_aa + H_bb)/2 and K = H_ab,ab - m 1 rotates as
-    exp(-i m t) (cos(w t) 1 - i sin(w t)/w K), where K^2 = w^2 1 with
-    w = hypot((H_aa - H_bb)/2, |H_ba|).  Numbers too large for double
-    precision give non-finite entries, not warnings.  Also takes a
-    stack: h of shape (n, d, d) with n durations.
+    mean m = (H_aa + H_bb)/2 and K = H_ab,ab - m 1, where K^2 = w^2 1
+    with w = hypot((H_aa - H_bb)/2, |H_ba|), has the eigenvalues m +- w
+    and evolves as p+ (1 + K/w)/2 + p- (1 - K/w)/2, with p+- = exp(-i
+    (m +- w) t).  The eigenvalue of larger magnitude is m +- w itself;
+    the other is taken as (H_aa H_bb - |H_ab|^2) divided by it, since
+    m -+ w cancels for a pair far off resonance, whose slow phase would
+    then carry the rounding of the fast one.  Numbers too large for
+    double precision give non-finite entries, not warnings.  Also takes
+    a stack: h of shape (n, d, d) with n durations.
     """
     lower, upper = pairs
     t = np.asarray(duration, dtype=float)[..., None]
     e = h.diagonal(axis1=-2, axis2=-1).real
     ea, eb = e[..., lower], e[..., upper]
+    coupling = np.abs(h[..., upper, lower])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # halved first, so that energies near the double range do not overflow
         mean, half = ea / 2 + eb / 2, ea / 2 - eb / 2
-        w = np.hypot(half, np.abs(h[..., upper, lower]))
-        wt = w * t
-        sin_over_w = np.where(w > 0, np.sin(wt) / w, t)
-        phase = np.exp(-1j * (mean * t))        # exp(-i m t), common to a pair
-        cos = phase * np.cos(wt)
-        sin = -1j * phase * sin_over_w          # times K, the rest of the rotation
+        w = np.hypot(half, coupling)
+        negative = np.signbit(mean)
+        large = np.where(negative, mean - w, mean + w)
+        # |large| >= |ea|, |eb|, coupling, so neither ratio overflows
+        small = np.where(large != 0, ea * (eb / large) - coupling * (coupling / large), 0.0)
+        p_plus = np.exp(-1j * (np.where(negative, small, large) * t))
+        p_minus = np.exp(-1j * (np.where(negative, large, small) * t))
+        cos = (p_plus + p_minus) / 2            # exp(-i m t) cos(w t)
+        # -i exp(-i m t) sin(w t) / w, times K the rest of the rotation
+        sin = np.where(w > 0, (p_plus - p_minus) / (2 * w), 0.0)
         u = np.zeros(h.shape, dtype=complex)
         states = np.arange(h.shape[-1])
         u[..., states, states] = np.exp(-1j * (e * t))

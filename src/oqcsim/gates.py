@@ -30,14 +30,13 @@ shifts from the interactions module, which are in Hz, by 2 pi).
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,11 +54,19 @@ COMPUTATIONAL = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
 
 _PHASE_FLOOR = 1e-12   # diagonal amplitude below which phases are meaningless
 
-# Sweep points propagated in one stack, and the unit of work of a sweep
-# worker; serial and pooled sweeps cut the grid alike.  Larger chunks
-# run no faster, since scoring each point costs more than its share of
-# the stacked propagation, but hold more memory.
-CHUNK = 64
+# A sweep chunk is the points propagated in one stack and scored in one
+# score call, and the unit of work of a sweep worker; serial and pooled
+# sweeps cut the grid alike (chunk_points).  Each chunk pays a fixed
+# set-up (the pulse arrays, index sets and gathers of its propagation and
+# scoring), so a chunk holds up to _CHUNK_ENTRIES stacked propagator
+# entries, and never fewer than _CHUNK_MIN points, which at the
+# dimension cap is no more than a chunk held when chunks were a fixed 64
+# points.  More entries gain nothing and hold more memory: in-process on
+# a 2-vCPU VM, the 4000-point closed canonical sweep (9 states) took a
+# median 0.175 s in chunks of 64 points, 0.134 s in chunks of 809 (this
+# rule) and 0.143 s in chunks of 4096.
+_CHUNK_ENTRIES = 1 << 16
+_CHUNK_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -210,33 +217,91 @@ class GateReport:
         }
 
 
-def _wrap(angle: float) -> float:
-    return (angle + math.pi) % (2.0 * math.pi) - math.pi
+class Scores(NamedTuple):
+    """Scores of n protocol runs, as arrays over the runs.
 
-
-def _extract_phases(m_diag: Sequence[complex]) -> tuple[float, float, float, float]:
-    """Global phase, single-qubit framing phases and controlled phase.
-
-    Extracted from the diagonal of the computational-subspace map; all
-    zero when any diagonal amplitude is too small to carry a phase.
+    truth has shape (n, 4, 4), [run][input][output] in computational
+    order; local_phases (n, 2) holds phi_01 and phi_10; the other
+    fields have shape (n,).  finite marks the runs whose numbers are
+    all finite, the only ones a GateReport is made of.
     """
-    if min(map(abs, m_diag)) < _PHASE_FLOOR:
-        return 0.0, 0.0, 0.0, 0.0
-    ref = m_diag[0]
-    phi00 = cmath.phase(ref)
-    phi01 = cmath.phase(m_diag[1] / ref)
-    phi10 = cmath.phase(m_diag[2] / ref)
-    cz = _wrap(cmath.phase(m_diag[3] / ref) - phi01 - phi10)
-    return phi00, phi01, phi10, cz
+
+    truth: np.ndarray
+    truth_fidelity: np.ndarray
+    average_fidelity: np.ndarray
+    leakage: np.ndarray
+    cz_phase: np.ndarray
+    local_phases: np.ndarray
+    finite: np.ndarray
 
 
-def _dressed_target(gate_target: str, phi00: float, phi01: float, phi10: float
-                    ) -> list[complex]:
-    """Diagonal of the target gate dressed with the protocol's phases."""
-    sign = -1.0 if gate_target == "cz" else 1.0
-    ref = cmath.exp(1j * phi00)
-    return [ref, ref * cmath.exp(1j * phi01), ref * cmath.exp(1j * phi10),
-            ref * (sign * cmath.exp(1j * (phi01 + phi10)))]
+def _closed_reading(unitaries: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Populations, diagonal coherences, phase amplitudes and finiteness of unitaries.
+
+    unitaries (n, d, d); comp, the basis indices of the computational
+    states.  With m the computational block, the coherence C[j, k] of
+    |j><k| is m_jj conj(m_kk), and the phases are read from m's diagonal.
+    """
+    m = unitaries[:, comp[:, None], comp]                 # [output][input]
+    amplitudes = m.diagonal(axis1=1, axis2=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coherences = amplitudes[:, :, None] * amplitudes[:, None, :].conj()
+        finite = np.isfinite(m).all(axis=(1, 2))
+        return np.abs(m.transpose(0, 2, 1)) ** 2, coherences, amplitudes, finite
+
+
+def _channel_reading(columns: np.ndarray, comp: np.ndarray,
+                     dim: int) -> tuple[np.ndarray, ...]:
+    """Populations, diagonal coherences, phase amplitudes and finiteness of channels.
+
+    columns (n, d^2, 16): column 4 j + k is the channel's image E_jk of
+    |comp_j><comp_k| (as sequence_superoperator returns them).  The
+    coherence C[j, k] is E_jk[comp_j, comp_k], and the phases are read
+    from the coherences C[k, 0] against the |00> reference column.  A
+    run is finite when the computational blocks of all sixteen images are.
+    """
+    blocks = columns[:, _columns(comp, dim)[:, None], np.arange(16)]    # [position][image]
+    coherences = blocks[:, np.arange(16), np.arange(16)].reshape(-1, 4, 4)
+    # populations of |comp_j><comp_j| in the images of the diagonal inputs k
+    truth = blocks[:, 5 * np.arange(4), 5 * np.arange(4)[:, None]].real
+    return truth, coherences, coherences[:, :, 0], np.isfinite(blocks).all(axis=(1, 2))
+
+
+def score(truth: np.ndarray, coherences: np.ndarray, amplitudes: np.ndarray,
+          finite: np.ndarray, gate_target: str) -> Scores:
+    """Score n runs from what their propagators give on the computational subspace.
+
+    truth (n, 4, 4): populations, [input][output]; coherences (n, 4, 4):
+    C[j, k], the <j|.|k> entry of the image of |j><k|; amplitudes (n, 4):
+    the numbers whose phases against the first give the framing phases
+    (all zero when one of them is below _PHASE_FLOOR); finite (n,): the
+    propagator entries read are finite.  The target gate is dressed with
+    phi_01, phi_10 and phi_01 + phi_10 (virtual-Z framing), and its
+    process fidelity is Re sum_jk conj(t_j) t_k C[j, k] / 16.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phases = np.angle(amplitudes[:, 1:] / amplitudes[:, :1])
+        phases[(np.abs(amplitudes) < _PHASE_FLOOR).any(axis=1)] = 0.0
+        phi01, phi10, phi11 = phases.T
+        cz = (phi11 - phi01 - phi10 + math.pi) % (2.0 * math.pi) - math.pi
+        t = np.exp(1j * np.stack([np.zeros_like(phi01), phi01, phi10, phi01 + phi10], axis=1))
+        if gate_target == "cz":
+            t[:, 3] *= -1.0
+        f_pro = (t.conj()[:, :, None] * coherences * t[:, None, :]).real.sum(axis=(1, 2)) / 16.0
+        # row totals in input order; populations are >= 0 or NaN
+        totals = truth[:, :, 0] + truth[:, :, 1] + truth[:, :, 2] + truth[:, :, 3]
+        finite = (finite & np.isfinite(totals).all(axis=1)
+                  & np.isfinite(np.stack([f_pro, phi01, phi10, cz])).all(axis=0))
+        return Scores(
+            truth=truth,
+            truth_fidelity=(truth[:, 0, 0] + truth[:, 1, 1] + truth[:, 2, 2]
+                            + truth[:, 3, 3]) / 4.0,
+            average_fidelity=np.clip((4.0 * f_pro + 1.0) / 5.0, 0.0, 1.0),
+            leakage=1.0 - totals.min(axis=1),
+            cz_phase=cz,
+            local_phases=np.stack([phi01, phi10], axis=1),
+            finite=finite,
+        )
 
 
 def _computational(scenario: GateScenario, system: LevelSystem) -> np.ndarray:
@@ -244,91 +309,60 @@ def _computational(scenario: GateScenario, system: LevelSystem) -> np.ndarray:
     return system.basis_indices((scenario.control.name, scenario.target.name), COMPUTATIONAL)
 
 
-def _columns(comp: np.ndarray, system: LevelSystem) -> np.ndarray:
+def _columns(comp: np.ndarray, dim: int) -> np.ndarray:
     """Vectorized positions of the sixteen operators |j><k| between the
     computational states (j-major)."""
-    return (system.dimension * comp[:, None] + comp).ravel()
+    return (dim * comp[:, None] + comp).ravel()
 
 
-def _require_finite(populations_finite, *numbers: float) -> None:
-    if not (populations_finite and all(map(math.isfinite, numbers))):
-        raise DomainError("protocol result is not finite; the pulse durations and "
-                          "shifts are too far apart for double precision")
+def _score_stack(scenario: GateScenario, system: LevelSystem, stack: np.ndarray) -> Scores:
+    """Scores of a stack of the scenario's propagators on its register:
+    unitaries (n, d, d), or with any noise switch on, the sixteen channel
+    columns (n, d^2, 16)."""
+    comp = _computational(scenario, system)
+    if scenario.noise.any:
+        reading = _channel_reading(stack, comp, system.dimension)
+    else:
+        reading = _closed_reading(stack, comp)
+    return score(*reading, scenario.gate_target)
 
 
-def run_protocol(scenario: GateScenario, propagator: np.ndarray | None = None,
-                 system: LevelSystem | None = None) -> GateReport:
+def run_protocol(scenario: GateScenario, scores: Scores | None = None,
+                 row: int = 0) -> GateReport:
     """Execute a scenario over all four computational inputs and score it.
 
-    Closed-system scenarios propagate state vectors and score the
-    restricted unitary; with any noise switch on, the channel is
-    applied to the sixteen operators |j><k| of the computational
-    subspace, so decay and dephasing enter the average-fidelity sum
-    exactly.  propagator is that unitary, or with noise those sixteen
-    channel columns (as sequence_superoperator returns them), of the
-    scenario's sequence when the caller has already computed it, as a
-    batched sweep does; system is then a register of the scenario's
-    structure, in whose basis the propagator is written.  When
-    propagator is None, the sequence is built, checked and propagated
-    here on the scenario's own register.
+    Closed-system scenarios are scored from their sequence unitary; with
+    any noise switch on, the channel is applied to the sixteen operators
+    |j><k| of the computational subspace, so decay and dephasing enter
+    the average-fidelity sum exactly.  Both are scored by score, here
+    as a stack of one.  scores, when given, are the scenario's scores
+    computed already, at position row, as a sweep computes them for a
+    whole chunk at once: the call then only checks that they are finite
+    and builds the report.  A sweep still makes this call for every
+    point, so that each point has its own report call, whose count and
+    durations the benchmark's per-point metrics read.
     """
-    if propagator is None or system is None:
+    if scores is None:
         system = scenario_system(scenario)
-    comp = _computational(scenario, system)
-    if propagator is None:
         sequence = protocol_sequence(scenario)
         sequence.validate_targets(scenario.qubit_levels())
-        propagator = (sequence_unitary(system, sequence) if not scenario.noise.any
-                      else sequence_superoperator(system, sequence, _columns(comp, system)))
-    dim = system.dimension
-
-    if not scenario.noise.any:
-        # scored on Python numbers, which for a 4 x 4 map cost less than numpy calls
-        m = propagator[comp[:, None], comp]
-        truth = (np.abs(m.T) ** 2).tolist()           # [input][output]
-        m_diag = m.diagonal().tolist()
-        phi00, phi01, phi10, cz = _extract_phases(m_diag)
-        # the dressed target is diagonal: trace(T^dagger M) over the diagonals
-        t00, t01, t10, t11 = _dressed_target(scenario.gate_target, phi00, phi01, phi10)
-        f_pro = abs(t00.conjugate() * m_diag[0] + t01.conjugate() * m_diag[1]
-                    + t10.conjugate() * m_diag[2] + t11.conjugate() * m_diag[3]) ** 2 / 16.0
-        totals = [sum(row) for row in truth]
-        # populations are >= 0 or NaN, so a row is finite when its total is
-        _require_finite(all(map(math.isfinite, totals)), f_pro, phi01, phi10, cz)
-        truth_fidelity = (truth[0][0] + truth[1][1] + truth[2][2] + truth[3][3]) / 4.0
-        leakage = 1.0 - min(totals)
-        noisy = False
-    else:
-        # channel output of |comp_j><comp_k|, as a density-operator shape
-        blocks = {(j, k): propagator[:, 4 * j + k].reshape(dim, dim)
-                  for j in range(4) for k in range(4)}
-        truth = np.array([[np.real(blocks[(k, k)][comp[j], comp[j]]) for j in range(4)]
-                          for k in range(4)])
-        # phases from the coherences against the |00> reference column
-        m_diag = np.array([blocks[(k, 0)][comp[k], comp[0]] for k in range(4)])
-        phi00, phi01, phi10, cz = _extract_phases(m_diag)
-        target = np.diag(_dressed_target(scenario.gate_target, phi00, phi01, phi10))
-        f_pro = 0.0
-        for j in range(4):
-            for k in range(4):
-                f_pro += np.real(
-                    target[:, j].conj() @ blocks[(j, k)][np.ix_(comp, comp)] @ target[:, k])
-        f_pro /= 16.0
-        _require_finite(np.isfinite(truth).all(), f_pro, phi01, phi10, cz)
-        truth_fidelity = float(truth.diagonal().sum()) / 4.0
-        leakage = float((1.0 - truth.sum(axis=1)).max())
-        truth = truth.tolist()
-        noisy = True
-
-    avg_fidelity = (4.0 * f_pro + 1.0) / 5.0
+        if scenario.noise.any:
+            columns = _columns(_computational(scenario, system), system.dimension)
+            propagator = sequence_superoperator(system, sequence, columns)
+        else:
+            propagator = sequence_unitary(system, sequence)
+        scores = _score_stack(scenario, system, propagator[None])
+    if not scores.finite[row]:
+        raise DomainError("protocol result is not finite; the pulse durations and "
+                          "shifts are too far apart for double precision")
     return GateReport(
-        truth_table=tuple(map(tuple, truth)),
-        truth_table_fidelity=truth_fidelity,
-        average_fidelity=float(min(max(avg_fidelity, 0.0), 1.0)),
-        leakage=leakage,
-        cz_phase=float(cz),
-        local_phases=(float(phi01), float(phi10)),
-        noisy=noisy,
+        truth_table=tuple(map(tuple, scores.truth[row].tolist())),
+        truth_table_fidelity=float(scores.truth_fidelity[row]),
+        average_fidelity=float(scores.average_fidelity[row]),
+        leakage=float(scores.leakage[row]),
+        cz_phase=float(scores.cz_phase[row]),
+        local_phases=tuple(scores.local_phases[row].tolist()),
+        noisy=scenario.noise.any,
         gate_target=scenario.gate_target,
     )
 
@@ -388,23 +422,57 @@ def grid_points(grid: Mapping[str, Sequence]) -> Iterator[dict]:
         yield dict(zip(keys, combo))
 
 
-def grid_chunks(grid: Mapping[str, Sequence]) -> Iterator[list[dict]]:
-    """The grid's points in order, cut into contiguous chunks of CHUNK points."""
+def chunk_points(base: GateScenario) -> int:
+    """Points in each chunk of a sweep of base: max(_CHUNK_MIN, _CHUNK_ENTRIES // e),
+    for e stacked propagator entries per point (d^2 closed, 16 d^2 noisy,
+    d the register dimension)."""
+    dim = len(base.control.level_order) * len(base.target.level_order)
+    return max(_CHUNK_MIN, _CHUNK_ENTRIES // (dim * dim * (16 if base.noise.any else 1)))
+
+
+def grid_chunks(grid: Mapping[str, Sequence], size: int) -> Iterator[list[dict]]:
+    """The grid's points in order, cut into contiguous chunks of size points."""
     points = grid_points(grid)
-    while chunk := list(itertools.islice(points, CHUNK)):
+    while chunk := list(itertools.islice(points, size)):
         yield chunk
 
 
-def sweep_chunk(base: GateScenario, points: Sequence[dict]) -> list[dict]:
+class SweepBase(NamedTuple):
+    """What every point of a sweep shares, built once from the base scenario:
+    its register, its validated pulse sequence and that sequence's arrays."""
+
+    system: LevelSystem
+    sequence: PulseSequence
+    pulses: PulseArrays
+
+
+def sweep_base(base: GateScenario) -> SweepBase | None:
+    """The SweepBase of base, or None when its register or sequence does
+    not build; each point is then run alone, which reports its error."""
+    try:
+        system = scenario_system(base)
+        sequence = protocol_sequence(base)
+        sequence.validate_targets(base.qubit_levels())
+        return SweepBase(system, sequence, PulseArrays.of(sequence))
+    except (OqcsimError, ValueError):
+        return None
+
+
+def sweep_chunk(base: GateScenario, shared: SweepBase | None,
+                points: Sequence[dict]) -> list[dict]:
     """Sweep rows of some grid points: the point plus the report fields, or an error status.
 
     Each point's scenario is the base with the point's numbers
-    (point_scenario), scored by one run_protocol call, so every check
-    runs per point.  The points share the base's register and sequence,
-    and are propagated in one stack (_stacked_propagators), whose
-    propagators and register are handed to run_protocol.  A point left
-    out of the stack, such as one whose pulse durations are not finite,
-    is propagated by run_protocol alone, which reports its error.
+    (point_scenario), checked on its own.  The points share the base's
+    register and sequence (shared), are propagated in one stack and
+    scored as arrays in one score call (_stacked_scores).  Each point
+    then gets its report from one run_protocol call on its row of those
+    scores, which only checks that its numbers are finite; the call is
+    kept per point so that the benchmark's per-point metrics (calls,
+    p50, p99 of gates.run_protocol) keep reading one call per point.  A
+    point left out of the stack, such as one whose pulse durations are
+    not finite, is propagated by run_protocol alone, which reports its
+    error.
     """
     rows, scenarios = [], []
     for point in points:
@@ -415,12 +483,12 @@ def sweep_chunk(base: GateScenario, points: Sequence[dict]) -> list[dict]:
             scenarios.append(None)
             row["status"] = f"error: {exc}"
         rows.append(row)
-    propagators = _stacked_propagators(base, scenarios)
+    stacked = _stacked_scores(base, shared, scenarios)
     for i, (row, scenario) in enumerate(zip(rows, scenarios)):
         if scenario is None:
             continue
         try:
-            report = run_protocol(scenario, *propagators.get(i, (None, None)))
+            report = run_protocol(scenario, *stacked.get(i, ()))
         except (OqcsimError, ValueError) as exc:
             row["status"] = f"error: {exc}"
             continue
@@ -435,63 +503,62 @@ def sweep_chunk(base: GateScenario, points: Sequence[dict]) -> list[dict]:
     return rows
 
 
-def _group_pulses(base: GateScenario, group: Sequence[GateScenario]
+def _group_pulses(base: GateScenario, shared: SweepBase, group: Sequence[GateScenario]
                   ) -> tuple[PulseArrays, np.ndarray]:
     """Pulse arrays of the sweep points of base, and which points they hold.
 
-    The sequence is built and validated once, on base.  A gate's own
-    sequence is the same for every point; the canonical one drives the
-    same transitions for all, each point at its own Rabi frequency.
-    The mask leaves out the points whose pulse durations are not finite,
-    whose canonical sequence does not build.
+    A gate's own sequence is the same for every point; the canonical one
+    drives the same transitions for all, each point at its own Rabi
+    frequency.  The mask leaves out the points whose pulse durations are
+    not finite, whose canonical sequence does not build.
     """
-    sequence = protocol_sequence(base)
-    sequence.validate_targets(base.qubit_levels())
-    pulses = PulseArrays.of(sequence)
+    pulses = shared.pulses
     if base.sequence is not None:
         shape = (len(pulses.targets), len(group))
         return (PulseArrays(pulses.targets, *(np.broadcast_to(a, shape) for a in pulses[1:])),
                 np.ones(len(group), dtype=bool))
     rabi = np.array([[sc.rabi for sc in group]])
     with np.errstate(over="ignore"):
-        duration = np.array([[p.pulse_area] for p in sequence.specs()]) / rabi
+        duration = np.array([[p.pulse_area] for p in shared.sequence.specs()]) / rabi
     keep = np.isfinite(duration).all(axis=0)
     duration = duration[:, keep]
     return (PulseArrays(pulses.targets, np.broadcast_to(rabi[:, keep], duration.shape),
                         np.zeros(duration.shape), duration), keep)
 
 
-def _stacked_propagators(base: GateScenario, scenarios: Sequence[GateScenario | None]
-                         ) -> dict[int, tuple[np.ndarray, LevelSystem]]:
-    """Propagators of the sweep points of base and its register, keyed by position.
+def _stacked_scores(base: GateScenario, shared: SweepBase | None,
+                    scenarios: Sequence[GateScenario | None]) -> dict[int, tuple[Scores, int]]:
+    """Scores of the sweep points of base, keyed by position: (scores, row).
 
     The points' pulse parameters enter as (segments, n) arrays
     (_group_pulses).  Without noise the points get sequence unitaries;
     with any noise switch of base on, the sixteen computational columns
-    of their channels; each in one stacked propagation.  A point left
-    out here (None, or with pulse durations that are not finite), or
-    every point when the sequence does not build or the stacked
-    propagation fails, is propagated by run_protocol alone, which then
-    reports its error.
+    of their channels; each in one stacked propagation on the shared
+    register, scored in one score call.  A point left out here (None,
+    or with pulse durations that are not finite), or every point when
+    shared is None or the stacked propagation fails, is propagated by
+    run_protocol alone, which then reports its error.
     """
     batch = [(i, sc) for i, sc in enumerate(scenarios) if sc is not None]
+    if shared is None or not batch:
+        return {}
+    system = shared.system
     try:
-        pulses, keep = _group_pulses(base, [sc for _, sc in batch])
+        pulses, keep = _group_pulses(base, shared, [sc for _, sc in batch])
         batch = [member for member, kept in zip(batch, keep) if kept]
         if not batch:
             return {}
         shifts = np.array([[sc.delta_shift] for _, sc in batch])
-        system = scenario_system(base)
         if base.noise.any:
             dephasing = np.array([[_dephasing(sc)] * 2 for _, sc in batch])
-            stacked = stacked_superoperators(
-                system, pulses, _columns(_computational(base, system), system),
-                shifts, dephasing)
+            columns = _columns(_computational(base, system), system.dimension)
+            stacked = stacked_superoperators(system, pulses, columns, shifts, dephasing)
         else:
             stacked = stacked_unitaries(system, pulses, shifts)
     except (OqcsimError, ValueError):
         return {}
-    return {i: (p, system) for (i, _), p in zip(batch, stacked)}
+    scores = _score_stack(base, system, stacked)
+    return {i: (scores, row) for row, (i, _) in enumerate(batch)}
 
 
 def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> list[dict]:
@@ -515,18 +582,21 @@ def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> li
     list of dict
         One row per grid point, in grid_points order: the parameters
         plus the report fields, or a status message when that point
-        failed.  The points are scored chunk by chunk (sweep_chunk).
+        failed.  The points are scored chunk by chunk (sweep_chunk), in
+        chunks of chunk_points(base) points, on a register and sequence
+        built once (sweep_base).
     """
     check_grid(base, grid)
-    score = partial(sweep_chunk, base)
-    n_chunks = -(-math.prod(len(values) for values in grid.values()) // CHUNK)
+    size = chunk_points(base)
+    score_chunk = partial(sweep_chunk, base, sweep_base(base))
+    n_chunks = -(-math.prod(len(values) for values in grid.values()) // size)
     # a forked pool starts every worker up front, so never ask for idle ones
     workers = min(jobs, n_chunks, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(score, grid_chunks(grid)))
+            chunks = list(pool.map(score_chunk, grid_chunks(grid, size)))
     else:
-        chunks = map(score, grid_chunks(grid))
+        chunks = map(score_chunk, grid_chunks(grid, size))
     return [row for chunk in chunks for row in chunk]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oqcsim import gates, runner
 from oqcsim.cli import main
-from oqcsim.gates import CHUNK
+from oqcsim.gates import chunk_points
 from oqcsim.runner import emit_plot_data, load_config, run
 
 CONFIG_DIR = resources.files("oqcsim.configs")
@@ -429,15 +429,15 @@ def test_emit_plot_unknown_kind(tmp_path):
 
 
 def big_sweep_config(tmp_path) -> Path:
-    """The bundled blockade sweep on a 20 x 14 = 280-point grid: five chunks."""
+    """The bundled blockade sweep on a 250 x 14 = 3500-point grid: five chunks."""
     doc = json.loads(Path(config_path("blockade_cz_sweep")).read_text())
     doc["sweep"]["grid"] = {
-        "delta_over_omega": [1.5 ** k for k in range(20)],
+        "delta_over_omega": [1.0 + 0.4 * k for k in range(250)],
         "rabi_rad_s": [2 * math.pi * 1e8 * (k + 1) for k in range(14)]}
     doc["gate"]["export_trajectory"] = False
     config = tmp_path / "big.json"
     config.write_text(json.dumps(doc))
-    assert -(-280 // CHUNK) == 5
+    assert -(-3500 // chunk_points(load_config(config).gate.scenario)) == 5
     return config
 
 

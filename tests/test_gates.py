@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,16 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oqcsim import gates
-from oqcsim.errors import OqcsimError, ValidationError
-from oqcsim.gates import (CHUNK, COMPUTATIONAL, GateScenario, NoiseFlags, QubitScheme,
-                          _computational, _group_pulses, _stacked_propagators,
-                          canonical_blockade_sequence, grid_chunks, pair_center_scenario,
-                          point_scenario, protocol_sequence, run_protocol, scenario_system,
-                          swap_roles, sweep)
+from oqcsim.errors import DomainError, OqcsimError, ValidationError
+from oqcsim.gates import (COMPUTATIONAL, GateReport, GateScenario, NoiseFlags, QubitScheme,
+                          _PHASE_FLOOR, _channel_reading, _closed_reading, _columns,
+                          _computational, _group_pulses, _stacked_scores,
+                          canonical_blockade_sequence, chunk_points, grid_chunks,
+                          pair_center_scenario, point_scenario, protocol_sequence, run_protocol,
+                          scenario_system, score, swap_roles, sweep, sweep_base, sweep_chunk)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
 from oqcsim.pulses import PulseSequence, build_sequence
-from oqcsim.dynamics import PulseArrays, sequence_unitary
+from oqcsim.dynamics import (PulseArrays, sequence_superoperator, sequence_unitary,
+                             stacked_superoperators, stacked_unitaries)
 
 OMEGA = 2 * math.pi * 1e9
 
@@ -248,26 +252,41 @@ def grid_keys(base):
     return keys
 
 
+# ranges of the grid values; gamma_h_hz may also be 0
+VALUE_RANGES = {"delta_over_omega": (0.0, 300.0), "delta_shift_rad_s": (0.0, 300.0 * OMEGA),
+                "rabi_rad_s": (0.2 * OMEGA, 5.0 * OMEGA), "gamma_h_hz": (1e3, 1e9)}
+
+
+@st.composite
+def grid_values(draw, key, n):
+    """n values of a grid key: up to eight drawn, the rest uniform from a drawn
+    seed, which keeps a chunk-sized list small for hypothesis."""
+    low, high = VALUE_RANGES[key]
+    values = st.floats(low, high)
+    if key == "gamma_h_hz":
+        values = st.one_of(st.just(0.0), values)
+    head = draw(st.lists(values, min_size=min(n, 8), max_size=min(n, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return head + rng.uniform(low, high, n - len(head)).tolist()
+
+
 @st.composite
 def sweep_cases(draw, bases=tuple(sorted(BASES)), bad_values=True):
     base = BASES[draw(st.sampled_from(bases))]
     keys = grid_keys(base)
     if draw(st.booleans()):
         keys[0] = "delta_shift_rad_s"
-    size = draw(st.sampled_from([1, 3, CHUNK - 1, CHUNK, CHUNK + 1]))
+    chunk = chunk_points(base)
+    size = draw(st.sampled_from([1, 3, chunk - 1, chunk, chunk + 1]))
     # split size into one list length per key
     lengths, rest = {}, size
     for key in draw(st.permutations(keys))[:-1]:
         lengths[key] = draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0]))
         rest //= lengths[key]
-    values = {"delta_over_omega": st.floats(0.0, 300.0),
-              "delta_shift_rad_s": st.floats(0.0, 300.0 * OMEGA),
-              "rabi_rad_s": st.floats(0.2 * OMEGA, 5.0 * OMEGA),
-              "gamma_h_hz": st.one_of(st.just(0.0), st.floats(1e3, 1e9))}
     grid = {}
     for key in keys:
         n = lengths.get(key, rest)
-        grid[key] = draw(st.lists(values[key], min_size=n, max_size=n))
+        grid[key] = draw(grid_values(key, n))
         if bad_values and key in BAD_VALUES:
             bad = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(BAD_VALUES[key]),
                                        max_size=2))
@@ -305,7 +324,8 @@ def test_stack_holds_every_point_of_a_valid_grid(case):
     # no point of a valid grid falls back to its own propagation
     base, grid = case
     scenarios = [point_scenario(base, point) for point in gates.grid_points(grid)]
-    assert sorted(_stacked_propagators(base, scenarios)) == list(range(len(scenarios)))
+    stacked = _stacked_scores(base, sweep_base(base), scenarios)
+    assert sorted(stacked) == list(range(len(scenarios)))
 
 
 def test_point_scenario_replaces_only_the_swept_numbers():
@@ -323,7 +343,8 @@ def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
     grid = {"delta_over_omega": [10.0], "rabi_rad_s": rabis}
     points = list(gates.grid_points(grid))
     # the tiny points stay out of the stack; the others still share one
-    stacked = _stacked_propagators(base, [point_scenario(base, point) for point in points])
+    stacked = _stacked_scores(base, sweep_base(base),
+                              [point_scenario(base, point) for point in points])
     assert sorted(stacked) == [1, 2, 4]
     rows = sweep(base, grid)
     for point, row in zip(points, rows):
@@ -357,7 +378,7 @@ def test_group_pulses_equal_each_points_sequence():
     for name in ("canonical", "custom", "noisy_pair_center"):
         group = [replace(BASES[name], rabi=w * OMEGA, delta_shift=3 * w * OMEGA)
                  for w in (0.5, 1.0, 2.5)]
-        pulses, keep = _group_pulses(BASES[name], group)
+        pulses, keep = _group_pulses(BASES[name], sweep_base(BASES[name]), group)
         assert keep.all()
         for i, sc in enumerate(group):
             expected = PulseArrays.of(protocol_sequence(sc))
@@ -376,7 +397,7 @@ def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
         return run_protocol(*args, **kwargs)
 
     monkeypatch.setattr(gates, "run_protocol", counting)
-    n = 2 * CHUNK + 5
+    n = 2 * chunk_points(BASES["canonical"]) + 5
     rows = sweep(BASES["canonical"], {"delta_over_omega": [1.0 + i for i in range(n)]})
     assert len(calls) == n
     assert all(row["status"] == "ok" for row in rows)
@@ -394,12 +415,271 @@ def test_cached_computational_indices_equal_basis_index(order):
     assert not comp.flags.writeable
 
 
+CLOSED_CHUNK = chunk_points(BASES["canonical"])
+
+
 @pytest.mark.parametrize("n, sizes", [
-    (1, [1]), (CHUNK, [CHUNK]), (CHUNK + 1, [CHUNK, 1]), (2 * CHUNK + 3, [CHUNK, CHUNK, 3])])
+    (1, [1]), (CLOSED_CHUNK, [CLOSED_CHUNK]), (CLOSED_CHUNK + 1, [CLOSED_CHUNK, 1]),
+    (2 * CLOSED_CHUNK + 3, [CLOSED_CHUNK, CLOSED_CHUNK, 3])])
 def test_grid_chunks_cover_the_grid_in_order(n, sizes):
-    chunks = list(grid_chunks({"x": list(range(n))}))
+    chunks = list(grid_chunks({"x": list(range(n))}, CLOSED_CHUNK))
     assert [len(c) for c in chunks] == sizes
     assert [p["x"] for c in chunks for p in c] == list(range(n))
+
+
+# -- the stacked scorer against the per-point scoring it replaced -----------
+
+
+def oracle_phases(m_diag):
+    """Global, framing and controlled phases, all zero below the phase floor."""
+    if min(map(abs, m_diag)) < _PHASE_FLOOR:
+        return 0.0, 0.0, 0.0, 0.0
+    ref = m_diag[0]
+    phi00 = cmath.phase(ref)
+    phi01 = cmath.phase(m_diag[1] / ref)
+    phi10 = cmath.phase(m_diag[2] / ref)
+    cz = (cmath.phase(m_diag[3] / ref) - phi01 - phi10 + math.pi) % (2.0 * math.pi) - math.pi
+    return phi00, phi01, phi10, cz
+
+
+def oracle_target(gate_target, phi00, phi01, phi10):
+    sign = -1.0 if gate_target == "cz" else 1.0
+    ref = cmath.exp(1j * phi00)
+    return [ref, ref * cmath.exp(1j * phi01), ref * cmath.exp(1j * phi10),
+            ref * (sign * cmath.exp(1j * (phi01 + phi10)))]
+
+
+def oracle_require_finite(populations_finite, *numbers):
+    if not (populations_finite and all(map(math.isfinite, numbers))):
+        raise DomainError("protocol result is not finite; the pulse durations and "
+                          "shifts are too far apart for double precision")
+
+
+def oracle_report(propagator, comp, dim, noisy, gate_target):
+    """One point scored per point: Python numbers from a unitary's computational
+    map, or per-point numpy over the sixteen channel columns.  Returns the report
+    and whether the phases fell below the floor; raises DomainError as
+    run_protocol does."""
+    with np.errstate(all="ignore"):        # non-finite entries are tested on purpose
+        if not noisy:
+            m = propagator[comp[:, None], comp]
+            truth = (np.abs(m.T) ** 2).tolist()
+            m_diag = m.diagonal().tolist()
+            phi00, phi01, phi10, cz = oracle_phases(m_diag)
+            t00, t01, t10, t11 = oracle_target(gate_target, phi00, phi01, phi10)
+            f_pro = abs(t00.conjugate() * m_diag[0] + t01.conjugate() * m_diag[1]
+                        + t10.conjugate() * m_diag[2] + t11.conjugate() * m_diag[3]) ** 2 / 16.0
+            totals = [sum(row) for row in truth]
+            oracle_require_finite(all(map(math.isfinite, totals)), f_pro, phi01, phi10, cz)
+            truth_fidelity = (truth[0][0] + truth[1][1] + truth[2][2] + truth[3][3]) / 4.0
+            leakage = 1.0 - min(totals)
+        else:
+            blocks = {(j, k): propagator[:, 4 * j + k].reshape(dim, dim)
+                      for j in range(4) for k in range(4)}
+            truth = np.array([[np.real(blocks[(k, k)][comp[j], comp[j]]) for j in range(4)]
+                              for k in range(4)])
+            m_diag = np.array([blocks[(k, 0)][comp[k], comp[0]] for k in range(4)])
+            phi00, phi01, phi10, cz = oracle_phases(m_diag)
+            target = np.diag(oracle_target(gate_target, phi00, phi01, phi10))
+            f_pro = 0.0
+            for j in range(4):
+                for k in range(4):
+                    f_pro += np.real(
+                        target[:, j].conj() @ blocks[(j, k)][np.ix_(comp, comp)] @ target[:, k])
+            f_pro /= 16.0
+            oracle_require_finite(np.isfinite(truth).all(), f_pro, phi01, phi10, cz)
+            truth_fidelity = float(truth.diagonal().sum()) / 4.0
+            leakage = float((1.0 - truth.sum(axis=1)).max())
+            truth = truth.tolist()
+    report = GateReport(truth_table=tuple(map(tuple, truth)),
+                        truth_table_fidelity=truth_fidelity,
+                        average_fidelity=float(min(max((4.0 * f_pro + 1.0) / 5.0, 0.0), 1.0)),
+                        leakage=leakage, cz_phase=float(cz),
+                        local_phases=(float(phi01), float(phi10)), noisy=noisy,
+                        gate_target=gate_target)
+    return report, min(map(abs, m_diag)) < _PHASE_FLOOR
+
+
+def register_family(scenarios):
+    """Propagators of scenarios of one register structure: unitaries, or with
+    noise the sixteen channel columns; with the register's computational indices."""
+    system = scenario_system(scenarios[0])
+    comp = _computational(scenarios[0], system)
+    stack = []
+    for sc in scenarios:
+        sequence = protocol_sequence(sc)
+        if sc.noise.any:
+            stack.append(sequence_superoperator(system, sequence,
+                                                _columns(comp, system.dimension)))
+        else:
+            stack.append(sequence_unitary(system, sequence))
+    return np.array(stack), comp, system.dimension
+
+
+def scorer_families():
+    """Real registers, closed and noisy, over shifts, framing phases and noise."""
+    canonical = blockade_scenario(3.0)
+    mixing = replace(canonical, sequence=mixing_sequence(canonical.qubit_levels()),
+                     control=QubitScheme("control", detunings={"1": 0.37 * OMEGA}))
+    closed = [blockade_scenario(x) for x in (0.0, 0.5, 3.0, 20.0, 1e3)] + [mixing]
+    noise = NoiseFlags(lifetimes=True, dephasing=True)
+    decaying = {"lifetimes": {"1": 20e-9}}
+    noisy = [replace(sc, noise=noise, gamma_h=g,
+                     control=QubitScheme("control", detunings=sc.control.detunings, **decaying),
+                     target=QubitScheme("target", **decaying))
+             for sc in closed for g in (0.0, 1e7)]
+    pair = BASES["noisy_pair_center"]
+    pairs = [point_scenario(pair, {"delta_over_omega": x, "gamma_h_hz": g})
+             for x in (0.3, 8.0) for g in (0.0, 1e8)]
+    return {"closed": register_family(closed),
+            "closed_pair": register_family([replace(sc, noise=NoiseFlags()) for sc in pairs]),
+            "noisy": register_family(noisy),
+            "noisy_pair": register_family(pairs)}
+
+
+FAMILIES = scorer_families()
+
+
+@st.composite
+def scored_stacks(draw):
+    """A stack of 1-5 propagators of one register, some entries made NaN or
+    infinite, in the computational blocks read or anywhere, and some diagonal
+    amplitudes moved to either side of the phase floor."""
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    family, comp, dim = FAMILIES[name]
+    noisy = name.startswith("noisy")
+    stack = family[draw(st.lists(st.integers(0, len(family) - 1), min_size=1, max_size=5))]
+    # (row, column) of each entry a score reads, and of each amplitude it phases
+    if noisy:
+        pos = _columns(comp, dim).reshape(4, 4)
+        read = [(p, c) for p in pos.ravel() for c in range(16)]
+        amplitudes = [(pos[k, 0], 4 * k) for k in range(4)]
+    else:
+        read = [(a, b) for a in comp for b in comp]
+        amplitudes = [(a, a) for a in comp]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(stack) - 1))
+        kind = draw(st.sampled_from(["nan", "inf", "-inf", "nan_imag", "floor"]))
+        if kind == "floor":
+            row, col = draw(st.sampled_from(amplitudes))
+            size = draw(st.sampled_from([0.0, 1e-13, 0.999e-12, 1.001e-12, 3e-12]))
+            stack[i, row, col] = size * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+            continue
+        if draw(st.booleans()):
+            row, col = draw(st.sampled_from(read))
+        else:
+            row = draw(st.integers(0, stack.shape[1] - 1))
+            col = draw(st.integers(0, stack.shape[2] - 1))
+        stack[i, row, col] = {"nan": complex(math.nan, 0.0), "inf": complex(math.inf, 0.0),
+                              "-inf": complex(-math.inf, 1.0),
+                              "nan_imag": complex(0.5, math.nan)}[kind]
+    return stack, comp, dim, noisy, draw(st.sampled_from(["cz", "identity"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_stacks())
+def test_stacked_score_equals_the_per_point_score(case):
+    stack, comp, dim, noisy, gate_target = case
+    reading = _channel_reading(stack, comp, dim) if noisy else _closed_reading(stack, comp)
+    scores = score(*reading, gate_target)
+    scenario = blockade_scenario(3.0, gate_target=gate_target,
+                                 noise=NoiseFlags(dephasing=noisy))
+    for i, propagator in enumerate(stack):
+        try:
+            expected, floored = oracle_report(propagator, comp, dim, noisy, gate_target)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                run_protocol(scenario, scores, i)
+            assert str(got.value) == str(exc)
+            continue
+        report = run_protocol(scenario, scores, i)
+        assert (report.noisy, report.gate_target) == (noisy, gate_target)
+        assert np.abs(np.subtract(report.truth_table, expected.truth_table)).max() <= 1e-12
+        for field in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase"):
+            assert abs(getattr(report, field) - getattr(expected, field)) <= 1e-12, field
+        assert np.abs(np.subtract(report.local_phases, expected.local_phases)).max() <= 1e-12
+        if floored:
+            assert report.local_phases == (0.0, 0.0) and report.cz_phase == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_detuned_rows_do_not_depend_on_the_rabi_scale():
+    # a pair far off resonance rotates with a slow phase (the small eigenvalue)
+    # that must not carry the rounding of its fast one, whose size scales with
+    # delta / Omega; at 1e6 that rounding alone would be about 1e-9
+    ratios = [1e2, 1e4, 1e5, 1e6]
+    rabis = [1e-5, 1e5, OMEGA]
+    rows = {(r["delta_over_omega"], r["rabi_rad_s"]): r
+            for r in sweep(BASES["canonical"], {"delta_over_omega": ratios, "rabi_rad_s": rabis})}
+    for (ratio, rabi), row in rows.items():
+        assert row["status"] == "ok"
+        for key in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase_rad"):
+            assert abs(row[key] - rows[ratio, OMEGA][key]) <= 1e-13, (ratio, rabi, key)
+
+
+def register_at_the_cap(noise):
+    """A gate on two 8-level qubits: the 64-state register, decaying and
+    dephasing when noise is on."""
+    levels = ("1p", "0", "1", "a", "b", "c", "d", "e")
+    lifetimes = {"1": 1e-6} if noise else {}
+    return GateScenario(control=QubitScheme("control", level_order=levels, lifetimes=lifetimes),
+                        target=QubitScheme("target", level_order=levels, lifetimes=lifetimes),
+                        rabi=OMEGA, gamma_h=1e6,
+                        noise=NoiseFlags(lifetimes=noise, dephasing=noise))
+
+
+def chunk_as_scored_per_point(base, points):
+    """Sweep rows of a chunk run as when chunks were a fixed 64 points: the
+    register and sequence built for the chunk, the stack propagated, and each
+    point scored alone."""
+    rows = [dict(point) for point in points]
+    scenarios = [point_scenario(base, point) for point in points]
+    shared = sweep_base(base)
+    system = shared.system
+    pulses, _ = _group_pulses(base, shared, scenarios)
+    shifts = np.array([[sc.delta_shift] for sc in scenarios])
+    comp = _computational(base, system)
+    if base.noise.any:
+        dephasing = np.array([[sc.gamma_h] * 2 for sc in scenarios])
+        stack = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
+                                       shifts, dephasing)
+    else:
+        stack = stacked_unitaries(system, pulses, shifts)
+    for row, propagator in zip(rows, stack):
+        report, _ = oracle_report(propagator, comp, system.dimension, base.noise.any,
+                                  base.gate_target)
+        row.update({"truth_table_fidelity": report.truth_table_fidelity,
+                    "average_fidelity": report.average_fidelity,
+                    "infidelity": 1.0 - report.average_fidelity,
+                    "leakage": report.leakage,
+                    "cz_phase_rad": report.cz_phase,
+                    "status": "ok"})
+    return rows
+
+
+def traced_peak(run, *args):
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("noise", [False, True])
+def test_chunk_at_the_cap_holds_no_more_than_64_points(noise):
+    base = register_at_the_cap(noise)
+    dim = scenario_system(base).dimension
+    entries = dim * dim * (16 if noise else 1)
+    assert dim == 64 and chunk_points(base) * entries <= 64 * entries
+    points = [{"delta_over_omega": 1.0 + 0.5 * i} for i in range(chunk_points(base))]
+    shared = sweep_base(base)
+    rows = sweep_chunk(base, shared, points)
+    for row, expected in zip(rows, chunk_as_scored_per_point(base, points), strict=True):
+        assert row.keys() == expected.keys() and row["status"] == "ok"
+        assert all(abs(row[k] - expected[k]) <= 1e-12 for k in row if k != "status")
+    assert (traced_peak(sweep_chunk, base, shared, points)
+            <= traced_peak(chunk_as_scored_per_point, base, points))
 
 
 # -- pair-center scenarios --------------------------------------------------
