@@ -393,9 +393,11 @@ def segment_unitary(h: np.ndarray, duration,
     (m +- w) t).  The eigenvalue of larger magnitude is m +- w itself;
     the other is taken as (H_aa H_bb - |H_ab|^2) divided by it, since
     m -+ w cancels for a pair far off resonance, whose slow phase would
-    then carry the rounding of the fast one.  Numbers too large for
-    double precision give non-finite entries, not warnings.  Also takes
-    a stack: h of shape (n, d, d) with n durations.
+    then carry the rounding of the fast one.  Both are formed from half
+    the larger one, m/2 +- w/2, and the rotation divides by w, not 2 w,
+    so that no step overflows while the entries of H are finite.
+    Numbers too large for double precision give non-finite entries, not
+    warnings.  Also takes a stack: h of shape (n, d, d) with n durations.
     """
     lower, upper = pairs
     t = np.asarray(duration, dtype=float)[..., None]
@@ -407,14 +409,16 @@ def segment_unitary(h: np.ndarray, duration,
         mean, half = ea / 2 + eb / 2, ea / 2 - eb / 2
         w = np.hypot(half, coupling)
         negative = np.signbit(mean)
-        large = np.where(negative, mean - w, mean + w)
-        # |large| >= |ea|, |eb|, coupling, so neither ratio overflows
-        small = np.where(large != 0, ea * (eb / large) - coupling * (coupling / large), 0.0)
-        p_plus = np.exp(-1j * (np.where(negative, small, large) * t))
-        p_minus = np.exp(-1j * (np.where(negative, large, small) * t))
+        # half the large eigenvalue, which the sum m +- w itself could overflow
+        hl = np.where(negative, mean / 2 - w / 2, mean / 2 + w / 2)
+        # |hl| >= |ea|/2, |eb|/2, coupling/2, so neither ratio overflows
+        small = np.where(hl != 0, (ea / 2) * (eb / hl) - (coupling / 2) * (coupling / hl), 0.0)
+        large_phase, small_phase = 2 * (hl * t), small * t
+        p_plus = np.exp(-1j * np.where(negative, small_phase, large_phase))
+        p_minus = np.exp(-1j * np.where(negative, large_phase, small_phase))
         cos = (p_plus + p_minus) / 2            # exp(-i m t) cos(w t)
         # -i exp(-i m t) sin(w t) / w, times K the rest of the rotation
-        sin = np.where(w > 0, (p_plus - p_minus) / (2 * w), 0.0)
+        sin = np.where(w > 0, (p_plus - p_minus) / 2 / w, 0.0)
         u = np.zeros(h.shape, dtype=complex)
         states = np.arange(h.shape[-1])
         u[..., states, states] = np.exp(-1j * (e * t))

@@ -422,14 +422,6 @@ def grid_points(grid: Mapping[str, Sequence]) -> Iterator[dict]:
         yield dict(zip(keys, combo))
 
 
-def chunk_points(base: GateScenario) -> int:
-    """Points in each chunk of a sweep of base: max(_CHUNK_MIN, _CHUNK_ENTRIES // e),
-    for e stacked propagator entries per point (d^2 closed, 16 d^2 noisy,
-    d the register dimension)."""
-    dim = len(base.control.level_order) * len(base.target.level_order)
-    return max(_CHUNK_MIN, _CHUNK_ENTRIES // (dim * dim * (16 if base.noise.any else 1)))
-
-
 def grid_chunks(grid: Mapping[str, Sequence], size: int) -> Iterator[list[dict]]:
     """The grid's points in order, cut into contiguous chunks of size points."""
     points = grid_points(grid)
@@ -456,6 +448,18 @@ def sweep_base(base: GateScenario) -> SweepBase | None:
         return SweepBase(system, sequence, PulseArrays.of(sequence))
     except (OqcsimError, ValueError):
         return None
+
+
+def chunk_points(base: GateScenario, shared: SweepBase | None) -> int:
+    """Points in each chunk of a sweep of base, whose shared part is shared
+    (sweep_base): max(_CHUNK_MIN, _CHUNK_ENTRIES // e), for e stacked
+    propagator entries per point (d^2 closed, 16 d^2 noisy, d the
+    register dimension).  _CHUNK_MIN when shared is None, since every
+    point then runs alone."""
+    if shared is None:
+        return _CHUNK_MIN
+    dim = shared.system.dimension
+    return max(_CHUNK_MIN, _CHUNK_ENTRIES // (dim * dim * (16 if base.noise.any else 1)))
 
 
 def sweep_chunk(base: GateScenario, shared: SweepBase | None,
@@ -583,12 +587,13 @@ def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> li
         One row per grid point, in grid_points order: the parameters
         plus the report fields, or a status message when that point
         failed.  The points are scored chunk by chunk (sweep_chunk), in
-        chunks of chunk_points(base) points, on a register and sequence
-        built once (sweep_base).
+        chunks of chunk_points(base, shared) points, on a register and
+        sequence built once (shared, from sweep_base).
     """
     check_grid(base, grid)
-    size = chunk_points(base)
-    score_chunk = partial(sweep_chunk, base, sweep_base(base))
+    shared = sweep_base(base)
+    size = chunk_points(base, shared)
+    score_chunk = partial(sweep_chunk, base, shared)
     n_chunks = -(-math.prod(len(values) for values in grid.values()) // size)
     # a forked pool starts every worker up front, so never ask for idle ones
     workers = min(jobs, n_chunks, os.cpu_count() or 1)

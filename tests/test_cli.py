@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oqcsim import gates, runner
 from oqcsim.cli import main
-from oqcsim.gates import chunk_points
+from oqcsim.gates import chunk_points, sweep_base
 from oqcsim.runner import emit_plot_data, load_config, run
 
 CONFIG_DIR = resources.files("oqcsim.configs")
@@ -437,7 +437,8 @@ def big_sweep_config(tmp_path) -> Path:
     doc["gate"]["export_trajectory"] = False
     config = tmp_path / "big.json"
     config.write_text(json.dumps(doc))
-    assert -(-3500 // chunk_points(load_config(config).gate.scenario)) == 5
+    base = load_config(config).gate.scenario
+    assert -(-3500 // chunk_points(base, sweep_base(base))) == 5
     return config
 
 

@@ -275,6 +275,12 @@ def unitarity_error(u):
 # an undriven pair of equal energies, which does not rotate at all
 @example((two_level(), ("q", ("g", "e")), np.zeros(1), np.full(1, OMEGA), np.zeros(1),
           np.zeros((1, 0))), 3.0, math.pi, 0.0)
+# energies near the double range, where m + w (at 1.7e308) and 2 w (at
+# 1.3e308) overflow though every entry of H is finite
+@example((two_level(), ("q", ("g", "e")), np.full(1, 1.3e308), np.full(1, 1.3e308),
+          np.full(1, 1.3e308), np.zeros((1, 0))), 3.0, math.pi, 0.0)
+@example((two_level(), ("q", ("g", "e")), np.full(1, 1.7e308), np.full(1, 1.7e308),
+          np.full(1, -1.7e308), np.zeros((1, 0))), 3.0, math.pi, 0.0)
 def test_segment_unitary_matches_expm_oracle(case, phase, area, angle):
     system, target, rabi, scale, detuning, shifts = case
     h = segment_hamiltonians(system, target, rabi, detuning, shifts)

@@ -276,7 +276,7 @@ def sweep_cases(draw, bases=tuple(sorted(BASES)), bad_values=True):
     keys = grid_keys(base)
     if draw(st.booleans()):
         keys[0] = "delta_shift_rad_s"
-    chunk = chunk_points(base)
+    chunk = chunk_points(base, sweep_base(base))
     size = draw(st.sampled_from([1, 3, chunk - 1, chunk, chunk + 1]))
     # split size into one list length per key
     lengths, rest = {}, size
@@ -397,7 +397,7 @@ def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
         return run_protocol(*args, **kwargs)
 
     monkeypatch.setattr(gates, "run_protocol", counting)
-    n = 2 * chunk_points(BASES["canonical"]) + 5
+    n = 2 * chunk_points(BASES["canonical"], sweep_base(BASES["canonical"])) + 5
     rows = sweep(BASES["canonical"], {"delta_over_omega": [1.0 + i for i in range(n)]})
     assert len(calls) == n
     assert all(row["status"] == "ok" for row in rows)
@@ -415,7 +415,7 @@ def test_cached_computational_indices_equal_basis_index(order):
     assert not comp.flags.writeable
 
 
-CLOSED_CHUNK = chunk_points(BASES["canonical"])
+CLOSED_CHUNK = chunk_points(BASES["canonical"], sweep_base(BASES["canonical"]))
 
 
 @pytest.mark.parametrize("n, sizes", [
@@ -617,6 +617,21 @@ def test_far_detuned_rows_do_not_depend_on_the_rabi_scale():
             assert abs(row[key] - rows[ratio, OMEGA][key]) <= 1e-13, (ratio, rabi, key)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["canonical", "pair_center"])
+def test_rows_near_the_double_range_equal_the_gigahertz_rows(name):
+    # at delta/Omega = +-1 a pair's eigenvalue m + w passes 1.8e308 from a
+    # Rabi frequency of about 1.5e308 on, and 2 w from about 1.27e308 on,
+    # though every entry of H is finite; the rotation must form neither
+    rabis = [1.3e308, 1.5e308, 1.7e308]
+    grid = {"delta_over_omega": [-1.0, 1.0], "rabi_rad_s": [OMEGA] + rabis}
+    rows = {(r["delta_over_omega"], r["rabi_rad_s"]): r for r in sweep(BASES[name], grid)}
+    for (ratio, rabi), row in rows.items():
+        assert row["status"] == "ok", (ratio, rabi)
+        for key in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase_rad"):
+            assert abs(row[key] - rows[ratio, OMEGA][key]) <= 1e-12, (ratio, rabi, key)
+
+
 def register_at_the_cap(noise):
     """A gate on two 8-level qubits: the 64-state register, decaying and
     dephasing when noise is on."""
@@ -671,9 +686,9 @@ def test_chunk_at_the_cap_holds_no_more_than_64_points(noise):
     base = register_at_the_cap(noise)
     dim = scenario_system(base).dimension
     entries = dim * dim * (16 if noise else 1)
-    assert dim == 64 and chunk_points(base) * entries <= 64 * entries
-    points = [{"delta_over_omega": 1.0 + 0.5 * i} for i in range(chunk_points(base))]
     shared = sweep_base(base)
+    assert dim == 64 and chunk_points(base, shared) * entries <= 64 * entries
+    points = [{"delta_over_omega": 1.0 + 0.5 * i} for i in range(chunk_points(base, shared))]
     rows = sweep_chunk(base, shared, points)
     for row, expected in zip(rows, chunk_as_scored_per_point(base, points), strict=True):
         assert row.keys() == expected.keys() and row["status"] == "ok"
