@@ -34,7 +34,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -53,6 +53,10 @@ REQUIRED_ROLES = ("0", "1", "1p")
 COMPUTATIONAL = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
 
 _PHASE_FLOOR = 1e-12   # diagonal amplitude below which phases are meaningless
+
+# the error of a run whose scores are not all finite
+_NOT_FINITE = ("protocol result is not finite; the pulse durations and "
+               "shifts are too far apart for double precision")
 
 # A sweep chunk is the points propagated in one stack and scored in one
 # score call, and the unit of work of a sweep worker; serial and pooled
@@ -327,34 +331,11 @@ def _score_stack(scenario: GateScenario, system: LevelSystem, stack: np.ndarray)
     return score(*reading, scenario.gate_target)
 
 
-def run_protocol(scenario: GateScenario, scores: Scores | None = None,
-                 row: int = 0) -> GateReport:
-    """Execute a scenario over all four computational inputs and score it.
-
-    Closed-system scenarios are scored from their sequence unitary; with
-    any noise switch on, the channel is applied to the sixteen operators
-    |j><k| of the computational subspace, so decay and dephasing enter
-    the average-fidelity sum exactly.  Both are scored by score, here
-    as a stack of one.  scores, when given, are the scenario's scores
-    computed already, at position row, as a sweep computes them for a
-    whole chunk at once: the call then only checks that they are finite
-    and builds the report.  A sweep still makes this call for every
-    point, so that each point has its own report call, whose count and
-    durations the benchmark's per-point metrics read.
-    """
-    if scores is None:
-        system = scenario_system(scenario)
-        sequence = protocol_sequence(scenario)
-        sequence.validate_targets(scenario.qubit_levels())
-        if scenario.noise.any:
-            columns = _columns(_computational(scenario, system), system.dimension)
-            propagator = sequence_superoperator(system, sequence, columns)
-        else:
-            propagator = sequence_unitary(system, sequence)
-        scores = _score_stack(scenario, system, propagator[None])
+def _report(scores: Scores, row: int, scenario: GateScenario) -> GateReport:
+    """scenario's report from run row of scores; DomainError when any of
+    that run's numbers is not finite."""
     if not scores.finite[row]:
-        raise DomainError("protocol result is not finite; the pulse durations and "
-                          "shifts are too far apart for double precision")
+        raise DomainError(_NOT_FINITE)
     return GateReport(
         truth_table=tuple(map(tuple, scores.truth[row].tolist())),
         truth_table_fidelity=float(scores.truth_fidelity[row]),
@@ -365,6 +346,27 @@ def run_protocol(scenario: GateScenario, scores: Scores | None = None,
         noisy=scenario.noise.any,
         gate_target=scenario.gate_target,
     )
+
+
+def run_protocol(scenario: GateScenario) -> GateReport:
+    """Execute a scenario over all four computational inputs and score it.
+
+    Closed-system scenarios are scored from their sequence unitary; with
+    any noise switch on, the channel is applied to the sixteen operators
+    |j><k| of the computational subspace, so decay and dephasing enter
+    the average-fidelity sum exactly.  Both are scored by score, here
+    as a stack of one; a sweep scores whole chunks the same way
+    (sweep_chunk).
+    """
+    system = scenario_system(scenario)
+    sequence = protocol_sequence(scenario)
+    sequence.validate_targets(scenario.qubit_levels())
+    if scenario.noise.any:
+        columns = _columns(_computational(scenario, system), system.dimension)
+        propagator = sequence_superoperator(system, sequence, columns)
+    else:
+        propagator = sequence_unitary(system, sequence)
+    return _report(_score_stack(scenario, system, propagator[None]), 0, scenario)
 
 
 # delta_over_omega and delta_shift_rad_s both set the shift, the first in
@@ -462,54 +464,82 @@ def chunk_points(base: GateScenario, shared: SweepBase | None) -> int:
     return max(_CHUNK_MIN, _CHUNK_ENTRIES // (dim * dim * (16 if base.noise.any else 1)))
 
 
+def _point_numbers(base: GateScenario, points: Sequence[Mapping[str, float]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Rabi frequency, shift and gamma_h of each point as (n,) arrays,
+    set as point_scenario sets them, and the mask of the points whose
+    numbers GateScenario's checks accept: a Rabi frequency > 0, and all
+    three finite.
+
+    The points are of one grid (grid_chunks), so each names the keys of
+    the first, and they are read in one pass.
+    """
+    keys = list(points[0])
+    values = dict(zip(keys, np.array([[p[k] for k in keys] for p in points], dtype=float).T))
+    n = len(points)
+    rabi = values.get("rabi_rad_s", np.full(n, base.rabi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "delta_over_omega" in values:
+            shift = values["delta_over_omega"] * rabi
+        else:
+            shift = values.get("delta_shift_rad_s", np.full(n, base.delta_shift))
+    gamma_h = values.get("gamma_h_hz", np.full(n, base.gamma_h))
+    accepted = (rabi > 0) & np.isfinite(rabi) & np.isfinite(shift) & np.isfinite(gamma_h)
+    return rabi, shift, gamma_h, accepted
+
+
+def _ok_row(point: Mapping[str, float], truth_fidelity: float, average_fidelity: float,
+            leakage: float, cz_phase: float) -> dict:
+    return {**point, "truth_table_fidelity": truth_fidelity,
+            "average_fidelity": average_fidelity, "infidelity": 1.0 - average_fidelity,
+            "leakage": leakage, "cz_phase_rad": cz_phase, "status": "ok"}
+
+
+def _single_row(base: GateScenario, point: Mapping[str, float]) -> dict:
+    """A point's sweep row from its own scenario, run alone: the
+    constructor or run_protocol reports its error."""
+    try:
+        report = run_protocol(point_scenario(base, point))
+    except (OqcsimError, ValueError) as exc:
+        return {**point, "status": f"error: {exc}"}
+    return _ok_row(point, report.truth_table_fidelity, report.average_fidelity,
+                   report.leakage, report.cz_phase)
+
+
 def sweep_chunk(base: GateScenario, shared: SweepBase | None,
                 points: Sequence[dict]) -> list[dict]:
     """Sweep rows of some grid points: the point plus the report fields, or an error status.
 
-    Each point's scenario is the base with the point's numbers
-    (point_scenario), checked on its own.  The points share the base's
-    register and sequence (shared), are propagated in one stack and
-    scored as arrays in one score call (_stacked_scores).  Each point
-    then gets its report from one run_protocol call on its row of those
-    scores, which only checks that its numbers are finite; the call is
-    kept per point so that the benchmark's per-point metrics (calls,
-    p50, p99 of gates.run_protocol) keep reading one call per point.  A
-    point left out of the stack, such as one whose pulse durations are
-    not finite, is propagated by run_protocol alone, which reports its
+    The points' numbers are read and checked as arrays (_point_numbers).
+    The points they accept share the base's register and sequence
+    (shared), are propagated in one stack and scored as arrays in one
+    score call (_stacked_scores), and their rows are filled from the
+    score columns.  A point the checks reject or the stack leaves out,
+    such as one whose pulse durations are not finite, or every point
+    when shared is None or the stacked propagation fails, gets its row
+    from its own scenario run alone (_single_row), which reports its
     error.
     """
-    rows, scenarios = [], []
-    for point in points:
-        row = dict(point)
-        try:
-            scenarios.append(point_scenario(base, point))
-        except (OqcsimError, ValueError) as exc:
-            scenarios.append(None)
-            row["status"] = f"error: {exc}"
-        rows.append(row)
-    stacked = _stacked_scores(base, shared, scenarios)
-    for i, (row, scenario) in enumerate(zip(rows, scenarios)):
-        if scenario is None:
-            continue
-        try:
-            report = run_protocol(scenario, *stacked.get(i, ()))
-        except (OqcsimError, ValueError) as exc:
-            row["status"] = f"error: {exc}"
-            continue
-        row.update({
-            "truth_table_fidelity": report.truth_table_fidelity,
-            "average_fidelity": report.average_fidelity,
-            "infidelity": 1.0 - report.average_fidelity,
-            "leakage": report.leakage,
-            "cz_phase_rad": report.cz_phase,
-            "status": "ok",
-        })
-    return rows
+    rows: list[dict | None] = [None] * len(points)
+    rabi, shift, gamma_h, accepted = _point_numbers(base, points)
+    held = np.flatnonzero(accepted)
+    stacked = _stacked_scores(base, shared, rabi[held], shift[held], gamma_h[held])
+    if stacked is not None:
+        scores, kept = stacked
+        for i, finite, truth_fidelity, average_fidelity, leakage, cz_phase in zip(
+                held[kept].tolist(), scores.finite.tolist(), scores.truth_fidelity.tolist(),
+                scores.average_fidelity.tolist(), scores.leakage.tolist(),
+                scores.cz_phase.tolist()):
+            rows[i] = (_ok_row(points[i], truth_fidelity, average_fidelity, leakage, cz_phase)
+                       if finite else {**points[i], "status": f"error: {_NOT_FINITE}"})
+    return [_single_row(base, point) if row is None else row
+            for row, point in zip(rows, points)]
 
 
-def _group_pulses(base: GateScenario, shared: SweepBase, group: Sequence[GateScenario]
+def _group_pulses(base: GateScenario, shared: SweepBase, rabi: np.ndarray
                   ) -> tuple[PulseArrays, np.ndarray]:
-    """Pulse arrays of the sweep points of base, and which points they hold.
+    """Pulse arrays of sweep points of base at the Rabi frequencies rabi
+    (n,), and which points they hold.
 
     A gate's own sequence is the same for every point; the canonical one
     drives the same transitions for all, each point at its own Rabi
@@ -518,51 +548,49 @@ def _group_pulses(base: GateScenario, shared: SweepBase, group: Sequence[GateSce
     """
     pulses = shared.pulses
     if base.sequence is not None:
-        shape = (len(pulses.targets), len(group))
+        shape = (len(pulses.targets), len(rabi))
         return (PulseArrays(pulses.targets, *(np.broadcast_to(a, shape) for a in pulses[1:])),
-                np.ones(len(group), dtype=bool))
-    rabi = np.array([[sc.rabi for sc in group]])
+                np.ones(len(rabi), dtype=bool))
     with np.errstate(over="ignore"):
         duration = np.array([[p.pulse_area] for p in shared.sequence.specs()]) / rabi
     keep = np.isfinite(duration).all(axis=0)
     duration = duration[:, keep]
-    return (PulseArrays(pulses.targets, np.broadcast_to(rabi[:, keep], duration.shape),
+    return (PulseArrays(pulses.targets, np.broadcast_to(rabi[keep], duration.shape),
                         np.zeros(duration.shape), duration), keep)
 
 
-def _stacked_scores(base: GateScenario, shared: SweepBase | None,
-                    scenarios: Sequence[GateScenario | None]) -> dict[int, tuple[Scores, int]]:
-    """Scores of the sweep points of base, keyed by position: (scores, row).
+def _stacked_scores(base: GateScenario, shared: SweepBase | None, rabi: np.ndarray,
+                    shift: np.ndarray, gamma_h: np.ndarray
+                    ) -> tuple[Scores, np.ndarray] | None:
+    """Scores of sweep points of base with the Rabi frequencies, shifts and
+    gamma_h of the (n,) arrays, and the mask of the points they hold.
 
     The points' pulse parameters enter as (segments, n) arrays
-    (_group_pulses).  Without noise the points get sequence unitaries;
+    (_group_pulses), which leave out the points whose pulse durations
+    are not finite.  Without noise the points get sequence unitaries;
     with any noise switch of base on, the sixteen computational columns
     of their channels; each in one stacked propagation on the shared
-    register, scored in one score call.  A point left out here (None,
-    or with pulse durations that are not finite), or every point when
-    shared is None or the stacked propagation fails, is propagated by
-    run_protocol alone, which then reports its error.
+    register, scored in one score call.  None when shared is None, no
+    point is held or the stacked propagation fails.
     """
-    batch = [(i, sc) for i, sc in enumerate(scenarios) if sc is not None]
-    if shared is None or not batch:
-        return {}
+    if shared is None or not len(rabi):
+        return None
     system = shared.system
     try:
-        pulses, keep = _group_pulses(base, shared, [sc for _, sc in batch])
-        batch = [member for member, kept in zip(batch, keep) if kept]
-        if not batch:
-            return {}
-        shifts = np.array([[sc.delta_shift] for _, sc in batch])
+        pulses, keep = _group_pulses(base, shared, rabi)
+        if not keep.any():
+            return None
+        shifts = shift[keep, None]
         if base.noise.any:
-            dephasing = np.array([[_dephasing(sc)] * 2 for _, sc in batch])
+            gamma = gamma_h[keep] if base.noise.dephasing else np.zeros(len(shifts))
             columns = _columns(_computational(base, system), system.dimension)
-            stacked = stacked_superoperators(system, pulses, columns, shifts, dephasing)
+            stacked = stacked_superoperators(system, pulses, columns, shifts,
+                                             np.repeat(gamma[:, None], 2, axis=1))
         else:
             stacked = stacked_unitaries(system, pulses, shifts)
     except (OqcsimError, ValueError):
-        return {}
-    scores = _score_stack(base, system, stacked)
-    return {i: (scores, row) for row, (i, _) in enumerate(batch)}
+        return None
+    return _score_stack(base, system, stacked), keep
 
 
 def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> list[dict]:
@@ -652,10 +680,3 @@ def pair_center_scenario(params_control: PairParams, params_target: PairParams,
         noise=noise,
     )
 
-
-def swap_roles(scenario: GateScenario) -> GateScenario:
-    """Exchange control and target (keeps qubit names with their schemes)."""
-    return replace(scenario,
-                   control=replace(scenario.target, name=scenario.control.name),
-                   target=replace(scenario.control, name=scenario.target.name),
-                   sequence=None)

@@ -99,20 +99,6 @@ def blockade_feasible(delta: float, gamma_l: float,
     return FeasibilityResult(margin > 1.0, margin)
 
 
-def crossover_radius(u2_product: float, f_product: float,
-                     model: BlockadeModel = DEFAULT_MODEL) -> float:
-    """Separation where the two shift laws are equal (lattice units).
-
-    Inside this radius the R^-5 quadrupole term dominates, outside it
-    the R^-3 dipole term does.  Computed from the calibrated constants;
-    a qualitative diagnostic only.
-    """
-    if u2_product <= 0 or f_product <= 0:
-        raise DomainError("moment products must be > 0")
-    return math.sqrt(model.c_qq * math.sqrt(u2_product)
-                     / (model.c_dd * math.sqrt(f_product)))
-
-
 @dataclass(frozen=True)
 class EnsembleShiftReport:
     """Pairwise-shift statistics over one sampled dopant neighborhood."""

@@ -192,11 +192,6 @@ def validate_scheme(scheme: SpeciesScheme, u2_threshold: float = 1.0) -> Validat
     return ValidationReport(passed, tuple(diags))
 
 
-def transition_frequency(scheme: SpeciesScheme, level_a: str, level_b: str) -> float:
-    """|E_a - E_b| in cm^-1 between two named levels."""
-    return abs(scheme.level(level_a).energy - scheme.level(level_b).energy)
-
-
 class SpeciesRegistry:
     """Immutable collection of species schemes keyed by (name, host)."""
 

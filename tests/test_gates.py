@@ -11,10 +11,10 @@ from oqcsim import gates
 from oqcsim.errors import DomainError, OqcsimError, ValidationError
 from oqcsim.gates import (COMPUTATIONAL, GateReport, GateScenario, NoiseFlags, QubitScheme,
                           _PHASE_FLOOR, _channel_reading, _closed_reading, _columns,
-                          _computational, _group_pulses, _stacked_scores,
-                          canonical_blockade_sequence, chunk_points, grid_chunks,
-                          pair_center_scenario, point_scenario, protocol_sequence, run_protocol,
-                          scenario_system, score, swap_roles, sweep, sweep_base, sweep_chunk)
+                          _computational, _group_pulses, _point_numbers, _report,
+                          _stacked_scores, canonical_blockade_sequence, chunk_points,
+                          grid_chunks, pair_center_scenario, point_scenario, protocol_sequence,
+                          run_protocol, scenario_system, score, sweep, sweep_base, sweep_chunk)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
 from oqcsim.pulses import PulseSequence, build_sequence
@@ -170,12 +170,6 @@ def test_infidelity_envelope_slope_is_quadratic():
     assert -2.2 <= slope <= -1.8
 
 
-def test_swap_roles_symmetric_scenario():
-    s = blockade_scenario(13.0)
-    assert run_protocol(swap_roles(s)).average_fidelity == pytest.approx(
-        run_protocol(s).average_fidelity, rel=1e-12)
-
-
 def test_sweep_single_point_equals_run_protocol():
     rows = sweep(blockade_scenario(0.0), {"delta_over_omega": [15.0]})
     direct = run_protocol(blockade_scenario(15.0))
@@ -321,11 +315,17 @@ def test_batched_noisy_sweep_rows_equal_single_runs(case):
 @settings(max_examples=8, deadline=None)
 @given(sweep_cases(bad_values=False))
 def test_stack_holds_every_point_of_a_valid_grid(case):
-    # no point of a valid grid falls back to its own propagation
+    # no point of a valid grid falls back to its own propagation, and the
+    # arrays hold the numbers each point's scenario holds
     base, grid = case
-    scenarios = [point_scenario(base, point) for point in gates.grid_points(grid)]
-    stacked = _stacked_scores(base, sweep_base(base), scenarios)
-    assert sorted(stacked) == list(range(len(scenarios)))
+    points = list(gates.grid_points(grid))
+    rabi, shift, gamma_h, accepted = _point_numbers(base, points)
+    scenarios = [point_scenario(base, point) for point in points]
+    assert np.array_equal(np.stack([rabi, shift, gamma_h], axis=1),
+                          [(sc.rabi, sc.delta_shift, sc.gamma_h) for sc in scenarios])
+    assert accepted.all()
+    scores, kept = _stacked_scores(base, sweep_base(base), rabi, shift, gamma_h)
+    assert kept.tolist() == [True] * len(points) and len(scores.finite) == len(points)
 
 
 def test_point_scenario_replaces_only_the_swept_numbers():
@@ -342,10 +342,12 @@ def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
     rabis = [1e-310, 0.5 * OMEGA, OMEGA, 1e-310, 3.0 * OMEGA]
     grid = {"delta_over_omega": [10.0], "rabi_rad_s": rabis}
     points = list(gates.grid_points(grid))
-    # the tiny points stay out of the stack; the others still share one
-    stacked = _stacked_scores(base, sweep_base(base),
-                              [point_scenario(base, point) for point in points])
-    assert sorted(stacked) == [1, 2, 4]
+    # the tiny points pass the checks but stay out of the stack; the others
+    # still share one
+    rabi, shift, gamma_h, accepted = _point_numbers(base, points)
+    assert accepted.all()
+    scores, kept = _stacked_scores(base, sweep_base(base), rabi, shift, gamma_h)
+    assert np.flatnonzero(kept).tolist() == [1, 2, 4] and len(scores.finite) == 3
     rows = sweep(base, grid)
     for point, row in zip(points, rows):
         if point["rabi_rad_s"] == 1e-310:
@@ -378,7 +380,8 @@ def test_group_pulses_equal_each_points_sequence():
     for name in ("canonical", "custom", "noisy_pair_center"):
         group = [replace(BASES[name], rabi=w * OMEGA, delta_shift=3 * w * OMEGA)
                  for w in (0.5, 1.0, 2.5)]
-        pulses, keep = _group_pulses(BASES[name], sweep_base(BASES[name]), group)
+        pulses, keep = _group_pulses(BASES[name], sweep_base(BASES[name]),
+                                     np.array([sc.rabi for sc in group]))
         assert keep.all()
         for i, sc in enumerate(group):
             expected = PulseArrays.of(protocol_sequence(sc))
@@ -386,21 +389,61 @@ def test_group_pulses_equal_each_points_sequence():
             assert all(np.array_equal(x[:, i:i + 1], y) for x, y in zip(pulses[1:], expected[1:]))
 
 
-def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
-    # The benchmark's per-point metrics (gates.run_protocol calls, p50 and
-    # p99) are read off these calls, so a sweep must keep scoring each
-    # point through its own run_protocol call.
+def test_sweep_runs_alone_only_the_points_the_stack_leaves_out(monkeypatch):
+    # a stacked point's row comes from the chunk's score columns; only a
+    # point left out of the stack is run alone, by run_protocol
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return run_protocol(*args, **kwargs)
+    def counting(scenario):
+        calls.append(scenario.rabi)
+        return run_protocol(scenario)
 
     monkeypatch.setattr(gates, "run_protocol", counting)
-    n = 2 * chunk_points(BASES["canonical"], sweep_base(BASES["canonical"])) + 5
-    rows = sweep(BASES["canonical"], {"delta_over_omega": [1.0 + i for i in range(n)]})
-    assert len(calls) == n
+    base = BASES["canonical"]
+    n = 2 * chunk_points(base, sweep_base(base)) + 5
+    rows = sweep(base, {"delta_over_omega": [1.0 + i for i in range(n)]})
+    assert calls == [] and len(rows) == n
     assert all(row["status"] == "ok" for row in rows)
+    rabis = [1e-310, OMEGA, 1e-310, 2.0 * OMEGA, 1e-310]
+    rows = sweep(base, {"delta_over_omega": [3.0, 10.0], "rabi_rad_s": rabis})
+    assert calls == [1e-310] * 6
+    assert [row["status"] == "ok" for row in rows] == [r != 1e-310 for r in rabis] * 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shift_key", ["delta_over_omega", "delta_shift_rad_s"])
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_array_checks_agree_with_the_constructor(name, shift_key):
+    # the points the array checks reject are the points GateScenario rejects;
+    # every row, status text included, is the point's row run alone
+    base = BASES[name]
+    grid = {shift_key: [0.0, 1e300, -1e300]}
+    if base.sequence is None:
+        grid["rabi_rad_s"] = [0.0, -1.0, 5e-324, 1e-310, 1e300, 1.7e308, math.inf]
+    if base.noise.dephasing:
+        grid["gamma_h_hz"] = [0.0, 1.7e308, math.inf]
+    points = list(gates.grid_points(grid))
+
+    def constructed(point):
+        try:
+            return point_scenario(base, point) is not None
+        except ValidationError:
+            return False
+
+    assert _point_numbers(base, points)[3].tolist() == list(map(constructed, points))
+    assert_rows_equal_single_runs(base, grid)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_dephasing_gets_its_error_row():
+    base = BASES["noisy_pair_center"]
+    # the generator's rates overflow, which expm rejects, whether the point
+    # is in a stack or run alone
+    rows = sweep(base, {"gamma_h_hz": [1.7e308, 1e3]})
+    assert rows[0] == {"gamma_h_hz": 1.7e308,
+                       "status": "error: matrix exponential of a non-finite matrix"}
+    assert rows[0] == reference_row(base, {"gamma_h_hz": 1.7e308})
+    assert rows[1]["status"] == "ok" and rows[1] == reference_row(base, {"gamma_h_hz": 1e3})
 
 
 @pytest.mark.parametrize("order", [("1p", "0", "1"), ("1", "0", "1p")])
@@ -589,10 +632,10 @@ def test_stacked_score_equals_the_per_point_score(case):
             expected, floored = oracle_report(propagator, comp, dim, noisy, gate_target)
         except DomainError as exc:
             with pytest.raises(DomainError) as got:
-                run_protocol(scenario, scores, i)
+                _report(scores, i, scenario)
             assert str(got.value) == str(exc)
             continue
-        report = run_protocol(scenario, scores, i)
+        report = _report(scores, i, scenario)
         assert (report.noisy, report.gate_target) == (noisy, gate_target)
         assert np.abs(np.subtract(report.truth_table, expected.truth_table)).max() <= 1e-12
         for field in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase"):
@@ -651,7 +694,7 @@ def chunk_as_scored_per_point(base, points):
     scenarios = [point_scenario(base, point) for point in points]
     shared = sweep_base(base)
     system = shared.system
-    pulses, _ = _group_pulses(base, shared, scenarios)
+    pulses, _ = _group_pulses(base, shared, np.array([sc.rabi for sc in scenarios]))
     shifts = np.array([[sc.delta_shift] for sc in scenarios])
     comp = _computational(base, system)
     if base.noise.any:

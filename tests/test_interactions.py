@@ -5,7 +5,7 @@ from oqcsim.ensemble import CrystalSpec, sample_lattice
 from oqcsim.errors import DomainError, ValidationError
 from oqcsim.interactions import (BlockadeModel, C_DD_DEFAULT, C_QQ_DEFAULT,
                                  REFERENCE_SPACING, blockade_feasible,
-                                 calibrate_blockade_constants, crossover_radius,
+                                 calibrate_blockade_constants,
                                  dipole_shift, ensemble_blockade_report,
                                  quadrupole_shift)
 
@@ -89,16 +89,6 @@ def test_reference_scenario_median_shift_ghz():
                                       gamma_l=1e8)
     assert report.median_shift_hz == pytest.approx(1e9, rel=0.7)
     assert report.feasible
-
-
-def test_crossover_radius_separates_regimes():
-    rx = crossover_radius(1.0, 1.0)
-    for r in (rx / 3, rx / 1.5):
-        assert quadrupole_shift(1.0, 1.0, r) > dipole_shift(1.0, 1.0, r)
-    for r in (rx * 1.5, rx * 3):
-        assert quadrupole_shift(1.0, 1.0, r) < dipole_shift(1.0, 1.0, r)
-    assert quadrupole_shift(1.0, 1.0, rx) == pytest.approx(
-        dipole_shift(1.0, 1.0, rx), rel=1e-9)
 
 
 def test_model_invariants():

@@ -4,8 +4,7 @@ import json
 import pytest
 
 from oqcsim.errors import ParseError, RegistryLookupError, ValidationError
-from oqcsim.species import (EnergyLevel, LevelRole, SpeciesScheme, load_registry,
-                            transition_frequency, validate_scheme)
+from oqcsim.species import EnergyLevel, LevelRole, SpeciesScheme, load_registry, validate_scheme
 
 
 @pytest.fixture(scope="module")
@@ -112,30 +111,6 @@ def test_large_u2_qubit_fails():
         EnergyLevel("b", 100.0, u2_diag_sq=3.5, role=LevelRole.QUBIT0),
     ))
     assert not validate_scheme(scheme).passed
-
-
-def test_transition_frequency_catalog_values(registry):
-    tm = registry.get("Tm3+")
-    assert transition_frequency(tm, "3H6", "3H4") == 12518.0
-    assert transition_frequency(tm, "3F4", "1D2") == 22211.0   # 27830 - 5619
-    assert transition_frequency(tm, "3F4", "3F4") == 0.0
-
-
-def test_transition_frequency_symmetric_and_collinear(registry):
-    tm = registry.get("Tm3+")
-    names = [lv.term_symbol for lv in tm.levels]
-    for a in names:
-        for b in names:
-            assert transition_frequency(tm, a, b) == transition_frequency(tm, b, a)
-    # triangle identity on the energy line
-    f = transition_frequency
-    assert f(tm, "3H6", "1D2") == pytest.approx(
-        abs(f(tm, "3H6", "3F4") + f(tm, "3F4", "1D2")))
-
-
-def test_transition_frequency_unknown_level(registry):
-    with pytest.raises(RegistryLookupError):
-        transition_frequency(registry.get("Tm3+"), "3H6", "9Z9")
 
 
 def test_scheme_invariants():
