@@ -54,10 +54,6 @@ COMPUTATIONAL = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
 
 _PHASE_FLOOR = 1e-12   # diagonal amplitude below which phases are meaningless
 
-# the error of a run whose scores are not all finite
-_NOT_FINITE = ("protocol result is not finite; the pulse durations and "
-               "shifts are too far apart for double precision")
-
 # A sweep chunk is the points propagated in one stack and scored in one
 # score call, and the unit of work of a sweep worker; serial and pooled
 # sweeps cut the grid alike (chunk_points).  Each chunk pays a fixed
@@ -132,7 +128,7 @@ class GateScenario:
             raise ValidationError("Rabi frequency must be > 0")
         if self.gate_target not in ("cz", "identity"):
             raise ValidationError(f"unknown gate target {self.gate_target!r}")
-        if not all(map(math.isfinite, (self.rabi, self.delta_shift, self.gamma_h))):
+        if not _numbers_ok(self.rabi, self.delta_shift, self.gamma_h):
             raise ValidationError("Rabi frequency, shift and gamma_h must be finite")
 
     def qubit_levels(self) -> dict[str, tuple[str, ...]]:
@@ -140,9 +136,19 @@ class GateScenario:
                 self.target.name: self.target.level_order}
 
 
-def _dephasing(scenario: GateScenario) -> float:
-    """Dephasing rate of both qubits of the scenario's register (1/s)."""
-    return scenario.gamma_h if scenario.noise.dephasing else 0.0
+def _numbers_ok(rabi, shift, gamma_h):
+    """Whether a scenario may have these numbers: a Rabi frequency > 0,
+    and all three finite.  Numbers, or (n,) arrays of a sweep's points."""
+    return (rabi > 0) & np.isfinite(rabi) & np.isfinite(shift) & np.isfinite(gamma_h)
+
+
+def _dephasing(noise: NoiseFlags, gamma_h):
+    """Dephasing rate (1/s) of both qubits of a register with these noise
+    switches: gamma_h, a number or the (n,) array of a sweep's points,
+    when dephasing is on, else zero."""
+    if noise.dephasing:
+        return gamma_h
+    return np.zeros(len(gamma_h)) if isinstance(gamma_h, np.ndarray) else 0.0
 
 
 def scenario_system(scenario: GateScenario) -> LevelSystem:
@@ -157,7 +163,7 @@ def scenario_system(scenario: GateScenario) -> LevelSystem:
             detunings=dict(qs.detunings),
             decay_rates=decay,
             decay_to=dict(qs.decay_to),
-            dephasing=_dephasing(scenario),
+            dephasing=_dephasing(scenario.noise, scenario.gamma_h),
         ))
     shift = ShiftCoupling({scenario.control.name: "1p", scenario.target.name: "1p"},
                           scenario.delta_shift)
@@ -237,6 +243,11 @@ class Scores(NamedTuple):
     cz_phase: np.ndarray
     local_phases: np.ndarray
     finite: np.ndarray
+
+    def tolist(self) -> Scores:
+        """The same scores with each field a nested list, as run_protocol
+        reads them row by row: one tolist per field for all the runs."""
+        return Scores(*(field.tolist() for field in self))
 
 
 def _closed_reading(unitaries: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -331,42 +342,44 @@ def _score_stack(scenario: GateScenario, system: LevelSystem, stack: np.ndarray)
     return score(*reading, scenario.gate_target)
 
 
-def _report(scores: Scores, row: int, scenario: GateScenario) -> GateReport:
-    """scenario's report from run row of scores; DomainError when any of
-    that run's numbers is not finite."""
-    if not scores.finite[row]:
-        raise DomainError(_NOT_FINITE)
-    return GateReport(
-        truth_table=tuple(map(tuple, scores.truth[row].tolist())),
-        truth_table_fidelity=float(scores.truth_fidelity[row]),
-        average_fidelity=float(scores.average_fidelity[row]),
-        leakage=float(scores.leakage[row]),
-        cz_phase=float(scores.cz_phase[row]),
-        local_phases=tuple(scores.local_phases[row].tolist()),
-        noisy=scenario.noise.any,
-        gate_target=scenario.gate_target,
-    )
-
-
-def run_protocol(scenario: GateScenario) -> GateReport:
+def run_protocol(scenario: GateScenario, scores: Scores | None = None,
+                 row: int = 0) -> GateReport:
     """Execute a scenario over all four computational inputs and score it.
 
     Closed-system scenarios are scored from their sequence unitary; with
     any noise switch on, the channel is applied to the sixteen operators
     |j><k| of the computational subspace, so decay and dephasing enter
     the average-fidelity sum exactly.  Both are scored by score, here
-    as a stack of one; a sweep scores whole chunks the same way
-    (sweep_chunk).
+    as a stack of one.  scores, when given, are computed already, as
+    lists (Scores.tolist), and row is the position in them of a point of
+    a sweep of scenario, as a sweep chunk computes them for all its
+    points at once (sweep_chunk); the point differs from scenario only
+    in swept numbers, which the report does not carry.  The call then
+    only checks that the row is finite and builds the report.
     """
-    system = scenario_system(scenario)
-    sequence = protocol_sequence(scenario)
-    sequence.validate_targets(scenario.qubit_levels())
-    if scenario.noise.any:
-        columns = _columns(_computational(scenario, system), system.dimension)
-        propagator = sequence_superoperator(system, sequence, columns)
-    else:
-        propagator = sequence_unitary(system, sequence)
-    return _report(_score_stack(scenario, system, propagator[None]), 0, scenario)
+    if scores is None:
+        system = scenario_system(scenario)
+        sequence = protocol_sequence(scenario)
+        sequence.validate_targets(scenario.qubit_levels())
+        if scenario.noise.any:
+            columns = _columns(_computational(scenario, system), system.dimension)
+            propagator = sequence_superoperator(system, sequence, columns)
+        else:
+            propagator = sequence_unitary(system, sequence)
+        scores = _score_stack(scenario, system, propagator[None]).tolist()
+    if not scores.finite[row]:
+        raise DomainError("protocol result is not finite; the pulse durations and "
+                          "shifts are too far apart for double precision")
+    return GateReport(
+        truth_table=tuple(map(tuple, scores.truth[row])),
+        truth_table_fidelity=scores.truth_fidelity[row],
+        average_fidelity=scores.average_fidelity[row],
+        leakage=scores.leakage[row],
+        cz_phase=scores.cz_phase[row],
+        local_phases=tuple(scores.local_phases[row]),
+        noisy=scenario.noise.any,
+        gate_target=scenario.gate_target,
+    )
 
 
 # delta_over_omega and delta_shift_rad_s both set the shift, the first in
@@ -468,8 +481,7 @@ def _point_numbers(base: GateScenario, points: Sequence[Mapping[str, float]]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Rabi frequency, shift and gamma_h of each point as (n,) arrays,
     set as point_scenario sets them, and the mask of the points whose
-    numbers GateScenario's checks accept: a Rabi frequency > 0, and all
-    three finite.
+    numbers GateScenario accepts (_numbers_ok).
 
     The points are of one grid (grid_chunks), so each names the keys of
     the first, and they are read in one pass.
@@ -484,41 +496,39 @@ def _point_numbers(base: GateScenario, points: Sequence[Mapping[str, float]]
         else:
             shift = values.get("delta_shift_rad_s", np.full(n, base.delta_shift))
     gamma_h = values.get("gamma_h_hz", np.full(n, base.gamma_h))
-    accepted = (rabi > 0) & np.isfinite(rabi) & np.isfinite(shift) & np.isfinite(gamma_h)
-    return rabi, shift, gamma_h, accepted
+    return rabi, shift, gamma_h, _numbers_ok(rabi, shift, gamma_h)
 
 
-def _ok_row(point: Mapping[str, float], truth_fidelity: float, average_fidelity: float,
-            leakage: float, cz_phase: float) -> dict:
-    return {**point, "truth_table_fidelity": truth_fidelity,
-            "average_fidelity": average_fidelity, "infidelity": 1.0 - average_fidelity,
-            "leakage": leakage, "cz_phase_rad": cz_phase, "status": "ok"}
-
-
-def _single_row(base: GateScenario, point: Mapping[str, float]) -> dict:
-    """A point's sweep row from its own scenario, run alone: the
-    constructor or run_protocol reports its error."""
+def _point_row(base: GateScenario, point: Mapping[str, float],
+               scores: Scores | None = None, row: int = 0) -> dict:
+    """A sweep point's row: the point plus its report fields, or its error.
+    The report is read off row of scores, a stacked point's, or else comes
+    from the point's own scenario run alone, whose constructor or run
+    reports its error."""
     try:
-        report = run_protocol(point_scenario(base, point))
+        report = (run_protocol(point_scenario(base, point)) if scores is None
+                  else run_protocol(base, scores, row))
     except (OqcsimError, ValueError) as exc:
         return {**point, "status": f"error: {exc}"}
-    return _ok_row(point, report.truth_table_fidelity, report.average_fidelity,
-                   report.leakage, report.cz_phase)
+    return {**point, "truth_table_fidelity": report.truth_table_fidelity,
+            "average_fidelity": report.average_fidelity,
+            "infidelity": 1.0 - report.average_fidelity,
+            "leakage": report.leakage, "cz_phase_rad": report.cz_phase, "status": "ok"}
 
 
 def sweep_chunk(base: GateScenario, shared: SweepBase | None,
                 points: Sequence[dict]) -> list[dict]:
     """Sweep rows of some grid points: the point plus the report fields, or an error status.
 
-    The points' numbers are read and checked as arrays (_point_numbers).
-    The points they accept share the base's register and sequence
-    (shared), are propagated in one stack and scored as arrays in one
-    score call (_stacked_scores), and their rows are filled from the
-    score columns.  A point the checks reject or the stack leaves out,
-    such as one whose pulse durations are not finite, or every point
-    when shared is None or the stacked propagation fails, gets its row
-    from its own scenario run alone (_single_row), which reports its
-    error.
+    The points' numbers are read and checked as arrays (_point_numbers);
+    the points they accept share the base's register and sequence
+    (shared), are propagated in one stack and scored in one score call
+    (_stacked_scores).  Each still gets its report from its own
+    run_protocol call on its row of the scores, so that the benchmark's
+    per-point metrics (calls, p50 and p99 of gates.run_protocol) read
+    one call per point.  A point the checks reject or the stack leaves
+    out, and every point when shared is None or the stacked propagation
+    fails, is run alone (_point_row).
     """
     rows: list[dict | None] = [None] * len(points)
     rabi, shift, gamma_h, accepted = _point_numbers(base, points)
@@ -526,13 +536,10 @@ def sweep_chunk(base: GateScenario, shared: SweepBase | None,
     stacked = _stacked_scores(base, shared, rabi[held], shift[held], gamma_h[held])
     if stacked is not None:
         scores, kept = stacked
-        for i, finite, truth_fidelity, average_fidelity, leakage, cz_phase in zip(
-                held[kept].tolist(), scores.finite.tolist(), scores.truth_fidelity.tolist(),
-                scores.average_fidelity.tolist(), scores.leakage.tolist(),
-                scores.cz_phase.tolist()):
-            rows[i] = (_ok_row(points[i], truth_fidelity, average_fidelity, leakage, cz_phase)
-                       if finite else {**points[i], "status": f"error: {_NOT_FINITE}"})
-    return [_single_row(base, point) if row is None else row
+        listed = scores.tolist()
+        for row, i in enumerate(held[kept].tolist()):
+            rows[i] = _point_row(base, points[i], listed, row)
+    return [_point_row(base, point) if row is None else row
             for row, point in zip(rows, points)]
 
 
@@ -582,7 +589,7 @@ def _stacked_scores(base: GateScenario, shared: SweepBase | None, rabi: np.ndarr
             return None
         shifts = shift[keep, None]
         if base.noise.any:
-            gamma = gamma_h[keep] if base.noise.dephasing else np.zeros(len(shifts))
+            gamma = _dephasing(base.noise, gamma_h[keep])
             columns = _columns(_computational(base, system), system.dimension)
             stacked = stacked_superoperators(system, pulses, columns, shifts,
                                              np.repeat(gamma[:, None], 2, axis=1))

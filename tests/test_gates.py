@@ -11,7 +11,7 @@ from oqcsim import gates
 from oqcsim.errors import DomainError, OqcsimError, ValidationError
 from oqcsim.gates import (COMPUTATIONAL, GateReport, GateScenario, NoiseFlags, QubitScheme,
                           _PHASE_FLOOR, _channel_reading, _closed_reading, _columns,
-                          _computational, _group_pulses, _point_numbers, _report,
+                          _computational, _group_pulses, _point_numbers,
                           _stacked_scores, canonical_blockade_sequence, chunk_points,
                           grid_chunks, pair_center_scenario, point_scenario, protocol_sequence,
                           run_protocol, scenario_system, score, sweep, sweep_base, sweep_chunk)
@@ -389,24 +389,43 @@ def test_group_pulses_equal_each_points_sequence():
             assert all(np.array_equal(x[:, i:i + 1], y) for x, y in zip(pulses[1:], expected[1:]))
 
 
-def test_sweep_runs_alone_only_the_points_the_stack_leaves_out(monkeypatch):
-    # a stacked point's row comes from the chunk's score columns; only a
-    # point left out of the stack is run alone, by run_protocol
+def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
+    # The benchmark's per-point metrics (gates.run_protocol calls, p50 and
+    # p99) are read off these calls, so a sweep must keep scoring each
+    # point through its own run_protocol call.
     calls = []
 
-    def counting(scenario):
-        calls.append(scenario.rabi)
-        return run_protocol(scenario)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_protocol(*args, **kwargs)
 
     monkeypatch.setattr(gates, "run_protocol", counting)
+    n = 2 * chunk_points(BASES["canonical"], sweep_base(BASES["canonical"])) + 5
+    rows = sweep(BASES["canonical"], {"delta_over_omega": [1.0 + i for i in range(n)]})
+    assert len(calls) == n
+    assert all(row["status"] == "ok" for row in rows)
+
+
+def test_sweep_builds_a_scenario_only_for_the_points_the_stack_leaves_out(monkeypatch):
+    # a stacked point's numbers are checked as arrays and its report read
+    # off the chunk's scores; only a point left out of the stack gets its
+    # own scenario, and is run alone
+    built = []
+
+    def counting(base, point):
+        built.append(point["rabi_rad_s"])
+        return point_scenario(base, point)
+
+    monkeypatch.setattr(gates, "point_scenario", counting)
     base = BASES["canonical"]
     n = 2 * chunk_points(base, sweep_base(base)) + 5
-    rows = sweep(base, {"delta_over_omega": [1.0 + i for i in range(n)]})
-    assert calls == [] and len(rows) == n
+    rows = sweep(base, {"delta_over_omega": [1.0 + i for i in range(n)],
+                        "rabi_rad_s": [OMEGA]})
+    assert built == [] and len(rows) == n
     assert all(row["status"] == "ok" for row in rows)
     rabis = [1e-310, OMEGA, 1e-310, 2.0 * OMEGA, 1e-310]
     rows = sweep(base, {"delta_over_omega": [3.0, 10.0], "rabi_rad_s": rabis})
-    assert calls == [1e-310] * 6
+    assert built == [1e-310] * 6
     assert [row["status"] == "ok" for row in rows] == [r != 1e-310 for r in rabis] * 2
 
 
@@ -624,7 +643,7 @@ def scored_stacks(draw):
 def test_stacked_score_equals_the_per_point_score(case):
     stack, comp, dim, noisy, gate_target = case
     reading = _channel_reading(stack, comp, dim) if noisy else _closed_reading(stack, comp)
-    scores = score(*reading, gate_target)
+    scores = score(*reading, gate_target).tolist()
     scenario = blockade_scenario(3.0, gate_target=gate_target,
                                  noise=NoiseFlags(dephasing=noisy))
     for i, propagator in enumerate(stack):
@@ -632,10 +651,10 @@ def test_stacked_score_equals_the_per_point_score(case):
             expected, floored = oracle_report(propagator, comp, dim, noisy, gate_target)
         except DomainError as exc:
             with pytest.raises(DomainError) as got:
-                _report(scores, i, scenario)
+                run_protocol(scenario, scores, i)
             assert str(got.value) == str(exc)
             continue
-        report = _report(scores, i, scenario)
+        report = run_protocol(scenario, scores, i)
         assert (report.noisy, report.gate_target) == (noisy, gate_target)
         assert np.abs(np.subtract(report.truth_table, expected.truth_table)).max() <= 1e-12
         for field in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase"):
@@ -802,3 +821,9 @@ def test_scenario_invariants():
     with pytest.raises(ValidationError):
         GateScenario(control=QubitScheme("same"), target=QubitScheme("same"),
                      rabi=OMEGA)
+    # the numbers sweep points are checked by as well (_numbers_ok)
+    for numbers in ({"rabi": 0.0}, {"rabi": -OMEGA}, {"rabi": math.nan}, {"rabi": math.inf},
+                    {"delta_shift": math.inf}, {"delta_shift": -math.inf},
+                    {"delta_shift": math.nan}, {"gamma_h": math.inf}, {"gamma_h": math.nan}):
+        with pytest.raises(ValidationError):
+            replace(blockade_scenario(1.0), **numbers)
