@@ -2,9 +2,9 @@
 
 Subpackages by capability:
 
-* quantities   -- constants and spectroscopic unit conversions
 * species      -- ion level data, lifetimes, U(2) elements, role validation
-* pulses       -- pi-pulse intensity/energy/field budgets, pulse sequences
+* pulses       -- pi-pulse intensity/energy/field budgets from a cm^-1
+                  carrier, pulse sequences
 * paircenter   -- dark/bright exciton states of coupled emitter pairs
 * interactions -- Stark (quadrupole) and dipole blockade shift models
 * ensemble     -- Monte-Carlo dopant placement, inhomogeneous lines,

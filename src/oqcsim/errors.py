@@ -10,7 +10,7 @@ class OqcsimError(Exception):
 
 
 class ConfigurationError(OqcsimError, ValueError):
-    """Unknown unit tags, bad enum values, malformed options."""
+    """Bad enum values and malformed options (an unknown plot kind, ...)."""
 
 
 class DomainError(OqcsimError, ValueError):

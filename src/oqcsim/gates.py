@@ -128,6 +128,8 @@ class GateScenario:
             raise ValidationError("Rabi frequency must be > 0")
         if self.gate_target not in ("cz", "identity"):
             raise ValidationError(f"unknown gate target {self.gate_target!r}")
+        if self.gamma_h < 0:
+            raise ValidationError("gamma_h must be >= 0")
         if not _numbers_ok(self.rabi, self.delta_shift, self.gamma_h):
             raise ValidationError("Rabi frequency, shift and gamma_h must be finite")
 
@@ -137,9 +139,11 @@ class GateScenario:
 
 
 def _numbers_ok(rabi, shift, gamma_h):
-    """Whether a scenario may have these numbers: a Rabi frequency > 0,
-    and all three finite.  Numbers, or (n,) arrays of a sweep's points."""
-    return (rabi > 0) & np.isfinite(rabi) & np.isfinite(shift) & np.isfinite(gamma_h)
+    """Whether a scenario may have these numbers: a Rabi frequency > 0, a
+    gamma_h >= 0, and all three finite.  Numbers, or (n,) arrays of a
+    sweep's points."""
+    return ((rabi > 0) & (gamma_h >= 0) & np.isfinite(rabi) & np.isfinite(shift)
+            & np.isfinite(gamma_h))
 
 
 def _dephasing(noise: NoiseFlags, gamma_h):
@@ -186,10 +190,6 @@ def canonical_blockade_sequence(scenario: GateScenario) -> PulseSequence:
     control sits in |1'>, leaving the controlled phase that makes the
     core entangling.
     """
-    for qs in (scenario.control, scenario.target):
-        if "1p" not in qs.level_order:
-            raise ValidationError(f"qubit {qs.name!r} has no auxiliary level")
-
     def pulse(qubit, area):
         return PulseSpec(target=(qubit, ("1", "1p")), pulse_area=area,
                          spectral_width=scenario.gamma_l, rabi_frequency=scenario.rabi)

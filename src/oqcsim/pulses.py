@@ -31,7 +31,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, OqcsimError, ParseError, ValidationError
-from .quantities import CONSTANTS, wave_number_from_cm
+
+# SI constants: hbar and c are CODATA; the free-space impedance Z0 is
+# pinned to 376.7 ohm so that the worked example reproduces bit-for-bit.
+HBAR = 1.054571817e-34   # J s
+C_LIGHT = 299792458.0    # m/s
+Z0 = 376.7               # ohm
 
 # Maps the SI numeric value of the printed intensity formula to W/cm^2;
 # fixed once against the worked example above (see module docstring).
@@ -44,6 +49,33 @@ _AREA_NAMES = {"pi": PI_AREA, "2pi": TWO_PI_AREA}
 
 STEP_KEYS = {"qubit", "transition", "area", "rabi_rad_s", "detuning_rad_s",
              "gamma_l_hz", "number"}
+
+
+def wave_number(omega: float, n: float) -> float:
+    """Wave number k = omega * n / c (1/m) of light of angular frequency
+    omega (rad/s, >= 0) in a medium of refractive index n (>= 1)."""
+    if omega < 0:
+        raise DomainError("angular frequency must be >= 0")
+    if n < 1:
+        raise DomainError(f"refractive index must be >= 1, got {n}")
+    return omega * n / C_LIGHT
+
+
+def wave_number_from_cm(carrier_cm: float, n: float = 1.0) -> float:
+    """Wave number (1/m) for a carrier quoted in cm^-1.
+
+    Spectroscopists quote "wave numbers" in cm^-1 without the 2*pi;
+    the propagation wave number k = omega n / c = 2*pi * vtilde * n
+    carries it.
+    """
+    if not math.isfinite(carrier_cm):
+        raise DomainError(f"spectral value must be finite, got {carrier_cm!r}")
+    if carrier_cm < 0:
+        raise DomainError("spectroscopic quantities must be non-negative")
+    omega = carrier_cm * (100.0 * C_LIGHT) / (1.0 / (2.0 * math.pi))
+    if not math.isfinite(omega):
+        raise DomainError(f"spectral value must be finite, got {omega!r}")
+    return wave_number(omega, n)
 
 
 def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float) -> float:
@@ -67,7 +99,7 @@ def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float) -> float:
     if gamma0 <= 0:
         raise DomainError("radiative rate gamma0 must be > 0")
     try:
-        raw = 4.0 * math.pi**2 * CONSTANTS.hbar * gamma_l**2 * k**3 / (3.0 * gamma0 * CONSTANTS.z0)
+        raw = 4.0 * math.pi**2 * HBAR * gamma_l**2 * k**3 / (3.0 * gamma0 * Z0)
     except OverflowError:
         raw = math.inf
     return _finite(INTENSITY_CALIBRATION * raw, "pi-pulse intensity")
@@ -97,7 +129,7 @@ def peak_field(intensity: float) -> float:
     """
     if intensity < 0:
         raise DomainError("intensity must be >= 0")
-    e_v_per_m = math.sqrt(2.0 * CONSTANTS.z0 * intensity * 1e4)
+    e_v_per_m = math.sqrt(2.0 * Z0 * intensity * 1e4)
     return _finite(e_v_per_m / 100.0, "peak field")
 
 

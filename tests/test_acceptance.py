@@ -24,8 +24,7 @@ from oqcsim.gates import (GateScenario, NoiseFlags, QubitScheme, run_protocol,
 from oqcsim.paircenter import (PairParams, brightness_ratio, pair_eigensystem_exact,
                                pair_eigensystem_perturbative)
 from oqcsim.pulses import (PulseSequence, PulseSpec, peak_field, pi_pulse_intensity,
-                           pulse_energy)
-from oqcsim.quantities import wave_number_from_cm
+                           pulse_energy, wave_number_from_cm)
 from oqcsim.runner import run
 
 CONFIG_DIR = resources.files("oqcsim.configs")

@@ -380,6 +380,36 @@ def test_cli_run_and_species_and_pulse_calc(tmp_path, capsys):
     assert payload["intensity_w_cm2"] == pytest.approx(100.0, rel=1e-12)
 
 
+PULSE_CALC = ["pulse-calc", "--lifetime-ns", "1.5", "--gamma-l", "1e9"]
+
+
+@pytest.mark.parametrize("carrier, message", [
+    ("-1", "spectroscopic quantities must be non-negative"),
+    ("nan", "spectral value must be finite, got nan"),
+    ("inf", "spectral value must be finite, got inf"),
+    ("-inf", "spectral value must be finite, got -inf"),
+    ("0", "k and Gamma_L must be > 0"),
+    ("1e300", "spectral value must be finite, got inf"),
+], ids=["-1", "nan", "inf", "-inf", "0", "1e300"])
+def test_pulse_calc_rejects_carrier(capsys, carrier, message):
+    assert main([*PULSE_CALC, f"--carrier-cm={carrier}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oqcsim: domain: {message}\n"
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("json", '{\n  "intensity_w_cm2": 100.0,\n  "peak_field_v_cm": 274.4813290553658,\n'
+             '  "pulse_energy_j": 9.999999999999998e-15\n}\n'),
+    ("csv", "quantity,value\nintensity_w_cm2,100.0\npulse_energy_j,9.999999999999998e-15\n"
+            "peak_field_v_cm,274.4813290553658\n"),
+    ("text", "intensity   100 W/cm^2\nenergy      1e-14 J\npeak field  274.481 V/cm\n"),
+], ids=["json", "csv", "text"])
+def test_pulse_calc_worked_example_output(capsys, fmt, expected):
+    assert main([*PULSE_CALC, "--carrier-cm", "20000", "--format", fmt]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
 def test_species_validate_cli(capsys):
     assert main(["species", "validate", "Tm3+"]) == 0
     assert "pass" in capsys.readouterr().out

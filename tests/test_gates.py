@@ -440,7 +440,7 @@ def test_array_checks_agree_with_the_constructor(name, shift_key):
     if base.sequence is None:
         grid["rabi_rad_s"] = [0.0, -1.0, 5e-324, 1e-310, 1e300, 1.7e308, math.inf]
     if base.noise.dephasing:
-        grid["gamma_h_hz"] = [0.0, 1.7e308, math.inf]
+        grid["gamma_h_hz"] = [0.0, -1e6, 1.7e308, math.inf]
     points = list(gates.grid_points(grid))
 
     def constructed(point):
@@ -463,6 +463,15 @@ def test_extreme_dephasing_gets_its_error_row():
                        "status": "error: matrix exponential of a non-finite matrix"}
     assert rows[0] == reference_row(base, {"gamma_h_hz": 1.7e308})
     assert rows[1]["status"] == "ok" and rows[1] == reference_row(base, {"gamma_h_hz": 1e3})
+
+
+def test_negative_dephasing_gets_the_constructor_row():
+    base = BASES["noisy_pair_center"]
+    # one healthy point keeps the stack up, so the negative one must be held out of it
+    rows = sweep(base, {"gamma_h_hz": [1e6, -1e9]})
+    assert rows[0]["status"] == "ok" and rows[0] == reference_row(base, {"gamma_h_hz": 1e6})
+    assert rows[1] == {"gamma_h_hz": -1e9, "status": "error: gamma_h must be >= 0"}
+    assert rows[1] == reference_row(base, {"gamma_h_hz": -1e9})
 
 
 @pytest.mark.parametrize("order", [("1p", "0", "1"), ("1", "0", "1p")])
@@ -824,6 +833,7 @@ def test_scenario_invariants():
     # the numbers sweep points are checked by as well (_numbers_ok)
     for numbers in ({"rabi": 0.0}, {"rabi": -OMEGA}, {"rabi": math.nan}, {"rabi": math.inf},
                     {"delta_shift": math.inf}, {"delta_shift": -math.inf},
-                    {"delta_shift": math.nan}, {"gamma_h": math.inf}, {"gamma_h": math.nan}):
+                    {"delta_shift": math.nan}, {"gamma_h": math.inf}, {"gamma_h": math.nan},
+                    {"gamma_h": -1.0}):
         with pytest.raises(ValidationError):
             replace(blockade_scenario(1.0), **numbers)

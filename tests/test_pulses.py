@@ -4,14 +4,59 @@ import numpy as np
 import pytest
 
 from oqcsim.errors import DomainError, ParseError, ValidationError
-from oqcsim.pulses import (BeamGeometry, EmitterRadiative, PulseSequence, PulseSpec,
-                           build_sequence, peak_field, pi_pulse_budget,
-                           pi_pulse_intensity, pulse_energy)
-from oqcsim.quantities import wave_number_from_cm
+from oqcsim.pulses import (C_LIGHT, Z0, BeamGeometry, EmitterRadiative, PulseSequence,
+                           PulseSpec, build_sequence, peak_field, pi_pulse_budget,
+                           pi_pulse_intensity, pulse_energy, wave_number,
+                           wave_number_from_cm)
 
 K_VISIBLE = wave_number_from_cm(20000.0)      # 1.2566e7 1/m
 GAMMA0_NS = 1.0 / 1.5e-9                      # fast color-center emitter
 GAMMA_L = 1e9
+
+
+def test_constants_pinned():
+    assert Z0 == 376.7
+    assert C_LIGHT == 299792458.0
+
+
+def test_wave_number_zero_frequency():
+    assert wave_number(0.0, 1.43) == 0.0
+
+
+def test_wave_number_visible_carrier():
+    omega = 3767303134617706.5
+    assert wave_number(omega, 1.0) == pytest.approx(1.2566370614359172e7, rel=1e-12)
+
+
+def test_wave_number_linear_in_index():
+    omega = 2.3e15
+    assert wave_number(omega, 2.0) == pytest.approx(2 * wave_number(omega, 1.0), rel=1e-14)
+
+
+def test_wave_number_linearity_property():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        omega = float(rng.uniform(1e12, 1e16))
+        n = float(rng.uniform(1.0, 3.0))
+        s = float(rng.uniform(0.1, 5.0))
+        assert wave_number(s * omega, n) == pytest.approx(s * wave_number(omega, n), rel=1e-12)
+
+
+def test_wave_number_rejects_subunity_index():
+    with pytest.raises(DomainError):
+        wave_number(1e15, 0.5)
+
+
+@pytest.mark.parametrize("carrier, message", [
+    (math.nan, "spectral value must be finite, got nan"),
+    (-math.inf, "spectral value must be finite, got -inf"),
+    (-1.0, "spectroscopic quantities must be non-negative"),
+    (1e300, "spectral value must be finite, got inf"),   # omega overflows
+], ids=["nan", "-inf", "negative", "overflow"])
+def test_wave_number_from_cm_rejects(carrier, message):
+    with pytest.raises(DomainError) as err:
+        wave_number_from_cm(carrier)
+    assert str(err.value) == message
 
 
 def test_intensity_reproduces_worked_example():
