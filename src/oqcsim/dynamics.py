@@ -7,7 +7,12 @@ its pulse drives (pulse numbers rise strictly, so a segment holds one
 pulse).  That drive couples the joint states in pairs, so a segment
 Hamiltonian is a direct sum of 1 x 1 and 2 x 2 blocks, and closed-system
 segments are propagated exactly in closed form: a phase on each
-unpaired state and a two-level rotation on each pair (segment_unitary).
+unpaired state and a two-level rotation on each pair (_segment_rotation).
+A closed sequence is propagated on the columns asked for, the
+coefficients applied to them segment by segment, so a gate score
+propagates only the four columns of the computational states and no
+Hamiltonian or unitary matrix is built; segment_unitary is the same
+closed form as a matrix.
 Open-system segments are propagated through the exponential of the
 Lindblad superoperator with radiative decay (1/tau per level) and pure
 per-level dephasing at the homogeneous width.
@@ -25,6 +30,10 @@ detunings, durations, coupling shifts and dephasing rates, are
 described by PulseArrays and propagated in one stack by
 stacked_unitaries and stacked_superoperators; sequence_unitary and
 sequence_superoperator are their n = 1 case.
+
+export_trajectory_csv computes a trajectory's populations and
+coherence magnitudes by columns, as arrays over all its times, and
+writes the repr of each number, with the bytes csv.writer would write.
 
 Frequencies entering the Hamiltonian (detunings, shifts, Rabi) are
 angular (rad/s); decay and dephasing rates are ordinary rates (1/s).
@@ -237,21 +246,30 @@ def segment_hamiltonians(system: LevelSystem, target: tuple[str, tuple[str, str]
     default every entry takes the system's own coupling shifts.
     """
     n, d = len(rabi), system.dimension
-    if shifts is None:
-        shifts = np.tile([cp.shift for cp in system.couplings], (n, 1))
-
-    diag = np.repeat(system._detuning_diag[None, :], n, axis=0)
-    for c, idx in enumerate(system._coupling_indices):
-        diag[:, idx] += shifts[:, c, None]
     h = np.zeros((n, d, d), dtype=complex)
-    h[:, np.arange(d), np.arange(d)] = diag
+    h[:, np.arange(d), np.arange(d)] = _segment_energies(system, target, detuning, shifts)
     if target is not None:
         lower, upper = drive_pairs(system, target)
         half_rabi = rabi[:, None] / 2.0
         h[:, upper, lower] += half_rabi
         h[:, lower, upper] += half_rabi
-        h[:, upper, upper] += detuning[:, None]
     return h
+
+
+def _segment_energies(system: LevelSystem, target: tuple[str, tuple[str, str]] | None,
+                     detuning: np.ndarray, shifts: np.ndarray | None = None) -> np.ndarray:
+    """Diagonals (n, d) of segment_hamiltonians: the static detunings, the
+    coupling shifts and the pulse detuning on the driven transition's
+    upper level."""
+    n = len(detuning)
+    if shifts is None:
+        shifts = np.tile([cp.shift for cp in system.couplings], (n, 1))
+    diag = np.repeat(system._detuning_diag[None, :], n, axis=0)
+    for c, idx in enumerate(system._coupling_indices):
+        diag[:, idx] += shifts[:, c, None]
+    if target is not None:
+        diag[:, drive_pairs(system, target)[1]] += detuning[:, None]
+    return diag
 
 
 def drive_pairs(system: LevelSystem, target: tuple[str, tuple[str, str]] | None
@@ -384,6 +402,40 @@ def segment_unitary(h: np.ndarray, duration,
     """exp(-i H t) in closed form (exact) for a Hermitian H whose only
     off-diagonal entries join the states of pairs = (lower, upper).
 
+    The coefficients of _segment_rotation placed into a matrix.  Also
+    takes a stack: h of shape (n, d, d) with n durations.
+    """
+    lower, upper = pairs
+    alone = _unpaired(h.shape[-1], pairs)
+    e = h.diagonal(axis1=-2, axis2=-1).real
+    phase, aa, bb, ab, ba = _segment_rotation(
+        e[..., alone], e[..., lower], e[..., upper], h[..., upper, lower],
+        h[..., lower, upper], np.asarray(duration, dtype=float)[..., None])
+    u = np.zeros(h.shape, dtype=complex)
+    u[..., alone, alone] = phase
+    u[..., lower, lower] = aa
+    u[..., upper, upper] = bb
+    u[..., lower, upper] = ab
+    u[..., upper, lower] = ba
+    return u
+
+
+def _unpaired(dimension: int, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The states in none of the pairs, ascending."""
+    paired = np.zeros(dimension, dtype=bool)
+    paired[pairs[0]] = paired[pairs[1]] = True
+    return np.flatnonzero(~paired)
+
+
+def _segment_rotation(e, ea, eb, h_ba, h_ab, t) -> tuple[np.ndarray, ...]:
+    """exp(-i H t) of segments H as coefficients, element by element.
+
+    e holds the diagonal entries of the unpaired states; ea, eb, h_ba
+    and h_ab those of the pairs (a, b), H_aa, H_bb, H_ba and H_ab, their
+    only off-diagonal entries; t the durations, which broadcast against
+    both.  Returns the phase of each unpaired state and the blocks
+    [[aa, ab], [ba, bb]] of the pairs.
+
     A segment Hamiltonian couples only the pairs its drive joins
     (drive_pairs), so H is a direct sum of 1 x 1 and 2 x 2 blocks.  An
     unpaired state k takes the phase exp(-i H_kk t).  A pair (a, b) with
@@ -397,13 +449,9 @@ def segment_unitary(h: np.ndarray, duration,
     the larger one, m/2 +- w/2, and the rotation divides by w, not 2 w,
     so that no step overflows while the entries of H are finite.
     Numbers too large for double precision give non-finite entries, not
-    warnings.  Also takes a stack: h of shape (n, d, d) with n durations.
+    warnings.
     """
-    lower, upper = pairs
-    t = np.asarray(duration, dtype=float)[..., None]
-    e = h.diagonal(axis1=-2, axis2=-1).real
-    ea, eb = e[..., lower], e[..., upper]
-    coupling = np.abs(h[..., upper, lower])
+    coupling = np.abs(h_ba)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # halved first, so that energies near the double range do not overflow
         mean, half = ea / 2 + eb / 2, ea / 2 - eb / 2
@@ -419,14 +467,41 @@ def segment_unitary(h: np.ndarray, duration,
         cos = (p_plus + p_minus) / 2            # exp(-i m t) cos(w t)
         # -i exp(-i m t) sin(w t) / w, times K the rest of the rotation
         sin = np.where(w > 0, (p_plus - p_minus) / 2 / w, 0.0)
-        u = np.zeros(h.shape, dtype=complex)
-        states = np.arange(h.shape[-1])
-        u[..., states, states] = np.exp(-1j * (e * t))
-        u[..., lower, lower] = cos + sin * half
-        u[..., upper, upper] = cos - sin * half
-        u[..., lower, upper] = sin * h[..., lower, upper]
-        u[..., upper, lower] = sin * h[..., upper, lower]
+        return (np.exp(-1j * (e * t)), cos + sin * half, cos - sin * half, sin * h_ab,
+                sin * h_ba)
+
+
+def _unitary_columns(rotation: tuple[np.ndarray, ...], alone: np.ndarray,
+                     pairs: tuple[np.ndarray, np.ndarray], columns: np.ndarray) -> np.ndarray:
+    """Columns (d, m, n) of n segment unitaries given by their coefficients
+    (_segment_rotation, each of shape (states, n)): column c is the image
+    of basis state columns[c]."""
+    phase, aa, bb, ab, ba = rotation
+    lower, upper = pairs
+    d = len(alone) + len(lower) + len(upper)
+    u = np.zeros((d, len(columns), phase.shape[-1]), dtype=complex)
+    for states, images in ((alone, ((alone, phase),)),
+                           (lower, ((lower, aa), (upper, ba))),
+                           (upper, ((upper, bb), (lower, ab)))):
+        # the column c whose state is states[k]
+        k, c = np.nonzero(states[:, None] == columns)
+        for rows, coefficient in images:
+            u[rows[k], c] = coefficient[k]
     return u
+
+
+def _rotate_columns(rotation: tuple[np.ndarray, ...], alone: np.ndarray,
+                    pairs: tuple[np.ndarray, np.ndarray], columns: np.ndarray) -> np.ndarray:
+    """n segment unitaries given by their coefficients (as in
+    _unitary_columns) applied to columns (d, m, n)."""
+    phase, aa, bb, ab, ba = (x[:, None] for x in rotation)
+    lower, upper = pairs
+    a, b = columns[lower], columns[upper]
+    out = np.empty_like(columns)
+    out[alone] = phase * columns[alone]
+    out[lower] = aa * a + ab * b
+    out[upper] = ba * a + bb * b
+    return out
 
 
 # Coefficients b_0 .. b_13 of the degree-13 Padé approximant to exp, and
@@ -578,25 +653,45 @@ class PulseArrays(NamedTuple):
                    rows(lambda p: p.detuning), rows(lambda p: p.duration))
 
 
-def sequence_unitary(system: LevelSystem, sequence: PulseSequence) -> np.ndarray:
-    """Total unitary of an ordered pulse sequence (closed system)."""
-    return stacked_unitaries(system, PulseArrays.of(sequence))[0]
+def sequence_unitary(system: LevelSystem, sequence: PulseSequence,
+                     columns: Sequence[int] | None = None) -> np.ndarray:
+    """Total unitary of an ordered pulse sequence (closed system), or the
+    columns of it that columns names."""
+    return stacked_unitaries(system, PulseArrays.of(sequence), columns=columns)[0]
 
 
 def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
-                      shifts: np.ndarray | None = None) -> np.ndarray:
-    """Total unitaries (n, d, d) of n pulse sequences given as arrays (closed system).
+                      shifts: np.ndarray | None = None,
+                      columns: Sequence[int] | None = None) -> np.ndarray:
+    """Total unitaries of n pulse sequences given as arrays (closed system).
 
-    shifts (n, len(system.couplings)) gives each entry its own coupling
-    shifts, as in segment_hamiltonians.  One stacked closed-form
-    exponential (segment_unitary) per segment.
+    Returns (n, d, m): column c of entry i is sequence i's unitary
+    applied to basis state columns[c], every state by default (the
+    whole unitary).  shifts (n, len(system.couplings)) gives each entry
+    its own coupling shifts, as in segment_hamiltonians.  Each segment's
+    closed-form exponential (_segment_rotation) is applied to the
+    columns as a phase per state and a rotation per driven pair; no
+    Hamiltonian or unitary matrix is built.  The columns are held as
+    (d, m, n), the stack last, so that every step runs along the stack.
     """
     n, d = pulses.rabi.shape[1], system.dimension
-    u = np.repeat(np.eye(d, dtype=complex)[None], n, axis=0)
+    columns = np.arange(d) if columns is None else np.asarray(columns)
+    out = None
     for target, rabi, detuning, duration in zip(*pulses):
-        h = segment_hamiltonians(system, target, rabi, detuning, shifts)
-        u = segment_unitary(h, duration, drive_pairs(system, target)) @ u
-    return u
+        lower, upper = pairs = drive_pairs(system, target)
+        alone = _unpaired(d, pairs)
+        e = _segment_energies(system, target, detuning, shifts).T
+        coupling = np.repeat(rabi[None, :] / 2.0 + 0j, len(lower), axis=0)
+        rotation = _segment_rotation(e[alone], e[lower], e[upper], coupling, coupling, duration)
+        out = (_unitary_columns(rotation, alone, pairs, columns) if out is None
+               else _rotate_columns(rotation, alone, pairs, out))
+        # -0 to +0, as a matrix product leaves zeros: the sign of a zero
+        # imaginary part decides whether a phase reads pi or -pi
+        out += 0.0
+    if out is None:                               # no segments
+        out = np.zeros((d, len(columns), n), dtype=complex)
+        out[columns, np.arange(len(columns))] = 1.0
+    return np.moveaxis(out, -1, 0)
 
 
 def sequence_superoperator(system: LevelSystem, sequence: PulseSequence,
@@ -734,21 +829,21 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
 
 
 def export_trajectory_csv(path, trajectory: Trajectory) -> None:
-    """Write (time, populations, coherence magnitudes) rows for plotting."""
+    """Write (time, populations, coherence magnitudes) rows for plotting.
+
+    The states are stacked and read as (T, ...) arrays, and each row is
+    written as the repr of its numbers, as csv.writer writes them.
+    """
     labels = [":".join(lab) for lab in trajectory.labels]
     dim = len(labels)
     header = ["time_s"] + [f"pop_{lab}" for lab in labels]
     header += [f"coh_{labels[i]}_{labels[j]}" for i in range(dim) for j in range(i + 1, dim)]
+    rho = np.array(trajectory.states)
+    if trajectory.kind == "state_vector":
+        rho = rho[:, :, None] * rho[:, None, :].conj()
+    upper = np.triu_indices(dim, 1)
+    table = np.column_stack([trajectory.times, rho[:, np.arange(dim), np.arange(dim)].real,
+                             np.abs(rho[:, upper[0], upper[1]])])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, state in zip(trajectory.times, trajectory.states):
-            if trajectory.kind == "state_vector":
-                rho = np.outer(state, state.conj())
-            else:
-                rho = state
-            row = [repr(float(t))]
-            row += [repr(float(np.real(rho[i, i]))) for i in range(dim)]
-            row += [repr(float(np.abs(rho[i, j])))
-                    for i in range(dim) for j in range(i + 1, dim)]
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist()))

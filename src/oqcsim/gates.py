@@ -250,14 +250,16 @@ class Scores(NamedTuple):
         return Scores(*(field.tolist() for field in self))
 
 
-def _closed_reading(unitaries: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, ...]:
+def _closed_reading(columns: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, ...]:
     """Populations, diagonal coherences, phase amplitudes and finiteness of unitaries.
 
-    unitaries (n, d, d); comp, the basis indices of the computational
-    states.  With m the computational block, the coherence C[j, k] of
-    |j><k| is m_jj conj(m_kk), and the phases are read from m's diagonal.
+    columns (n, d, 4): the unitaries' columns of the computational
+    states, whose basis indices are comp (as stacked_unitaries returns
+    them with columns=comp).  With m the computational block, the
+    coherence C[j, k] of |j><k| is m_jj conj(m_kk), and the phases are
+    read from m's diagonal.
     """
-    m = unitaries[:, comp[:, None], comp]                 # [output][input]
+    m = columns[:, comp]                                  # [output][input]
     amplitudes = m.diagonal(axis1=1, axis2=2)
     with np.errstate(over="ignore", invalid="ignore"):
         coherences = amplitudes[:, :, None] * amplitudes[:, None, :].conj()
@@ -331,9 +333,9 @@ def _columns(comp: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _score_stack(scenario: GateScenario, system: LevelSystem, stack: np.ndarray) -> Scores:
-    """Scores of a stack of the scenario's propagators on its register:
-    unitaries (n, d, d), or with any noise switch on, the sixteen channel
-    columns (n, d^2, 16)."""
+    """Scores of a stack of the scenario's propagators on its register: the
+    unitaries' four computational columns (n, d, 4), or with any noise
+    switch on, the sixteen channel columns (n, d^2, 16)."""
     comp = _computational(scenario, system)
     if scenario.noise.any:
         reading = _channel_reading(stack, comp, system.dimension)
@@ -346,10 +348,11 @@ def run_protocol(scenario: GateScenario, scores: Scores | None = None,
                  row: int = 0) -> GateReport:
     """Execute a scenario over all four computational inputs and score it.
 
-    Closed-system scenarios are scored from their sequence unitary; with
-    any noise switch on, the channel is applied to the sixteen operators
-    |j><k| of the computational subspace, so decay and dephasing enter
-    the average-fidelity sum exactly.  Both are scored by score, here
+    Closed-system scenarios are scored from the four computational
+    columns of their sequence unitary; with any noise switch on, the
+    channel is applied to the sixteen operators |j><k| of the
+    computational subspace, so decay and dephasing enter the
+    average-fidelity sum exactly.  Both are scored by score, here
     as a stack of one.  scores, when given, are computed already, as
     lists (Scores.tolist), and row is the position in them of a point of
     a sweep of scenario, as a sweep chunk computes them for all its
@@ -361,11 +364,12 @@ def run_protocol(scenario: GateScenario, scores: Scores | None = None,
         system = scenario_system(scenario)
         sequence = protocol_sequence(scenario)
         sequence.validate_targets(scenario.qubit_levels())
+        comp = _computational(scenario, system)
         if scenario.noise.any:
-            columns = _columns(_computational(scenario, system), system.dimension)
-            propagator = sequence_superoperator(system, sequence, columns)
+            propagator = sequence_superoperator(system, sequence,
+                                                _columns(comp, system.dimension))
         else:
-            propagator = sequence_unitary(system, sequence)
+            propagator = sequence_unitary(system, sequence, comp)
         scores = _score_stack(scenario, system, propagator[None]).tolist()
     if not scores.finite[row]:
         raise DomainError("protocol result is not finite; the pulse durations and "
@@ -467,10 +471,12 @@ def sweep_base(base: GateScenario) -> SweepBase | None:
 
 def chunk_points(base: GateScenario, shared: SweepBase | None) -> int:
     """Points in each chunk of a sweep of base, whose shared part is shared
-    (sweep_base): max(_CHUNK_MIN, _CHUNK_ENTRIES // e), for e stacked
-    propagator entries per point (d^2 closed, 16 d^2 noisy, d the
-    register dimension).  _CHUNK_MIN when shared is None, since every
-    point then runs alone."""
+    (sweep_base): max(_CHUNK_MIN, _CHUNK_ENTRIES // e), for e = d^2
+    closed and 16 d^2 noisy, d the register dimension.  A closed point
+    stacks only its 4 d computational-column entries, but larger closed
+    chunks gained nothing (1820 against 809 points on the 9-state
+    canonical sweep).  _CHUNK_MIN when shared is None, since every point
+    then runs alone."""
     if shared is None:
         return _CHUNK_MIN
     dim = shared.system.dimension
@@ -574,10 +580,11 @@ def _stacked_scores(base: GateScenario, shared: SweepBase | None, rabi: np.ndarr
 
     The points' pulse parameters enter as (segments, n) arrays
     (_group_pulses), which leave out the points whose pulse durations
-    are not finite.  Without noise the points get sequence unitaries;
-    with any noise switch of base on, the sixteen computational columns
-    of their channels; each in one stacked propagation on the shared
-    register, scored in one score call.  None when shared is None, no
+    are not finite.  Without noise the points get the four computational
+    columns of their sequence unitaries; with any noise switch of base
+    on, the sixteen computational columns of their channels; each in one
+    stacked propagation on the shared register, scored in one score
+    call.  None when shared is None, no
     point is held or the stacked propagation fails.
     """
     if shared is None or not len(rabi):
@@ -588,13 +595,13 @@ def _stacked_scores(base: GateScenario, shared: SweepBase | None, rabi: np.ndarr
         if not keep.any():
             return None
         shifts = shift[keep, None]
+        comp = _computational(base, system)
         if base.noise.any:
             gamma = _dephasing(base.noise, gamma_h[keep])
-            columns = _columns(_computational(base, system), system.dimension)
-            stacked = stacked_superoperators(system, pulses, columns, shifts,
-                                             np.repeat(gamma[:, None], 2, axis=1))
+            stacked = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
+                                             shifts, np.repeat(gamma[:, None], 2, axis=1))
         else:
-            stacked = stacked_unitaries(system, pulses, shifts)
+            stacked = stacked_unitaries(system, pulses, shifts, comp)
     except (OqcsimError, ValueError):
         return None
     return _score_stack(base, system, stacked), keep

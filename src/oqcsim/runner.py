@@ -30,6 +30,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -572,21 +573,29 @@ def _csv_field(text: str) -> str:
 def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> list[dict]:
     """Write sweep.csv and return its rows (gates.sweep over at most jobs workers).
 
-    The rows are formatted in one pass and written at once; the bytes are
-    those csv.writer writes, CRLF line ends and quoted statuses included.
-    An error row leaves the metric columns empty.
+    The file is formatted a column at a time, each column's values read
+    off the rows, and written at once; the bytes are those csv.writer
+    writes, CRLF line ends and quoted statuses included.  An error row
+    leaves the metric columns empty.
     """
     rows = run_sweep(base, grid, jobs)
-    keys = sorted(grid)
-    metric_cols = ["truth_table_fidelity", "average_fidelity", "infidelity",
-                   "leakage", "cz_phase_rad"]
-    lines = [",".join(keys + metric_cols + ["status"])]
-    lines += [",".join([repr(row[k]) for k in keys]
-                       + [repr(row[c]) if c in row else "" for c in metric_cols]
-                       + [_csv_field(row["status"])]) for row in rows]
+    header = sorted(grid) + ["truth_table_fidelity", "average_fidelity", "infidelity",
+                             "leakage", "cz_phase_rad"]
+    columns = [_sweep_column(rows, key) for key in header]
+    columns.append(map(_csv_field, map(itemgetter("status"), rows)))
+    lines = [",".join(header + ["status"]), *map(",".join, zip(*columns))]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
     return rows
+
+
+def _sweep_column(rows: list[dict], key: str) -> list[str]:
+    """The repr of each row's value of key, "" in a row without one (an
+    error row's metrics)."""
+    try:
+        return list(map(repr, map(itemgetter(key), rows)))
+    except KeyError:
+        return [repr(row[key]) if key in row else "" for row in rows]
 
 
 def emit_plot_data(results_dir, kind: str, out_path) -> None:

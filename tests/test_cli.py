@@ -335,6 +335,29 @@ def test_sweep_csv_equals_csv_writer(tmp_path, monkeypatch, values):
     assert path.read_bytes() == reference.read_bytes()
 
 
+def test_sweep_csv_of_a_run_with_both_zeros_equals_csv_writer(tmp_path):
+    # 0.0 == -0.0, so formatting each value once and reusing it by value would
+    # write one zero for both; the Rabi zeros make error rows with no metrics
+    grid = {"delta_over_omega": [0.0, -0.0, 3.0, 8.0],
+            "rabi_rad_s": [6.283185307179586e9, -0.0, 0.0, 1.3e10]}
+    config = tmp_path / "zeros.json"
+    config.write_text(json.dumps({"gate": {}, "sweep": {"grid": grid}}))
+    run(config, out_dir=tmp_path / "out")
+    rows = gates.sweep(load_config(config).gate.scenario, grid)
+    assert {row["status"] for row in rows} == {"ok", "error: Rabi frequency must be > 0"}
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sorted(grid) + SWEEP_METRICS + ["status"])
+        for row in rows:
+            writer.writerow([repr(row[k]) for k in sorted(grid)]
+                            + [repr(row[c]) if c in row else "" for c in SWEEP_METRICS]
+                            + [row["status"]])
+    written = (tmp_path / "out" / "sweep.csv").read_bytes()
+    assert written == reference.read_bytes()
+    assert b"\r\n-0.0,-0.0," in written and b"\r\n0.0,0.0," in written
+
+
 def test_manifest_counts_sweep_points(tmp_path):
     run(config_path("blockade_cz_sweep"), out_dir=tmp_path / "a")
     counters = json.loads((tmp_path / "a" / "manifest.json").read_text())["counters"]

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import math
 import tracemalloc
 from dataclasses import replace
@@ -179,6 +180,31 @@ def test_pulse_arrays_propagate_like_their_sequences():
                           np.repeat(np.eye(system.dimension)[None], 2, axis=0))
 
 
+def test_unitary_columns_equal_the_columns_of_the_whole_unitary():
+    system = three_qubit_register()
+    sequences = [seq(drive(qubit="a", levels=("1", "1p"), omega=w),
+                     drive(qubit="c", levels=("1p", "1"), omega=w, area=2 * math.pi,
+                           detuning=d),
+                     drive(qubit="b", levels=("g", "e"), omega=0.4 * w, area=0.3))
+                 for w, d in ((OMEGA, 0.0), (0.3 * OMEGA, 2e9), (5 * OMEGA, -1e8))]
+    pulses = stacked_arrays(sequences)
+    shifts = np.array([[3.7e9, -0.4e9], [0.0, -0.4e9], [25.0 * OMEGA, 1e9]])
+    whole = stacked_unitaries(system, pulses, shifts)
+    assert whole.shape == (3, 18, 18)
+    for columns in ([0], [14, 13, 2], [7, 7, 17, 0], list(range(17, -1, -1))):
+        stacked = stacked_unitaries(system, pulses, shifts, columns)
+        assert np.array_equal(stacked, whole[:, :, columns])
+        for sequence in sequences:
+            alone = sequence_unitary(system, sequence, columns)
+            assert np.array_equal(alone, stacked_unitaries(system, PulseArrays.of(sequence),
+                                                           columns=columns)[0])
+            assert np.array_equal(alone, sequence_unitary(system, sequence)[:, columns])
+    # no segments: the basis columns
+    empty = PulseArrays((), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
+    assert np.array_equal(stacked_unitaries(system, empty, columns=[5, 1]),
+                          np.repeat(np.eye(system.dimension)[None][:, :, [5, 1]], 2, axis=0))
+
+
 def test_dimension_cap_enforced():
     with pytest.raises(ResourceLimitError):
         LevelSystem([QubitLevels(f"q{i}", ("a", "b", "c")) for i in range(4)])
@@ -297,6 +323,38 @@ def test_segment_unitary_matches_expm_oracle(case, phase, area, angle):
         assert np.array_equal(segment_unitary(h_k, t_k, pairs), u_k)
     # a whole pulse, whose phases reach 1e6 * 2 pi at the largest ratios
     assert unitarity_error(segment_unitary(h, area / scale, pairs)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(driven_registers(), st.floats(0.0, 30.0), st.integers(0, 1 << 16),
+       st.lists(st.integers(0, 63), min_size=1, max_size=4))
+# energies near the double range, as for segment_unitary
+@example((two_level(), ("q", ("g", "e")), np.full(1, 1.3e308), np.full(1, 1.3e308),
+          np.full(1, 1.3e308), np.zeros((1, 0))), 3.0, 0, [0, 1])
+@example((two_level(), ("q", ("g", "e")), np.full(1, 1.7e308), np.full(1, 1.7e308),
+          np.full(1, -1.7e308), np.zeros((1, 0))), 3.0, 1, [1])
+# a pair a million Rabi frequencies off resonance
+@example((two_level(), ("q", ("g", "e")), np.full(1, OMEGA), np.full(1, OMEGA),
+          np.full(1, 1e6 * OMEGA), np.zeros((1, 0))), 30.0, 0, [0, 1])
+def test_unitary_columns_match_expm_oracle(case, phase, pick, columns):
+    # two segments, so that the second is applied to columns that are no
+    # longer basis states
+    system, target, rabi, scale, detuning, shifts = case
+    transitions = [(q.name, (a, b)) for q in system.qubits for a in q.levels
+                   for b in q.levels if a != b]
+    targets = (target, transitions[pick % len(transitions)])
+    columns = [c % system.dimension for c in columns]
+    h = np.stack([segment_hamiltonians(system, tg, rabi, detuning, shifts) for tg in targets])
+    # |H| t at most 30 per segment, as for segment_unitary
+    t = phase / np.maximum(np.abs(h).max(axis=(2, 3)), OMEGA)
+    pulses = PulseArrays(targets, np.stack([rabi, rabi]), np.stack([detuning, detuning]), t)
+    got = stacked_unitaries(system, pulses, shifts, columns)
+    for i, u in enumerate(got):
+        oracle = expm(-1j * h[1, i] * t[1, i]) @ expm(-1j * h[0, i] * t[0, i])
+        assert np.abs(u - oracle[:, columns]).max() <= 1e-12
+    # whole pulses, whose phases reach 1e6 * 2 pi at the largest ratios
+    whole = PulseArrays(targets, pulses.rabi, pulses.detuning, np.stack([math.pi / scale] * 2))
+    assert unitarity_error(stacked_unitaries(system, whole, shifts)) <= 1e-13
 
 
 def test_off_resonant_ceiling_property():
@@ -799,6 +857,40 @@ def test_trajectory_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "time_s,pop_g,pop_e,coh_g_e"
     assert len(lines) == 1 + len(traj.states)
+
+
+@pytest.mark.parametrize("kind", ["state_vector", "density_operator"])
+def test_trajectory_csv_equals_csv_writer(tmp_path, kind):
+    # a level name with a comma, which the header must quote
+    system = LevelSystem([QubitLevels("a", ("g", "e,1"), decay_rates={"e,1": 1e8},
+                                      dephasing=5e7),
+                          QubitLevels("b", ("g", "e", "f"), detunings={"f": 0.2 * OMEGA})],
+                         [ShiftCoupling({"a": "e,1", "b": "e"}, 3e9)])
+    s = seq(drive(qubit="a", levels=("g", "e,1"), area=1.3),
+            drive(qubit="b", levels=("g", "e"), area=2 * math.pi, detuning=0.1 * OMEGA),
+            drive(qubit="b", levels=("f", "e"), area=0.7))
+    psi = (system.basis_state({"a": "g", "b": "g"})
+           + system.basis_state({"a": "e,1", "b": "f"})) / math.sqrt(2)
+    if kind == "state_vector":
+        traj = propagate_unitary(system, s, psi, samples_per_segment=5)
+    else:
+        traj = propagate_lindblad(system, s, np.outer(psi, psi.conj()), samples_per_segment=5)
+    assert traj.kind == kind
+    path, reference = tmp_path / "traj.csv", tmp_path / "reference.csv"
+    export_trajectory_csv(path, traj)
+    labels = [":".join(lab) for lab in traj.labels]
+    pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))]
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s"] + [f"pop_{lab}" for lab in labels]
+                        + [f"coh_{labels[i]}_{labels[j]}" for i, j in pairs])
+        for t, state in zip(traj.times, traj.states):
+            rho = np.outer(state, state.conj()) if kind == "state_vector" else state
+            writer.writerow([repr(float(t))]
+                            + [repr(float(np.real(rho[i, i]))) for i in range(len(labels))]
+                            + [repr(float(np.abs(rho[i, j]))) for i, j in pairs])
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_text().startswith('time_s,pop_g:g,pop_g:e,pop_g:f,"pop_e,1:g"')
 
 
 def test_sequence_unitary_composition_order():

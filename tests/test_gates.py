@@ -406,6 +406,25 @@ def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
     assert all(row["status"] == "ok" for row in rows)
 
 
+def test_closed_run_protocol_calls_sequence_unitary_once(monkeypatch):
+    # The traced benchmark reads dynamics.sequence_unitary off the gates
+    # module's binding, so a closed point run alone must propagate through it.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sequence_unitary(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "sequence_unitary", counting)
+    report = run_protocol(BASES["canonical"])
+    assert len(calls) == 1 and len(calls[0][2]) == 4
+    # a stacked point does not run alone
+    row = sweep(BASES["canonical"], {"delta_shift_rad_s": [BASES["canonical"].delta_shift]})[0]
+    assert len(calls) == 1
+    assert (report.average_fidelity, report.cz_phase) == (row["average_fidelity"],
+                                                          row["cz_phase_rad"])
+
+
 def test_sweep_builds_a_scenario_only_for_the_points_the_stack_leaves_out(monkeypatch):
     # a stacked point's numbers are checked as arrays and its report read
     # off the chunk's scores; only a point left out of the stack gets its
@@ -528,12 +547,13 @@ def oracle_require_finite(populations_finite, *numbers):
 
 def oracle_report(propagator, comp, dim, noisy, gate_target):
     """One point scored per point: Python numbers from a unitary's computational
-    map, or per-point numpy over the sixteen channel columns.  Returns the report
+    map, read off its four computational columns (d, 4), or per-point numpy
+    over the sixteen channel columns.  Returns the report
     and whether the phases fell below the floor; raises DomainError as
     run_protocol does."""
     with np.errstate(all="ignore"):        # non-finite entries are tested on purpose
         if not noisy:
-            m = propagator[comp[:, None], comp]
+            m = propagator[comp]
             truth = (np.abs(m.T) ** 2).tolist()
             m_diag = m.diagonal().tolist()
             phi00, phi01, phi10, cz = oracle_phases(m_diag)
@@ -572,8 +592,9 @@ def oracle_report(propagator, comp, dim, noisy, gate_target):
 
 
 def register_family(scenarios):
-    """Propagators of scenarios of one register structure: unitaries, or with
-    noise the sixteen channel columns; with the register's computational indices."""
+    """Propagators of scenarios of one register structure: the unitaries' four
+    computational columns, or with noise the sixteen channel columns; with the
+    register's computational indices."""
     system = scenario_system(scenarios[0])
     comp = _computational(scenarios[0], system)
     stack = []
@@ -583,7 +604,7 @@ def register_family(scenarios):
             stack.append(sequence_superoperator(system, sequence,
                                                 _columns(comp, system.dimension)))
         else:
-            stack.append(sequence_unitary(system, sequence))
+            stack.append(sequence_unitary(system, sequence, comp))
     return np.array(stack), comp, system.dimension
 
 
@@ -626,8 +647,8 @@ def scored_stacks(draw):
         read = [(p, c) for p in pos.ravel() for c in range(16)]
         amplitudes = [(pos[k, 0], 4 * k) for k in range(4)]
     else:
-        read = [(a, b) for a in comp for b in comp]
-        amplitudes = [(a, a) for a in comp]
+        read = [(a, k) for a in comp for k in range(4)]
+        amplitudes = [(a, k) for k, a in enumerate(comp)]
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(stack) - 1))
         kind = draw(st.sampled_from(["nan", "inf", "-inf", "nan_imag", "floor"]))
@@ -730,7 +751,7 @@ def chunk_as_scored_per_point(base, points):
         stack = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
                                        shifts, dephasing)
     else:
-        stack = stacked_unitaries(system, pulses, shifts)
+        stack = stacked_unitaries(system, pulses, shifts, comp)
     for row, propagator in zip(rows, stack):
         report, _ = oracle_report(propagator, comp, system.dimension, base.noise.any,
                                   base.gate_target)
