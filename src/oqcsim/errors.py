@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the readers of input documents.
 
 The CLI maps these onto its exit-code contract: schema/parse problems
-exit 2, physics-domain problems exit 3, resource caps exit 4.
+exit 2, physics-domain problems exit 3, resource caps exit 4.  The
+readers alone turn config and registry values into numbers and names.
 """
+import math
 
 
 class OqcsimError(Exception):
@@ -31,3 +33,70 @@ class RegistryLookupError(OqcsimError, KeyError):
 
 class ResourceLimitError(OqcsimError, RuntimeError):
     """Request exceeds a hard cap (e.g. Hilbert-space dimension)."""
+
+
+REQUIRED = object()     # the default of a key that must be given
+
+
+def require(cond: bool, msg: str, error=ValidationError):
+    if not cond:
+        raise error(msg)
+
+
+def known_keys(section, allowed: set[str], where: str):
+    """ParseError unless section is a JSON object with only allowed keys."""
+    require(isinstance(section, dict), f"{where} must be a JSON object", ParseError)
+    unknown = set(section) - allowed
+    require(not unknown, f"{where}: unknown fields {sorted(unknown)}", ParseError)
+
+
+def finite(value, where: str, kind=float):
+    """value as kind (float or int); ParseError unless it is a finite JSON
+    number, and for int, one without a fractional part."""
+    require(isinstance(value, (int, float)) and not isinstance(value, bool),
+            f"{where} must be a number, got {value!r}", ParseError)
+    try:
+        ok = math.isfinite(value)
+    except OverflowError:              # an integer beyond double precision
+        ok = False
+    require(ok, f"{where} must be finite, got {value!r}", ParseError)
+    require(kind is float or value == int(value), f"{where} must be an integer, got {value!r}",
+            ParseError)
+    return kind(value)
+
+
+def _value(sec: dict, key: str, where: str, default):
+    """sec[key], or the default when it is null or absent."""
+    if sec.get(key) is None:
+        require(default is not REQUIRED, f"{where}.{key} is required", ParseError)
+        return default
+    return sec[key]
+
+
+def number(sec: dict, key: str, where: str, default=REQUIRED, kind=float):
+    """sec[key] as a finite number (finite); the default may be None."""
+    value = _value(sec, key, where, default)
+    return None if value is None else finite(value, f"{where}.{key}", kind)
+
+
+def string(sec: dict, key: str, where: str, default=REQUIRED):
+    """sec[key] as a string; the default may be None."""
+    value = _value(sec, key, where, default)
+    require(value is None or isinstance(value, str),
+            f"{where}.{key} must be a string, got {value!r}", ParseError)
+    return value
+
+
+def flag(sec: dict, key: str, where: str) -> bool:
+    """sec[key] as a JSON boolean; null or absent is false."""
+    value = sec.get(key)
+    require(value is None or isinstance(value, bool),
+            f"{where}.{key} must be true or false, got {value!r}", ParseError)
+    return bool(value)
+
+
+def entries(sec: dict, key: str, where: str) -> list:
+    """sec[key] as a JSON list; null or absent is empty."""
+    value = _value(sec, key, where, [])
+    require(isinstance(value, list), f"{where}.{key} must be a list", ParseError)
+    return value

@@ -116,7 +116,6 @@ class GateScenario:
     rabi: float                          # rad/s
     delta_shift: float = 0.0             # rad/s on |1'>|1'>
     gamma_h: float = 0.0                 # 1/s, used when noise.dephasing
-    gamma_l: float = 1e9                 # 1/s, pulse bookkeeping
     noise: NoiseFlags = NoiseFlags()
     sequence: PulseSequence | None = None
     gate_target: str = "cz"              # "cz" | "identity"
@@ -181,6 +180,14 @@ def protocol_sequence(scenario: GateScenario) -> PulseSequence:
     return canonical_blockade_sequence(scenario)
 
 
+def scenario_protocol(scenario: GateScenario) -> tuple[LevelSystem, PulseSequence]:
+    """The scenario's register and pulse sequence, the sequence's targets checked."""
+    system = scenario_system(scenario)
+    sequence = protocol_sequence(scenario)
+    sequence.validate_targets(scenario.qubit_levels())
+    return system, sequence
+
+
 def canonical_blockade_sequence(scenario: GateScenario) -> PulseSequence:
     """The three-segment blockade controlled-phase sequence.
 
@@ -192,7 +199,7 @@ def canonical_blockade_sequence(scenario: GateScenario) -> PulseSequence:
     """
     def pulse(qubit, area):
         return PulseSpec(target=(qubit, ("1", "1p")), pulse_area=area,
-                         spectral_width=scenario.gamma_l, rabi_frequency=scenario.rabi)
+                         rabi_frequency=scenario.rabi)
 
     return PulseSequence((
         (1, pulse(scenario.control.name, PI_AREA)),
@@ -361,9 +368,7 @@ def run_protocol(scenario: GateScenario, scores: Scores | None = None,
     only checks that the row is finite and builds the report.
     """
     if scores is None:
-        system = scenario_system(scenario)
-        sequence = protocol_sequence(scenario)
-        sequence.validate_targets(scenario.qubit_levels())
+        system, sequence = scenario_protocol(scenario)
         comp = _computational(scenario, system)
         if scenario.noise.any:
             propagator = sequence_superoperator(system, sequence,
@@ -430,7 +435,7 @@ def point_scenario(base: GateScenario, point: Mapping[str, float]) -> GateScenar
         delta_shift = point.get("delta_shift_rad_s", base.delta_shift)
     return GateScenario(control=base.control, target=base.target, rabi=rabi,
                         delta_shift=delta_shift, gamma_h=point.get("gamma_h_hz", base.gamma_h),
-                        gamma_l=base.gamma_l, noise=base.noise, sequence=base.sequence,
+                        noise=base.noise, sequence=base.sequence,
                         gate_target=base.gate_target)
 
 
@@ -461,9 +466,7 @@ def sweep_base(base: GateScenario) -> SweepBase | None:
     """The SweepBase of base, or None when its register or sequence does
     not build; each point is then run alone, which reports its error."""
     try:
-        system = scenario_system(base)
-        sequence = protocol_sequence(base)
-        sequence.validate_targets(base.qubit_levels())
+        system, sequence = scenario_protocol(base)
         return SweepBase(system, sequence, PulseArrays.of(sequence))
     except (OqcsimError, ValueError):
         return None
@@ -651,7 +654,7 @@ def pair_center_scenario(params_control: PairParams, params_target: PairParams,
                          distance: float, model: BlockadeModel = DEFAULT_MODEL, *,
                          rabi: float, tau_single: float | None = None,
                          gamma_h: float = 0.0, noise: NoiseFlags = NoiseFlags(),
-                         gamma_l: float = 1e9, mode: str = "perturbative",
+                         mode: str = "perturbative",
                          ) -> GateScenario:
     """Build a two-qubit scenario from two pair centers a distance apart.
 
@@ -690,7 +693,6 @@ def pair_center_scenario(params_control: PairParams, params_target: PairParams,
         rabi=rabi,
         delta_shift=2.0 * math.pi * shift_hz,
         gamma_h=gamma_h,
-        gamma_l=gamma_l,
         noise=noise,
     )
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import DomainError, OqcsimError, ParseError, ValidationError
+from .errors import DomainError, ValidationError
 
 # SI constants: hbar and c are CODATA; the free-space impedance Z0 is
 # pinned to 376.7 ohm so that the worked example reproduces bit-for-bit.
@@ -44,11 +44,6 @@ INTENSITY_CALIBRATION = 9119271.090754239
 
 PI_AREA = math.pi
 TWO_PI_AREA = 2.0 * math.pi
-
-_AREA_NAMES = {"pi": PI_AREA, "2pi": TWO_PI_AREA}
-
-STEP_KEYS = {"qubit", "transition", "area", "rabi_rad_s", "detuning_rad_s",
-             "gamma_l_hz", "number"}
 
 
 def wave_number(omega: float, n: float) -> float:
@@ -260,54 +255,3 @@ class PulseSequence:
                     raise ValidationError(
                         f"pulse {n}: qubit {p.qubit!r} has no level {lv!r}")
 
-
-def _parse_area(value) -> float:
-    if isinstance(value, str):
-        try:
-            return _AREA_NAMES[value.lower()]
-        except KeyError:
-            raise ValidationError(f"unknown pulse area {value!r}; use 'pi', '2pi' or radians") from None
-    return float(value)
-
-
-def build_sequence(steps: Sequence[Mapping], qubits: Mapping[str, Iterable[str]]) -> PulseSequence:
-    """Assemble and validate a PulseSequence from a declarative description.
-
-    Each step is a mapping with keys ``qubit``, ``transition`` (pair of
-    level names) and optionally ``area`` ("pi", "2pi" or radians),
-    ``rabi_rad_s``, ``detuning_rad_s``, ``gamma_l_hz`` and ``number``
-    (STEP_KEYS); any other key is a ParseError.  Numbers default to 1..n
-    in order.
-
-    An empty description yields the empty (identity) sequence.
-    """
-    pulses = []
-    for i, step in enumerate(steps):
-        if not isinstance(step, Mapping):
-            raise ParseError(f"step {i}: must be a mapping")
-        unknown = set(step) - STEP_KEYS
-        if unknown:
-            raise ParseError(f"step {i}: unknown fields {sorted(unknown)}")
-        try:
-            number = int(step.get("number", i + 1))
-            transition = tuple(step["transition"])
-            if len(transition) != 2:
-                raise ValidationError(f"step {i}: transition must name two levels")
-            spec = PulseSpec(
-                target=(step["qubit"], transition),
-                pulse_area=_parse_area(step.get("area", "pi")),
-                spectral_width=float(step.get("gamma_l_hz", 1e9)),
-                rabi_frequency=None if step.get("rabi_rad_s") is None
-                else float(step["rabi_rad_s"]),
-                detuning=float(step.get("detuning_rad_s", 0.0)),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"step {i}: missing required field {exc}") from None
-        except OqcsimError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"step {i}: {exc}") from None
-        pulses.append((number, spec))
-    seq = PulseSequence(tuple(pulses))
-    seq.validate_targets(qubits)
-    return seq

@@ -41,14 +41,15 @@ from .ensemble import (PAIR_RADIUS_MAX, CenterSet, CrystalSpec, allocate_channel
                        export_allocation_csv, export_centers_csv, identify_pairs,
                        mean_qubit_spacing, min_pair_concentration,
                        nearest_neighbor_distances, sample_lattice, spectral_select)
-from .errors import ConfigurationError, DomainError, ParseError, ValidationError
+from .errors import (ConfigurationError, DomainError, ParseError, ValidationError, entries,
+                     finite, flag, known_keys, number, require, string)
 from .gates import (GateScenario, NoiseFlags, QubitScheme, check_grid, pair_center_scenario,
-                    protocol_sequence, run_protocol, scenario_system, sweep as run_sweep)
+                    run_protocol, scenario_protocol, sweep as run_sweep)
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
 from .paircenter import PairParams
-from .pulses import (BeamGeometry, EmitterRadiative, PulseBudget, build_sequence,
-                     peak_field, pi_pulse_budget, pulse_energy)
+from .pulses import (PI_AREA, TWO_PI_AREA, BeamGeometry, EmitterRadiative, PulseBudget,
+                     PulseSequence, PulseSpec, peak_field, pi_pulse_budget, pulse_energy)
 from .species import (LevelRole, SpeciesRegistry, SpeciesScheme, load_registry,
                       validate_scheme)
 
@@ -58,46 +59,6 @@ KNOWN_SECTIONS = {"seed", "output", "species", "crystal", "pulses",
 GATE_KEYS = {"type", "rabi_rad_s", "delta_shift_rad_s", "gamma_h_hz", "gamma_l_hz",
              "noise", "gate_target", "sequence", "pair_center", "export_trajectory",
              "trajectory_input", "note"}
-
-
-def _require(cond: bool, msg: str, error=ValidationError):
-    if not cond:
-        raise error(msg)
-
-
-def _known_keys(section, allowed: set[str], where: str):
-    _require(isinstance(section, dict), f"{where} must be a JSON object", ParseError)
-    unknown = set(section) - allowed
-    _require(not unknown, f"{where}: unknown fields {sorted(unknown)}", ParseError)
-
-
-def _finite(value, where: str, kind=float):
-    """value converted by kind; ParseError unless it is a finite number."""
-    try:
-        value = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where} must be a number, got {value!r}") from None
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:              # an integer beyond double precision
-        finite = False
-    _require(finite, f"{where} must be finite, got {value!r}", ParseError)
-    return value
-
-
-def _num(sec: dict, key: str, where: str, default=None, kind=float):
-    """sec[key] as a finite number; null or absent takes the default, if any."""
-    value = default if sec.get(key) is None else sec[key]
-    _require(value is not None, f"{where}.{key} is required", ParseError)
-    return _finite(value, f"{where}.{key}", kind)
-
-
-def _flag(sec: dict, key: str, where: str) -> bool:
-    """sec[key] as a JSON boolean; null or absent is false."""
-    value = sec.get(key)
-    _require(value is None or isinstance(value, bool),
-             f"{where}.{key} must be true or false, got {value!r}", ParseError)
-    return bool(value)
 
 
 # -- typed sections ----------------------------------------------------------
@@ -150,26 +111,27 @@ class GateSection:
 
 
 def _parse_species(sec: dict) -> SpeciesSection:
-    _known_keys(sec, {"use", "host", "registry_file", "u2_threshold"}, "species")
+    known_keys(sec, {"use", "host", "registry_file", "u2_threshold"}, "species")
     registry = load_registry(sec.get("registry_file"))
-    scheme = registry.get(sec["use"], sec.get("host")) if "use" in sec else None
-    return SpeciesSection(registry, scheme, _num(sec, "u2_threshold", "species", 1.0))
+    use, host = (string(sec, key, "species", None) for key in ("use", "host"))
+    scheme = None if use is None else registry.get(use, host)
+    return SpeciesSection(registry, scheme, number(sec, "u2_threshold", "species", 1.0))
 
 
 def _parse_pulses(sec: dict) -> PulsesSection:
-    _known_keys(sec, {"carrier_cm", "radiative_lifetime_s", "gamma_l_hz",
-                      "cross_section_cm2", "refractive_index",
-                      "rei_intensity_factor"}, "pulses")
-    carrier_cm = _num(sec, "carrier_cm", "pulses")
-    emitter = EmitterRadiative(_num(sec, "radiative_lifetime_s", "pulses"))
-    gamma_l = _num(sec, "gamma_l_hz", "pulses")
+    known_keys(sec, {"carrier_cm", "radiative_lifetime_s", "gamma_l_hz",
+                     "cross_section_cm2", "refractive_index",
+                     "rei_intensity_factor"}, "pulses")
+    carrier_cm = number(sec, "carrier_cm", "pulses")
+    emitter = EmitterRadiative(number(sec, "radiative_lifetime_s", "pulses"))
+    gamma_l = number(sec, "gamma_l_hz", "pulses")
     beam = BeamGeometry(
-        _num(sec, "cross_section_cm2", "pulses", BeamGeometry.cross_section),
-        _num(sec, "refractive_index", "pulses", BeamGeometry.refractive_index))
-    rei_factor = _num(sec, "rei_intensity_factor", "pulses", 0.0)
-    _require(gamma_l > 0, "pulses.gamma_l_hz must be > 0", DomainError)
-    _require(carrier_cm > 0, "pulses.carrier_cm must be > 0", DomainError)
-    _require(rei_factor >= 0, "pulses.rei_intensity_factor must be >= 0", DomainError)
+        number(sec, "cross_section_cm2", "pulses", BeamGeometry.cross_section),
+        number(sec, "refractive_index", "pulses", BeamGeometry.refractive_index))
+    rei_factor = number(sec, "rei_intensity_factor", "pulses", 0.0)
+    require(gamma_l > 0, "pulses.gamma_l_hz must be > 0", DomainError)
+    require(carrier_cm > 0, "pulses.carrier_cm must be > 0", DomainError)
+    require(rei_factor >= 0, "pulses.rei_intensity_factor must be >= 0", DomainError)
     budget = pi_pulse_budget(carrier_cm, emitter, gamma_l, beam)
     rei = None
     if rei_factor:
@@ -180,30 +142,30 @@ def _parse_pulses(sec: dict) -> PulsesSection:
 
 
 def _parse_crystal(sec: dict, pulses: PulsesSection | None) -> CrystalSection:
-    _known_keys(sec, {"concentration", "gamma_inh_hz", "gamma_h_hz", "box_size",
-                      "distribution", "n_ensemble", "pair_radius", "channel_min_gap_hz",
-                      "center_frequency_hz", "export_centers", "export_channels"}, "crystal")
+    known_keys(sec, {"concentration", "gamma_inh_hz", "gamma_h_hz", "box_size",
+                     "distribution", "n_ensemble", "pair_radius", "channel_min_gap_hz",
+                     "center_frequency_hz", "export_centers", "export_channels"}, "crystal")
     spec = CrystalSpec(
-        concentration=_num(sec, "concentration", "crystal"),
-        gamma_inh=_num(sec, "gamma_inh_hz", "crystal"),
-        gamma_h=_num(sec, "gamma_h_hz", "crystal"),
-        box_size=_num(sec, "box_size", "crystal", kind=int),
-        distribution=sec.get("distribution", CrystalSpec.distribution),
+        concentration=number(sec, "concentration", "crystal"),
+        gamma_inh=number(sec, "gamma_inh_hz", "crystal"),
+        gamma_h=number(sec, "gamma_h_hz", "crystal"),
+        box_size=number(sec, "box_size", "crystal", kind=int),
+        distribution=string(sec, "distribution", "crystal", CrystalSpec.distribution),
     )
-    _require(pulses is not None,
-             "crystal section needs pulses.gamma_l_hz for spectral selection")
-    _require(spec.gamma_h <= pulses.gamma_l,
-             "homogeneous width exceeds the laser width; lines are not resolvable")
-    n_ensemble = _num(sec, "n_ensemble", "crystal", 50, kind=int)
-    pair_radius = _num(sec, "pair_radius", "crystal", 2.0)
-    center_frequency = _num(sec, "center_frequency_hz", "crystal", 0.0)
-    channel_min_gap = _num(sec, "channel_min_gap_hz", "crystal", 3.0 * pulses.gamma_l)
-    export_centers = _flag(sec, "export_centers", "crystal")
-    export_channels = _flag(sec, "export_channels", "crystal")
-    _require(n_ensemble >= 2, "crystal.n_ensemble must be at least 2")
-    _require(0 < pair_radius <= PAIR_RADIUS_MAX,
-             f"crystal.pair_radius must be in (0, {PAIR_RADIUS_MAX:g}]", DomainError)
-    _require(channel_min_gap >= 0, "crystal.channel_min_gap_hz must be >= 0", DomainError)
+    require(pulses is not None,
+            "crystal section needs pulses.gamma_l_hz for spectral selection")
+    require(spec.gamma_h <= pulses.gamma_l,
+            "homogeneous width exceeds the laser width; lines are not resolvable")
+    n_ensemble = number(sec, "n_ensemble", "crystal", 50, kind=int)
+    pair_radius = number(sec, "pair_radius", "crystal", 2.0)
+    center_frequency = number(sec, "center_frequency_hz", "crystal", 0.0)
+    channel_min_gap = number(sec, "channel_min_gap_hz", "crystal", 3.0 * pulses.gamma_l)
+    export_centers = flag(sec, "export_centers", "crystal")
+    export_channels = flag(sec, "export_channels", "crystal")
+    require(n_ensemble >= 2, "crystal.n_ensemble must be at least 2")
+    require(0 < pair_radius <= PAIR_RADIUS_MAX,
+            f"crystal.pair_radius must be in (0, {PAIR_RADIUS_MAX:g}]", DomainError)
+    require(channel_min_gap >= 0, "crystal.channel_min_gap_hz must be >= 0", DomainError)
     r0 = mean_qubit_spacing(spec.concentration, pulses.gamma_l, spec.gamma_inh)
     return CrystalSection(spec, n_ensemble, pair_radius, center_frequency, channel_min_gap,
                           export_centers, export_channels, r0, min_pair_concentration(r0),
@@ -212,26 +174,26 @@ def _parse_crystal(sec: dict, pulses: PulsesSection | None) -> CrystalSection:
 
 def _parse_interactions(sec: dict, crystal: CrystalSection | None,
                         species: SpeciesSection | None) -> InteractionsSection:
-    _known_keys(sec, {"c_qq_hz", "c_dd_hz", "kappa", "u2_a", "u2_b"}, "interactions")
+    known_keys(sec, {"c_qq_hz", "c_dd_hz", "kappa", "u2_a", "u2_b"}, "interactions")
     model = BlockadeModel(
-        c_qq=_num(sec, "c_qq_hz", "interactions", BlockadeModel.c_qq),
-        c_dd=_num(sec, "c_dd_hz", "interactions", BlockadeModel.c_dd),
-        blockade_margin=_num(sec, "kappa", "interactions", BlockadeModel.blockade_margin),
+        c_qq=number(sec, "c_qq_hz", "interactions", BlockadeModel.c_qq),
+        c_dd=number(sec, "c_dd_hz", "interactions", BlockadeModel.c_dd),
+        blockade_margin=number(sec, "kappa", "interactions", BlockadeModel.blockade_margin),
     )
-    _require(crystal is not None, "interactions section needs a crystal section")
+    require(crystal is not None, "interactions section needs a crystal section")
     if sec.get("u2_a") is not None:
-        u2_a = _num(sec, "u2_a", "interactions")
-        u2_b = _num(sec, "u2_b", "interactions", u2_a)
-        _require(min(u2_a, u2_b) >= 0, "interactions.u2_a and u2_b must be >= 0", DomainError)
+        u2_a = number(sec, "u2_a", "interactions")
+        u2_b = number(sec, "u2_b", "interactions", u2_a)
+        require(min(u2_a, u2_b) >= 0, "interactions.u2_a and u2_b must be >= 0", DomainError)
     else:
-        _require(species is not None and species.scheme is not None,
-                 "interactions needs u2_a/u2_b or a species with an auxiliary level")
+        require(species is not None and species.scheme is not None,
+                "interactions needs u2_a/u2_b or a species with an auxiliary level")
         aux = species.scheme.role_level(LevelRole.AUXILIARY)
-        _require(aux is not None and aux.u2_diag_sq is not None,
-                 f"species {species.scheme.species_name} has no auxiliary U(2) value")
+        require(aux is not None and aux.u2_diag_sq is not None,
+                f"species {species.scheme.species_name} has no auxiliary U(2) value")
         u2_a = u2_b = aux.u2_diag_sq
     u2_product = u2_a * u2_b
-    _require(math.isfinite(u2_product), "interactions.u2_a * u2_b overflows", DomainError)
+    require(math.isfinite(u2_product), "interactions.u2_a * u2_b overflows", DomainError)
     return InteractionsSection(model, u2_a, u2_b, u2_product)
 
 
@@ -241,83 +203,113 @@ def build_gate_scenario(cfg: dict) -> GateScenario:
     Reads and checks every field of the section except the trajectory
     export ones; sweep points are copies with swept fields replaced.
     """
-    _known_keys(cfg, GATE_KEYS, "gate")
-    kind = cfg.get("type", "canonical_cz")
-    _require(kind in ("canonical_cz", "pair_center", "custom"),
-             f"gate.type must be canonical_cz, pair_center or custom, got {kind!r}", ParseError)
-    rabi = _num(cfg, "rabi_rad_s", "gate", 2 * math.pi * 1e9)
-    gamma_h = _num(cfg, "gamma_h_hz", "gate", GateScenario.gamma_h)
-    gamma_l = _num(cfg, "gamma_l_hz", "gate", GateScenario.gamma_l)
-    _require(gamma_h >= 0, "gate.gamma_h_hz must be >= 0")
-    _require(gamma_l > 0, "gate.gamma_l_hz must be > 0")
+    known_keys(cfg, GATE_KEYS, "gate")
+    kind = string(cfg, "type", "gate", "canonical_cz")
+    require(kind in ("canonical_cz", "pair_center", "custom"),
+            f"gate.type must be canonical_cz, pair_center or custom, got {kind!r}", ParseError)
+    rabi = number(cfg, "rabi_rad_s", "gate", 2 * math.pi * 1e9)
+    gamma_h = number(cfg, "gamma_h_hz", "gate", GateScenario.gamma_h)
+    require(gamma_h >= 0, "gate.gamma_h_hz must be >= 0")
+    require(number(cfg, "gamma_l_hz", "gate", 1e9) > 0, "gate.gamma_l_hz must be > 0")
     noise_cfg = cfg.get("noise", {})
-    _known_keys(noise_cfg, {"lifetimes", "dephasing"}, "gate.noise")
-    noise = NoiseFlags(*(_flag(noise_cfg, k, "gate.noise") for k in ("lifetimes", "dephasing")))
+    known_keys(noise_cfg, {"lifetimes", "dephasing"}, "gate.noise")
+    noise = NoiseFlags(*(flag(noise_cfg, k, "gate.noise") for k in ("lifetimes", "dephasing")))
 
     if kind == "pair_center":
-        _require(cfg.get("delta_shift_rad_s") is None,
-                 "gate.delta_shift_rad_s does not apply to type pair_center, whose "
-                 "shift follows from gate.pair_center.distance_lu", ParseError)
+        require(cfg.get("delta_shift_rad_s") is None,
+                "gate.delta_shift_rad_s does not apply to type pair_center, whose "
+                "shift follows from gate.pair_center.distance_lu", ParseError)
         pc = cfg.get("pair_center")
-        _known_keys(pc, {"control", "target", "distance_lu", "tau_single_s", "mode"},
-                    "gate.pair_center")
+        known_keys(pc, {"control", "target", "distance_lu", "tau_single_s", "mode"},
+                   "gate.pair_center")
 
         def params(side: str) -> PairParams:
             where = f"gate.pair_center.{side}"
             rec = pc.get(side)
-            _known_keys(rec, {"mean_excitation_cm", "half_detuning_cm", "exchange_cm",
-                              "f1"}, where)
+            known_keys(rec, {"mean_excitation_cm", "half_detuning_cm", "exchange_cm",
+                             "f1"}, where)
             return PairParams(
-                mean_excitation=_num(rec, "mean_excitation_cm", where),
-                half_detuning=_num(rec, "half_detuning_cm", where),
-                exchange=_num(rec, "exchange_cm", where),
-                single_oscillator_strength=_num(rec, "f1", where,
-                                                PairParams.single_oscillator_strength),
+                mean_excitation=number(rec, "mean_excitation_cm", where),
+                half_detuning=number(rec, "half_detuning_cm", where),
+                exchange=number(rec, "exchange_cm", where),
+                single_oscillator_strength=number(rec, "f1", where,
+                                                  PairParams.single_oscillator_strength),
             )
 
-        mode = pc.get("mode", "perturbative")
-        _require(mode in ("perturbative", "exact"),
-                 f"gate.pair_center.mode must be perturbative or exact, got {mode!r}")
-        tau = pc.get("tau_single_s")
+        mode = string(pc, "mode", "gate.pair_center", "perturbative")
+        require(mode in ("perturbative", "exact"),
+                f"gate.pair_center.mode must be perturbative or exact, got {mode!r}")
         scenario = pair_center_scenario(
             params("control"), params("target"),
-            distance=_num(pc, "distance_lu", "gate.pair_center"),
+            distance=number(pc, "distance_lu", "gate.pair_center"),
             rabi=rabi,
-            tau_single=None if tau is None else _finite(tau, "gate.pair_center.tau_single_s"),
+            tau_single=number(pc, "tau_single_s", "gate.pair_center", None),
             gamma_h=gamma_h,
             noise=noise,
-            gamma_l=gamma_l,
             mode=mode,
         )
     else:
         scenario = GateScenario(
             control=QubitScheme(name="control"), target=QubitScheme(name="target"),
             rabi=rabi,
-            delta_shift=_num(cfg, "delta_shift_rad_s", "gate", GateScenario.delta_shift),
-            gamma_h=gamma_h, gamma_l=gamma_l, noise=noise)
+            delta_shift=number(cfg, "delta_shift_rad_s", "gate", GateScenario.delta_shift),
+            gamma_h=gamma_h, noise=noise)
 
-    changes = {"gate_target": cfg.get("gate_target", GateScenario.gate_target)}
-    steps = cfg.get("sequence")
+    changes = {"gate_target": string(cfg, "gate_target", "gate", GateScenario.gate_target)}
+    steps = entries(cfg, "sequence", "gate")
     if kind == "custom" or steps:
-        _require(isinstance(steps, list) and steps, "gate.sequence must be a non-empty list")
-        changes["sequence"] = build_sequence(steps, scenario.qubit_levels())
+        require(steps, "gate.sequence must be a non-empty list")
+        changes["sequence"] = _parse_sequence(steps, scenario.qubit_levels())
     return replace(scenario, **changes)
+
+
+PULSE_AREAS = {"pi": PI_AREA, "2pi": TWO_PI_AREA}
+
+
+def _parse_sequence(steps: list, qubits: dict[str, tuple[str, ...]]) -> PulseSequence:
+    """The PulseSequence of gate.sequence steps (schema in the README),
+    its targets checked against qubits; numbers default to 1..n."""
+    pulses = []
+    for i, step in enumerate(steps):
+        where = f"gate.sequence[{i}]"
+        known_keys(step, {"qubit", "transition", "area", "rabi_rad_s", "detuning_rad_s",
+                          "gamma_l_hz", "number"}, where)
+        transition = step.get("transition")
+        require(isinstance(transition, list) and len(transition) == 2
+                and all(isinstance(level, str) for level in transition),
+                f"{where}.transition must be a list of two level names, got {transition!r}",
+                ParseError)
+        area = "pi" if step.get("area") is None else step["area"]
+        if isinstance(area, str):
+            require(area.lower() in PULSE_AREAS,
+                    f"{where}.area must be pi, 2pi or radians, got {area!r}", ParseError)
+            area = PULSE_AREAS[area.lower()]
+        spec = PulseSpec(
+            target=(string(step, "qubit", where), tuple(transition)),
+            pulse_area=finite(area, f"{where}.area"),
+            spectral_width=number(step, "gamma_l_hz", where, PulseSpec.spectral_width),
+            rabi_frequency=number(step, "rabi_rad_s", where, None),
+            detuning=number(step, "detuning_rad_s", where, 0.0))
+        pulses.append((number(step, "number", where, i + 1, kind=int), spec))
+    sequence = PulseSequence(tuple(pulses))
+    sequence.validate_targets(qubits)
+    return sequence
 
 
 def _parse_gate(sec: dict) -> GateSection:
     scenario = build_gate_scenario(sec)
-    label = str(sec.get("trajectory_input", "11"))
-    _require(label in ("00", "01", "10", "11"),
-             "gate.trajectory_input must be one of 00, 01, 10, 11")
-    return GateSection(scenario, _flag(sec, "export_trajectory", "gate"), label)
+    label = string(sec, "trajectory_input", "gate", "11")
+    require(label in ("00", "01", "10", "11"),
+            "gate.trajectory_input must be one of 00, 01, 10, 11")
+    return GateSection(scenario, flag(sec, "export_trajectory", "gate"), label)
 
 
 def _parse_sweep(sec: dict, gate: GateSection | None) -> dict[str, list[float]]:
-    _known_keys(sec, {"grid"}, "sweep")
-    _require(gate is not None, "sweep section needs a gate section")
+    known_keys(sec, {"grid"}, "sweep")
+    require(gate is not None, "sweep section needs a gate section")
     grid = sec.get("grid", {})
     check_grid(gate.scenario, grid)
-    return {k: [_finite(x, f"sweep.grid[{k!r}]") for x in v] for k, v in grid.items()}
+    return {k: [finite(x, f"sweep.grid[{k!r}]") for x in v] for k, v in grid.items()}
 
 
 class ScenarioConfig:
@@ -328,19 +320,19 @@ class ScenarioConfig:
     """
 
     def __init__(self, doc: dict, origin: str = "<config>"):
-        _known_keys(doc, KNOWN_SECTIONS, origin)
-        _require(any(k in doc for k in KNOWN_SECTIONS - {"seed", "output"}),
-                 f"{origin}: no runnable sections present", ParseError)
+        known_keys(doc, KNOWN_SECTIONS, origin)
+        require(any(k in doc for k in KNOWN_SECTIONS - {"seed", "output"}),
+                f"{origin}: no runnable sections present", ParseError)
         self.doc = doc
         self.origin = origin
         self.seed = doc.get("seed")
-        _require(self.seed is None or isinstance(self.seed, int),
-                 f"{origin}: seed must be an integer", ParseError)
-        _require("crystal" not in doc or self.seed is not None,
-                 f"{origin}: a seed is mandatory for stochastic sections")
+        require(self.seed is None or (type(self.seed) is int and self.seed >= 0),
+                f"{origin}: seed must be a non-negative integer", ParseError)
+        require("crystal" not in doc or self.seed is not None,
+                f"{origin}: a seed is mandatory for stochastic sections")
         output = doc.get("output", {})
-        _known_keys(output, {"dir"}, "output")
-        self.output_dir = output.get("dir")
+        known_keys(output, {"dir"}, "output")
+        self.output_dir = string(output, "dir", "output", None)
 
         def section(name, parse, *needs):
             return parse(doc[name], *needs) if name in doc else None
@@ -547,8 +539,7 @@ def _run_pulses(p: PulsesSection) -> dict:
 
 def _export_gate_trajectory(gate: GateSection, path: Path):
     scenario = gate.scenario
-    system = scenario_system(scenario)
-    sequence = protocol_sequence(scenario)
+    system, sequence = scenario_protocol(scenario)
     psi = system.basis_state(dict(zip((scenario.control.name, scenario.target.name),
                                       gate.trajectory_input)))
     if scenario.noise.any:

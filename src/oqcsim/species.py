@@ -22,7 +22,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ParseError, RegistryLookupError, ValidationError
+from .errors import (ParseError, RegistryLookupError, ValidationError, entries, known_keys,
+                     number, require, string)
 
 SCHEMA_NAME = "oqcsim-species-v1"
 
@@ -33,6 +34,9 @@ class LevelRole(enum.Enum):
     QUBIT1 = "qubit1"
     AUXILIARY = "auxiliary"
     UNASSIGNED = "unassigned"
+
+
+_ROLES = {role.value for role in LevelRole}
 
 
 @dataclass(frozen=True)
@@ -229,54 +233,47 @@ class SpeciesRegistry:
 
 
 def _parse_level(rec: dict, where: str) -> EnergyLevel:
-    try:
-        role = LevelRole(rec.get("role", "unassigned"))
-    except ValueError:
-        raise ParseError(f"{where}: unknown role {rec.get('role')!r}") from None
-    try:
-        return EnergyLevel(
-            term_symbol=rec["term"],
-            energy=float(rec["energy_cm"]),
-            lifetime=rec.get("lifetime_s"),
-            lifetime_host=rec.get("lifetime_host"),
-            u2_diag_sq=rec.get("u2_diag_sq"),
-            role=role,
-            note=rec.get("note"),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing required field {exc}") from None
+    known_keys(rec, {"term", "energy_cm", "role", "u2_diag_sq", "lifetime_s", "lifetime_host",
+                     "note"}, where)
+    role = string(rec, "role", where, LevelRole.UNASSIGNED.value)
+    require(role in _ROLES, f"{where}: unknown role {role!r}", ParseError)
+    return EnergyLevel(
+        term_symbol=string(rec, "term", where),
+        energy=number(rec, "energy_cm", where),
+        lifetime=number(rec, "lifetime_s", where, None),
+        lifetime_host=rec.get("lifetime_host"),
+        u2_diag_sq=number(rec, "u2_diag_sq", where, None),
+        role=LevelRole(role),
+        note=rec.get("note"),
+    )
 
 
 def _parse_transition(rec: dict, where: str) -> TransitionDatum:
-    try:
-        uk_sq = {int(k): float(v) for k, v in rec.get("uk_sq", {}).items()}
-        return TransitionDatum(
-            from_level=rec["from"],
-            to_level=rec["to"],
-            uk_sq=uk_sq,
-            radiative_rate=rec.get("radiative_rate_s"),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing required field {exc}") from None
+    known_keys(rec, {"from", "to", "uk_sq", "radiative_rate_s"}, where)
+    uk_sq = {} if rec.get("uk_sq") is None else rec["uk_sq"]
+    known_keys(uk_sq, {"2", "4", "6"}, f"{where}.uk_sq")
+    return TransitionDatum(
+        from_level=string(rec, "from", where),
+        to_level=string(rec, "to", where),
+        uk_sq={rank: number(uk_sq, str(rank), f"{where}.uk_sq") for rank in (2, 4, 6)
+               if uk_sq.get(str(rank)) is not None},
+        radiative_rate=number(rec, "radiative_rate_s", where, None),
+    )
 
 
 def _parse_document(doc: dict, origin: str) -> list[SpeciesScheme]:
-    if not isinstance(doc, dict) or "species" not in doc:
-        raise ParseError(f"{origin}: expected a top-level object with a 'species' list")
+    known_keys(doc, {"schema", "species"}, origin)
     schema = doc.get("schema", SCHEMA_NAME)
-    if schema != SCHEMA_NAME:
-        raise ParseError(f"{origin}: unsupported schema {schema!r}")
+    require(schema == SCHEMA_NAME, f"{origin}: unsupported schema {schema!r}", ParseError)
     schemes = []
-    for i, rec in enumerate(doc["species"]):
+    for i, rec in enumerate(entries(doc, "species", origin)):
         where = f"{origin}: species[{i}]"
-        try:
-            name, host = rec["name"], rec["host"]
-        except KeyError as exc:
-            raise ParseError(f"{where}: missing required field {exc}") from None
+        known_keys(rec, {"name", "host", "levels", "transitions"}, where)
+        name, host = string(rec, "name", where), string(rec, "host", where)
         levels = tuple(_parse_level(lv, f"{where}.levels[{j}]")
-                       for j, lv in enumerate(rec.get("levels", [])))
+                       for j, lv in enumerate(entries(rec, "levels", where)))
         transitions = tuple(_parse_transition(tr, f"{where}.transitions[{j}]")
-                            for j, tr in enumerate(rec.get("transitions", [])))
+                            for j, tr in enumerate(entries(rec, "transitions", where)))
         schemes.append(SpeciesScheme(name, host, levels, transitions))
     return schemes
 

@@ -180,6 +180,8 @@ REJECTED = {
     "string-noise-flag": ({"gate": {"noise": {"lifetimes": "false", "dephasing": "false"}}}, 2),
     "string-export-flag": (small_crystal(export_centers="false"), 2),
     "integer-beyond-double": (small_crystal(n_ensemble=10 ** 400), 2),
+    "negative-seed": ({**small_crystal(), "seed": -1}, 2),
+    "boolean-seed": ({**small_crystal(), "seed": True}, 2),
     **{f"{key}-{value!r}": (with_number(sec, key, value), 3) for sec, key, value in OVERFLOWING},
 }
 
@@ -193,24 +195,114 @@ def test_validate_rejects_exactly_what_run_rejects(tmp_path, doc, code):
     assert not (tmp_path / "out").exists()
 
 
+def custom_gate(**step):
+    """A custom gate of one pi pulse on the control qubit, with step keys set."""
+    return {"gate": {"type": "custom", "sequence": [
+        {"qubit": "control", "transition": ["1", "1p"], **step}]}}
+
+
+def user_registry(level=(), transition=(), uk_sq=()):
+    """A species registry of one two-level scheme X3+ in Y, with keys of its
+    upper level, its transition and the transition's uk_sq set."""
+    return {"species": [{"name": "X3+", "host": "Y", "levels": [
+        {"term": "a", "energy_cm": 0.0}, {"term": "b", "energy_cm": 100.0, **dict(level)}],
+        "transitions": [{"from": "a", "to": "b", "uk_sq": {"2": 0.5, **dict(uk_sq)},
+                         **dict(transition)}]}]}
+
+
+def with_registry(doc, registry, directory):
+    """doc with its species section reading registry from a file in directory."""
+    path = Path(directory) / "registry.json"
+    path.write_text(json.dumps(registry))             # NaN and Infinity as JSON tokens
+    return {**doc, "species": {**doc.get("species", {}), "registry_file": str(path)}}
+
+
+# inputs that each reader rejects, with the path its message names
+MALFORMED = {
+    "step-qubit-list": (custom_gate(qubit=["control"]), None, "gate.sequence[0].qubit"),
+    "step-transition-nested": (custom_gate(transition=[["1"], "1p"]), None,
+                               "gate.sequence[0].transition"),
+    "step-transition-string": (custom_gate(transition="01"), None,
+                               "gate.sequence[0].transition"),
+    "step-infinite-rabi": (custom_gate(rabi_rad_s=math.inf), None,
+                           "gate.sequence[0].rabi_rad_s must be finite, got inf"),
+    "step-fractional-number": (custom_gate(number=1.7), None, "gate.sequence[0].number"),
+    "species-host-list": ({"species": {"use": "Nd3+", "host": ["CaF2"]}}, None, "species.host"),
+    "u2-threshold-true": ({"species": {"use": "Nd3+", "u2_threshold": True}}, None,
+                          "species.u2_threshold"),
+    "fractional-n-ensemble": (small_crystal(n_ensemble=2.5), None, "crystal.n_ensemble"),
+    "fractional-box-size": (small_crystal(box_size=20.9), None, "crystal.box_size"),
+    "level-lifetime-string": ({}, user_registry(level={"lifetime_s": "abc"}),
+                              "levels[1].lifetime_s"),
+    "level-u2-string": ({}, user_registry(level={"u2_diag_sq": "x"}), "levels[1].u2_diag_sq"),
+    "level-energy-string": ({}, user_registry(level={"energy_cm": "abc"}),
+                            "levels[1].energy_cm"),
+    "level-energy-nan": ({}, user_registry(level={"energy_cm": math.nan}),
+                         "levels[1].energy_cm must be finite"),
+    "level-lifetime-infinite": ({}, user_registry(level={"lifetime_s": math.inf}),
+                                "levels[1].lifetime_s must be finite"),
+    "transition-rank-x": ({}, user_registry(uk_sq={"x": 0.5}), "transitions[0].uk_sq"),
+    "transition-rate-string": ({}, user_registry(transition={"radiative_rate_s": "fast"}),
+                               "transitions[0].radiative_rate_s"),
+}
+
+
+@pytest.mark.parametrize("doc, registry, path", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_inputs_exit_2_with_one_diagnostic(tmp_path, capsys, doc, registry, path):
+    if registry is not None:
+        doc = with_registry(doc, registry, tmp_path)
+    config, out = tmp_path / "bad.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    for command in (["validate", "--config", str(config)],
+                    ["run", "--config", str(config), "--out", str(out)]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oqcsim: schema: ") and err.count("\n") == 1
+        assert path in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["area", "rabi_rad_s", "detuning_rad_s", "gamma_l_hz",
+                                 "number"])
+def test_null_step_value_takes_its_default(tmp_path, key):
+    outputs = []
+    for name, doc in (("absent", custom_gate()), ("null", custom_gate(**{key: None}))):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(config)]) == 0
+        run(config, out_dir=tmp_path / name)
+        outputs.append((tmp_path / name / "gate_report.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def _strict_json(path):
     def reject(token):
         raise ValueError(f"{path.name} holds {token}")
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+# values that are not numbers: a string, a list, a boolean and null
+NOT_A_NUMBER = st.sampled_from(["1e9", [1.0], True, None])
+
 GATE_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
-                        st.floats(min_value=-1e15, max_value=1e15))
+                        st.floats(min_value=-1e15, max_value=1e15), NOT_A_NUMBER)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.fixed_dictionaries({}, optional={
     key: GATE_NUMBER for key in ("rabi_rad_s", "delta_shift_rad_s", "gamma_h_hz",
-                                 "gamma_l_hz")}))
-def test_fuzzed_gate_numbers_end_in_contract_codes(fields):
+                                 "gamma_l_hz")}),
+       st.fixed_dictionaries({}, optional={
+    key: GATE_NUMBER for key in ("area", "rabi_rad_s", "detuning_rad_s", "gamma_l_hz",
+                                 "number")}))
+def test_fuzzed_gate_numbers_end_in_contract_codes(fields, step):
+    gate = {"type": "canonical_cz", **fields}
+    if step:      # the first of two steps of the gate's own sequence
+        gate["sequence"] = [{"qubit": "control", "transition": ["1", "1p"], **step},
+                            {"qubit": "target", "transition": ["1", "1p"], "area": "2pi"}]
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "gate.json", Path(tmp) / "out"
-        config.write_text(json.dumps({"gate": {"type": "canonical_cz", **fields}}))
+        config.write_text(json.dumps({"gate": gate}))
         checked = main(["validate", "--config", str(config)])
         code = main(["run", "--config", str(config), "--out", str(out)])
         assert checked in (0, 2, 3, 4) and code in (0, 2, 3, 4)
@@ -226,12 +318,16 @@ SECTION_NUMBERS = {
     "crystal": ("concentration", "gamma_inh_hz", "gamma_h_hz", "pair_radius",
                 "channel_min_gap_hz", "center_frequency_hz", "n_ensemble"),
     "interactions": ("c_qq_hz", "c_dd_hz", "kappa", "u2_a", "u2_b"),
+    # of user_registry, read through species.registry_file
+    "level": ("energy_cm", "lifetime_s", "u2_diag_sq"),
+    "transition": ("radiative_rate_s",),
+    "uk_sq": ("2", "4", "6"),
 }
 
 EXTREME_NUMBER = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-310, 1e-200,
                      1e100, 1e200, 1e300, 1.7e308]),
-    st.floats(min_value=-1e15, max_value=1e15))
+    st.floats(min_value=-1e15, max_value=1e15), NOT_A_NUMBER)
 
 
 @settings(max_examples=120, deadline=None)
@@ -242,10 +338,11 @@ EXTREME_NUMBER = st.one_of(
                                                 max_size=len(keys)))))
 def test_fuzzed_section_numbers_end_in_contract_codes(case):
     keys, values = case
-    doc = small_ensemble_run()
+    doc, registry = small_ensemble_run(), {"level": {}, "transition": {}, "uk_sq": {}}
     for (sec, key), value in zip(keys, values):
-        doc[sec][key] = value
+        (registry if sec in registry else doc)[sec][key] = value
     with tempfile.TemporaryDirectory() as tmp:
+        doc = with_registry(doc, user_registry(**registry), tmp)
         config, out = Path(tmp) / "ensemble.json", Path(tmp) / "out"
         config.write_text(json.dumps(doc))
         checked = main(["validate", "--config", str(config)])     # no exception escapes

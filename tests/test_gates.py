@@ -17,7 +17,7 @@ from oqcsim.gates import (COMPUTATIONAL, GateReport, GateScenario, NoiseFlags, Q
                           run_protocol, scenario_system, score, sweep, sweep_base, sweep_chunk)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
-from oqcsim.pulses import PulseSequence, build_sequence
+from oqcsim.pulses import TWO_PI_AREA, PulseSequence, PulseSpec
 from oqcsim.dynamics import (PulseArrays, sequence_superoperator, sequence_unitary,
                              stacked_superoperators, stacked_unitaries)
 
@@ -108,17 +108,19 @@ def test_superoperator_path_matches_unitary_at_zero_rates():
     assert np.allclose(channel.truth_table, base.truth_table, atol=1e-12)
 
 
-def mixing_sequence(levels):
+def numbered(*pulses):
+    """A PulseSequence of the pulses, numbered 1..n."""
+    return PulseSequence(tuple(enumerate(pulses, start=1)))
+
+
+def mixing_sequence():
     """A detuned sequence that moves population between computational states
     and into the auxiliary levels, so the truth table is not symmetric."""
-    return build_sequence([
-        {"qubit": "control", "transition": ["0", "1"], "area": 1.1, "rabi_rad_s": OMEGA,
-         "detuning_rad_s": 0.3 * OMEGA},
-        {"qubit": "target", "transition": ["1", "1p"], "area": 5.5, "rabi_rad_s": OMEGA},
-        {"qubit": "control", "transition": ["1", "1p"], "area": 2.0, "rabi_rad_s": OMEGA,
-         "detuning_rad_s": -0.7 * OMEGA},
-        {"qubit": "target", "transition": ["0", "1"], "area": 0.4, "rabi_rad_s": 2 * OMEGA},
-    ], levels)
+    return numbered(
+        PulseSpec(("control", ("0", "1")), 1.1, rabi_frequency=OMEGA, detuning=0.3 * OMEGA),
+        PulseSpec(("target", ("1", "1p")), 5.5, rabi_frequency=OMEGA),
+        PulseSpec(("control", ("1", "1p")), 2.0, rabi_frequency=OMEGA, detuning=-0.7 * OMEGA),
+        PulseSpec(("target", ("0", "1")), 0.4, rabi_frequency=2 * OMEGA))
 
 
 @pytest.mark.parametrize("gate_target", ["cz", "identity"])
@@ -129,7 +131,7 @@ def test_closed_score_equals_the_channel_score_at_zero_rates(gate_target, shift,
     scenario = blockade_scenario(shift, gate_target=gate_target)
     if mixing:
         # a detuned |1> gives the control's framing phase a generic value
-        scenario = replace(scenario, sequence=mixing_sequence(scenario.qubit_levels()),
+        scenario = replace(scenario, sequence=mixing_sequence(),
                            control=QubitScheme("control", detunings={"1": 0.37 * OMEGA}))
     closed = run_protocol(scenario)
     channel = run_protocol(replace(scenario, noise=NoiseFlags(lifetimes=True, dephasing=True)))
@@ -214,12 +216,10 @@ def reference_row(base, point):
 def sweep_bases():
     canonical = blockade_scenario(10.0)
     p = PairParams(11530.0, 0.5, 5.0)
-    custom = replace(canonical, sequence=build_sequence([
-        {"qubit": "control", "transition": ["1", "1p"], "rabi_rad_s": 0.8 * OMEGA},
-        {"qubit": "target", "transition": ["1", "1p"], "area": "2pi",
-         "detuning_rad_s": 0.1 * OMEGA},
-        {"qubit": "control", "transition": ["1", "1p"], "rabi_rad_s": 0.8 * OMEGA},
-    ], canonical.qubit_levels()))
+    custom = replace(canonical, sequence=numbered(
+        PulseSpec(("control", ("1", "1p")), rabi_frequency=0.8 * OMEGA),
+        PulseSpec(("target", ("1", "1p")), TWO_PI_AREA, detuning=0.1 * OMEGA),
+        PulseSpec(("control", ("1", "1p")), rabi_frequency=0.8 * OMEGA)))
     return {"canonical": canonical,
             "pair_center": pair_center_scenario(p, p, distance=1.5, rabi=OMEGA),
             "noisy_pair_center": pair_center_scenario(
@@ -611,7 +611,7 @@ def register_family(scenarios):
 def scorer_families():
     """Real registers, closed and noisy, over shifts, framing phases and noise."""
     canonical = blockade_scenario(3.0)
-    mixing = replace(canonical, sequence=mixing_sequence(canonical.qubit_levels()),
+    mixing = replace(canonical, sequence=mixing_sequence(),
                      control=QubitScheme("control", detunings={"1": 0.37 * OMEGA}))
     closed = [blockade_scenario(x) for x in (0.0, 0.5, 3.0, 20.0, 1e3)] + [mixing]
     noise = NoiseFlags(lifetimes=True, dephasing=True)

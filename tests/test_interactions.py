@@ -47,13 +47,13 @@ def test_shifts_reject_zero_distance():
 
 
 def test_feasibility_worked_numbers():
-    feasible, margin = blockade_feasible(1e9, 0.1e9, kappa=3.0)
+    feasible, margin = blockade_feasible(1e9, 0.1e9, BlockadeModel(blockade_margin=3.0))
     assert feasible
     assert margin == pytest.approx(10.0 / 3.0, rel=1e-12)
 
 
 def test_feasibility_boundary_is_strict():
-    feasible, margin = blockade_feasible(3e8, 1e8, kappa=3.0)
+    feasible, margin = blockade_feasible(3e8, 1e8, BlockadeModel(blockade_margin=3.0))
     assert margin == pytest.approx(1.0)
     assert not feasible
     assert not blockade_feasible(0.0, 1e8).feasible

@@ -5,9 +5,10 @@ import pytest
 
 from oqcsim.errors import DomainError, ParseError, ValidationError
 from oqcsim.pulses import (C_LIGHT, Z0, BeamGeometry, EmitterRadiative, PulseSequence,
-                           PulseSpec, build_sequence, peak_field, pi_pulse_budget,
+                           PulseSpec, peak_field, pi_pulse_budget,
                            pi_pulse_intensity, pulse_energy, wave_number,
                            wave_number_from_cm)
+from oqcsim.runner import build_gate_scenario
 
 K_VISIBLE = wave_number_from_cm(20000.0)      # 1.2566e7 1/m
 GAMMA0_NS = 1.0 / 1.5e-9                      # fast color-center emitter
@@ -145,6 +146,12 @@ def test_emitter_and_beam_invariants():
 QUBITS = {"control": ("0", "1", "1p"), "target": ("0", "1", "1p")}
 
 
+def gate_sequence(steps, kind="custom"):
+    """The pulse sequence of a config's gate section with these steps, as
+    the runner parses it."""
+    return build_gate_scenario({"type": kind, "sequence": steps}).sequence
+
+
 def test_pulse_spec_defaults_tie_duration_to_spectral_width():
     p = PulseSpec(target=("control", ("1", "1p")), spectral_width=2e9)
     assert p.rabi_frequency == pytest.approx(math.pi * 2e9)
@@ -162,37 +169,42 @@ def test_build_sequence_canonical_blockade():
         {"qubit": "target", "transition": ["1", "1p"], "area": "2pi"},
         {"qubit": "control", "transition": ["1p", "1"], "area": "pi"},
     ]
-    seq = build_sequence(steps, QUBITS)
+    seq = gate_sequence(steps)
     assert len(seq) == 3
     assert [n for n, _ in seq] == [1, 2, 3]
     assert seq.specs()[1].pulse_area == pytest.approx(2 * math.pi)
 
 
 def test_build_sequence_empty_is_identity_protocol():
-    assert len(build_sequence([], QUBITS)) == 0
+    # an empty gate.sequence leaves a canonical gate its own protocol, and
+    # a custom gate none; the empty PulseSequence is the identity protocol
+    assert gate_sequence([], "canonical_cz") is None
+    with pytest.raises(ValidationError, match="non-empty"):
+        gate_sequence([])
+    assert len(PulseSequence()) == 0
 
 
 def test_build_sequence_four_pulse_order_preserved():
     steps = [{"qubit": q, "transition": list(t), "area": "pi"}
              for q, t in [("control", ("1", "1p")), ("target", ("1", "1p")),
                           ("target", ("1p", "1")), ("control", ("1p", "1"))]]
-    seq = build_sequence(steps, QUBITS)
+    seq = gate_sequence(steps)
     assert [n for n, _ in seq] == [1, 2, 3, 4]
     assert [p.qubit for p in seq.specs()] == ["control", "target", "target", "control"]
 
 
 def test_build_sequence_rejects_unknown_targets():
     with pytest.raises(ValidationError):
-        build_sequence([{"qubit": "ancilla", "transition": ["0", "1"]}], QUBITS)
+        gate_sequence([{"qubit": "ancilla", "transition": ["0", "1"]}])
     with pytest.raises(ValidationError):
-        build_sequence([{"qubit": "control", "transition": ["1", "2p"]}], QUBITS)
+        gate_sequence([{"qubit": "control", "transition": ["1", "2p"]}])
 
 
 @pytest.mark.parametrize("key, value", [("carrier_cm", 11530.0), ("envelope", "gaussian")])
 def test_build_sequence_rejects_unknown_step_keys(key, value):
     step = {"qubit": "control", "transition": ["1", "1p"], key: value}
     with pytest.raises(ParseError, match=key):
-        build_sequence([step], QUBITS)
+        gate_sequence([step])
 
 
 @pytest.mark.parametrize("field", ["pulse_area", "spectral_width", "rabi_frequency",
@@ -218,6 +230,6 @@ def test_sequence_numbering_must_increase():
 
 def test_sequence_roundtrip_validation_idempotent():
     steps = [{"qubit": "control", "transition": ["1", "1p"], "area": 1.5}]
-    seq = build_sequence(steps, QUBITS)
+    seq = gate_sequence(steps)
     seq.validate_targets(QUBITS)   # re-validating its own output passes
     assert seq.specs()[0].pulse_area == 1.5
