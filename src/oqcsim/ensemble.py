@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ResourceLimitError, ValidationError
 
 GAUSSIAN_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # central probability mass of a gaussian between its half-maximum points
@@ -43,6 +43,9 @@ _NN_CELL_FILL = 1          # mean points per cell of its grid
 # Largest pair radius, lattice units: the search stencil then holds 2,108
 # offsets; an unbounded radius would make the stencil unbounded.
 PAIR_RADIUS_MAX = 8.0
+# Largest box edge, lattice sites: 10^9 sites, whose draw alone took about
+# 4 s on a 2-vCPU machine; the draw time grows with the cube of the edge.
+BOX_SIZE_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,9 @@ class CrystalSpec:
             raise ValidationError("need gamma_inh > gamma_h > 0")
         if self.box_size < 1:
             raise ValidationError("box size must be >= 1")
+        if self.box_size > BOX_SIZE_CAP:
+            raise ResourceLimitError(
+                f"box size {self.box_size} exceeds the cap {BOX_SIZE_CAP} sites per edge")
         if self.distribution not in ("gaussian", "lorentzian"):
             raise ValidationError(f"unknown distribution {self.distribution!r}")
 

@@ -95,6 +95,14 @@ def flag(sec: dict, key: str, where: str) -> bool:
     return bool(value)
 
 
+def subsection(sec: dict, key: str, allowed: set[str], where: str) -> dict:
+    """sec[key] as a JSON object with only allowed keys (known_keys, whose
+    messages name it where); null or absent is empty."""
+    value = _value(sec, key, where, {})
+    known_keys(value, allowed, where)
+    return value
+
+
 def entries(sec: dict, key: str, where: str) -> list:
     """sec[key] as a JSON list; null or absent is empty."""
     value = _value(sec, key, where, [])

@@ -42,7 +42,7 @@ from .ensemble import (PAIR_RADIUS_MAX, CenterSet, CrystalSpec, allocate_channel
                        mean_qubit_spacing, min_pair_concentration,
                        nearest_neighbor_distances, sample_lattice, spectral_select)
 from .errors import (ConfigurationError, DomainError, ParseError, ValidationError, entries,
-                     finite, flag, known_keys, number, require, string)
+                     finite, flag, known_keys, number, require, string, subsection)
 from .gates import (GateScenario, NoiseFlags, QubitScheme, check_grid, pair_center_scenario,
                     run_protocol, scenario_protocol, sweep as run_sweep)
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
@@ -211,8 +211,7 @@ def build_gate_scenario(cfg: dict) -> GateScenario:
     gamma_h = number(cfg, "gamma_h_hz", "gate", GateScenario.gamma_h)
     require(gamma_h >= 0, "gate.gamma_h_hz must be >= 0")
     require(number(cfg, "gamma_l_hz", "gate", 1e9) > 0, "gate.gamma_l_hz must be > 0")
-    noise_cfg = cfg.get("noise", {})
-    known_keys(noise_cfg, {"lifetimes", "dephasing"}, "gate.noise")
+    noise_cfg = subsection(cfg, "noise", {"lifetimes", "dephasing"}, "gate.noise")
     noise = NoiseFlags(*(flag(noise_cfg, k, "gate.noise") for k in ("lifetimes", "dephasing")))
 
     if kind == "pair_center":
@@ -330,8 +329,7 @@ class ScenarioConfig:
                 f"{origin}: seed must be a non-negative integer", ParseError)
         require("crystal" not in doc or self.seed is not None,
                 f"{origin}: a seed is mandatory for stochastic sections")
-        output = doc.get("output", {})
-        known_keys(output, {"dir"}, "output")
+        output = subsection(doc, "output", {"dir"}, "output")
         self.output_dir = string(output, "dir", "output", None)
 
         def section(name, parse, *needs):

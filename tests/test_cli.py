@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oqcsim import gates, runner
 from oqcsim.cli import main
+from oqcsim.ensemble import BOX_SIZE_CAP
 from oqcsim.gates import chunk_points, sweep_base
 from oqcsim.runner import emit_plot_data, load_config, run
 
@@ -180,6 +181,8 @@ REJECTED = {
     "string-noise-flag": ({"gate": {"noise": {"lifetimes": "false", "dephasing": "false"}}}, 2),
     "string-export-flag": (small_crystal(export_centers="false"), 2),
     "integer-beyond-double": (small_crystal(n_ensemble=10 ** 400), 2),
+    "box-size-above-cap": (small_crystal(box_size=BOX_SIZE_CAP + 1), 4),
+    "box-size-of-a-million": (small_crystal(box_size=10 ** 6), 4),
     "negative-seed": ({**small_crystal(), "seed": -1}, 2),
     "boolean-seed": ({**small_crystal(), "seed": True}, 2),
     **{f"{key}-{value!r}": (with_number(sec, key, value), 3) for sec, key, value in OVERFLOWING},
@@ -193,6 +196,27 @@ def test_validate_rejects_exactly_what_run_rejects(tmp_path, doc, code):
     assert main(["validate", "--config", str(bad)]) == code
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == code
     assert not (tmp_path / "out").exists()
+
+
+def test_box_size_at_the_cap_validates(tmp_path):
+    config = tmp_path / "cap.json"
+    config.write_text(json.dumps(small_crystal(box_size=BOX_SIZE_CAP)))
+    assert main(["validate", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("absent, null", [
+    ({"gate": {}}, {"gate": {"noise": None}}),
+    ({"gate": {}}, {"output": None, "gate": {}}),
+], ids=["gate.noise", "output"])
+def test_null_section_takes_its_default(tmp_path, absent, null):
+    outputs = []
+    for name, doc in (("absent", absent), ("null", null)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(config)]) == 0
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "gate_report.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def custom_gate(**step):

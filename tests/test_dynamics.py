@@ -803,6 +803,79 @@ def test_block_exponentials_memory_at_the_cap(monkeypatch):
     assert peak < 16 * (24 * largest + 6 * d * d)
 
 
+def test_stacked_superoperators_memory_at_the_cap(monkeypatch):
+    # the register of the test above, two pulses on different qubits, so two
+    # distinct segments; slices of one stack entry and expm calls of 256 entries
+    system = LevelSystem([QubitLevels(name, ("g", "e", "f", "h"), decay_rates={"e": 1e8},
+                                      dephasing=1e6) for name in "abc"])
+    n, d = 6, system.dimension
+    sequences = [seq(drive(qubit="a", omega=w), drive(qubit="b", levels=("e", "f"), omega=w))
+                 for w in np.linspace(1, 2, n) * OMEGA]
+    dephasing = np.linspace(0.0, 1e8, 3 * n).reshape(n, 3)
+    columns = np.arange(0, d * d, 97)
+    jumps = jump_operators(system, dephasing)[0]
+    blocks = [b for target in stacked_arrays(sequences).targets
+              for b in liouvillian_blocks(system, target, jumps)]
+    monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 256)
+    largest = max(256, max(len(b) for b in blocks) ** 2)      # entries of one expm call
+    held = sum(len(b) ** 2 for b in blocks)     # both segments' exponentials, one entry
+    sizes, pade_expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: (sizes.append(a.size), pade_expm(a))[1])
+    pulses = stacked_arrays(sequences)
+    tracemalloc.start()
+    try:
+        out = stacked_superoperators(system, pulses, columns, dephasing=dephasing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes and max(sizes) <= largest
+    # beyond the output: the held exponentials of one stack entry and the pieces
+    # a segment gathers from them, a slice's expm work, the two segments'
+    # Hamiltonians (n d^2 each) and the fifteen jump operators (d^2 each)
+    assert peak - out.nbytes < 16 * (2 * held + 24 * largest + 2 * n * d * d + 24 * d * d)
+    assert np.array_equal(out, block_by_block_channels(system, pulses, columns, dephasing))
+
+
+def pi_out_and_back(detuning):
+    """A decaying, dephasing register and three sequences of a pi pulse on a
+    transition of qubit a and the same transition driven back, both with the
+    detuning."""
+    system = LevelSystem([QubitLevels("a", ("g", "e", "f"), decay_rates={"e": 1e7, "f": 3e8},
+                                      decay_to={"f": "e"}, dephasing=2e6),
+                          QubitLevels("b", ("g", "e"), dephasing=1e6)],
+                         [ShiftCoupling({"a": "e", "b": "e"}, 2e10)])
+    sequences = [seq(drive(qubit="a", levels=("g", "e"), omega=w, detuning=detuning),
+                     drive(qubit="a", levels=("e", "g"), omega=w, detuning=detuning))
+                 for w in (0.5 * OMEGA, OMEGA, 2 * OMEGA)]
+    return system, sequences
+
+
+# without detuning the pulse back has the pulse out's Hamiltonian, so its
+# exponentials are reused; with it, the detuning lands on the other level
+@pytest.mark.parametrize("detuning, segments_exponentiated", [(0.0, 1), (3e8, 2)])
+def test_repeated_segments_are_exponentiated_once(monkeypatch, detuning,
+                                                  segments_exponentiated):
+    system, sequences = pi_out_and_back(detuning)
+    pulses, d = stacked_arrays(sequences), system.dimension
+    dephasing = [[2e6, 1e6], [0.0, 5e7], [4e8, 0.0]]
+    every = np.arange(d * d)
+    rho = rho0(system, {"a": "g", "b": "e"})
+    matrices, pade_expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: (matrices.append(len(a)), pade_expm(a))[1])
+    channels = stacked_superoperators(system, pulses, every, dephasing=dephasing)
+    states = propagate_lindblad(system, sequences[0], rho, samples_per_segment=2).states
+    monkeypatch.undo()
+    blocks = liouvillian_blocks(system, ("a", ("g", "e")), jump_operators(system)[0])
+    sizes = {len(b) for b in blocks}
+    # one stacked expm per block size, of every block of the distinct segments
+    assert len(matrices) == 2 * len(sizes)
+    assert sum(matrices) == segments_exponentiated * (len(sequences) + 1) * len(blocks)
+    assert np.array_equal(channels, block_by_block_channels(system, pulses, every, dephasing))
+    reference = block_by_block_states(system, sequences[0], rho, 2)
+    assert len(states) == len(reference)
+    assert all(np.array_equal(a, b) for a, b in zip(states, reference))
+
+
 @settings(max_examples=20, deadline=None)
 @given(noisy_registers())
 def test_cached_liouvillian_blocks_equal_fresh_ones(case):
