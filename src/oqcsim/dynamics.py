@@ -15,7 +15,10 @@ Hamiltonian or unitary matrix is built; segment_unitary is the same
 closed form as a matrix.
 Open-system segments are propagated through the exponential of the
 Lindblad superoperator with radiative decay (1/tau per level) and pure
-per-level dephasing at the homogeneous width.
+per-level dephasing at the homogeneous width.  The dissipator has one
+form, the register's unit jump operators weighted by their rates
+(collapse_operators), so a trajectory and the channel a gate report
+scores share one generator and agree bit for bit.
 Decay and dephasing keep each qubit's offset between ket and bra level
 and only the driven transition changes it, so the dimension^2 x
 dimension^2 superoperator splits into blocks it never couples
@@ -27,10 +30,12 @@ distinct segment is exponentiated once.  The blocks come in few sizes;
 the blocks of one size, for every distinct segment of a sequence and
 every sequence of a stack, are exponentiated in one call of the
 package's own expm, the scaling-and-squaring Padé-13 method of Higham
-(2005) taken on a whole stack of matrices at once.  On the benchmark's
-noisy_sweep (a four-pulse pair-center CNOT, 32 points and a trajectory)
-that is 12 expm calls where one per segment and block size took 48, and
-its run fell from a median of 0.057 s to 0.035 s on a 2-vCPU machine.
+(2005) taken on a whole stack of matrices at once.  One bound,
+_EXPM_STACK_ENTRIES, caps both the exponentials a slice of the stack
+holds and the matrices an expm call takes.  On the benchmark's noisy_sweep (a four-pulse pair-center CNOT, 32 points
+and a trajectory) that is 12 expm calls where one per segment and block
+size took 48, and its run fell from a median of 0.057 s to 0.035 s on a
+2-vCPU machine.
 
 n sequences of one shape, differing only in Rabi frequencies,
 detunings, durations, coupling shifts and dephasing rates, are
@@ -57,8 +62,6 @@ sixteen operators a gate score reads on a 2-vCPU machine, against
 from __future__ import annotations
 
 import csv
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -74,9 +77,8 @@ NORM_TOL = 1e-8
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
 
-# Most matrix entries one stacked expm call takes: the blocks of one size
-# are exponentiated in slices of the stack and of the blocks, which
-# bounds their memory.
+# Most matrix entries a slice of the stack holds, and one stacked expm
+# call takes (see _sequence_exponentials).
 _EXPM_STACK_ENTRIES = 1 << 20
 
 
@@ -295,9 +297,9 @@ def drive_pairs(system: LevelSystem, target: tuple[str, tuple[str, str]] | None
     return system.level_indices(qubit, lo), system.level_indices(qubit, hi)
 
 
-def jump_operators(system: LevelSystem,
-                   dephasing: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
-    """Unit jump operators of the register and their rates (1/s).
+def collapse_operators(system: LevelSystem,
+                       dephasing: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Lindblad jump operators of the register, unit, and their rates (1/s).
 
     Radiative decay is |dest><lv| for each level with a nonzero decay
     rate; pure dephasing is the projector on each level of each qubit,
@@ -334,18 +336,8 @@ def jump_operators(system: LevelSystem,
     return ops, np.stack(rates, axis=1)
 
 
-def collapse_operators(system: LevelSystem) -> list[np.ndarray]:
-    """Lindblad jump operators: radiative decay plus per-level dephasing.
-
-    The jump_operators of the register scaled by the square roots of
-    their rates, without the zero-rate ones.
-    """
-    ops, rates = jump_operators(system)
-    return [math.sqrt(rate) * op for op, rate in zip(ops, rates[0]) if rate > 0]
-
-
-def liouvillian_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
-                       collapse: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+def liouvillian_blocks(system: LevelSystem,
+                       target: tuple[str, tuple[str, str]]) -> tuple[np.ndarray, ...]:
     """Blocks of a segment's Lindblad generator: the connected components
     of its off-diagonal structure.
 
@@ -357,24 +349,24 @@ def liouvillian_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
     Positions that no chain of such moves joins are never coupled, so
     the generator, and with it its exponential, is block diagonal over
     these components.  The blocks follow from structure alone, which
-    transitions are driven and where the jump operators have entries,
-    never from the numbers, so a register gets the same blocks alone and
-    in a stack.  Ascending index arrays, ordered by their first position.
+    transitions are driven and where the register's collapse_operators
+    have entries, never from the numbers, so a register gets the same
+    blocks alone and in a stack.  Ascending index arrays, ordered by
+    their first position.
 
-    Cached per driven transition, in either direction, and pattern of
-    the jump operators' entries, and read-only, so the segments of one
-    register that drive the same transition compute the blocks once.
+    Cached per driven transition, in either direction, and read-only, so
+    the segments of one register that drive the same transition compute
+    the blocks once.
     """
     qubit, levels = target
-    key = (qubit, tuple(sorted(levels)),
-           tuple(np.packbits(c != 0).tobytes() for c in collapse))
+    key = (qubit, tuple(sorted(levels)))
     if key not in system._liouvillian_blocks:
-        system._liouvillian_blocks[key] = _connected_blocks(system, target, collapse)
+        system._liouvillian_blocks[key] = _connected_blocks(system, target)
     return system._liouvillian_blocks[key]
 
 
-def _connected_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
-                      collapse: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _connected_blocks(system: LevelSystem,
+                      target: tuple[str, tuple[str, str]]) -> tuple[np.ndarray, ...]:
     """The blocks of liouvillian_blocks, computed afresh."""
     d = system.dimension
     pos = np.arange(d * d).reshape(d, d)
@@ -382,7 +374,7 @@ def _connected_blocks(system: LevelSystem, target: tuple[str, tuple[str, str]],
     upper, lower = system.level_indices(qubit, hi), system.level_indices(qubit, lo)
     # pairs of equal-shape position arrays
     joined = [(pos[upper], pos[lower]), (pos[:, upper], pos[:, lower])]
-    for c in collapse:
+    for c in collapse_operators(system)[0]:
         pattern = (c != 0).astype(int)
         rows, cols = np.nonzero(pattern)
         joined.append((pos[np.ix_(rows, rows)], pos[np.ix_(cols, cols)]))
@@ -473,8 +465,10 @@ def _segment_rotation(e, ea, eb, h_ba, h_ab, t) -> tuple[np.ndarray, ...]:
         p_plus = np.exp(-1j * np.where(negative, small_phase, large_phase))
         p_minus = np.exp(-1j * np.where(negative, large_phase, small_phase))
         cos = (p_plus + p_minus) / 2            # exp(-i m t) cos(w t)
-        # -i exp(-i m t) sin(w t) / w, times K the rest of the rotation
-        sin = np.where(w > 0, (p_plus - p_minus) / 2 / w, 0.0)
+        # -i exp(-i m t) sin(w t) / w, times K the rest of the rotation; below the
+        # smallest normal w, whose reciprocal overflows, it is dropped: sin(w t) K / w
+        # is then at most t w, since K's entries are at most w
+        sin = np.where(w >= np.finfo(float).tiny, (p_plus - p_minus) / 2 / w, 0.0)
         return (np.exp(-1j * (e * t)), cos + sin * half, cos - sin * half, sin * h_ab,
                 sin * h_ba)
 
@@ -564,18 +558,18 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def lindblad_superoperator(h: np.ndarray, collapse: Sequence[np.ndarray],
-                           rates: np.ndarray | None = None,
+def lindblad_superoperator(h: np.ndarray, collapse: Sequence[np.ndarray], rates: np.ndarray,
                            index: np.ndarray | None = None) -> np.ndarray:
     """Generator of the master equation on row-major vectorized states.
 
-    L = -i (H (x) 1 - 1 (x) H^T) + sum_k D[c_k], with
+    L = -i (H (x) 1 - 1 (x) H^T) + sum_k rates[k] D[c_k], with
     D[c] = c (x) c* - (c^dagger c (x) 1 + 1 (x) (c^dagger c)^T) / 2,
-    placed entry by entry instead of through kron.  Also takes a stack:
-    h of shape (n, d, d) gives n generators, and rates (n, K) weights
-    entry i's dissipator as sum_k rates[i, k] D[c_k], linear in the
-    rates (weights 1 by default).  index, ascending positions of
-    vectorized states, gives only the rows and columns of one block,
+    placed entry by entry instead of through kron; collapse and rates
+    are as collapse_operators gives them, rates of shape (K,) for one h.
+    Also takes a stack: h of shape (n, d, d) gives n generators, and
+    rates (n, K) weights entry i's dissipator as sum_k rates[i, k] D[c_k],
+    linear in the rates.  index, ascending positions of vectorized
+    states, gives only the rows and columns of one block,
     L[index][:, index]; index of shape (m, b) gives m blocks of b
     positions at once, as generators of shape (n, m, b, b).
     """
@@ -584,145 +578,111 @@ def lindblad_superoperator(h: np.ndarray, collapse: Sequence[np.ndarray],
     rk, ck, rb, cb = ket[..., :, None], ket[..., None, :], bra[..., :, None], bra[..., None, :]
     same_ket, same_bra = rk == ck, rb == cb
     gen = -1j * (h[..., rk, ck] * same_bra - same_ket * h[..., cb, rb])
-    if len(collapse):
-        # only the rows and columns of each c^dagger c that these positions need
-        kets, ket_at = np.unique(ket, return_inverse=True)
-        bras, bra_at = np.unique(bra, return_inverse=True)
-        ket_at, bra_at = ket_at.reshape(ket.shape), bra_at.reshape(bra.shape)
-        ka, kb = ket_at[..., :, None], ket_at[..., None, :]
-        ba, bb = bra_at[..., None, :], bra_at[..., :, None]
-        if rates is not None:
-            # rates[k] of shape (n, 1, ..., 1), one axis per axis of a block stack
-            rates = np.moveaxis(rates, -1, 0)[(...,) + (None,) * (ket.ndim + 1)]
-        for k, c in enumerate(collapse):
-            c_ket, c_bra = c[:, kets], c[:, bras]
-            term = c[rk, ck] * c[rb, cb].conj() - 0.5 * (
-                (c_ket.conj().T @ c_ket)[ka, kb] * same_bra
-                + same_ket * (c_bra.conj().T @ c_bra)[ba, bb])
-            # rates near the double range overflow here; expm rejects the result
-            with np.errstate(over="ignore", invalid="ignore"):
-                gen += term if rates is None else rates[k] * term
+    # only the rows and columns of each c^dagger c that these positions need
+    kets, ket_at = np.unique(ket, return_inverse=True)
+    bras, bra_at = np.unique(bra, return_inverse=True)
+    ket_at, bra_at = ket_at.reshape(ket.shape), bra_at.reshape(bra.shape)
+    ka, kb = ket_at[..., :, None], ket_at[..., None, :]
+    ba, bb = bra_at[..., None, :], bra_at[..., :, None]
+    # rates[k] of shape (n, 1, ..., 1), one axis per axis of a block stack
+    rates = np.moveaxis(rates, -1, 0)[(...,) + (None,) * (ket.ndim + 1)]
+    for k, c in enumerate(collapse):
+        c_ket, c_bra = c[:, kets], c[:, bras]
+        term = c[rk, ck] * c[rb, cb].conj() - 0.5 * (
+            (c_ket.conj().T @ c_ket)[ka, kb] * same_bra
+            + same_ket * (c_bra.conj().T @ c_bra)[ba, bb])
+        # rates near the double range overflow here; expm rejects the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen += rates[k] * term
     return gen
 
 
-def _block_exponentials(h: np.ndarray | list[np.ndarray], collapse: Sequence[np.ndarray],
-                        rates: np.ndarray | None, durations: np.ndarray | list[np.ndarray],
-                        blocks: Sequence[np.ndarray]) -> Iterator[tuple]:
-    """exp(L_i t_i) of stacks of generators, by block size class.
-
-    h (n, d, d) and durations (n,) are one segment's; lists of S of them
-    are S segments', whose vectorized states are laid end to end: block
-    position u d^2 + p is position p of segment u.
-    The blocks of one size b, of every segment, are built in one
-    lindblad_superoperator call per segment and exponentiated in one
-    stacked expm.  Yields (index of shape (m, b), stack slice,
-    exponentials of shape (n, m, b, b)), in the order of the blocks of
-    each size; a class larger than _EXPM_STACK_ENTRIES matrix entries is
-    cut into slices of the stack and, when one stack entry's class alone
-    is larger, of the class's blocks, which bounds the memory.
-    """
-    if isinstance(h, np.ndarray):
-        h, durations = [h], [durations]
-    n, d2 = len(h[0]), h[0].shape[-1] ** 2
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in blocks:
-        by_size.setdefault(len(block), []).append(block)
-    for size, members in by_size.items():
-        index = np.stack(members)
-        # blocks, then stack entries, per slice
-        width = min(len(index), max(1, _EXPM_STACK_ENTRIES // size ** 2))
-        step = max(1, _EXPM_STACK_ENTRIES // (width * size ** 2))
-        for first in range(0, len(index), width):
-            part = index[first:first + width]
-            segment = part[:, 0] // d2
-            runs = np.split(part, np.flatnonzero(np.diff(segment)) + 1)
-            for start in range(0, n, step):
-                s = slice(start, start + step)
-                gens = []
-                for run in runs:
-                    u = run[0, 0] // d2
-                    gen = lindblad_superoperator(h[u][s], collapse,
-                                                 None if rates is None else rates[s],
-                                                 run - u * d2)
-                    with np.errstate(over="ignore", invalid="ignore"):   # expm checks
-                        gen *= durations[u][s, None, None, None]
-                    gens.append(gen)
-                gen = gens[0] if len(gens) == 1 else np.concatenate(gens, axis=1)
-                yield part, s, expm(gen.reshape(-1, size, size)).reshape(gen.shape)
-
-
 def _sequence_exponentials(segments: Sequence[tuple[np.ndarray, np.ndarray, tuple]],
-                           collapse: Sequence[np.ndarray], rates: np.ndarray | None,
+                           collapse: Sequence[np.ndarray], rates: np.ndarray,
                            needs: Sequence[Sequence[int]]
                            ) -> Iterator[tuple[slice, list[tuple[np.ndarray, np.ndarray]]]]:
     """The block exponentials of a sequence of segments, each distinct segment once.
 
     segments[k] = (h, durations, blocks): segment k's Hamiltonians
-    (n, d, d), durations (n,) and liouvillian_blocks; needs[k] the
-    ascending positions in blocks of the blocks it is applied to.  A
-    segment whose Hamiltonians, durations and blocks are bitwise equal to
-    an earlier one's (the same transition driven out and back, say) takes
-    that one's exponentials.  Each distinct segment's generators are
-    built for the blocks any of its repeats needs, and the blocks of one
-    size, across the whole sequence, are exponentiated in one stacked
-    expm (_block_exponentials).
+    (n, d, d), durations (n,) and liouvillian_blocks; collapse and rates
+    (n, K) the stack's collapse_operators; needs[k] the ascending
+    positions in blocks of the blocks segment k is applied to.  A segment
+    bitwise equal to an earlier one (the same transition driven out and
+    back, say) takes that one's exponentials.  Each distinct segment's
+    blocks that any of its repeats needs are rows (segment, block) of
+    their size class.
 
     Yields (stack slice, pieces) for each slice of the stack and, within
     it, each segment in order; pieces holds one (index of shape (m, b),
-    exponentials of shape (slice entries, m, b, b)) per block size.  A
-    slice holds at most _EXPM_STACK_ENTRIES exponential entries, or one
-    stack entry's.
+    exponentials of shape (slice entries, m, b, b)) per block size, valid
+    until the next slice.  One bound holds the memory: a slice holds at
+    most _EXPM_STACK_ENTRIES exponential entries (or one stack entry's),
+    and one stacked expm takes a class's rows in slices of as many
+    entries (or one row).
     """
     if not segments:
         return
-    n, d2 = len(segments[0][1]), segments[0][0].shape[-1] ** 2
+    n = len(segments[0][1])
     source: list[int] = []                      # the first segment equal to each
-    for k, segment in enumerate(segments):
-        source.append(next((u for u in dict.fromkeys(source)
-                            if _same_segment(segments[u], segment)), k))
-    distinct = list(dict.fromkeys(source))
-    # the distinct segments' blocks, laid end to end, and each one's row in its size class
-    blocks, rows, class_size = [], {}, Counter()
-    for i, u in enumerate(distinct):
+    for k, (h, durations, blocks) in enumerate(segments):
+        source.append(next((u for u in dict.fromkeys(source) if segments[u][2] is blocks
+                            and segments[u][1].tobytes() == durations.tobytes()
+                            and segments[u][0].tobytes() == h.tobytes()), k))
+    # each size class's rows: their blocks' positions, and spans (segment, first, end)
+    positions: dict[int, list[np.ndarray]] = {}
+    spans: dict[int, list[tuple[int, int, int]]] = {}
+    sizes, rows = {}, {}              # per distinct segment: each block's size and class row
+    for u in dict.fromkeys(source):
         own = segments[u][2]
-        for j in sorted(set().union(*(needs[k] for k in range(len(segments))
-                                      if source[k] == u))):
-            rows[u, j] = class_size[len(own[j])]
-            class_size[len(own[j])] += 1
-            blocks.append(own[j] + i * d2)
-    plans = []
-    for k, (_, _, own) in enumerate(segments):
-        by_size: dict[int, list[int]] = {}
-        for j in needs[k]:
-            by_size.setdefault(len(own[j]), []).append(j)
-        plans.append([(size, np.stack([own[j] for j in js]),
-                       _rows([rows[source[k], j] for j in js])) for size, js in by_size.items()])
-    step = max(1, _EXPM_STACK_ENTRIES // max(1, sum(len(b) ** 2 for b in blocks)))
+        sizes[u], rows[u] = np.fromiter(map(len, own), int, len(own)), np.zeros(len(own), int)
+        needed = np.zeros(len(own), dtype=bool)
+        needed[[j for k, v in enumerate(source) if v == u for j in needs[k]]] = True
+        js = np.flatnonzero(needed)
+        for b in np.flatnonzero(np.bincount(sizes[u][js])).tolist():
+            picked = js[sizes[u][js] == b]
+            first = len(positions.setdefault(b, []))
+            rows[u][picked] = first + np.arange(len(picked))
+            positions[b] += [own[j] for j in picked]
+            spans.setdefault(b, []).append((u, first, first + len(picked)))
+    plans = []                        # per segment: (size, its rows in the class)
+    for k, u in enumerate(source):
+        js, plan = np.asarray(needs[k], dtype=int), []
+        for b in np.flatnonzero(np.bincount(sizes[u][js])).tolist():
+            at = rows[u][js[sizes[u][js] == b]]
+            # consecutive rows as a slice, which indexes without a copy
+            plan.append((b, slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else at))
+        plans.append(plan)
+    classes = {b: np.stack(p) for b, p in positions.items()}
+    del positions, sizes, rows, js    # the classes and plans are all the loop holds
+    entries = sum(index.size * index.shape[1] for index in classes.values())
+    step = max(1, _EXPM_STACK_ENTRIES // max(1, entries))
+    held: dict[int, np.ndarray] = {}
     for start in range(0, n, step):
-        s = slice(start, start + step)
-        # the slice fits _EXPM_STACK_ENTRIES, so no size class is cut along the stack
-        parts: dict[int, list[np.ndarray]] = {}
-        for index, _, e in _block_exponentials([segments[u][0][s] for u in distinct], collapse,
-                                               None if rates is None else rates[s],
-                                               [segments[u][1][s] for u in distinct], blocks):
-            parts.setdefault(index.shape[1], []).append(e)
-        held = {size: p[0] if len(p) == 1 else np.concatenate(p, axis=1)
-                for size, p in parts.items()}
+        s, m = slice(start, start + step), min(step, n - start)
+        for b, index in classes.items():
+            width = min(len(index), max(1, _EXPM_STACK_ENTRIES // (b * b)))
+            if width < len(index) and b not in held:
+                # a class of several expm calls gathers them in one array, reused by the slices
+                held[b] = np.empty((min(step, n), len(index), b, b), dtype=complex)
+            for first in range(0, len(index), width):
+                end = min(first + width, len(index))
+                gens = []
+                for u, lo, hi in spans[b]:
+                    if lo < end and hi > first:
+                        h, durations, _ = segments[u]
+                        gen = lindblad_superoperator(h[s], collapse, rates[s],
+                                                     index[max(lo, first):min(hi, end)])
+                        with np.errstate(over="ignore", invalid="ignore"):   # expm checks
+                            gen *= durations[s, None, None, None]
+                        gens.append(gen)
+                gen = gens[0] if len(gens) == 1 else np.concatenate(gens, axis=1)
+                e = expm(gen.reshape(-1, b, b)).reshape(gen.shape)
+                if width < len(index):
+                    held[b][:m, first:end] = e
+                else:
+                    held[b] = e
         for plan in plans:
-            yield s, [(index, held[size][:, r]) for size, index, r in plan]
-
-
-def _same_segment(a: tuple, b: tuple) -> bool:
-    """Whether two (h, durations, blocks) segments are bitwise equal."""
-    return (a[2] is b[2] and a[1].tobytes() == b[1].tobytes()
-            and a[0].tobytes() == b[0].tobytes())
-
-
-def _rows(rows: list[int]) -> slice | np.ndarray:
-    """rows as a slice when they run consecutively, which indexes without a copy."""
-    if rows == list(range(rows[0], rows[0] + len(rows))):
-        return slice(rows[0], rows[0] + len(rows))
-    return np.array(rows)
+            yield s, [(classes[b][at], held[b][:m, at]) for b, at in plan]
 
 
 class PulseArrays(NamedTuple):
@@ -816,7 +776,7 @@ def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Se
     """
     n, d2 = pulses.rabi.shape[1], system.dimension ** 2
     columns = np.asarray(columns)
-    jumps, rates = jump_operators(system, dephasing)
+    collapse, rates = collapse_operators(system, dephasing)
     rates = np.broadcast_to(rates, (n, rates.shape[1]))
     out = np.zeros((n, d2, len(columns)), dtype=complex)
     out[:, columns, np.arange(len(columns))] = 1.0
@@ -824,14 +784,14 @@ def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Se
     reached[columns] = True
     segments, needs = [], []
     for target, rabi, detuning, duration in zip(*pulses):
-        blocks = liouvillian_blocks(system, target, jumps)
+        blocks = liouvillian_blocks(system, target)
         need = [j for j, block in enumerate(blocks) if reached[block].any()]
         for j in need:
             reached[blocks[j]] = True
         segments.append((segment_hamiltonians(system, target, rabi, detuning, shifts),
                          duration, blocks))
         needs.append(need)
-    for s, pieces in _sequence_exponentials(segments, jumps, rates, needs):
+    for s, pieces in _sequence_exponentials(segments, collapse, rates, needs):
         for index, e in pieces:
             out[s, index] = e @ out[s, index]
     return out
@@ -909,16 +869,16 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     and eigenvalues stay positive to solver accuracy.
     """
     rho = _check_density(rho0, system.dimension)
-    collapse = collapse_operators(system)
+    collapse, rates = collapse_operators(system)
     dim = system.dimension
     times, states = [0.0], [rho]
     t = 0.0
     pulses = [p for _, p in sequence]
     segments = [(build_hamiltonian(system, p)[None],
                  np.array([p.duration / samples_per_segment]),
-                 liouvillian_blocks(system, p.target, collapse)) for p in pulses]
+                 liouvillian_blocks(system, p.target)) for p in pulses]
     needs = [range(len(blocks)) for _, _, blocks in segments]
-    for p, (_, pieces) in zip(pulses, _sequence_exponentials(segments, collapse, None, needs)):
+    for p, (_, pieces) in zip(pulses, _sequence_exponentials(segments, collapse, rates, needs)):
         dt = p.duration / samples_per_segment
         step = [(index, e[0]) for index, e in pieces]
         for _ in range(samples_per_segment):

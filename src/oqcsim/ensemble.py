@@ -46,6 +46,11 @@ PAIR_RADIUS_MAX = 8.0
 # Largest box edge, lattice sites: 10^9 sites, whose draw alone took about
 # 4 s on a 2-vCPU machine; the draw time grows with the cube of the edge.
 BOX_SIZE_CAP = 1000
+# Largest expected dopant count, concentration times box edge cubed: a run
+# peaked at about 210 bytes of resident memory a dopant (236 MB for 10^6
+# dopants, box 100 at concentration 1, against 36 MB before the run), so the
+# cap bounds a run near 10 GB; the box cap alone admits 10^9 dopants.
+DOPANT_CAP = 5 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,11 @@ class CrystalSpec:
         if self.box_size > BOX_SIZE_CAP:
             raise ResourceLimitError(
                 f"box size {self.box_size} exceeds the cap {BOX_SIZE_CAP} sites per edge")
+        dopants = self.concentration * self.box_size ** 3
+        if dopants > DOPANT_CAP:
+            raise ResourceLimitError(
+                f"expected dopant count {dopants:.4g} (concentration times box size cubed) "
+                f"exceeds the cap {DOPANT_CAP:.4g}")
         if self.distribution not in ("gaussian", "lorentzian"):
             raise ValidationError(f"unknown distribution {self.distribution!r}")
 

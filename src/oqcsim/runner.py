@@ -376,8 +376,11 @@ def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> di
 
     Returns the manifest dictionary.  out_dir defaults to the config's
     output.dir, else '<config stem>_out' next to the config.  seed, when
-    given, replaces the config's seed before the config is parsed.
+    given, replaces the config's seed before the config is parsed.  jobs,
+    at least 1, caps the sweep's worker processes.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     path = Path(config_path)
     doc = _read_document(path)

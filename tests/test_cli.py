@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from oqcsim import gates, runner
 from oqcsim.cli import main
-from oqcsim.ensemble import BOX_SIZE_CAP
+from oqcsim.ensemble import BOX_SIZE_CAP, DOPANT_CAP
+from oqcsim.errors import ValidationError
 from oqcsim.gates import chunk_points, sweep_base
 from oqcsim.runner import emit_plot_data, load_config, run
 
@@ -202,6 +203,23 @@ def test_box_size_at_the_cap_validates(tmp_path):
     config = tmp_path / "cap.json"
     config.write_text(json.dumps(small_crystal(box_size=BOX_SIZE_CAP)))
     assert main(["validate", "--config", str(config)]) == 0
+
+
+def test_dopant_count_above_the_cap_exits_4(tmp_path, capsys):
+    # the bundled Nd:CaF2 ensemble at the largest box and full concentration:
+    # 10^9 dopants expected, twenty times the cap
+    doc = json.loads(Path(config_path("nd_caf2_ensemble")).read_text())
+    doc["crystal"].update(box_size=BOX_SIZE_CAP, concentration=1.0)
+    assert BOX_SIZE_CAP ** 3 > DOPANT_CAP
+    config = tmp_path / "dense.json"
+    config.write_text(json.dumps(doc))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "expected dopant count" in err
+    assert not (tmp_path / "out").exists()
+    # the largest box stays open to a dilute crystal, as the test above validates it
+    assert 0.05 * BOX_SIZE_CAP ** 3 <= DOPANT_CAP
 
 
 @pytest.mark.parametrize("absent, null", [
@@ -642,6 +660,17 @@ def test_sweep_workers_clamped(tmp_path, monkeypatch, recording_pool, jobs, cpus
     monkeypatch.setattr(gates.os, "cpu_count", lambda: cpus)
     run(big_sweep_config(tmp_path), out_dir=tmp_path / "out", jobs=jobs)
     assert recording_pool == [expected]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    config = config_path("blockade_cz_sweep")
+    with pytest.raises(ValidationError, match="jobs must be at least 1"):
+        run(config, out_dir=tmp_path / "api", jobs=jobs)
+    out = tmp_path / "cli"
+    assert main(["run", "--config", config, "--out", str(out), "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "api").exists() and not out.exists()
 
 
 def test_one_chunk_sweep_starts_no_pool(tmp_path, monkeypatch, recording_pool):

@@ -12,10 +12,9 @@ from scipy.linalg import expm
 
 from oqcsim import dynamics
 from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, PulseArrays, QubitLevels,
-                             ShiftCoupling, _block_exponentials, build_hamiltonian,
+                             ShiftCoupling, _sequence_exponentials, build_hamiltonian,
                              collapse_operators, drive_pairs, export_trajectory_csv,
-                             jump_operators, lindblad_superoperator, liouvillian_blocks,
-                             propagate_lindblad,
+                             lindblad_superoperator, liouvillian_blocks, propagate_lindblad,
                              propagate_unitary, segment_hamiltonians,
                              segment_unitary, sequence_superoperator, sequence_unitary,
                              stacked_superoperators, stacked_unitaries)
@@ -336,6 +335,9 @@ def test_segment_unitary_matches_expm_oracle(case, phase, area, angle):
 # a pair a million Rabi frequencies off resonance
 @example((two_level(), ("q", ("g", "e")), np.full(1, OMEGA), np.full(1, OMEGA),
           np.full(1, 1e6 * OMEGA), np.zeros((1, 0))), 30.0, 0, [0, 1])
+# an undriven pair split by a subnormal detuning, whose reciprocal overflows
+@example((two_level(), None, np.zeros(1), np.full(1, OMEGA), np.full(1, 3.1e-314),
+          np.zeros((1, 0))), 0.0, 0, [0])
 def test_unitary_columns_match_expm_oracle(case, phase, pick, columns):
     # two segments, so that the second is applied to columns that are no
     # longer basis states
@@ -475,14 +477,14 @@ def test_lindblad_matches_ode_integration_oracle():
     ], [ShiftCoupling({"a": "e", "b": "e"}, 1.5e9)])
     pulse = drive(qubit="a", area=1.9, detuning=0.3 * OMEGA)
     h = build_hamiltonian(system, pulse)
-    ops = collapse_operators(system)
+    ops, rates = collapse_operators(system)
 
     def rhs(_, y):
         rho = y.reshape(4, 4)
         out = -1j * (h @ rho - rho @ h)
-        for L in ops:
+        for L, rate in zip(ops, rates[0]):
             ldl = L.conj().T @ L
-            out += L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+            out += rate * (L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
         return out.reshape(-1)
 
     psi = system.basis_state({"a": "e", "b": "e"})
@@ -497,8 +499,8 @@ def test_lindblad_matches_ode_integration_oracle():
 
 def test_lindblad_generator_trace_free_column_sums():
     system = two_level(decay={"e": 1e8}, dephasing=3e7)
-    gen = lindblad_superoperator(build_hamiltonian(system, drive()),
-                                 collapse_operators(system))
+    ops, rates = collapse_operators(system)
+    gen = lindblad_superoperator(build_hamiltonian(system, drive()), ops, rates[0])
     # trace preservation: sum over (i,i) rows of each column vanishes
     d = 2
     tr_rows = gen.reshape(d, d, d, d)[np.arange(d), np.arange(d)].sum(axis=0)
@@ -578,7 +580,7 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
     dephasing = [[g] * len(system.qubits) for g in gammas]
     sequences = [seq(*(replace(p, rabi_frequency=p.rabi_frequency * (1 + 0.3 * i))
                        for p in pulses)) for i in range(n)]
-    jumps, rates = jump_operators(system, dephasing)
+    jumps, rates = collapse_operators(system, dephasing)
     for k, pulse in enumerate(pulses):
         stack = [sequence.specs()[k] for sequence in sequences]
         h = segment_hamiltonians(system, pulse.target,
@@ -590,7 +592,7 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
         for gen, ref in zip(stacked, references):
             assert np.max(np.abs(gen - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        blocks = liouvillian_blocks(system, pulse.target, jumps)
+        blocks = liouvillian_blocks(system, pulse.target)
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d * d))
         label = np.empty(d * d, dtype=int)
         for b, block in enumerate(blocks):
@@ -601,8 +603,10 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
 
         durations = np.array([p.duration for p in stack])
         channel = np.zeros((n, d * d, d * d), dtype=complex)
-        for index, s, e in _block_exponentials(h, jumps, rates, durations, blocks):
-            channel[s, index[..., :, None], index[..., None, :]] = e
+        for s, pieces in _sequence_exponentials([(h, durations, blocks)], jumps, rates,
+                                                [range(len(blocks))]):
+            for index, e in pieces:
+                channel[s, index[..., :, None], index[..., None, :]] = e
         for c, ref, t in zip(channel, references, durations):
             assert np.max(np.abs(c - expm(ref * t))) < 1e-10
 
@@ -657,12 +661,12 @@ def test_expm_matches_scipy_on_stacks_of_mixed_norms(stack):
                                    max_size=4), st.sampled_from([1.0, 40.0]))
 def test_expm_matches_scipy_on_lindblad_blocks(case, gammas, stretch):
     system, pulses = case
-    jumps, rates = jump_operators(system, [[g] * len(system.qubits) for g in gammas])
+    jumps, rates = collapse_operators(system, [[g] * len(system.qubits) for g in gammas])
     for pulse in pulses:
         rabi = pulse.rabi_frequency * (1 + 0.3 * np.arange(len(gammas)))
         h = segment_hamiltonians(system, pulse.target, rabi,
                                  np.full(len(gammas), pulse.detuning))
-        for block in liouvillian_blocks(system, pulse.target, jumps):
+        for block in liouvillian_blocks(system, pulse.target):
             gen = lindblad_superoperator(h, jumps, rates, block)
             assert_expm_matches_scipy(gen * stretch * pulse.duration)
 
@@ -687,16 +691,19 @@ def test_expm_rejects_non_finite_input_and_overflow():
             dynamics.expm(np.concatenate([fine, bad]))
 
 
-def test_jump_operators_are_the_unscaled_collapse_operators():
+def test_collapse_operators_are_unit_with_rates():
     system = LevelSystem([
         QubitLevels("a", ("g", "m", "e"), decay_rates={"e": 1e8, "m": 0.0},
                     decay_to={"e": "m"}, dephasing=5e7),
         QubitLevels("b", ("g", "e"), decay_rates={"e": 2e8})])
-    ops, rates = jump_operators(system)
+    ops, rates = collapse_operators(system)
     assert rates.tolist() == [[1e8, 5e7, 5e7, 5e7, 2e8, 0.0, 0.0]]
+    assert all(set(np.unique(op).tolist()) == {0, 1} for op in ops)
+    # scaled by the square roots of their nonzero rates, the kron reference's operators
     scaled = [math.sqrt(r) * op for op, r in zip(ops, rates[0]) if r > 0]
-    assert all(np.array_equal(a, b) for a, b in zip(collapse_operators(system), scaled))
-    assert len(collapse_operators(system)) == 5
+    reference = kron_collapse(system)
+    assert len(scaled) == len(reference) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(scaled, reference))
 
 
 def test_stack_slices_leave_the_channels_unchanged(monkeypatch):
@@ -718,12 +725,12 @@ def test_stack_slices_leave_the_channels_unchanged(monkeypatch):
 def block_by_block_channels(system, pulses, columns, dephasing):
     """stacked_superoperators' columns through one expm per block and segment."""
     n, d2 = pulses.rabi.shape[1], system.dimension ** 2
-    jumps, rates = jump_operators(system, dephasing)
+    jumps, rates = collapse_operators(system, dephasing)
     out = np.zeros((n, d2, len(columns)), dtype=complex)
     out[:, columns, np.arange(len(columns))] = 1.0
     for target, rabi, detuning, duration in zip(*pulses):
         h = segment_hamiltonians(system, target, rabi, detuning)
-        for block in liouvillian_blocks(system, target, jumps):
+        for block in liouvillian_blocks(system, target):
             gen = lindblad_superoperator(h, jumps, rates, block)
             out[:, block] = dynamics.expm(gen * duration[:, None, None]) @ out[:, block]
     return out
@@ -731,12 +738,12 @@ def block_by_block_channels(system, pulses, columns, dephasing):
 
 def block_by_block_states(system, sequence, rho, samples):
     """propagate_lindblad's states through one expm per block and segment."""
-    collapse = collapse_operators(system)
+    collapse, rates = collapse_operators(system)
     states = [rho]
     for _, p in sequence:
         h, dt = build_hamiltonian(system, p), p.duration / samples
-        steps = [(block, dynamics.expm(lindblad_superoperator(h, collapse, None, block) * dt))
-                 for block in liouvillian_blocks(system, p.target, collapse)]
+        steps = [(block, dynamics.expm(lindblad_superoperator(h, collapse, rates[0], block) * dt))
+                 for block in liouvillian_blocks(system, p.target)]
         for _ in range(samples):
             vec = rho.reshape(-1).copy()
             for block, e in steps:
@@ -774,32 +781,55 @@ def test_size_classes_equal_block_by_block_reference(limit, case, gammas, seed):
     assert all(np.array_equal(a, b) for a, b in zip(states, reference))
 
 
+@settings(max_examples=40, deadline=None)
+@given(noisy_registers())
+# a decay rate whose square root squared is not the rate
+@example((LevelSystem([QubitLevels("q0", ("g", "e"), decay_rates={"g": 13970423.0},
+                                   decay_to={"g": "e"})], [ShiftCoupling({"q0": "e"}, 0.0)]),
+          [drive(area=1.0, detuning=1.0, qubit="q0")]))
+def test_trajectory_ends_on_the_channel(case):
+    # the trajectory and the channel a gate report scores use one generator, so a
+    # basis input |i><i| ends on the channel's column i d + i bit for bit
+    system, pulses = case
+    d, sequence = system.dimension, seq(*pulses)
+    for i in range(d):
+        rho = np.zeros((d, d), dtype=complex)
+        rho[i, i] = 1.0
+        final = propagate_lindblad(system, sequence, rho, samples_per_segment=1).final
+        channel = sequence_superoperator(system, sequence, [i * d + i])[:, 0]
+        assert np.array_equal(final.reshape(-1), channel)
+
+
 def test_block_exponentials_memory_at_the_cap(monkeypatch):
     # three 4-level qubits (dimension 64) with decay and dephasing: 2025 blocks,
     # the largest size class 312 blocks of 4 positions, 4992 matrix entries a
-    # stack entry, about twenty times the 256 the slices are held to here
+    # stack entry, about twenty times the 256 the expm calls are held to here
     system = LevelSystem([QubitLevels(name, ("g", "e", "f", "h"), decay_rates={"e": 1e8},
                                       dephasing=1e6) for name in "abc"])
     n, d = 6, system.dimension
-    jumps, rates = jump_operators(system, np.linspace(0.0, 1e8, 3 * n).reshape(n, 3))
+    jumps, rates = collapse_operators(system, np.linspace(0.0, 1e8, 3 * n).reshape(n, 3))
     target = ("a", ("g", "e"))
     h = segment_hamiltonians(system, target, np.linspace(1, 2, n) * OMEGA, np.zeros(n))
-    blocks = liouvillian_blocks(system, target, jumps)
+    blocks = liouvillian_blocks(system, target)
     monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 256)
-    largest = max(256, max(len(b) for b in blocks) ** 2)      # entries of one slice
+    largest = max(256, max(len(b) for b in blocks) ** 2)      # entries of one expm call
+    sizes, pade_expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: (sizes.append(a.size), pade_expm(a))[1])
     covered = np.zeros((n, d * d), dtype=int)
     tracemalloc.start()
     try:
-        for index, s, e in _block_exponentials(h, jumps, rates, np.full(n, 1e-9), blocks):
-            assert e.size <= largest
-            covered[s, index.ravel()] += 1
+        for s, pieces in _sequence_exponentials([(h, np.full(n, 1e-9), blocks)], jumps, rates,
+                                                [range(len(blocks))]):
+            for index, e in pieces:
+                covered[s, index.ravel()] += 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert sizes and max(sizes) <= largest
     assert (covered == 1).all()            # every block of every stack entry, once
-    # the generators of a slice, the Padé terms and their products stay under 24
-    # complex arrays of a slice's size; each c^dagger c, formed on the kets and
-    # bras of the positions, takes a few arrays of d^2 more
+    # the generators of an expm call, the Padé terms and their products stay under
+    # 24 complex arrays of an expm call's size; each c^dagger c, formed on the kets
+    # and bras of the positions, takes a few arrays of d^2 more
     assert peak < 16 * (24 * largest + 6 * d * d)
 
 
@@ -813,9 +843,8 @@ def test_stacked_superoperators_memory_at_the_cap(monkeypatch):
                  for w in np.linspace(1, 2, n) * OMEGA]
     dephasing = np.linspace(0.0, 1e8, 3 * n).reshape(n, 3)
     columns = np.arange(0, d * d, 97)
-    jumps = jump_operators(system, dephasing)[0]
     blocks = [b for target in stacked_arrays(sequences).targets
-              for b in liouvillian_blocks(system, target, jumps)]
+              for b in liouvillian_blocks(system, target)]
     monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 256)
     largest = max(256, max(len(b) for b in blocks) ** 2)      # entries of one expm call
     held = sum(len(b) ** 2 for b in blocks)     # both segments' exponentials, one entry
@@ -865,7 +894,7 @@ def test_repeated_segments_are_exponentiated_once(monkeypatch, detuning,
     channels = stacked_superoperators(system, pulses, every, dephasing=dephasing)
     states = propagate_lindblad(system, sequences[0], rho, samples_per_segment=2).states
     monkeypatch.undo()
-    blocks = liouvillian_blocks(system, ("a", ("g", "e")), jump_operators(system)[0])
+    blocks = liouvillian_blocks(system, ("a", ("g", "e")))
     sizes = {len(b) for b in blocks}
     # one stacked expm per block size, of every block of the distinct segments
     assert len(matrices) == 2 * len(sizes)
@@ -880,27 +909,19 @@ def test_repeated_segments_are_exponentiated_once(monkeypatch, detuning,
 @given(noisy_registers())
 def test_cached_liouvillian_blocks_equal_fresh_ones(case):
     system, pulses = case
-    jumps = jump_operators(system)[0]
     for pulse in pulses:
-        blocks = liouvillian_blocks(system, pulse.target, jumps)
-        fresh = dynamics._connected_blocks(system, pulse.target, jumps)
+        blocks = liouvillian_blocks(system, pulse.target)
+        fresh = dynamics._connected_blocks(system, pulse.target)
         assert len(blocks) == len(fresh)
         assert all(np.array_equal(b, f) for b, f in zip(blocks, fresh))
         assert not any(b.flags.writeable for b in blocks)
         # the same transition driven either way, or by a register of the same
         # structure, reads the same blocks
         qubit, (lo, hi) = pulse.target
-        assert liouvillian_blocks(system, (qubit, (hi, lo)), jumps) is blocks
+        assert liouvillian_blocks(system, (qubit, (hi, lo))) is blocks
         twin = LevelSystem(system.qubits, system.couplings)
-        twin_blocks = liouvillian_blocks(twin, pulse.target, jump_operators(twin)[0])
+        twin_blocks = liouvillian_blocks(twin, pulse.target)
         assert all(np.array_equal(b, f) for b, f in zip(twin_blocks, fresh))
-        # as many jump operators with other entries are cached apart: identities
-        # join no positions, where a decay does
-        bare = [np.eye(system.dimension)] * len(jumps)
-        bare_blocks = liouvillian_blocks(system, pulse.target, bare)
-        bare_fresh = dynamics._connected_blocks(system, pulse.target, bare)
-        assert len(bare_blocks) == len(bare_fresh)
-        assert all(np.array_equal(b, f) for b, f in zip(bare_blocks, bare_fresh))
 
 
 def test_pair_center_register_blocks():
@@ -908,7 +929,7 @@ def test_pair_center_register_blocks():
     qubits = [QubitLevels(name, ("1", "0", "1p"), decay_rates={"1p": 1e8, "0": 1e6},
                           dephasing=1e6) for name in ("control", "target")]
     system = LevelSystem(qubits)
-    blocks = liouvillian_blocks(system, ("control", ("1", "1p")), jump_operators(system)[0])
+    blocks = liouvillian_blocks(system, ("control", ("1", "1p")))
     assert len(blocks) == 21
     assert max(len(b) for b in blocks) == 15
 
