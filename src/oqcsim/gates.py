@@ -34,8 +34,9 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -136,6 +137,16 @@ class GateScenario:
         return {self.control.name: self.control.level_order,
                 self.target.name: self.target.level_order}
 
+    @cached_property
+    def protocol(self) -> tuple[LevelSystem, PulseSequence]:
+        """The scenario's register and pulse sequence, the sequence's targets
+        checked: built on first use, then kept on this object and pickled
+        with it.  A copy (point_scenario, dataclasses.replace) builds its own."""
+        system = scenario_system(self)
+        sequence = protocol_sequence(self)
+        sequence.validate_targets(self.qubit_levels())
+        return system, sequence
+
 
 def _numbers_ok(rabi, shift, gamma_h):
     """Whether a scenario may have these numbers: a Rabi frequency > 0, a
@@ -178,14 +189,6 @@ def protocol_sequence(scenario: GateScenario) -> PulseSequence:
     if scenario.sequence is not None:
         return scenario.sequence
     return canonical_blockade_sequence(scenario)
-
-
-def scenario_protocol(scenario: GateScenario) -> tuple[LevelSystem, PulseSequence]:
-    """The scenario's register and pulse sequence, the sequence's targets checked."""
-    system = scenario_system(scenario)
-    sequence = protocol_sequence(scenario)
-    sequence.validate_targets(scenario.qubit_levels())
-    return system, sequence
 
 
 def canonical_blockade_sequence(scenario: GateScenario) -> PulseSequence:
@@ -355,6 +358,8 @@ def run_protocol(scenario: GateScenario, scores: Scores | None = None,
                  row: int = 0) -> GateReport:
     """Execute a scenario over all four computational inputs and score it.
 
+    The run propagates on the scenario's register and sequence
+    (scenario.protocol), which its trajectory and sweep share.
     Closed-system scenarios are scored from the four computational
     columns of their sequence unitary; with any noise switch on, the
     channel is applied to the sixteen operators |j><k| of the
@@ -368,7 +373,7 @@ def run_protocol(scenario: GateScenario, scores: Scores | None = None,
     only checks that the row is finite and builds the report.
     """
     if scores is None:
-        system, sequence = scenario_protocol(scenario)
+        system, sequence = scenario.protocol
         comp = _computational(scenario, system)
         if scenario.noise.any:
             propagator = sequence_superoperator(system, sequence,
@@ -453,36 +458,14 @@ def grid_chunks(grid: Mapping[str, Sequence], size: int) -> Iterator[list[dict]]
         yield chunk
 
 
-class SweepBase(NamedTuple):
-    """What every point of a sweep shares, built once from the base scenario:
-    its register, its validated pulse sequence and that sequence's arrays."""
-
-    system: LevelSystem
-    sequence: PulseSequence
-    pulses: PulseArrays
-
-
-def sweep_base(base: GateScenario) -> SweepBase | None:
-    """The SweepBase of base, or None when its register or sequence does
-    not build; each point is then run alone, which reports its error."""
-    try:
-        system, sequence = scenario_protocol(base)
-        return SweepBase(system, sequence, PulseArrays.of(sequence))
-    except (OqcsimError, ValueError):
-        return None
-
-
-def chunk_points(base: GateScenario, shared: SweepBase | None) -> int:
-    """Points in each chunk of a sweep of base, whose shared part is shared
-    (sweep_base): max(_CHUNK_MIN, _CHUNK_ENTRIES // e), for e = d^2
-    closed and 16 d^2 noisy, d the register dimension.  A closed point
-    stacks only its 4 d computational-column entries, but larger closed
-    chunks gained nothing (1820 against 809 points on the 9-state
-    canonical sweep).  _CHUNK_MIN when shared is None, since every point
-    then runs alone."""
-    if shared is None:
-        return _CHUNK_MIN
-    dim = shared.system.dimension
+def chunk_points(base: GateScenario) -> int:
+    """Points in each chunk of a sweep of base: max(_CHUNK_MIN,
+    _CHUNK_ENTRIES // e), for e = d^2 closed and 16 d^2 noisy, d the
+    register dimension, the product of the two qubits' level counts.  A
+    closed point stacks only its 4 d computational-column entries, but
+    larger closed chunks gained nothing (1820 against 809 points on the
+    9-state canonical sweep)."""
+    dim = len(base.control.level_order) * len(base.target.level_order)
     return max(_CHUNK_MIN, _CHUNK_ENTRIES // (dim * dim * (16 if base.noise.any else 1)))
 
 
@@ -525,24 +508,23 @@ def _point_row(base: GateScenario, point: Mapping[str, float],
             "leakage": report.leakage, "cz_phase_rad": report.cz_phase, "status": "ok"}
 
 
-def sweep_chunk(base: GateScenario, shared: SweepBase | None,
-                points: Sequence[dict]) -> list[dict]:
+def sweep_chunk(base: GateScenario, points: Sequence[dict]) -> list[dict]:
     """Sweep rows of some grid points: the point plus the report fields, or an error status.
 
     The points' numbers are read and checked as arrays (_point_numbers);
     the points they accept share the base's register and sequence
-    (shared), are propagated in one stack and scored in one score call
-    (_stacked_scores).  Each still gets its report from its own
+    (base.protocol), are propagated in one stack and scored in one score
+    call (_stacked_scores).  Each still gets its report from its own
     run_protocol call on its row of the scores, so that the benchmark's
     per-point metrics (calls, p50 and p99 of gates.run_protocol) read
     one call per point.  A point the checks reject or the stack leaves
-    out, and every point when shared is None or the stacked propagation
-    fails, is run alone (_point_row).
+    out, and every point when the base's protocol does not build or the
+    stacked propagation fails, is run alone (_point_row).
     """
     rows: list[dict | None] = [None] * len(points)
     rabi, shift, gamma_h, accepted = _point_numbers(base, points)
     held = np.flatnonzero(accepted)
-    stacked = _stacked_scores(base, shared, rabi[held], shift[held], gamma_h[held])
+    stacked = _stacked_scores(base, rabi[held], shift[held], gamma_h[held])
     if stacked is not None:
         scores, kept = stacked
         listed = scores.tolist()
@@ -552,8 +534,7 @@ def sweep_chunk(base: GateScenario, shared: SweepBase | None,
             for row, point in zip(rows, points)]
 
 
-def _group_pulses(base: GateScenario, shared: SweepBase, rabi: np.ndarray
-                  ) -> tuple[PulseArrays, np.ndarray]:
+def _group_pulses(base: GateScenario, rabi: np.ndarray) -> tuple[PulseArrays, np.ndarray]:
     """Pulse arrays of sweep points of base at the Rabi frequencies rabi
     (n,), and which points they hold.
 
@@ -562,22 +543,21 @@ def _group_pulses(base: GateScenario, shared: SweepBase, rabi: np.ndarray
     frequency.  The mask leaves out the points whose pulse durations are
     not finite, whose canonical sequence does not build.
     """
-    pulses = shared.pulses
+    pulses = PulseArrays.of(base.protocol[1])
     if base.sequence is not None:
         shape = (len(pulses.targets), len(rabi))
         return (PulseArrays(pulses.targets, *(np.broadcast_to(a, shape) for a in pulses[1:])),
                 np.ones(len(rabi), dtype=bool))
     with np.errstate(over="ignore"):
-        duration = np.array([[p.pulse_area] for p in shared.sequence.specs()]) / rabi
+        duration = np.array([[p.pulse_area] for p in base.protocol[1].specs()]) / rabi
     keep = np.isfinite(duration).all(axis=0)
     duration = duration[:, keep]
     return (PulseArrays(pulses.targets, np.broadcast_to(rabi[keep], duration.shape),
                         np.zeros(duration.shape), duration), keep)
 
 
-def _stacked_scores(base: GateScenario, shared: SweepBase | None, rabi: np.ndarray,
-                    shift: np.ndarray, gamma_h: np.ndarray
-                    ) -> tuple[Scores, np.ndarray] | None:
+def _stacked_scores(base: GateScenario, rabi: np.ndarray, shift: np.ndarray,
+                    gamma_h: np.ndarray) -> tuple[Scores, np.ndarray] | None:
     """Scores of sweep points of base with the Rabi frequencies, shifts and
     gamma_h of the (n,) arrays, and the mask of the points they hold.
 
@@ -586,15 +566,13 @@ def _stacked_scores(base: GateScenario, shared: SweepBase | None, rabi: np.ndarr
     are not finite.  Without noise the points get the four computational
     columns of their sequence unitaries; with any noise switch of base
     on, the sixteen computational columns of their channels; each in one
-    stacked propagation on the shared register, scored in one score
-    call.  None when shared is None, no
-    point is held or the stacked propagation fails.
+    stacked propagation on the base's register, scored in one score
+    call.  None when no point is held, or the base's protocol does not
+    build or the stacked propagation fails.
     """
-    if shared is None or not len(rabi):
-        return None
-    system = shared.system
     try:
-        pulses, keep = _group_pulses(base, shared, rabi)
+        system = base.protocol[0]
+        pulses, keep = _group_pulses(base, rabi)
         if not keep.any():
             return None
         shifts = shift[keep, None]
@@ -632,13 +610,14 @@ def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> li
         One row per grid point, in grid_points order: the parameters
         plus the report fields, or a status message when that point
         failed.  The points are scored chunk by chunk (sweep_chunk), in
-        chunks of chunk_points(base, shared) points, on a register and
-        sequence built once (shared, from sweep_base).
+        chunks of chunk_points(base) points, on base.protocol, which is
+        built before the chunks are cut, so pooled workers receive it.
     """
     check_grid(base, grid)
-    shared = sweep_base(base)
-    size = chunk_points(base, shared)
-    score_chunk = partial(sweep_chunk, base, shared)
+    with suppress(OqcsimError, ValueError):
+        base.protocol    # when it does not build, each point runs alone
+    size = chunk_points(base)
+    score_chunk = partial(sweep_chunk, base)
     n_chunks = -(-math.prod(len(values) for values in grid.values()) // size)
     # a forked pool starts every worker up front, so never ask for idle ones
     workers = min(jobs, n_chunks, os.cpu_count() or 1)

@@ -44,7 +44,7 @@ from .ensemble import (PAIR_RADIUS_MAX, CenterSet, CrystalSpec, allocate_channel
 from .errors import (ConfigurationError, DomainError, ParseError, ValidationError, entries,
                      finite, flag, known_keys, number, require, string, subsection)
 from .gates import (GateScenario, NoiseFlags, QubitScheme, check_grid, pair_center_scenario,
-                    run_protocol, scenario_protocol, sweep as run_sweep)
+                    run_protocol, sweep as run_sweep)
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
 from .paircenter import PairParams
@@ -297,6 +297,7 @@ def _parse_sequence(steps: list, qubits: dict[str, tuple[str, ...]]) -> PulseSeq
 
 def _parse_gate(sec: dict) -> GateSection:
     scenario = build_gate_scenario(sec)
+    scenario.protocol    # a register or sequence that does not build fails validate too
     label = string(sec, "trajectory_input", "gate", "11")
     require(label in ("00", "01", "10", "11"),
             "gate.trajectory_input must be one of 00, 01, 10, 11")
@@ -540,7 +541,7 @@ def _run_pulses(p: PulsesSection) -> dict:
 
 def _export_gate_trajectory(gate: GateSection, path: Path):
     scenario = gate.scenario
-    system, sequence = scenario_protocol(scenario)
+    system, sequence = scenario.protocol
     psi = system.basis_state(dict(zip((scenario.control.name, scenario.target.name),
                                       gate.trajectory_input)))
     if scenario.noise.any:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from oqcsim.gates import (COMPUTATIONAL, GateReport, GateScenario, NoiseFlags, Q
                           _computational, _group_pulses, _point_numbers,
                           _stacked_scores, canonical_blockade_sequence, chunk_points,
                           grid_chunks, pair_center_scenario, point_scenario, protocol_sequence,
-                          run_protocol, scenario_system, score, sweep, sweep_base, sweep_chunk)
+                          run_protocol, scenario_system, score, sweep, sweep_chunk)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
 from oqcsim.pulses import TWO_PI_AREA, PulseSequence, PulseSpec
@@ -289,7 +290,7 @@ def sweep_cases(draw, bases=tuple(sorted(BASES)), bad_values=True):
     keys = grid_keys(base)
     if draw(st.booleans()):
         keys[0] = "delta_shift_rad_s"
-    chunk = chunk_points(base, sweep_base(base))
+    chunk = chunk_points(base)
     size = draw(st.sampled_from([1, 3, chunk - 1, chunk, chunk + 1]))
     # split size into one list length per key
     lengths, rest = {}, size
@@ -343,8 +344,36 @@ def test_stack_holds_every_point_of_a_valid_grid(case):
     assert np.array_equal(np.stack([rabi, shift, gamma_h], axis=1),
                           [(sc.rabi, sc.delta_shift, sc.gamma_h) for sc in scenarios])
     assert accepted.all()
-    scores, kept = _stacked_scores(base, sweep_base(base), rabi, shift, gamma_h)
+    scores, kept = _stacked_scores(base, rabi, shift, gamma_h)
     assert kept.tolist() == [True] * len(points) and len(scores.finite) == len(points)
+
+
+def test_protocol_is_built_once_per_scenario_object():
+    base = blockade_scenario(10.0)
+    system, sequence = base.protocol
+    assert base.protocol is base.protocol
+    assert system.couplings[0].shift == 10 * OMEGA
+    assert sequence == canonical_blockade_sequence(base)
+    # a copy with another shift is a new object with its own register; the
+    # base keeps its own, and equality compares the fields only
+    moved = replace(base, delta_shift=3 * OMEGA)
+    assert moved.protocol[0] is not system and moved.protocol[0].couplings[0].shift == 3 * OMEGA
+    assert base.protocol[0] is system and system.couplings[0].shift == 10 * OMEGA
+    assert replace(base) == base and replace(base) is not base
+
+
+def test_pickled_scenario_keeps_its_built_protocol(monkeypatch):
+    base = replace(BASES["noisy_pair_center"])
+    report = run_protocol(base)
+    copy = pickle.loads(pickle.dumps(base))
+
+    def unbuilt(scenario):
+        raise AssertionError("the protocol of a pickled scenario is rebuilt")
+
+    monkeypatch.setattr(gates, "scenario_system", unbuilt)
+    assert copy == base and copy.protocol[1] == base.protocol[1]
+    assert copy.protocol[0].dimension == base.protocol[0].dimension
+    assert run_protocol(copy) == report
 
 
 def test_point_scenario_replaces_only_the_swept_numbers():
@@ -365,7 +394,7 @@ def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
     # still share one
     rabi, shift, gamma_h, accepted = _point_numbers(base, points)
     assert accepted.all()
-    scores, kept = _stacked_scores(base, sweep_base(base), rabi, shift, gamma_h)
+    scores, kept = _stacked_scores(base, rabi, shift, gamma_h)
     assert np.flatnonzero(kept).tolist() == [1, 2, 4] and len(scores.finite) == 3
     rows = sweep(base, grid)
     for point, row in zip(points, rows):
@@ -399,8 +428,7 @@ def test_group_pulses_equal_each_points_sequence():
     for name in ("canonical", "custom", "noisy_pair_center"):
         group = [replace(BASES[name], rabi=w * OMEGA, delta_shift=3 * w * OMEGA)
                  for w in (0.5, 1.0, 2.5)]
-        pulses, keep = _group_pulses(BASES[name], sweep_base(BASES[name]),
-                                     np.array([sc.rabi for sc in group]))
+        pulses, keep = _group_pulses(BASES[name], np.array([sc.rabi for sc in group]))
         assert keep.all()
         for i, sc in enumerate(group):
             expected = PulseArrays.of(protocol_sequence(sc))
@@ -419,7 +447,7 @@ def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
         return run_protocol(*args, **kwargs)
 
     monkeypatch.setattr(gates, "run_protocol", counting)
-    n = 2 * chunk_points(BASES["canonical"], sweep_base(BASES["canonical"])) + 5
+    n = 2 * chunk_points(BASES["canonical"]) + 5
     rows = sweep(BASES["canonical"], {"delta_over_omega": [1.0 + i for i in range(n)]})
     assert len(calls) == n
     assert all(row["status"] == "ok" for row in rows)
@@ -456,7 +484,7 @@ def test_sweep_builds_a_scenario_only_for_the_points_the_stack_leaves_out(monkey
 
     monkeypatch.setattr(gates, "point_scenario", counting)
     base = BASES["canonical"]
-    n = 2 * chunk_points(base, sweep_base(base)) + 5
+    n = 2 * chunk_points(base) + 5
     rows = sweep(base, {"delta_over_omega": [1.0 + i for i in range(n)],
                         "rabi_rad_s": [OMEGA]})
     assert built == [] and len(rows) == n
@@ -524,7 +552,7 @@ def test_cached_computational_indices_equal_basis_index(order):
     assert not comp.flags.writeable
 
 
-CLOSED_CHUNK = chunk_points(BASES["canonical"], sweep_base(BASES["canonical"]))
+CLOSED_CHUNK = chunk_points(BASES["canonical"])
 
 
 @pytest.mark.parametrize("n, sizes", [
@@ -756,13 +784,12 @@ def register_at_the_cap(noise):
 
 def chunk_as_scored_per_point(base, points):
     """Sweep rows of a chunk run as when chunks were a fixed 64 points: the
-    register and sequence built for the chunk, the stack propagated, and each
-    point scored alone."""
+    base's register and sequence, the stack propagated, and each point scored
+    alone."""
     rows = [dict(point) for point in points]
     scenarios = [point_scenario(base, point) for point in points]
-    shared = sweep_base(base)
-    system = shared.system
-    pulses, _ = _group_pulses(base, shared, np.array([sc.rabi for sc in scenarios]))
+    system = base.protocol[0]
+    pulses, _ = _group_pulses(base, np.array([sc.rabi for sc in scenarios]))
     shifts = np.array([[sc.delta_shift] for sc in scenarios])
     comp = _computational(base, system)
     if base.noise.any:
@@ -797,14 +824,13 @@ def test_chunk_at_the_cap_holds_no_more_than_64_points(noise):
     base = register_at_the_cap(noise)
     dim = scenario_system(base).dimension
     entries = dim * dim * (16 if noise else 1)
-    shared = sweep_base(base)
-    assert dim == 64 and chunk_points(base, shared) * entries <= 64 * entries
-    points = [{"delta_over_omega": 1.0 + 0.5 * i} for i in range(chunk_points(base, shared))]
-    rows = sweep_chunk(base, shared, points)
+    assert dim == 64 and chunk_points(base) * entries <= 64 * entries
+    points = [{"delta_over_omega": 1.0 + 0.5 * i} for i in range(chunk_points(base))]
+    rows = sweep_chunk(base, points)
     for row, expected in zip(rows, chunk_as_scored_per_point(base, points), strict=True):
         assert row.keys() == expected.keys() and row["status"] == "ok"
         assert all(abs(row[k] - expected[k]) <= 1e-12 for k in row if k != "status")
-    assert (traced_peak(sweep_chunk, base, shared, points)
+    assert (traced_peak(sweep_chunk, base, points)
             <= traced_peak(chunk_as_scored_per_point, base, points))
 
 
