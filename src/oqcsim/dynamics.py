@@ -11,8 +11,10 @@ unpaired state and a two-level rotation on each pair (_segment_rotation).
 A closed sequence is propagated on the columns asked for, the
 coefficients applied to them segment by segment, so a gate score
 propagates only the four columns of the computational states and no
-Hamiltonian or unitary matrix is built; segment_unitary is the same
-closed form as a matrix.
+Hamiltonian or unitary matrix is built.  A closed trajectory applies
+the same coefficients, taken at all of a segment's sample times at
+once, to the segment's start state, so a basis input's trajectory ends
+on its column of the gate report bit for bit.
 Open-system segments are propagated through the exponential of the
 Lindblad superoperator with radiative decay (1/tau per level) and pure
 per-level dephasing at the homogeneous width.  The dissipator has one
@@ -32,10 +34,9 @@ every sequence of a stack, are exponentiated in one call of the
 package's own expm, the scaling-and-squaring Padé-13 method of Higham
 (2005) taken on a whole stack of matrices at once.  One bound,
 _EXPM_STACK_ENTRIES, caps both the exponentials a slice of the stack
-holds and the matrices an expm call takes.  On the benchmark's noisy_sweep (a four-pulse pair-center CNOT, 32 points
-and a trajectory) that is 12 expm calls where one per segment and block
-size took 48, and its run fell from a median of 0.057 s to 0.035 s on a
-2-vCPU machine.
+holds and the matrices an expm call takes.  On the benchmark's
+noisy_sweep (a four-pulse pair-center CNOT, 32 points and a trajectory)
+that is 12 expm calls.
 
 n sequences of one shape, differing only in Rabi frequencies,
 detunings, durations, coupling shifts and dephasing rates, are
@@ -397,29 +398,6 @@ def _connected_blocks(system: LevelSystem,
     return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
-def segment_unitary(h: np.ndarray, duration,
-                    pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """exp(-i H t) in closed form (exact) for a Hermitian H whose only
-    off-diagonal entries join the states of pairs = (lower, upper).
-
-    The coefficients of _segment_rotation placed into a matrix.  Also
-    takes a stack: h of shape (n, d, d) with n durations.
-    """
-    lower, upper = pairs
-    alone = _unpaired(h.shape[-1], pairs)
-    e = h.diagonal(axis1=-2, axis2=-1).real
-    phase, aa, bb, ab, ba = _segment_rotation(
-        e[..., alone], e[..., lower], e[..., upper], h[..., upper, lower],
-        h[..., lower, upper], np.asarray(duration, dtype=float)[..., None])
-    u = np.zeros(h.shape, dtype=complex)
-    u[..., alone, alone] = phase
-    u[..., lower, lower] = aa
-    u[..., upper, upper] = bb
-    u[..., lower, upper] = ab
-    u[..., upper, lower] = ba
-    return u
-
-
 def _unpaired(dimension: int, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The states in none of the pairs, ascending."""
     paired = np.zeros(dimension, dtype=bool)
@@ -427,14 +405,14 @@ def _unpaired(dimension: int, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarra
     return np.flatnonzero(~paired)
 
 
-def _segment_rotation(e, ea, eb, h_ba, h_ab, t) -> tuple[np.ndarray, ...]:
+def _segment_rotation(e, ea, eb, coupling, t) -> tuple[np.ndarray, ...]:
     """exp(-i H t) of segments H as coefficients, element by element.
 
-    e holds the diagonal entries of the unpaired states; ea, eb, h_ba
-    and h_ab those of the pairs (a, b), H_aa, H_bb, H_ba and H_ab, their
-    only off-diagonal entries; t the durations, which broadcast against
-    both.  Returns the phase of each unpaired state and the blocks
-    [[aa, ab], [ba, bb]] of the pairs.
+    e holds the diagonal entries of the unpaired states; ea, eb and
+    coupling those of the pairs (a, b), H_aa, H_bb and H_ab = H_ba,
+    their only off-diagonal entries (a drive's Omega/2); t the
+    durations, which broadcast against both.  Returns the phase of each
+    unpaired state and the blocks [[aa, off], [off, bb]] of the pairs.
 
     A segment Hamiltonian couples only the pairs its drive joins
     (drive_pairs), so H is a direct sum of 1 x 1 and 2 x 2 blocks.  An
@@ -451,16 +429,16 @@ def _segment_rotation(e, ea, eb, h_ba, h_ab, t) -> tuple[np.ndarray, ...]:
     Numbers too large for double precision give non-finite entries, not
     warnings.
     """
-    coupling = np.abs(h_ba)
+    size = np.abs(coupling)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # halved first, so that energies near the double range do not overflow
         mean, half = ea / 2 + eb / 2, ea / 2 - eb / 2
-        w = np.hypot(half, coupling)
+        w = np.hypot(half, size)
         negative = np.signbit(mean)
         # half the large eigenvalue, which the sum m +- w itself could overflow
         hl = np.where(negative, mean / 2 - w / 2, mean / 2 + w / 2)
-        # |hl| >= |ea|/2, |eb|/2, coupling/2, so neither ratio overflows
-        small = np.where(hl != 0, (ea / 2) * (eb / hl) - (coupling / 2) * (coupling / hl), 0.0)
+        # |hl| >= |ea|/2, |eb|/2, size/2, so neither ratio overflows
+        small = np.where(hl != 0, (ea / 2) * (eb / hl) - (size / 2) * (size / hl), 0.0)
         large_phase, small_phase = 2 * (hl * t), small * t
         p_plus = np.exp(-1j * np.where(negative, small_phase, large_phase))
         p_minus = np.exp(-1j * np.where(negative, large_phase, small_phase))
@@ -469,8 +447,7 @@ def _segment_rotation(e, ea, eb, h_ba, h_ab, t) -> tuple[np.ndarray, ...]:
         # smallest normal w, whose reciprocal overflows, it is dropped: sin(w t) K / w
         # is then at most t w, since K's entries are at most w
         sin = np.where(w >= np.finfo(float).tiny, (p_plus - p_minus) / 2 / w, 0.0)
-        return (np.exp(-1j * (e * t)), cos + sin * half, cos - sin * half, sin * h_ab,
-                sin * h_ba)
+        return np.exp(-1j * (e * t)), cos + sin * half, cos - sin * half, sin * coupling
 
 
 def _unitary_columns(rotation: tuple[np.ndarray, ...], alone: np.ndarray,
@@ -478,13 +455,13 @@ def _unitary_columns(rotation: tuple[np.ndarray, ...], alone: np.ndarray,
     """Columns (d, m, n) of n segment unitaries given by their coefficients
     (_segment_rotation, each of shape (states, n)): column c is the image
     of basis state columns[c]."""
-    phase, aa, bb, ab, ba = rotation
+    phase, aa, bb, off = rotation
     lower, upper = pairs
     d = len(alone) + len(lower) + len(upper)
     u = np.zeros((d, len(columns), phase.shape[-1]), dtype=complex)
     for states, images in ((alone, ((alone, phase),)),
-                           (lower, ((lower, aa), (upper, ba))),
-                           (upper, ((upper, bb), (lower, ab)))):
+                           (lower, ((lower, aa), (upper, off))),
+                           (upper, ((upper, bb), (lower, off)))):
         # the column c whose state is states[k]
         k, c = np.nonzero(states[:, None] == columns)
         for rows, coefficient in images:
@@ -496,13 +473,13 @@ def _rotate_columns(rotation: tuple[np.ndarray, ...], alone: np.ndarray,
                     pairs: tuple[np.ndarray, np.ndarray], columns: np.ndarray) -> np.ndarray:
     """n segment unitaries given by their coefficients (as in
     _unitary_columns) applied to columns (d, m, n)."""
-    phase, aa, bb, ab, ba = (x[:, None] for x in rotation)
+    phase, aa, bb, off = (x[:, None] for x in rotation)
     lower, upper = pairs
     a, b = columns[lower], columns[upper]
     out = np.empty_like(columns)
     out[alone] = phase * columns[alone]
-    out[lower] = aa * a + ab * b
-    out[upper] = ba * a + bb * b
+    out[lower] = aa * a + off * b
+    out[upper] = off * a + bb * b
     return out
 
 
@@ -738,8 +715,7 @@ def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
         lower, upper = pairs = drive_pairs(system, target)
         alone = _unpaired(d, pairs)
         e = _segment_energies(system, target, detuning, shifts).T
-        coupling = np.repeat(rabi[None, :] / 2.0 + 0j, len(lower), axis=0)
-        rotation = _segment_rotation(e[alone], e[lower], e[upper], coupling, coupling, duration)
+        rotation = _segment_rotation(e[alone], e[lower], e[upper], rabi / 2.0 + 0j, duration)
         out = (_unitary_columns(rotation, alone, pairs, columns) if out is None
                else _rotate_columns(rotation, alone, pairs, out))
         # -0 to +0, as a matrix product leaves zeros: the sign of a zero
@@ -802,7 +778,7 @@ class Trajectory:
     """States recorded at segment boundaries (and optional interior samples)."""
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray             # (T, d) state vectors or (T, d, d) density operators
     labels: list[tuple[str, ...]]
     kind: str                      # "state_vector" | "density_operator"
 
@@ -833,28 +809,37 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
+def _sample_times(sequence: PulseSequence, samples_per_segment: int) -> np.ndarray:
+    """0 and the time after each sample, summed one sample step at a time."""
+    steps = [p.duration / samples_per_segment for _, p in sequence]
+    return np.cumsum(np.concatenate([[0.0], np.repeat(steps, samples_per_segment)]))
+
+
 def propagate_unitary(system: LevelSystem, sequence: PulseSequence, psi0,
                       samples_per_segment: int = 1) -> Trajectory:
     """Closed-system evolution of a state vector through a pulse sequence.
 
-    Each segment is propagated exactly (the closed form of segment_unitary);
-    the trajectory holds the state at every segment boundary, plus
-    interior samples when samples_per_segment > 1.  The norm is
-    conserved to floating-point accuracy.
+    Each segment takes the gate report's closed form (_segment_rotation)
+    from its start state to all its sample times at once: k dt for
+    k < samples_per_segment, and its end at exactly its duration, so a
+    basis input ends on its column of sequence_unitary bit for bit.  The
+    states are those at every segment boundary and interior sample; the
+    norm is conserved to floating-point accuracy.
     """
-    psi = _check_state_vector(psi0, system.dimension)
-    times, states = [0.0], [psi]
-    t = 0.0
+    d, n = system.dimension, samples_per_segment
+    psi = _check_state_vector(psi0, d)
+    states = [psi[None]]
     for _, p in sequence:
         h = build_hamiltonian(system, p)
-        dt = p.duration / samples_per_segment
-        step = segment_unitary(h, dt, drive_pairs(system, p.target))
-        for _ in range(samples_per_segment):
-            psi = step @ psi
-            t += dt
-            times.append(t)
-            states.append(psi)
-    return Trajectory(np.array(times), states, system.basis_labels(), "state_vector")
+        lower, upper = pairs = drive_pairs(system, p.target)
+        alone = _unpaired(d, pairs)
+        e = h.diagonal().real[:, None]
+        t = np.append(np.arange(1, n) * (p.duration / n), p.duration)
+        rotation = _segment_rotation(e[alone], e[lower], e[upper], h[upper, lower][:, None], t)
+        start = np.repeat(states[-1][-1][:, None, None], n, axis=2)
+        states.append(_rotate_columns(rotation, alone, pairs, start)[:, 0].T)
+    return Trajectory(_sample_times(sequence, n), np.concatenate(states),
+                      system.basis_labels(), "state_vector")
 
 
 def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
@@ -868,41 +853,35 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     applied in one stacked product per block size.  Trace is conserved
     and eigenvalues stay positive to solver accuracy.
     """
-    rho = _check_density(rho0, system.dimension)
+    dim, n = system.dimension, samples_per_segment
+    rho = _check_density(rho0, dim)
     collapse, rates = collapse_operators(system)
-    dim = system.dimension
-    times, states = [0.0], [rho]
-    t = 0.0
-    pulses = [p for _, p in sequence]
-    segments = [(build_hamiltonian(system, p)[None],
-                 np.array([p.duration / samples_per_segment]),
-                 liouvillian_blocks(system, p.target)) for p in pulses]
+    segments = [(build_hamiltonian(system, p)[None], np.array([p.duration / n]),
+                 liouvillian_blocks(system, p.target)) for _, p in sequence]
     needs = [range(len(blocks)) for _, _, blocks in segments]
-    for p, (_, pieces) in zip(pulses, _sequence_exponentials(segments, collapse, rates, needs)):
-        dt = p.duration / samples_per_segment
+    states = np.empty((1 + len(segments) * n, dim, dim), dtype=complex)
+    states[0] = rho
+    vecs = states.reshape(len(states), -1)
+    for j, (_, pieces) in enumerate(_sequence_exponentials(segments, collapse, rates, needs)):
         step = [(index, e[0]) for index, e in pieces]
-        for _ in range(samples_per_segment):
-            vec, out = rho.reshape(-1), np.empty(dim * dim, dtype=complex)
+        for k in range(j * n, (j + 1) * n):
             for index, e in step:
-                out[index] = (e @ vec[index][..., None])[..., 0]
-            rho = out.reshape(dim, dim)
-            t += dt
-            times.append(t)
-            states.append(rho)
-    return Trajectory(np.array(times), states, system.basis_labels(), "density_operator")
+                vecs[k + 1, index] = (e @ vecs[k, index][..., None])[..., 0]
+    return Trajectory(_sample_times(sequence, n), states, system.basis_labels(),
+                      "density_operator")
 
 
 def export_trajectory_csv(path, trajectory: Trajectory) -> None:
     """Write (time, populations, coherence magnitudes) rows for plotting.
 
-    The states are stacked and read as (T, ...) arrays, and each row is
-    written as the repr of its numbers, as csv.writer writes them.
+    The states are read as (T, ...) arrays, and each row is written as
+    the repr of its numbers, as csv.writer writes them.
     """
     labels = [":".join(lab) for lab in trajectory.labels]
     dim = len(labels)
     header = ["time_s"] + [f"pop_{lab}" for lab in labels]
     header += [f"coh_{labels[i]}_{labels[j]}" for i in range(dim) for j in range(i + 1, dim)]
-    rho = np.array(trajectory.states)
+    rho = trajectory.states
     if trajectory.kind == "state_vector":
         rho = rho[:, :, None] * rho[:, None, :].conj()
     upper = np.triu_indices(dim, 1)

@@ -112,7 +112,7 @@ class GateSection:
 
 def _parse_species(sec: dict) -> SpeciesSection:
     known_keys(sec, {"use", "host", "registry_file", "u2_threshold"}, "species")
-    registry = load_registry(sec.get("registry_file"))
+    registry = load_registry(string(sec, "registry_file", "species", None))
     use, host = (string(sec, key, "species", None) for key in ("use", "host"))
     scheme = None if use is None else registry.get(use, host)
     return SpeciesSection(registry, scheme, number(sec, "u2_threshold", "species", 1.0))

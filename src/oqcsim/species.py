@@ -15,7 +15,6 @@ one, and ``unassigned`` levels take no part.
 from __future__ import annotations
 
 import enum
-import io
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -283,33 +282,22 @@ def builtin_schemes() -> list[SpeciesScheme]:
     return _parse_document(json.loads(text), "builtin")
 
 
-def load_registry(source=None) -> SpeciesRegistry:
-    """Build a registry from the built-in data plus an optional user source.
+def load_registry(path: str | Path | None = None) -> SpeciesRegistry:
+    """Build a registry from the built-in data plus an optional user file.
 
-    Parameters
-    ----------
-    source : None, str, Path, file-like, or dict
-        Extra species data in the documented JSON schema.  ``None`` (or
-        an empty document) yields the built-ins only.  Duplicates of a
-        built-in (same name and host) are rejected.
+    path names a JSON file of extra species data in the documented
+    schema; None (or an empty document) yields the built-ins only.
+    Duplicates of a built-in (same name and host) are rejected.
     """
     schemes = builtin_schemes()
-    if source is not None:
-        if isinstance(source, dict):
-            doc, origin = source, "<dict>"
-        else:
-            if isinstance(source, (str, Path)):
-                try:
-                    text, origin = Path(source).read_text(), str(source)
-                except OSError as exc:
-                    raise ParseError(f"cannot read {source}: {exc.strerror}") from None
-            elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-                text, origin = source.read(), "<stream>"
-            else:
-                raise ParseError(f"unsupported species source {type(source).__name__}")
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{origin}: line {exc.lineno}: {exc.msg}") from None
-        schemes.extend(_parse_document(doc, origin))
+    if path is not None:
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        schemes.extend(_parse_document(doc, str(path)))
     return SpeciesRegistry(schemes)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oqcsim import dynamics, gates, runner
 from oqcsim.cli import main
 from oqcsim.ensemble import BOX_SIZE_CAP, DOPANT_CAP
+from oqcsim.gates import SWEEP_POINTS_CAP
 from oqcsim.errors import ValidationError
 from oqcsim.gates import chunk_points
 from oqcsim.runner import emit_plot_data, load_config, run
@@ -159,6 +160,12 @@ def bundled_with_gate(name, **gate):
     return doc
 
 
+def sweep_of(n_delta, n_rabi):
+    """The canonical gate swept over a grid of n_delta x n_rabi points."""
+    return {"gate": {}, "sweep": {"grid": {"delta_over_omega": [3.0] * n_delta,
+                                           "rabi_rad_s": [6.3e9] * n_rabi}}}
+
+
 REJECTED = {
     "negative-rabi": ({"gate": {"type": "canonical_cz", "rabi_rad_s": -1.0}}, 2),
     "nan-rabi": ({"gate": {"rabi_rad_s": math.nan}}, 2),
@@ -186,6 +193,7 @@ REJECTED = {
     "integer-beyond-double": (small_crystal(n_ensemble=10 ** 400), 2),
     "box-size-above-cap": (small_crystal(box_size=BOX_SIZE_CAP + 1), 4),
     "box-size-of-a-million": (small_crystal(box_size=10 ** 6), 4),
+    "sweep-grid-above-cap": (sweep_of(1001, SWEEP_POINTS_CAP // 1000), 4),
     "negative-seed": ({**small_crystal(), "seed": -1}, 2),
     "boolean-seed": ({**small_crystal(), "seed": True}, 2),
     **{f"{key}-{value!r}": (with_number(sec, key, value), 3) for sec, key, value in OVERFLOWING},
@@ -204,6 +212,13 @@ def test_validate_rejects_exactly_what_run_rejects(tmp_path, doc, code):
 def test_box_size_at_the_cap_validates(tmp_path):
     config = tmp_path / "cap.json"
     config.write_text(json.dumps(small_crystal(box_size=BOX_SIZE_CAP)))
+    assert main(["validate", "--config", str(config)]) == 0
+
+
+def test_sweep_grid_at_the_cap_validates(tmp_path):
+    config = tmp_path / "cap.json"
+    config.write_text(json.dumps(sweep_of(1000, SWEEP_POINTS_CAP // 1000)))
+    assert 1000 * (SWEEP_POINTS_CAP // 1000) == SWEEP_POINTS_CAP
     assert main(["validate", "--config", str(config)]) == 0
 
 
@@ -272,6 +287,10 @@ MALFORMED = {
                            "gate.sequence[0].rabi_rad_s must be finite, got inf"),
     "step-fractional-number": (custom_gate(number=1.7), None, "gate.sequence[0].number"),
     "species-host-list": ({"species": {"use": "Nd3+", "host": ["CaF2"]}}, None, "species.host"),
+    "registry-file-object": ({"species": {"registry_file": {"species": []}}}, None,
+                             "species.registry_file"),
+    "registry-file-list": ({"species": {"registry_file": ["x"]}}, None,
+                           "species.registry_file"),
     "u2-threshold-true": ({"species": {"use": "Nd3+", "u2_threshold": True}}, None,
                           "species.u2_threshold"),
     "fractional-n-ensemble": (small_crystal(n_ensemble=2.5), None, "crystal.n_ensemble"),

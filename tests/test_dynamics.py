@@ -1,8 +1,8 @@
-import cmath
 import csv
 import math
 import tracemalloc
 from dataclasses import replace
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -15,11 +15,11 @@ from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, PulseArrays, QubitLevel
                              ShiftCoupling, _sequence_exponentials, build_hamiltonian,
                              collapse_operators, drive_pairs, export_trajectory_csv,
                              lindblad_superoperator, liouvillian_blocks, propagate_lindblad,
-                             propagate_unitary, segment_hamiltonians,
-                             segment_unitary, sequence_superoperator, sequence_unitary,
-                             stacked_superoperators, stacked_unitaries)
+                             propagate_unitary, segment_hamiltonians, sequence_superoperator,
+                             sequence_unitary, stacked_superoperators, stacked_unitaries)
 from oqcsim.errors import DomainError, ResourceLimitError, ValidationError
 from oqcsim.pulses import PulseSequence, PulseSpec
+from oqcsim.runner import load_config
 
 OMEGA = 2 * math.pi * 1e9
 
@@ -245,14 +245,16 @@ def test_norm_preserved_along_trajectory():
 
 
 def test_semigroup_property():
-    system, pulse = two_level(), drive(detuning=0.3 * OMEGA)
-    h, pairs = build_hamiltonian(system, pulse), drive_pairs(system, pulse.target)
-    t = 1.7e-9
-    for split in (0.3, 0.5, 0.9):
-        u_whole = segment_unitary(h, t, pairs)
-        u_split = segment_unitary(h, t * (1 - split), pairs) @ segment_unitary(
-            h, t * split, pairs)
-        assert np.max(np.abs(u_whole - u_split)) < 1e-10
+    # one segment of t against two of t * split and t * (1 - split), a stack entry per split
+    system, target = two_level(), ("q", ("g", "e"))
+    split, t = np.array([[0.3, 0.5, 0.9]]), 1.7e-9
+    rabi, detuning = np.full_like(split, OMEGA), np.full_like(split, 0.3 * OMEGA)
+    u_whole = stacked_unitaries(system, PulseArrays((target,), rabi, detuning,
+                                                    np.full_like(split, t)))
+    u_split = stacked_unitaries(system, PulseArrays(
+        (target, target), np.vstack([rabi, rabi]), np.vstack([detuning, detuning]),
+        np.vstack([t * split, t * (1 - split)])))
+    assert np.max(np.abs(u_whole - u_split)) < 1e-10
 
 
 # numbers up to 1e6 times the Rabi frequency, of either sign
@@ -295,39 +297,13 @@ def unitarity_error(u):
 
 
 @settings(max_examples=60, deadline=None)
-@given(driven_registers(), st.floats(0.0, 30.0), st.floats(0.3, 2 * math.pi),
-       st.floats(-math.pi, math.pi))
-# an undriven pair of equal energies, which does not rotate at all
-@example((two_level(), ("q", ("g", "e")), np.zeros(1), np.full(1, OMEGA), np.zeros(1),
-          np.zeros((1, 0))), 3.0, math.pi, 0.0)
-# energies near the double range, where m + w (at 1.7e308) and 2 w (at
-# 1.3e308) overflow though every entry of H is finite
-@example((two_level(), ("q", ("g", "e")), np.full(1, 1.3e308), np.full(1, 1.3e308),
-          np.full(1, 1.3e308), np.zeros((1, 0))), 3.0, math.pi, 0.0)
-@example((two_level(), ("q", ("g", "e")), np.full(1, 1.7e308), np.full(1, 1.7e308),
-          np.full(1, -1.7e308), np.zeros((1, 0))), 3.0, math.pi, 0.0)
-def test_segment_unitary_matches_expm_oracle(case, phase, area, angle):
-    system, target, rabi, scale, detuning, shifts = case
-    h = segment_hamiltonians(system, target, rabi, detuning, shifts)
-    pairs = drive_pairs(system, target)
-    # any Hermitian coupling of the pairs, complex ones too
-    h[:, pairs[1], pairs[0]] *= cmath.exp(1j * angle)
-    h[:, pairs[0], pairs[1]] *= cmath.exp(-1j * angle)
-    # |H| t at most 30: any exponential of -i H t carries rounding errors of
-    # about 1e-16 |H| t, the oracle's as much as the rotation's
-    t = phase / np.maximum(np.abs(h).max(axis=(1, 2)), OMEGA)
-    u = segment_unitary(h, t, pairs)
-    for u_k, h_k, t_k in zip(u, h, t):
-        assert np.abs(u_k - expm(-1j * h_k * t_k)).max() <= 1e-12
-        assert np.array_equal(segment_unitary(h_k, t_k, pairs), u_k)
-    # a whole pulse, whose phases reach 1e6 * 2 pi at the largest ratios
-    assert unitarity_error(segment_unitary(h, area / scale, pairs)) <= 1e-13
-
-
-@settings(max_examples=60, deadline=None)
 @given(driven_registers(), st.floats(0.0, 30.0), st.integers(0, 1 << 16),
        st.lists(st.integers(0, 63), min_size=1, max_size=4))
-# energies near the double range, as for segment_unitary
+# an undriven pair of equal energies, which does not rotate at all
+@example((two_level(), ("q", ("g", "e")), np.zeros(1), np.full(1, OMEGA), np.zeros(1),
+          np.zeros((1, 0))), 3.0, 0, [0, 1])
+# energies near the double range, where m + w (at 1.7e308) and 2 w (at
+# 1.3e308) overflow though every entry of H is finite
 @example((two_level(), ("q", ("g", "e")), np.full(1, 1.3e308), np.full(1, 1.3e308),
           np.full(1, 1.3e308), np.zeros((1, 0))), 3.0, 0, [0, 1])
 @example((two_level(), ("q", ("g", "e")), np.full(1, 1.7e308), np.full(1, 1.7e308),
@@ -347,7 +323,8 @@ def test_unitary_columns_match_expm_oracle(case, phase, pick, columns):
     targets = (target, transitions[pick % len(transitions)])
     columns = [c % system.dimension for c in columns]
     h = np.stack([segment_hamiltonians(system, tg, rabi, detuning, shifts) for tg in targets])
-    # |H| t at most 30 per segment, as for segment_unitary
+    # |H| t at most 30 per segment: any exponential of -i H t carries rounding
+    # errors of about 1e-16 |H| t, the oracle's as much as the rotation's
     t = phase / np.maximum(np.abs(h).max(axis=(2, 3)), OMEGA)
     pulses = PulseArrays(targets, np.stack([rabi, rabi]), np.stack([detuning, detuning]), t)
     got = stacked_unitaries(system, pulses, shifts, columns)
@@ -357,6 +334,54 @@ def test_unitary_columns_match_expm_oracle(case, phase, pick, columns):
     # whole pulses, whose phases reach 1e6 * 2 pi at the largest ratios
     whole = PulseArrays(targets, pulses.rabi, pulses.detuning, np.stack([math.pi / scale] * 2))
     assert unitarity_error(stacked_unitaries(system, whole, shifts)) <= 1e-13
+
+
+@st.composite
+def closed_sequences(draw):
+    """A register of driven_registers, the first entry's shift its coupling's, and
+    a sequence of a pulse per entry, at the entry's Rabi frequency (its scale
+    when 0) and detuning: on the drawn transition first, then on transitions
+    picked at random, each pulse's |H| t one drawn number at most 30."""
+    system, target, _, scale, detuning, shifts = draw(driven_registers())
+    system = LevelSystem(system.qubits, [replace(system.couplings[0], shift=shifts[0, 0])])
+    transitions = [(q.name, (a, b)) for q in system.qubits for a in q.levels
+                   for b in q.levels if a != b]
+    phase, pulses = draw(st.floats(1e-3, 30.0)), []
+    for k, (rabi, delta) in enumerate(zip(scale, detuning)):
+        on = target if k == 0 and target else draw(st.sampled_from(transitions))
+        h = build_hamiltonian(system, PulseSpec(on, rabi_frequency=rabi, detuning=delta))
+        pulses.append(PulseSpec(on, pulse_area=rabi * phase / max(np.abs(h).max(), OMEGA),
+                                rabi_frequency=rabi, detuning=delta))
+    return system, seq(*pulses)
+
+
+def blockade_protocol():
+    """The register and sequence of the bundled blockade_cz_sweep gate."""
+    config = resources.files("oqcsim.configs") / "blockade_cz_sweep.json"
+    return load_config(str(config)).gate.scenario.protocol
+
+
+@settings(max_examples=20, deadline=None)
+@given(closed_sequences())
+@example(blockade_protocol())
+def test_closed_trajectory_ends_on_the_report_column(protocol):
+    system, sequence = protocol
+    d = system.dimension
+    u = sequence_unitary(system, sequence)
+    for samples in (1, 7, 24):
+        for i in range(d):
+            traj = propagate_unitary(system, sequence, np.eye(d)[i], samples)
+            assert np.array_equal(traj.final, u[:, i])
+    # every sample on the way: sample k of a segment is exp(-i H k dt) of its start
+    start = np.full(d, 1 / math.sqrt(d), dtype=complex)
+    states = iter(propagate_unitary(system, sequence, start, 5).states)
+    assert np.array_equal(next(states), start)
+    for _, p in sequence:
+        h = build_hamiltonian(system, p)
+        for k in range(1, 6):
+            oracle = expm(-1j * h * (k * (p.duration / 5))) @ start
+            assert np.abs(next(states) - oracle).max() <= 1e-12
+        start = oracle
 
 
 def test_off_resonant_ceiling_property():

@@ -29,6 +29,37 @@ assert not missing, missing
 inspect.signature(runner.run).bind("config.json", "out", jobs=1)
 """
 
+# Each benchmark workload set up and run as bench/child.py traces one: its
+# config loaded, then run, with bench/tracing.py's spans on the package.
+# Every per-layer metric named after a traced span needs that span recorded,
+# and the sweep's p99 enough run_protocol calls.
+BENCH_COVERAGE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from metrics import PER_LAYER
+from tracing import BINDINGS, P99_MIN_CALLS, Tracer
+from workloads import DEFAULT_SEED, WORKLOADS, make_config
+import oqcsim
+from oqcsim import runner
+tracer = Tracer("coverage")
+tracer.instrument(oqcsim)
+spans = {name for _, _, name in BINDINGS}
+for workload in WORKLOADS:
+    config = workload + ".json"
+    with open(config, "w") as fh:
+        json.dump(make_config(workload, DEFAULT_SEED), fh)
+    first = len(tracer.spans)
+    runner.load_config(config)
+    runner.run(config, workload, jobs=1)
+    recorded = [name for _, _, name, _, _ in tracer.spans[first:]]
+    needed = {span for metric, *_ in PER_LAYER[workload] for span in spans
+              if metric.startswith(span + ".")}
+    assert needed <= set(recorded), (workload, sorted(needed - set(recorded)))
+    if workload == "closed_sweep":
+        calls = recorded.count("gates.run_protocol")
+        assert calls >= P99_MIN_CALLS, calls
+"""
+
 # Every bundled config, validated and run as bench/child.py runs one, with
 # scipy made unimportable: running needs only numpy.
 NO_SCIPY_RUNS = """
@@ -52,6 +83,11 @@ def run_python(args, cwd):
 
 def test_benchmark_bindings_resolve(tmp_path):
     done = run_python(["-c", BENCH_HOOKS, str(ROOT / "bench" / "tracing.py")], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_metrics_see_their_spans(tmp_path):
+    done = run_python(["-c", BENCH_COVERAGE, str(ROOT / "bench")], tmp_path)
     assert done.returncode == 0, done.stderr
 
 

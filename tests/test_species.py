@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -10,6 +9,13 @@ from oqcsim.species import EnergyLevel, LevelRole, SpeciesScheme, load_registry,
 @pytest.fixture(scope="module")
 def registry():
     return load_registry()
+
+
+def write(directory, doc):
+    """The path of a registry file in directory holding doc, JSON or, for a str, raw text."""
+    path = directory / "registry.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
 
 
 def test_builtin_tm_1i6(registry):
@@ -29,7 +35,7 @@ def test_empty_source_gives_builtins_only(registry):
     assert len(registry) == 6
 
 
-def test_load_registry_merges_user_species(registry):
+def test_load_registry_merges_user_species(registry, tmp_path):
     doc = {"species": [{
         "name": "Eu3+", "host": "Y2O3",
         "levels": [
@@ -41,7 +47,7 @@ def test_load_registry_merges_user_species(registry):
              "radiative_rate_s": 120.0},
         ],
     }]}
-    reg = load_registry(io.StringIO(json.dumps(doc)))
+    reg = load_registry(write(tmp_path, doc))
     assert len(reg) == len(registry) + 1
     assert reg.get("Eu3+").level("5D0").energy == 17216.0
     tr = reg.get("Eu3+").transitions[0]
@@ -49,23 +55,23 @@ def test_load_registry_merges_user_species(registry):
     assert tr.radiative_rate == 120.0
 
 
-def test_duplicate_species_rejected():
+def test_duplicate_species_rejected(tmp_path):
     doc = {"species": [{
         "name": "Tm3+", "host": "Ca(1-x)Sr(x)F2",
         "levels": [{"term": "3H6", "energy_cm": 0.0}],
     }]}
     with pytest.raises(ValidationError):
-        load_registry(doc)
+        load_registry(write(tmp_path, doc))
 
 
-def test_schema_violations_report_context():
+def test_schema_violations_report_context(tmp_path):
     with pytest.raises(ParseError, match=r"species\[0\]"):
-        load_registry({"species": [{"name": "X3+"}]})
+        load_registry(write(tmp_path, {"species": [{"name": "X3+"}]}))
     with pytest.raises(ParseError, match="line"):
-        load_registry(io.StringIO("{not json"))
+        load_registry(write(tmp_path, "{not json"))
     with pytest.raises(ParseError):
-        load_registry({"species": [{"name": "X", "host": "Y", "levels": [
-            {"term": "a", "energy_cm": 0.0, "role": "superqubit"}]}]})
+        load_registry(write(tmp_path, {"species": [{"name": "X", "host": "Y", "levels": [
+            {"term": "a", "energy_cm": 0.0, "role": "superqubit"}]}]}))
 
 
 def test_load_is_deterministic():
