@@ -32,9 +32,11 @@ distinct segment is exponentiated once.  The blocks come in few sizes;
 the blocks of one size, for every distinct segment of a sequence and
 every sequence of a stack, are exponentiated in one call of the
 package's own expm, the scaling-and-squaring Padé-13 method of Higham
-(2005) taken on a whole stack of matrices at once.  One bound,
-_EXPM_STACK_ENTRIES, caps both the exponentials a slice of the stack
-holds and the matrices an expm call takes.  On the benchmark's
+(2005) taken on a whole stack of matrices at once; a sequence whose
+exponential fails keeps its own fault (EXPM_FAULTS) and changes no
+other's result.  One bound, _EXPM_STACK_ENTRIES, caps both the
+exponentials a slice of the stack holds and the matrices an expm call
+takes.  On the benchmark's
 noisy_sweep (a four-pulse pair-center CNOT, 32 points and a trajectory)
 that is 12 expm calls.
 
@@ -492,8 +494,15 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one matrix (b, b) or of a stack (n, b, b).
+# What expm reports of a stack entry: 0 is no fault, and each other index
+# names the first check one of the entry's matrices fails, in this order.
+EXPM_FAULTS = ("", "matrix exponential of a non-finite matrix",
+               "matrix exponential: the matrix norm overflows",
+               "matrix exponential overflows")
+
+
+def expm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix exponentials of a stack (n, ..., b, b), and each entry's fault.
 
     Scaling and squaring with the degree-13 Padé approximant (Higham
     2005, "The scaling and squaring method for the matrix exponential
@@ -501,21 +510,27 @@ def expm(a: np.ndarray) -> np.ndarray:
     scaled by 2^-s, with s the least count that brings its own 1-norm
     to at most theta_13, and its approximant is squared s times.  The
     products are taken over the whole stack and the approximants'
-    denominators are inverted in one stacked solve.  DomainError when
-    an entry is not finite or the exponential overflows.
+    denominators are inverted in one stacked solve.
+
+    Entry i is a[i], one matrix or more, and fault[i] indexes
+    EXPM_FAULTS: one of its matrices is not finite (1), else the 1-norm
+    of one overflows (2), else the exponential of one overflows (3), else
+    0.  A faulted entry's exponentials are zero, and change no other's.
     """
     a = np.asarray(a)
-    if a.ndim == 2:
-        return expm(a[None])[0]
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix exponential of a non-finite matrix")
+    fault = np.zeros(len(a), dtype=int)
+    matrices = tuple(range(1, a.ndim - 2))                 # an entry's axes of matrices
     with np.errstate(over="ignore"):                       # checked below
         norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
-    if not np.all(np.isfinite(norms)):
-        raise DomainError("matrix exponential: the matrix norm overflows")
+    # a finite 1-norm is a sum of finite numbers
+    bad = ~np.isfinite(norms).all(axis=matrices)
+    if bad.any():
+        fault[bad] = np.where(np.isfinite(a[bad]).all(axis=(*matrices, -2, -1)), 2, 1)
+        a, norms = a.copy(), norms.copy()
+        a[bad], norms[bad] = 0.0, 0.0
     with np.errstate(divide="ignore"):                     # log2(0) of a zero matrix
         s = np.ceil(np.log2(norms / _THETA13)).clip(min=0).astype(int)
-    x = a * (0.5 ** s)[:, None, None]
+    x = a * (0.5 ** s)[..., None, None]
     b = _PADE13
     ident = np.eye(a.shape[-1])
     x2 = x @ x
@@ -528,11 +543,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     r = np.linalg.solve(v - u, v + u)
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         for k in range(int(s.max(initial=0))):
-            squared = np.flatnonzero(s > k)
+            squared = np.nonzero(s > k)
             r[squared] = r[squared] @ r[squared]
-    if not np.all(np.isfinite(r)):
-        raise DomainError("matrix exponential overflows")
-    return r
+    fault[~np.isfinite(r).all(axis=(*matrices, -2, -1))] = 3
+    r[fault > 0] = 0.0
+    return r, fault
 
 
 def lindblad_superoperator(h: np.ndarray, collapse: Sequence[np.ndarray], rates: np.ndarray,
@@ -577,7 +592,8 @@ def lindblad_superoperator(h: np.ndarray, collapse: Sequence[np.ndarray], rates:
 def _sequence_exponentials(segments: Sequence[tuple[np.ndarray, np.ndarray, tuple]],
                            collapse: Sequence[np.ndarray], rates: np.ndarray,
                            needs: Sequence[Sequence[int]]
-                           ) -> Iterator[tuple[slice, list[tuple[np.ndarray, np.ndarray]]]]:
+                           ) -> Iterator[tuple[slice, np.ndarray,
+                                               list[tuple[np.ndarray, np.ndarray]]]]:
     """The block exponentials of a sequence of segments, each distinct segment once.
 
     segments[k] = (h, durations, blocks): segment k's Hamiltonians
@@ -589,13 +605,15 @@ def _sequence_exponentials(segments: Sequence[tuple[np.ndarray, np.ndarray, tupl
     blocks that any of its repeats needs are rows (segment, block) of
     their size class.
 
-    Yields (stack slice, pieces) for each slice of the stack and, within
-    it, each segment in order; pieces holds one (index of shape (m, b),
-    exponentials of shape (slice entries, m, b, b)) per block size, valid
-    until the next slice.  One bound holds the memory: a slice holds at
-    most _EXPM_STACK_ENTRIES exponential entries (or one stack entry's),
-    and one stacked expm takes a class's rows in slices of as many
-    entries (or one row).
+    Yields (stack slice, faults, pieces) for each slice of the stack and,
+    within it, each segment in order; pieces holds one (index of shape
+    (m, b), exponentials of shape (slice entries, m, b, b)) per block
+    size, valid until the next slice, and faults (slice entries,) each
+    entry's first expm fault (EXPM_FAULTS), after which its generators
+    are zeroed.  One bound holds the memory: a slice holds at most
+    _EXPM_STACK_ENTRIES exponential entries (or one stack entry's), and
+    one stacked expm takes a class's rows in slices of as many entries
+    (or one row).
     """
     if not segments:
         return
@@ -636,6 +654,7 @@ def _sequence_exponentials(segments: Sequence[tuple[np.ndarray, np.ndarray, tupl
     held: dict[int, np.ndarray] = {}
     for start in range(0, n, step):
         s, m = slice(start, start + step), min(step, n - start)
+        faults = np.zeros(m, dtype=int)
         for b, index in classes.items():
             width = min(len(index), max(1, _EXPM_STACK_ENTRIES // (b * b)))
             if width < len(index) and b not in held:
@@ -653,13 +672,15 @@ def _sequence_exponentials(segments: Sequence[tuple[np.ndarray, np.ndarray, tupl
                             gen *= durations[s, None, None, None]
                         gens.append(gen)
                 gen = gens[0] if len(gens) == 1 else np.concatenate(gens, axis=1)
-                e = expm(gen.reshape(-1, b, b)).reshape(gen.shape)
+                gen[faults > 0] = 0.0
+                e, fault = expm(gen)
+                faults += fault                   # 0 for the entries zeroed above
                 if width < len(index):
                     held[b][:m, first:end] = e
                 else:
                     held[b] = e
         for plan in plans:
-            yield s, [(classes[b][at], held[b][:m, at]) for b, at in plan]
+            yield s, faults, [(classes[b][at], held[b][:m, at]) for b, at in plan]
 
 
 class PulseArrays(NamedTuple):
@@ -732,19 +753,26 @@ def sequence_superoperator(system: LevelSystem, sequence: PulseSequence,
     """Some columns of a pulse sequence's quantum channel as a superoperator matrix.
 
     The channel applied to the basis operators at the given row-major
-    vectorized positions.
+    vectorized positions.  DomainError with the text of its expm fault
+    (EXPM_FAULTS) when it has one.
     """
-    return stacked_superoperators(system, PulseArrays.of(sequence), columns)[0]
+    channels, faults = stacked_superoperators(system, PulseArrays.of(sequence), columns)
+    if faults[0]:
+        raise DomainError(EXPM_FAULTS[faults[0]])
+    return channels[0]
 
 
 def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Sequence[int],
                            shifts: np.ndarray | None = None,
-                           dephasing: np.ndarray | None = None) -> np.ndarray:
+                           dephasing: np.ndarray | None = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Channels of n pulse sequences given as arrays, applied to some basis operators.
 
     Returns (n, d^2, m): column c of entry i is sequence i's channel
     applied to the basis operator at row-major vectorized position
-    columns[c].  shifts (n, len(system.couplings)) and dephasing
+    columns[c]; and each entry's fault (n,), the index into EXPM_FAULTS
+    of its first expm fault, or 0 (a faulted entry's channel means
+    nothing).  shifts (n, len(system.couplings)) and dephasing
     (n, len(system.qubits)) give each entry its own coupling shifts and
     dephasing rates.  Each segment's generator is exponentiated block by
     block (liouvillian_blocks), skipping the blocks that no column
@@ -767,10 +795,12 @@ def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Se
         segments.append((segment_hamiltonians(system, target, rabi, detuning, shifts),
                          duration, blocks))
         needs.append(need)
-    for s, pieces in _sequence_exponentials(segments, collapse, rates, needs):
+    faults = np.zeros(n, dtype=int)
+    for s, fault, pieces in _sequence_exponentials(segments, collapse, rates, needs):
+        faults[s] = fault
         for index, e in pieces:
             out[s, index] = e @ out[s, index]
-    return out
+    return out, faults
 
 
 @dataclass
@@ -851,7 +881,8 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     exact exponential of the Lindblad superoperator, taken block by
     block as in stacked_superoperators (a repeated segment's once) and
     applied in one stacked product per block size.  Trace is conserved
-    and eigenvalues stay positive to solver accuracy.
+    and eigenvalues stay positive to solver accuracy.  DomainError with
+    the text of an expm fault (EXPM_FAULTS) when a segment has one.
     """
     dim, n = system.dimension, samples_per_segment
     rho = _check_density(rho0, dim)
@@ -862,7 +893,10 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     states = np.empty((1 + len(segments) * n, dim, dim), dtype=complex)
     states[0] = rho
     vecs = states.reshape(len(states), -1)
-    for j, (_, pieces) in enumerate(_sequence_exponentials(segments, collapse, rates, needs)):
+    exponentials = _sequence_exponentials(segments, collapse, rates, needs)
+    for j, (_, fault, pieces) in enumerate(exponentials):
+        if fault[0]:
+            raise DomainError(EXPM_FAULTS[fault[0]])
         step = [(index, e[0]) for index, e in pieces]
         for k in range(j * n, (j + 1) * n):
             for index, e in step:

@@ -23,7 +23,12 @@ computational subspace is reported as leakage, never renormalized away.
 A sweep scores one base scenario over the cartesian product of a grid
 of the numbers SWEEPABLE names, in config units: each point is the base
 with those numbers replaced (point_scenario), and check_grid holds the
-rules a grid must meet.
+rules a grid must meet.  Every point of a sweep takes one path: its
+numbers are checked as arrays against _NUMBER_FAULTS, the table the
+constructor checks, and the points that pass are propagated in one
+stack on the base's register and sequence, where each keeps its own
+expm fault (dynamics.EXPM_FAULTS).  A point that fails gets the message
+its scenario run alone would raise, and costs no other point anything.
 
 Angular units: delta_shift and the Rabi frequency are rad/s (multiply
 shifts from the interactions module, which are in Hz, by 2 pi).
@@ -34,20 +39,19 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (LevelSystem, PulseArrays, QubitLevels, ShiftCoupling,
+from .dynamics import (EXPM_FAULTS, LevelSystem, PulseArrays, QubitLevels, ShiftCoupling,
                        sequence_superoperator, sequence_unitary, stacked_superoperators,
                        stacked_unitaries)
-from .errors import DomainError, OqcsimError, ParseError, ResourceLimitError, ValidationError
+from .errors import DomainError, ParseError, ResourceLimitError, ValidationError
 from .interactions import BlockadeModel, DEFAULT_MODEL, dipole_shift
 from .paircenter import PairParams, pair_eigensystem_exact, pair_eigensystem_perturbative
-from .pulses import PI_AREA, TWO_PI_AREA, PulseSequence, PulseSpec
+from .pulses import PI_AREA, PULSE_NOT_FINITE, TWO_PI_AREA, PulseSequence, PulseSpec
 
 REQUIRED_ROLES = ("0", "1", "1p")
 
@@ -68,6 +72,22 @@ _PHASE_FLOOR = 1e-12   # diagonal amplitude below which phases are meaningless
 # rule) and 0.143 s in chunks of 4096.
 _CHUNK_ENTRIES = 1 << 16
 _CHUNK_MIN = 64
+
+# The numbers a scenario may have: (failure test, message) in the order
+# they are checked, so the first test a scenario fails gives its error.
+# The tests take the Rabi frequency, shift and gamma_h as numbers or as
+# (n,) arrays of a sweep's points; a comparison with NaN is false, so NaN
+# fails only the finiteness test.  GateScenario checks all but the last,
+# which its canonical sequence's pulses fail when building (PulseSpec):
+# their durations, pulse_area / rabi, are finite when 2 pi / rabi is.
+_NUMBER_FAULTS = (
+    (lambda rabi, shift, gamma_h: rabi <= 0, "Rabi frequency must be > 0"),
+    (lambda rabi, shift, gamma_h: gamma_h < 0, "gamma_h must be >= 0"),
+    (lambda rabi, shift, gamma_h: ~(np.isfinite(rabi) & np.isfinite(shift)
+                                    & np.isfinite(gamma_h)),
+     "Rabi frequency, shift and gamma_h must be finite"),
+    (lambda rabi, shift, gamma_h: ~np.isfinite(TWO_PI_AREA / rabi), PULSE_NOT_FINITE),
+)
 
 
 @dataclass(frozen=True)
@@ -124,14 +144,11 @@ class GateScenario:
     def __post_init__(self):
         if self.control.name == self.target.name:
             raise ValidationError("control and target need distinct names")
-        if self.rabi <= 0:
-            raise ValidationError("Rabi frequency must be > 0")
         if self.gate_target not in ("cz", "identity"):
             raise ValidationError(f"unknown gate target {self.gate_target!r}")
-        if self.gamma_h < 0:
-            raise ValidationError("gamma_h must be >= 0")
-        if not _numbers_ok(self.rabi, self.delta_shift, self.gamma_h):
-            raise ValidationError("Rabi frequency, shift and gamma_h must be finite")
+        for fails, message in _NUMBER_FAULTS[:-1]:
+            if fails(self.rabi, self.delta_shift, self.gamma_h):
+                raise ValidationError(message)
 
     def qubit_levels(self) -> dict[str, tuple[str, ...]]:
         return {self.control.name: self.control.level_order,
@@ -146,14 +163,6 @@ class GateScenario:
         sequence = protocol_sequence(self)
         sequence.validate_targets(self.qubit_levels())
         return system, sequence
-
-
-def _numbers_ok(rabi, shift, gamma_h):
-    """Whether a scenario may have these numbers: a Rabi frequency > 0, a
-    gamma_h >= 0, and all three finite.  Numbers, or (n,) arrays of a
-    sweep's points."""
-    return ((rabi > 0) & (gamma_h >= 0) & np.isfinite(rabi) & np.isfinite(shift)
-            & np.isfinite(gamma_h))
 
 
 def _dephasing(noise: NoiseFlags, gamma_h):
@@ -370,7 +379,10 @@ def run_protocol(scenario: GateScenario, scores: Scores | None = None,
     a sweep of scenario, as a sweep chunk computes them for all its
     points at once (sweep_chunk); the point differs from scenario only
     in swept numbers, which the report does not carry.  The call then
-    only checks that the row is finite and builds the report.
+    only checks that the row is finite and builds the report; a sweep
+    makes it for every point that passed the number checks and has no
+    expm fault, and writes the DomainError of a row that is not finite
+    as the point's error.
     """
     if scores is None:
         system, sequence = scenario.protocol
@@ -440,10 +452,11 @@ def check_grid(base: GateScenario, grid: Mapping[str, Sequence]) -> None:
 
 
 def point_scenario(base: GateScenario, point: Mapping[str, float]) -> GateScenario:
-    """One sweep point: the base scenario with the swept numbers replaced.
+    """One sweep point as a scenario of its own: the base scenario with the
+    swept numbers replaced, built by the constructor, which checks them.
 
-    Built by the constructor, not dataclasses.replace, which costs more
-    per point; __post_init__ checks the point all the same.
+    A sweep builds no such scenario; its rows are those of these
+    scenarios run alone (run_protocol), which the tests compare them to.
     """
     rabi = point.get("rabi_rad_s", base.rabi)
     if "delta_over_omega" in point:
@@ -484,8 +497,9 @@ def chunk_points(base: GateScenario) -> int:
 def _point_numbers(base: GateScenario, points: Sequence[Mapping[str, float]]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Rabi frequency, shift and gamma_h of each point as (n,) arrays,
-    set as point_scenario sets them, and the mask of the points whose
-    numbers GateScenario accepts (_numbers_ok).
+    set as point_scenario sets them, and each point's error: the message
+    of the first test of _NUMBER_FAULTS it fails (the last only when base
+    has the canonical sequence), or "" when it fails none.
 
     The points are of one grid (grid_chunks), so each names the keys of
     the first, and they are read in one pass.
@@ -494,26 +508,28 @@ def _point_numbers(base: GateScenario, points: Sequence[Mapping[str, float]]
     values = dict(zip(keys, np.array([[p[k] for k in keys] for p in points], dtype=float).T))
     n = len(points)
     rabi = values.get("rabi_rad_s", np.full(n, base.rabi))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if "delta_over_omega" in values:
             shift = values["delta_over_omega"] * rabi
         else:
             shift = values.get("delta_shift_rad_s", np.full(n, base.delta_shift))
-    gamma_h = values.get("gamma_h_hz", np.full(n, base.gamma_h))
-    return rabi, shift, gamma_h, _numbers_ok(rabi, shift, gamma_h)
+        gamma_h = values.get("gamma_h_hz", np.full(n, base.gamma_h))
+        table = _NUMBER_FAULTS if base.sequence is None else _NUMBER_FAULTS[:-1]
+        fails = [test(rabi, shift, gamma_h) for test, _ in table]
+    return rabi, shift, gamma_h, np.select(fails, [message for _, message in table], "")
 
 
-def _point_row(base: GateScenario, point: Mapping[str, float],
-               scores: Scores | None = None, row: int = 0) -> dict:
-    """A sweep point's row: the point plus its report fields, or its error.
-    The report is read off row of scores, a stacked point's, or else comes
-    from the point's own scenario run alone, whose constructor or run
-    reports its error."""
-    try:
-        report = (run_protocol(point_scenario(base, point)) if scores is None
-                  else run_protocol(base, scores, row))
-    except (OqcsimError, ValueError) as exc:
-        return {**point, "status": f"error: {exc}"}
+def _point_row(base: GateScenario, point: Mapping[str, float], error: str,
+               scores: Scores, row: int) -> dict:
+    """A sweep point's row: the point plus its report fields, read off row
+    of scores, or its error, when it has one or its report does."""
+    if not error:
+        try:
+            report = run_protocol(base, scores, row)
+        except DomainError as exc:
+            error = str(exc)
+    if error:
+        return {**point, "status": f"error: {error}"}
     return {**point, "truth_table_fidelity": report.truth_table_fidelity,
             "average_fidelity": report.average_fidelity,
             "infidelity": 1.0 - report.average_fidelity,
@@ -524,80 +540,67 @@ def sweep_chunk(base: GateScenario, points: Sequence[dict]) -> list[dict]:
     """Sweep rows of some grid points: the point plus the report fields, or an error status.
 
     The points' numbers are read and checked as arrays (_point_numbers);
-    the points they accept share the base's register and sequence
+    the points that pass share the base's register and sequence
     (base.protocol), are propagated in one stack and scored in one score
-    call (_stacked_scores).  Each still gets its report from its own
-    run_protocol call on its row of the scores, so that the benchmark's
-    per-point metrics (calls, p50 and p99 of gates.run_protocol) read
-    one call per point.  A point the checks reject or the stack leaves
-    out, and every point when the base's protocol does not build or the
-    stacked propagation fails, is run alone (_point_row).
+    call (_stacked_scores), where a point's expm fault is its own.  Each
+    row is the point's error, or its report from its own run_protocol
+    call on its row of the scores, so that the benchmark's per-point
+    metrics (calls, p50 and p99 of gates.run_protocol) read one call per
+    point.  No point is run alone, and the errors are the ones its
+    scenario run alone would raise.
     """
-    rows: list[dict | None] = [None] * len(points)
-    rabi, shift, gamma_h, accepted = _point_numbers(base, points)
-    held = np.flatnonzero(accepted)
-    stacked = _stacked_scores(base, rabi[held], shift[held], gamma_h[held])
-    if stacked is not None:
-        scores, kept = stacked
-        listed = scores.tolist()
-        for row, i in enumerate(held[kept].tolist()):
-            rows[i] = _point_row(base, points[i], listed, row)
-    return [_point_row(base, point) if row is None else row
-            for row, point in zip(rows, points)]
+    rabi, shift, gamma_h, errors = _point_numbers(base, points)
+    held = errors == ""
+    scores, faults = _stacked_scores(base, rabi[held], shift[held], gamma_h[held])
+    errors = errors.tolist()
+    for i, fault in zip(np.flatnonzero(held).tolist(), faults.tolist()):
+        errors[i] = EXPM_FAULTS[fault]
+    listed = scores.tolist()
+    # a held point's row in the stack is the number of held points before it
+    return [_point_row(base, point, error, listed, row)
+            for point, error, row in zip(points, errors, (np.cumsum(held) - 1).tolist())]
 
 
-def _group_pulses(base: GateScenario, rabi: np.ndarray) -> tuple[PulseArrays, np.ndarray]:
-    """Pulse arrays of sweep points of base at the Rabi frequencies rabi
-    (n,), and which points they hold.
+def _group_pulses(base: GateScenario, rabi: np.ndarray) -> PulseArrays:
+    """Pulse arrays of sweep points of base at the Rabi frequencies rabi (n,).
 
     A gate's own sequence is the same for every point; the canonical one
     drives the same transitions for all, each point at its own Rabi
-    frequency.  The mask leaves out the points whose pulse durations are
-    not finite, whose canonical sequence does not build.
+    frequency, at which its durations are finite (_point_numbers).
     """
     pulses = PulseArrays.of(base.protocol[1])
     if base.sequence is not None:
         shape = (len(pulses.targets), len(rabi))
-        return (PulseArrays(pulses.targets, *(np.broadcast_to(a, shape) for a in pulses[1:])),
-                np.ones(len(rabi), dtype=bool))
-    with np.errstate(over="ignore"):
-        duration = np.array([[p.pulse_area] for p in base.protocol[1].specs()]) / rabi
-    keep = np.isfinite(duration).all(axis=0)
-    duration = duration[:, keep]
-    return (PulseArrays(pulses.targets, np.broadcast_to(rabi[keep], duration.shape),
-                        np.zeros(duration.shape), duration), keep)
+        return PulseArrays(pulses.targets, *(np.broadcast_to(a, shape) for a in pulses[1:]))
+    duration = np.array([[p.pulse_area] for p in base.protocol[1].specs()]) / rabi
+    return PulseArrays(pulses.targets, np.broadcast_to(rabi, duration.shape),
+                       np.zeros(duration.shape), duration)
 
 
 def _stacked_scores(base: GateScenario, rabi: np.ndarray, shift: np.ndarray,
-                    gamma_h: np.ndarray) -> tuple[Scores, np.ndarray] | None:
+                    gamma_h: np.ndarray) -> tuple[Scores, np.ndarray]:
     """Scores of sweep points of base with the Rabi frequencies, shifts and
-    gamma_h of the (n,) arrays, and the mask of the points they hold.
+    gamma_h of the (n,) arrays, and each point's fault, an index into
+    EXPM_FAULTS (0 for none, and always with no noise).
 
     The points' pulse parameters enter as (segments, n) arrays
-    (_group_pulses), which leave out the points whose pulse durations
-    are not finite.  Without noise the points get the four computational
+    (_group_pulses).  Without noise the points get the four computational
     columns of their sequence unitaries; with any noise switch of base
     on, the sixteen computational columns of their channels; each in one
     stacked propagation on the base's register, scored in one score
-    call.  None when no point is held, or the base's protocol does not
-    build or the stacked propagation fails.
+    call.  A faulted point's scores mean nothing.
     """
-    try:
-        system = base.protocol[0]
-        pulses, keep = _group_pulses(base, rabi)
-        if not keep.any():
-            return None
-        shifts = shift[keep, None]
-        comp = _computational(base, system)
-        if base.noise.any:
-            gamma = _dephasing(base.noise, gamma_h[keep])
-            stacked = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
-                                             shifts, np.repeat(gamma[:, None], 2, axis=1))
-        else:
-            stacked = stacked_unitaries(system, pulses, shifts, comp)
-    except (OqcsimError, ValueError):
-        return None
-    return _score_stack(base, system, stacked), keep
+    system = base.protocol[0]
+    pulses = _group_pulses(base, rabi)
+    comp = _computational(base, system)
+    if base.noise.any:
+        gamma = _dephasing(base.noise, gamma_h)[:, None]
+        stacked, faults = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
+                                                 shift[:, None], np.repeat(gamma, 2, axis=1))
+    else:
+        stacked = stacked_unitaries(system, pulses, shift[:, None], comp)
+        faults = np.zeros(len(rabi), dtype=int)
+    return _score_stack(base, system, stacked), faults
 
 
 def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> list[dict]:
@@ -624,10 +627,12 @@ def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> li
         failed.  The points are scored chunk by chunk (sweep_chunk), in
         chunks of chunk_points(base) points, on base.protocol, which is
         built before the chunks are cut, so pooled workers receive it.
+
+    Raises the error of base.protocol when it does not build, before any
+    point is scored (through the CLI the config's parse has built it).
     """
     check_grid(base, grid)
-    with suppress(OqcsimError, ValueError):
-        base.protocol    # when it does not build, each point runs alone
+    base.protocol    # built once, before the chunks are cut
     size = chunk_points(base)
     score_chunk = partial(sweep_chunk, base)
     n_chunks = -(-math.prod(len(values) for values in grid.values()) // size)

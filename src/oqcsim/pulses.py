@@ -23,6 +23,8 @@ exposes the rate.
 Pulse envelopes are square: the duration of a pulse is
 pulse_area / Omega, and when only the spectral width is known Omega
 defaults to pulse_area * Gamma_L (so the duration is 1/Gamma_L).
+
+The domain checks are written as "not x > 0", so that NaN fails them.
 """
 from __future__ import annotations
 
@@ -45,13 +47,17 @@ INTENSITY_CALIBRATION = 9119271.090754239
 PI_AREA = math.pi
 TWO_PI_AREA = 2.0 * math.pi
 
+# PulseSpec's error for a pulse with a number that is not finite; a sweep
+# gives it to the points whose canonical pulses are such (gates).
+PULSE_NOT_FINITE = "pulse parameters and duration must be finite"
+
 
 def wave_number(omega: float, n: float) -> float:
     """Wave number k = omega * n / c (1/m) of light of angular frequency
     omega (rad/s, >= 0) in a medium of refractive index n (>= 1)."""
-    if omega < 0:
+    if not omega >= 0:
         raise DomainError("angular frequency must be >= 0")
-    if n < 1:
+    if not n >= 1:
         raise DomainError(f"refractive index must be >= 1, got {n}")
     return omega * n / C_LIGHT
 
@@ -89,9 +95,9 @@ def pi_pulse_intensity(k: float, gamma0: float, gamma_l: float) -> float:
     -----
     Quadratic in Gamma_L, cubic in k, inversely proportional to gamma0.
     """
-    if k <= 0 or gamma_l <= 0:
+    if not (k > 0 and gamma_l > 0):
         raise DomainError("k and Gamma_L must be > 0")
-    if gamma0 <= 0:
+    if not gamma0 > 0:
         raise DomainError("radiative rate gamma0 must be > 0")
     try:
         raw = 4.0 * math.pi**2 * HBAR * gamma_l**2 * k**3 / (3.0 * gamma0 * Z0)
@@ -109,9 +115,9 @@ def _finite(value: float, what: str) -> float:
 
 def pulse_energy(intensity: float, cross_section: float, gamma_l: float) -> float:
     """Pulse energy E_L = I * S / Gamma_L (J, for I in W/cm^2 and S in cm^2)."""
-    if cross_section <= 0 or gamma_l <= 0:
+    if not (cross_section > 0 and gamma_l > 0):
         raise DomainError("cross section and Gamma_L must be > 0")
-    if intensity < 0:
+    if not intensity >= 0:
         raise DomainError("intensity must be >= 0")
     return _finite(intensity * cross_section / gamma_l, "pulse energy")
 
@@ -122,7 +128,7 @@ def peak_field(intensity: float) -> float:
     Free-space relation E = sqrt(2 Z0 I); the W/cm^2 input is converted
     to W/m^2 internally and the field returned in V/cm.
     """
-    if intensity < 0:
+    if not intensity >= 0:
         raise DomainError("intensity must be >= 0")
     e_v_per_m = math.sqrt(2.0 * Z0 * intensity * 1e4)
     return _finite(e_v_per_m / 100.0, "peak field")
@@ -136,9 +142,9 @@ class BeamGeometry:
     refractive_index: float = 1.0
 
     def __post_init__(self):
-        if self.cross_section <= 0:
+        if not self.cross_section > 0:
             raise DomainError("cross section must be > 0")
-        if self.refractive_index < 1:
+        if not self.refractive_index >= 1:
             raise DomainError("refractive index must be >= 1")
 
 
@@ -149,7 +155,7 @@ class EmitterRadiative:
     radiative_lifetime: float
 
     def __post_init__(self):
-        if self.radiative_lifetime <= 0:
+        if not self.radiative_lifetime > 0:
             raise DomainError("radiative lifetime must be > 0")
 
     @property
@@ -209,7 +215,7 @@ class PulseSpec:
             raise ValidationError("Rabi frequency must be > 0")
         if not all(map(math.isfinite, (self.pulse_area, self.spectral_width,
                                        self.rabi_frequency, self.detuning, self.duration))):
-            raise ValidationError("pulse parameters and duration must be finite")
+            raise ValidationError(PULSE_NOT_FINITE)
 
     @property
     def duration(self) -> float:

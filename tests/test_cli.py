@@ -565,6 +565,39 @@ def test_manifest_counts_sweep_points(tmp_path):
     assert counters == {"sweep_points_ok": 1, "sweep_points_error": 2}
 
 
+ERROR_ROW_CONFIGS = Path(__file__).parent / "configs"
+
+# the status column of each error-row config's sweep.csv, in grid order
+FINITE = "error: Rabi frequency, shift and gamma_h must be finite"
+POSITIVE = "error: Rabi frequency must be > 0"
+NON_NEGATIVE = "error: gamma_h must be >= 0"
+PULSES = "error: pulse parameters and duration must be finite"
+NON_FINITE_MATRIX = "error: matrix exponential of a non-finite matrix"
+NORM = "error: matrix exponential: the matrix norm overflows"
+ERROR_ROW_STATUSES = {
+    "error_rows_canonical": ["ok", POSITIVE, POSITIVE, PULSES,
+                             FINITE, POSITIVE, POSITIVE, PULSES],
+    "error_rows_noisy": ["ok", NORM, NON_NEGATIVE, NON_NEGATIVE,
+                         NON_FINITE_MATRIX, NON_FINITE_MATRIX,
+                         FINITE, NORM, NON_NEGATIVE, NON_NEGATIVE,
+                         FINITE, NON_FINITE_MATRIX],
+}
+
+
+def test_error_row_configs_are_the_pinned_ones():
+    assert sorted(p.stem for p in ERROR_ROW_CONFIGS.glob("*.json")) == sorted(ERROR_ROW_STATUSES)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_ROW_STATUSES))
+def test_error_row_configs_keep_their_statuses(tmp_path, name):
+    # a grid point of each kind a sweep rejects, through oqcsim run
+    config = ERROR_ROW_CONFIGS / f"{name}.json"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert statuses == ERROR_ROW_STATUSES[name]
+
+
 def test_bundled_csv_outputs_are_finite(tmp_path):
     for name in BUNDLED:
         run(config_path(name), out_dir=tmp_path / name)
@@ -610,6 +643,19 @@ PULSE_CALC = ["pulse-calc", "--lifetime-ns", "1.5", "--gamma-l", "1e9"]
 ], ids=["-1", "nan", "inf", "-inf", "0", "1e300"])
 def test_pulse_calc_rejects_carrier(capsys, carrier, message):
     assert main([*PULSE_CALC, f"--carrier-cm={carrier}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oqcsim: domain: {message}\n"
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--lifetime-ns=nan", "radiative lifetime must be > 0"),
+    ("--gamma-l=nan", "k and Gamma_L must be > 0"),
+    ("--n=nan", "refractive index must be >= 1"),
+    ("--cross-section-cm2=nan", "cross section must be > 0"),
+], ids=["lifetime", "gamma-l", "n", "cross-section"])
+def test_pulse_calc_rejects_nan(capsys, option, message):
+    assert main([*PULSE_CALC, "--carrier-cm=11500", option]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"oqcsim: domain: {message}\n"

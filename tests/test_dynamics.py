@@ -166,7 +166,8 @@ def test_pulse_arrays_propagate_like_their_sequences():
     dephasing = [[1e6, 0.0, 2e7], [0.0, 0.0, 0.0], [5e8, 1e7, 0.0]]
     columns = [0, 13, 40, 323]
     unitaries = stacked_unitaries(system, pulses, shifts)
-    channels = stacked_superoperators(system, pulses, columns, shifts, dephasing)
+    channels, faults = stacked_superoperators(system, pulses, columns, shifts, dephasing)
+    assert faults.tolist() == [0, 0, 0]
     for u, c, s, g, sequence in zip(unitaries, channels, shifts, dephasing, sequences):
         # a register of entry i's own shifts and dephasing rates
         single = LevelSystem([replace(q, dephasing=x) for q, x in zip(system.qubits, g)],
@@ -628,8 +629,9 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
 
         durations = np.array([p.duration for p in stack])
         channel = np.zeros((n, d * d, d * d), dtype=complex)
-        for s, pieces in _sequence_exponentials([(h, durations, blocks)], jumps, rates,
-                                                [range(len(blocks))]):
+        for s, faults, pieces in _sequence_exponentials([(h, durations, blocks)], jumps, rates,
+                                                        [range(len(blocks))]):
+            assert not faults.any()
             for index, e in pieces:
                 channel[s, index[..., :, None], index[..., None, :]] = e
         for c, ref, t in zip(channel, references, durations):
@@ -637,8 +639,8 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
 
     # the pulses one after another, through the stacked sequence channels
     columns = np.arange(0, d * d, 5)
-    stacked = stacked_superoperators(system, stacked_arrays(sequences), columns,
-                                     dephasing=dephasing)
+    stacked, _ = stacked_superoperators(system, stacked_arrays(sequences), columns,
+                                        dephasing=dephasing)
     for out, sys_i, sequence in zip(stacked, systems, sequences):
         ref = np.eye(d * d)
         for p in sequence.specs():
@@ -651,7 +653,8 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
 # -- the stacked Padé exponential against scipy.linalg.expm ---------------
 
 def assert_expm_matches_scipy(stack):
-    got, ref = dynamics.expm(stack), expm(stack)
+    (got, faults), ref = dynamics.expm(stack), expm(stack)
+    assert not faults.any()
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
@@ -696,24 +699,52 @@ def test_expm_matches_scipy_on_lindblad_blocks(case, gammas, stretch):
             assert_expm_matches_scipy(gen * stretch * pulse.duration)
 
 
-def test_expm_of_one_matrix_is_its_stack_entry():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(dynamics.expm(a), dynamics.expm(a[None])[0])
-    assert np.allclose(dynamics.expm(a), [[math.cos(1), math.sin(1)],
-                                          [-math.sin(1), math.cos(1)]], atol=1e-15)
+def test_expm_of_a_stack_of_one():
+    a = np.array([[[0.0, 1.0], [-1.0, 0.0]]])
+    e, faults = dynamics.expm(a)
+    assert e.shape == (1, 2, 2) and faults.tolist() == [0]
+    assert np.allclose(e[0], [[math.cos(1), math.sin(1)], [-math.sin(1), math.cos(1)]],
+                       atol=1e-15)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_expm_rejects_non_finite_input_and_overflow():
-    fine = np.eye(3, dtype=complex)[None]
+    rng = np.random.default_rng(7)
+    fine = rng.normal(size=(1, 2, 3, 3)) + 1j * rng.normal(size=(1, 2, 3, 3))
+    alone = dynamics.expm(fine)[0][0]
     infinite = fine.copy()
-    infinite[0, 1, 2] = np.inf
-    nan = fine * np.nan
-    grows = np.diag([1e3, -1.0, 0.0])[None] + 0j            # e^1000 overflows in squaring
-    huge = np.full((1, 3, 3), 1e308)                         # its 1-norm overflows
-    for bad in (infinite, nan, grows, huge):
-        with pytest.raises(DomainError):
-            dynamics.expm(np.concatenate([fine, bad]))
+    infinite[0, 1, 1, 2] = np.inf
+    nan = fine.copy()
+    nan[0, 0, 0, 0] = np.nan
+    grows = fine.copy()
+    grows[0, 1] = np.diag([1e3, -1.0, 0.0])                  # e^1000 overflows in squaring
+    huge = fine.copy()
+    huge[0, 0] = 1e308                                       # its 1-norm overflows
+    both = huge.copy()
+    both[0, 1, 0, 0] = np.nan                  # the first check an entry fails names it
+    for bad, fault in ((infinite, 1), (nan, 1), (grows, 3), (huge, 2), (both, 1)):
+        e, faults = dynamics.expm(np.concatenate([fine, bad]))
+        assert faults.tolist() == [0, fault]
+        assert np.array_equal(e[0], alone)                  # bit for bit
+        assert not e[1].any()
+    assert dynamics.EXPM_FAULTS[1:] == ("matrix exponential of a non-finite matrix",
+                                        "matrix exponential: the matrix norm overflows",
+                                        "matrix exponential overflows")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_sequence_raises_its_expm_fault():
+    # a rate that overflows the generator over a pulse of pi seconds: the
+    # channel and the trajectory of the one sequence raise its fault's text
+    system = LevelSystem([QubitLevels("a", ("g", "e"), dephasing=1.7e308)])
+    sequence = seq(drive(qubit="a", omega=1.0))
+    for propagate in (lambda: sequence_superoperator(system, sequence, [0]),
+                      lambda: propagate_lindblad(system, sequence, rho0(system, {"a": "g"}))):
+        with pytest.raises(DomainError, match="^matrix exponential of a non-finite matrix$"):
+            propagate()
+    pulses = stacked_arrays([sequence, sequence])
+    _, faults = stacked_superoperators(system, pulses, [0], dephasing=[[1e6], [1.7e308]])
+    assert faults.tolist() == [0, 1]
 
 
 def test_collapse_operators_are_unit_with_rates():
@@ -741,9 +772,9 @@ def test_stack_slices_leave_the_channels_unchanged(monkeypatch):
     dephasing = [[0.0, 1e6], [2e7, 0.0], [5e8, 5e8]]
     every = np.arange(system.dimension ** 2)
     pulses = stacked_arrays(sequences)
-    whole = stacked_superoperators(system, pulses, every, dephasing=dephasing)
+    whole = stacked_superoperators(system, pulses, every, dephasing=dephasing)[0]
     monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 1)    # one matrix per expm call
-    assert np.array_equal(stacked_superoperators(system, pulses, every, dephasing=dephasing),
+    assert np.array_equal(stacked_superoperators(system, pulses, every, dephasing=dephasing)[0],
                           whole)
 
 
@@ -757,7 +788,7 @@ def block_by_block_channels(system, pulses, columns, dephasing):
         h = segment_hamiltonians(system, target, rabi, detuning)
         for block in liouvillian_blocks(system, target):
             gen = lindblad_superoperator(h, jumps, rates, block)
-            out[:, block] = dynamics.expm(gen * duration[:, None, None]) @ out[:, block]
+            out[:, block] = dynamics.expm(gen * duration[:, None, None])[0] @ out[:, block]
     return out
 
 
@@ -767,7 +798,8 @@ def block_by_block_states(system, sequence, rho, samples):
     states = [rho]
     for _, p in sequence:
         h, dt = build_hamiltonian(system, p), p.duration / samples
-        steps = [(block, dynamics.expm(lindblad_superoperator(h, collapse, rates[0], block) * dt))
+        steps = [(block, dynamics.expm(lindblad_superoperator(h[None], collapse, rates, block)
+                                       * dt)[0][0])
                  for block in liouvillian_blocks(system, p.target)]
         for _ in range(samples):
             vec = rho.reshape(-1).copy()
@@ -796,8 +828,8 @@ def test_size_classes_equal_block_by_block_reference(limit, case, gammas, seed):
     rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     with mock.patch.object(dynamics, "_EXPM_STACK_ENTRIES",
                            limit or dynamics._EXPM_STACK_ENTRIES):
-        channels = stacked_superoperators(system, stacked_arrays(sequences), columns,
-                                          dephasing=dephasing)
+        channels, _ = stacked_superoperators(system, stacked_arrays(sequences), columns,
+                                             dephasing=dephasing)
         states = propagate_lindblad(system, sequences[0], rho, samples_per_segment=2).states
     assert np.array_equal(channels, block_by_block_channels(
         system, stacked_arrays(sequences), columns, dephasing))
@@ -843,8 +875,8 @@ def test_block_exponentials_memory_at_the_cap(monkeypatch):
     covered = np.zeros((n, d * d), dtype=int)
     tracemalloc.start()
     try:
-        for s, pieces in _sequence_exponentials([(h, np.full(n, 1e-9), blocks)], jumps, rates,
-                                                [range(len(blocks))]):
+        for s, _, pieces in _sequence_exponentials([(h, np.full(n, 1e-9), blocks)], jumps,
+                                                   rates, [range(len(blocks))]):
             for index, e in pieces:
                 covered[s, index.ravel()] += 1
         peak = tracemalloc.get_traced_memory()[1]
@@ -878,7 +910,7 @@ def test_stacked_superoperators_memory_at_the_cap(monkeypatch):
     pulses = stacked_arrays(sequences)
     tracemalloc.start()
     try:
-        out = stacked_superoperators(system, pulses, columns, dephasing=dephasing)
+        out, _ = stacked_superoperators(system, pulses, columns, dephasing=dephasing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -915,8 +947,9 @@ def test_repeated_segments_are_exponentiated_once(monkeypatch, detuning,
     every = np.arange(d * d)
     rho = rho0(system, {"a": "g", "b": "e"})
     matrices, pade_expm = [], dynamics.expm
-    monkeypatch.setattr(dynamics, "expm", lambda a: (matrices.append(len(a)), pade_expm(a))[1])
-    channels = stacked_superoperators(system, pulses, every, dephasing=dephasing)
+    monkeypatch.setattr(dynamics, "expm",
+                        lambda a: (matrices.append(a[..., 0, 0].size), pade_expm(a))[1])
+    channels, _ = stacked_superoperators(system, pulses, every, dephasing=dephasing)
     states = propagate_lindblad(system, sequences[0], rho, samples_per_segment=2).states
     monkeypatch.undo()
     blocks = liouvillian_blocks(system, ("a", ("g", "e")))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqcsim import gates
+from oqcsim import dynamics, gates
 from oqcsim.errors import DomainError, OqcsimError, ValidationError
 from oqcsim.gates import (COMPUTATIONAL, GateReport, GateScenario, NoiseFlags, QubitScheme,
                           _PHASE_FLOOR, _channel_reading, _closed_reading, _columns,
@@ -18,7 +18,7 @@ from oqcsim.gates import (COMPUTATIONAL, GateReport, GateScenario, NoiseFlags, Q
                           run_protocol, scenario_system, score, sweep, sweep_chunk)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
-from oqcsim.pulses import TWO_PI_AREA, PulseSequence, PulseSpec
+from oqcsim.pulses import PULSE_NOT_FINITE, TWO_PI_AREA, PulseSequence, PulseSpec
 from oqcsim.dynamics import (PulseArrays, sequence_superoperator, sequence_unitary,
                              stacked_superoperators, stacked_unitaries)
 
@@ -339,13 +339,13 @@ def test_stack_holds_every_point_of_a_valid_grid(case):
     # arrays hold the numbers each point's scenario holds
     base, grid = case
     points = list(gates.grid_points(grid))
-    rabi, shift, gamma_h, accepted = _point_numbers(base, points)
+    rabi, shift, gamma_h, errors = _point_numbers(base, points)
     scenarios = [point_scenario(base, point) for point in points]
     assert np.array_equal(np.stack([rabi, shift, gamma_h], axis=1),
                           [(sc.rabi, sc.delta_shift, sc.gamma_h) for sc in scenarios])
-    assert accepted.all()
-    scores, kept = _stacked_scores(base, rabi, shift, gamma_h)
-    assert kept.tolist() == [True] * len(points) and len(scores.finite) == len(points)
+    assert (errors == "").all()
+    scores, faults = _stacked_scores(base, rabi, shift, gamma_h)
+    assert faults.tolist() == [0] * len(points) and len(scores.finite) == len(points)
 
 
 def test_protocol_is_built_once_per_scenario_object():
@@ -390,12 +390,11 @@ def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
     rabis = [1e-310, 0.5 * OMEGA, OMEGA, 1e-310, 3.0 * OMEGA]
     grid = {"delta_over_omega": [10.0], "rabi_rad_s": rabis}
     points = list(gates.grid_points(grid))
-    # the tiny points pass the checks but stay out of the stack; the others
-    # still share one
-    rabi, shift, gamma_h, accepted = _point_numbers(base, points)
-    assert accepted.all()
-    scores, kept = _stacked_scores(base, rabi, shift, gamma_h)
-    assert np.flatnonzero(kept).tolist() == [1, 2, 4] and len(scores.finite) == 3
+    # the tiny points pass the constructor's checks, but not the check of the
+    # canonical pulses' durations, which keeps them out of the stack
+    rabi, shift, gamma_h, errors = _point_numbers(base, points)
+    assert errors.tolist() == [PULSE_NOT_FINITE if r == 1e-310 else "" for r in rabis]
+    assert all(point_scenario(base, point) for point in points)
     rows = sweep(base, grid)
     for point, row in zip(points, rows):
         if point["rabi_rad_s"] == 1e-310:
@@ -428,8 +427,7 @@ def test_group_pulses_equal_each_points_sequence():
     for name in ("canonical", "custom", "noisy_pair_center"):
         group = [replace(BASES[name], rabi=w * OMEGA, delta_shift=3 * w * OMEGA)
                  for w in (0.5, 1.0, 2.5)]
-        pulses, keep = _group_pulses(BASES[name], np.array([sc.rabi for sc in group]))
-        assert keep.all()
+        pulses = _group_pulses(BASES[name], np.array([sc.rabi for sc in group]))
         for i, sc in enumerate(group):
             expected = PulseArrays.of(protocol_sequence(sc))
             assert pulses.targets == expected.targets
@@ -472,50 +470,84 @@ def test_closed_run_protocol_calls_sequence_unitary_once(monkeypatch):
                                                           row["cz_phase_rad"])
 
 
-def test_sweep_builds_a_scenario_only_for_the_points_the_stack_leaves_out(monkeypatch):
-    # a stacked point's numbers are checked as arrays and its report read
-    # off the chunk's scores; only a point left out of the stack gets its
-    # own scenario, and is run alone
-    built = []
+# grids that hold a point of each kind a sweep point is rejected for, and
+# points that pass: (base, grid)
+REJECTING_GRIDS = [
+    ("canonical", {"delta_over_omega": [3.0, 1e300], "rabi_rad_s": [OMEGA, 0.0, 1e-310]}),
+    # finite numbers whose unitary is not
+    ("canonical", {"delta_shift_rad_s": [1e300], "rabi_rad_s": [OMEGA, 1e-10]}),
+    ("noisy_pair_center", {"delta_over_omega": [3.0], "rabi_rad_s": [OMEGA, 7e-300],
+                           "gamma_h_hz": [1e6, -1e6, 1.7e308]}),
+    # a finite generator whose exponential's squarings overflow
+    ("noisy_pair_center", {"delta_shift_rad_s": [3.0 * OMEGA, 1e300]}),
+]
+REJECTIONS = {"Rabi frequency must be > 0", "gamma_h must be >= 0",
+              "Rabi frequency, shift and gamma_h must be finite", PULSE_NOT_FINITE,
+              "protocol result is not finite; the pulse durations and shifts are too far "
+              "apart for double precision",
+              "matrix exponential of a non-finite matrix",
+              "matrix exponential: the matrix norm overflows",
+              "matrix exponential overflows"}
 
-    def counting(base, point):
-        built.append(point["rabi_rad_s"])
-        return point_scenario(base, point)
 
-    monkeypatch.setattr(gates, "point_scenario", counting)
-    base = BASES["canonical"]
-    n = 2 * chunk_points(base) + 5
-    rows = sweep(base, {"delta_over_omega": [1.0 + i for i in range(n)],
-                        "rabi_rad_s": [OMEGA]})
-    assert built == [] and len(rows) == n
-    assert all(row["status"] == "ok" for row in rows)
-    rabis = [1e-310, OMEGA, 1e-310, 2.0 * OMEGA, 1e-310]
-    rows = sweep(base, {"delta_over_omega": [3.0, 10.0], "rabi_rad_s": rabis})
-    assert built == [1e-310] * 6
-    assert [row["status"] == "ok" for row in rows] == [r != 1e-310 for r in rabis] * 2
+def test_no_sweep_point_builds_a_scenario(monkeypatch):
+    # every point's numbers are checked as arrays and the points that pass
+    # are propagated in one stack: no point gets a scenario of its own, and
+    # each row is the one its scenario run alone gives
+    expected = [[reference_row(BASES[name], point) for point in gates.grid_points(grid)]
+                for name, grid in REJECTING_GRIDS]
+    statuses = {row["status"] for rows in expected for row in rows}
+    assert statuses == {"ok"} | {f"error: {message}" for message in REJECTIONS}
+
+    def built(*args, **kwargs):
+        raise AssertionError("a sweep point built a scenario of its own")
+
+    monkeypatch.setattr(gates, "point_scenario", built)
+    monkeypatch.setattr(gates, "GateScenario", built)
+    for (name, grid), rows in zip(REJECTING_GRIDS, expected):
+        assert sweep(BASES[name], grid) == rows
+
+
+def test_an_overflowing_point_costs_its_chunk_no_expm_call(monkeypatch):
+    # a point whose generator overflows keeps its own fault in the stack, so
+    # its chunk makes the expm calls of a clean chunk
+    base = BASES["noisy_pair_center"]
+    clean = np.geomspace(1e3, 1e7, 32).tolist()
+    calls, pade_expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: (calls.append(len(a)), pade_expm(a))[1])
+    counts = []
+    for gamma_h in (clean, clean[:-1] + [1.7e308]):
+        calls.clear()
+        rows = sweep(base, {"gamma_h_hz": gamma_h})
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert rows[-1]["status"] == "error: matrix exponential of a non-finite matrix"
+    assert all(row["status"] == "ok" for row in rows[:-1])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("shift_key", ["delta_over_omega", "delta_shift_rad_s"])
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_array_checks_agree_with_the_constructor(name, shift_key):
-    # the points the array checks reject are the points GateScenario rejects;
-    # every row, status text included, is the point's row run alone
+    # each point's error from the array checks is the error of building its
+    # scenario and protocol; every row, status text included, is the point's
+    # row run alone
     base = BASES[name]
     grid = {shift_key: [0.0, 1e300, -1e300]}
     if base.sequence is None:
         grid["rabi_rad_s"] = [0.0, -1.0, 5e-324, 1e-310, 1e300, 1.7e308, math.inf]
     if base.noise.dephasing:
-        grid["gamma_h_hz"] = [0.0, -1e6, 1.7e308, math.inf]
+        grid["gamma_h_hz"] = [0.0, -1e6, 6e307, 1e308, 1.7e308, math.inf]
     points = list(gates.grid_points(grid))
 
-    def constructed(point):
+    def error(point):
         try:
-            return point_scenario(base, point) is not None
-        except ValidationError:
-            return False
+            point_scenario(base, point).protocol
+        except ValidationError as exc:
+            return str(exc)
+        return ""
 
-    assert _point_numbers(base, points)[3].tolist() == list(map(constructed, points))
+    assert _point_numbers(base, points)[3].tolist() == list(map(error, points))
     assert_rows_equal_single_runs(base, grid)
 
 
@@ -789,13 +821,13 @@ def chunk_as_scored_per_point(base, points):
     rows = [dict(point) for point in points]
     scenarios = [point_scenario(base, point) for point in points]
     system = base.protocol[0]
-    pulses, _ = _group_pulses(base, np.array([sc.rabi for sc in scenarios]))
+    pulses = _group_pulses(base, np.array([sc.rabi for sc in scenarios]))
     shifts = np.array([[sc.delta_shift] for sc in scenarios])
     comp = _computational(base, system)
     if base.noise.any:
         dephasing = np.array([[sc.gamma_h] * 2 for sc in scenarios])
-        stack = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
-                                       shifts, dephasing)
+        stack, _ = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
+                                          shifts, dephasing)
     else:
         stack = stacked_unitaries(system, pulses, shifts, comp)
     for row, propagator in zip(rows, stack):
@@ -896,10 +928,17 @@ def test_scenario_invariants():
     with pytest.raises(ValidationError):
         GateScenario(control=QubitScheme("same"), target=QubitScheme("same"),
                      rabi=OMEGA)
-    # the numbers sweep points are checked by as well (_numbers_ok)
-    for numbers in ({"rabi": 0.0}, {"rabi": -OMEGA}, {"rabi": math.nan}, {"rabi": math.inf},
-                    {"delta_shift": math.inf}, {"delta_shift": -math.inf},
-                    {"delta_shift": math.nan}, {"gamma_h": math.inf}, {"gamma_h": math.nan},
-                    {"gamma_h": -1.0}):
-        with pytest.raises(ValidationError):
+    # the numbers sweep points are checked by as well (_NUMBER_FAULTS), the
+    # first failing check giving the message; NaN fails only finiteness
+    positive, non_negative = "Rabi frequency must be > 0", "gamma_h must be >= 0"
+    finite = "Rabi frequency, shift and gamma_h must be finite"
+    for numbers, message in (
+            ({"rabi": 0.0}, positive), ({"rabi": -OMEGA}, positive),
+            ({"rabi": math.nan}, finite), ({"rabi": math.inf}, finite),
+            ({"delta_shift": math.inf}, finite), ({"delta_shift": -math.inf}, finite),
+            ({"delta_shift": math.nan}, finite), ({"gamma_h": math.inf}, finite),
+            ({"gamma_h": math.nan}, finite), ({"gamma_h": -1.0}, non_negative),
+            ({"rabi": -1.0, "gamma_h": -1.0}, positive),
+            ({"gamma_h": -1.0, "delta_shift": math.nan}, non_negative)):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             replace(blockade_scenario(1.0), **numbers)
