@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from oqcsim.gates import GateScenario, NoiseFlags, QubitScheme, run_protocol, sweep
+from oqcsim.gates import METRICS, GateScenario, NoiseFlags, QubitScheme, run_protocol, sweep
 
 OMEGA = 2 * math.pi * 1e9
 
@@ -29,16 +29,16 @@ print(f"controlled phase {r0.cz_phase:+.6f} rad (trivial), "
 
 print()
 print("-- blockade scan --")
-rows = sweep(scenario(0.0), {"delta_over_omega": [1.0, 3.0, 10.0, 30.0, 100.0, 300.0]})
+table = sweep(scenario(0.0), {"delta_over_omega": [1.0, 3.0, 10.0, 30.0, 100.0, 300.0]})
+xs = table.values[:, 0]
+avg, infid, cz, leak = (table.metrics[:, METRICS.index(name)] for name in (
+    "average_fidelity", "infidelity", "cz_phase_rad", "leakage"))
 print(f"{'delta/Omega':>12s} {'avg fidelity':>13s} {'infidelity':>11s} "
       f"{'cz phase':>9s} {'leakage':>9s}")
-for row in rows:
-    print(f"{row['delta_over_omega']:12.1f} {row['average_fidelity']:13.6f} "
-          f"{row['infidelity']:11.2e} {row['cz_phase_rad']:9.4f} {row['leakage']:9.2e}")
+for row in zip(xs, avg, infid, cz, leak):
+    print("{:12.1f} {:13.6f} {:11.2e} {:9.4f} {:9.2e}".format(*row))
 
-xs = np.array([r["delta_over_omega"] for r in rows[1:]])
-ys = np.array([r["infidelity"] for r in rows[1:]])
-slope = np.polyfit(np.log10(xs), np.log10(ys), 1)[0]
+slope = np.polyfit(np.log10(xs[1:]), np.log10(infid[1:]), 1)[0]
 print(f"log-log slope of the infidelity: {slope:.2f}  (blockade suppression ~ x^-2)")
 
 print()

@@ -508,9 +508,10 @@ def expm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2005, "The scaling and squaring method for the matrix exponential
     revisited", SIAM J. Matrix Anal. Appl. 26:1179).  Each matrix is
     scaled by 2^-s, with s the least count that brings its own 1-norm
-    to at most theta_13, and its approximant is squared s times.  The
-    products are taken over the whole stack and the approximants'
-    denominators are inverted in one stacked solve.
+    to at most theta_13, and its approximant is squared s times, or
+    until a square overflows.  The products are taken over the whole
+    stack and the approximants' denominators are inverted in one stacked
+    solve.
 
     Entry i is a[i], one matrix or more, and fault[i] indexes
     EXPM_FAULTS: one of its matrices is not finite (1), else the 1-norm
@@ -542,9 +543,10 @@ def expm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
          + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        for k in range(int(s.max(initial=0))):
-            squared = np.nonzero(s > k)
-            r[squared] = r[squared] @ r[squared]
+        while (squared := np.nonzero(s > 0))[0].size:
+            r[squared] = square = r[squared] @ r[squared]
+            # s counts the squarings left; an overflowed matrix stays non-finite
+            s[squared] = np.where(np.isfinite(square).all(axis=(-2, -1)), s[squared] - 1, 0)
     fault[~np.isfinite(r).all(axis=(*matrices, -2, -1))] = 3
     r[fault > 0] = 0.0
     return r, fault

@@ -29,19 +29,19 @@ constructor checks, and the points that pass are propagated in one
 stack on the base's register and sequence, where each keeps its own
 expm fault (dynamics.EXPM_FAULTS).  A point that fails gets the message
 its scenario run alone would raise, and costs no other point anything.
+The results are columns (SweepTable), and no point is ever a dict.
 
 Angular units: delta_shift and the Rabi frequency are rad/s (multiply
 shifts from the interactions module, which are in Hz, by 2 pi).
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -412,12 +412,25 @@ def run_protocol(scenario: GateScenario, scores: Scores | None = None,
 # units of the point's Rabi frequency.
 SWEEPABLE = ("delta_over_omega", "delta_shift_rad_s", "gamma_h_hz", "rabi_rad_s")
 
-# Most points a sweep grid may hold.  Every row is held until sweep.csv is
-# written: a 400,000-point run of the bundled canonical CZ config took
-# 10.8 s and 629 MB peak RSS on a 2-vCPU machine, about 27 us and 1.4 kB a
-# point, so the cap is about 27 s and 1.5 GB, where 10^8 points would need
-# some 140 GB.
+# Most points a sweep grid may hold; the cap bounds a run's time.  A run of
+# the bundled canonical CZ config over 1000 x 1000 values (no trajectory)
+# took 21-22 s and peaked at 145 MB resident on a 2-vCPU machine.
 SWEEP_POINTS_CAP = 10 ** 6
+
+# A sweep point's report fields, in the column order of sweep.csv.
+METRICS = ("truth_table_fidelity", "average_fidelity", "infidelity", "leakage",
+           "cz_phase_rad")
+
+
+class SweepTable(NamedTuple):
+    """A sweep's results as columns, a row per grid point: the swept keys,
+    sorted; the points' values of them (n, len(keys)); their METRICS
+    (n, len(METRICS)), NaN in an error row; and their "ok" or "error: ..."."""
+
+    keys: tuple[str, ...]
+    values: np.ndarray
+    metrics: np.ndarray
+    status: list[str]
 
 
 def check_grid(base: GateScenario, grid: Mapping[str, Sequence]) -> None:
@@ -469,20 +482,6 @@ def point_scenario(base: GateScenario, point: Mapping[str, float]) -> GateScenar
                         gate_target=base.gate_target)
 
 
-def grid_points(grid: Mapping[str, Sequence]) -> Iterator[dict]:
-    """Cartesian product of a grid: keys sorted, values in given order."""
-    keys = sorted(grid)
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        yield dict(zip(keys, combo))
-
-
-def grid_chunks(grid: Mapping[str, Sequence], size: int) -> Iterator[list[dict]]:
-    """The grid's points in order, cut into contiguous chunks of size points."""
-    points = grid_points(grid)
-    while chunk := list(itertools.islice(points, size)):
-        yield chunk
-
-
 def chunk_points(base: GateScenario) -> int:
     """Points in each chunk of a sweep of base: max(_CHUNK_MIN,
     _CHUNK_ENTRIES // e), for e = d^2 closed and 16 d^2 noisy, d the
@@ -494,71 +493,63 @@ def chunk_points(base: GateScenario) -> int:
     return max(_CHUNK_MIN, _CHUNK_ENTRIES // (dim * dim * (16 if base.noise.any else 1)))
 
 
-def _point_numbers(base: GateScenario, points: Sequence[Mapping[str, float]]
+def _point_numbers(base: GateScenario, keys: Sequence[str], values: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Rabi frequency, shift and gamma_h of each point as (n,) arrays,
     set as point_scenario sets them, and each point's error: the message
     of the first test of _NUMBER_FAULTS it fails (the last only when base
     has the canonical sequence), or "" when it fails none.
 
-    The points are of one grid (grid_chunks), so each names the keys of
-    the first, and they are read in one pass.
+    values (n, len(keys)) holds the points' swept values, a column per key.
     """
-    keys = list(points[0])
-    values = dict(zip(keys, np.array([[p[k] for k in keys] for p in points], dtype=float).T))
-    n = len(points)
-    rabi = values.get("rabi_rad_s", np.full(n, base.rabi))
+    columns = dict(zip(keys, values.T))
+    n = len(values)
+    rabi = columns.get("rabi_rad_s", np.full(n, base.rabi))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if "delta_over_omega" in values:
-            shift = values["delta_over_omega"] * rabi
+        if "delta_over_omega" in columns:
+            shift = columns["delta_over_omega"] * rabi
         else:
-            shift = values.get("delta_shift_rad_s", np.full(n, base.delta_shift))
-        gamma_h = values.get("gamma_h_hz", np.full(n, base.gamma_h))
+            shift = columns.get("delta_shift_rad_s", np.full(n, base.delta_shift))
+        gamma_h = columns.get("gamma_h_hz", np.full(n, base.gamma_h))
         table = _NUMBER_FAULTS if base.sequence is None else _NUMBER_FAULTS[:-1]
         fails = [test(rabi, shift, gamma_h) for test, _ in table]
     return rabi, shift, gamma_h, np.select(fails, [message for _, message in table], "")
 
 
-def _point_row(base: GateScenario, point: Mapping[str, float], error: str,
-               scores: Scores, row: int) -> dict:
-    """A sweep point's row: the point plus its report fields, read off row
-    of scores, or its error, when it has one or its report does."""
-    if not error:
-        try:
-            report = run_protocol(base, scores, row)
-        except DomainError as exc:
-            error = str(exc)
-    if error:
-        return {**point, "status": f"error: {error}"}
-    return {**point, "truth_table_fidelity": report.truth_table_fidelity,
-            "average_fidelity": report.average_fidelity,
-            "infidelity": 1.0 - report.average_fidelity,
-            "leakage": report.leakage, "cz_phase_rad": report.cz_phase, "status": "ok"}
-
-
-def sweep_chunk(base: GateScenario, points: Sequence[dict]) -> list[dict]:
-    """Sweep rows of some grid points: the point plus the report fields, or an error status.
+def sweep_chunk(base: GateScenario, keys: Sequence[str], values: np.ndarray) -> SweepTable:
+    """The sweep table of some grid points, whose swept values are the
+    rows of values (n, len(keys)).
 
     The points' numbers are read and checked as arrays (_point_numbers);
     the points that pass share the base's register and sequence
     (base.protocol), are propagated in one stack and scored in one score
-    call (_stacked_scores), where a point's expm fault is its own.  Each
-    row is the point's error, or its report from its own run_protocol
-    call on its row of the scores, so that the benchmark's per-point
-    metrics (calls, p50 and p99 of gates.run_protocol) read one call per
-    point.  No point is run alone, and the errors are the ones its
-    scenario run alone would raise.
+    call (_stacked_scores), where a point's expm fault is its own.  A
+    point without an error makes its own run_protocol call on its row of
+    the scores, which raises when the row is not finite, so that the
+    benchmark's per-point metrics (calls, p50 and p99 of
+    gates.run_protocol) read one call per point.  No point is run alone,
+    and the errors are the ones its scenario run alone would raise.
     """
-    rabi, shift, gamma_h, errors = _point_numbers(base, points)
+    rabi, shift, gamma_h, errors = _point_numbers(base, keys, values)
     held = errors == ""
     scores, faults = _stacked_scores(base, rabi[held], shift[held], gamma_h[held])
     errors = errors.tolist()
-    for i, fault in zip(np.flatnonzero(held).tolist(), faults.tolist()):
-        errors[i] = EXPM_FAULTS[fault]
     listed = scores.tolist()
     # a held point's row in the stack is the number of held points before it
-    return [_point_row(base, point, error, listed, row)
-            for point, error, row in zip(points, errors, (np.cumsum(held) - 1).tolist())]
+    for row, (i, fault) in enumerate(zip(np.flatnonzero(held).tolist(), faults.tolist())):
+        errors[i] = EXPM_FAULTS[fault]
+        if not fault:
+            try:
+                run_protocol(base, listed, row)
+            except DomainError as exc:
+                errors[i] = str(exc)
+    ok = np.array([not error for error in errors])
+    metrics = np.full((len(values), len(METRICS)), np.nan)
+    metrics[ok] = np.stack([scores.truth_fidelity, scores.average_fidelity,
+                            1.0 - scores.average_fidelity, scores.leakage, scores.cz_phase],
+                           axis=1)[ok[held]]
+    return SweepTable(keys, values, metrics,
+                      [f"error: {error}" if error else "ok" for error in errors])
 
 
 def _group_pulses(base: GateScenario, rabi: np.ndarray) -> PulseArrays:
@@ -603,7 +594,7 @@ def _stacked_scores(base: GateScenario, rabi: np.ndarray, shift: np.ndarray,
     return _score_stack(base, system, stacked), faults
 
 
-def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> list[dict]:
+def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> SweepTable:
     """Run a protocol over the cartesian product of a parameter grid.
 
     Parameters
@@ -621,29 +612,33 @@ def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> li
 
     Returns
     -------
-    list of dict
-        One row per grid point, in grid_points order: the parameters
-        plus the report fields, or a status message when that point
-        failed.  The points are scored chunk by chunk (sweep_chunk), in
-        chunks of chunk_points(base) points, on base.protocol, which is
-        built before the chunks are cut, so pooled workers receive it.
+    SweepTable
+        One row per grid point, the last key varying fastest.  The points
+        are scored chunk by chunk (sweep_chunk), in contiguous ranges of
+        chunk_points(base) points, on base.protocol, which is built
+        before the chunks are cut, so pooled workers receive it.
 
     Raises the error of base.protocol when it does not build, before any
     point is scored (through the CLI the config's parse has built it).
     """
     check_grid(base, grid)
     base.protocol    # built once, before the chunks are cut
+    keys = tuple(sorted(grid))
+    # each point's values, the last key varying fastest (itertools.product order)
+    values = np.stack(np.meshgrid(*(np.array(grid[k], dtype=float) for k in keys),
+                                  indexing="ij", copy=False), axis=-1).reshape(-1, len(keys))
     size = chunk_points(base)
-    score_chunk = partial(sweep_chunk, base)
-    n_chunks = -(-math.prod(len(values) for values in grid.values()) // size)
+    chunks = [values[start:start + size] for start in range(0, len(values), size)]
+    score_chunk = partial(sweep_chunk, base, keys)
     # a forked pool starts every worker up front, so never ask for idle ones
-    workers = min(jobs, n_chunks, os.cpu_count() or 1)
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(score_chunk, grid_chunks(grid, size)))
+            tables = list(pool.map(score_chunk, chunks))
     else:
-        chunks = map(score_chunk, grid_chunks(grid, size))
-    return [row for chunk in chunks for row in chunk]
+        tables = list(map(score_chunk, chunks))
+    return SweepTable(keys, values, np.concatenate([t.metrics for t in tables]),
+                      [status for t in tables for status in t.status])
 
 
 def pair_center_scenario(params_control: PairParams, params_target: PairParams,

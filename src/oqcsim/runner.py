@@ -30,8 +30,8 @@ import math
 import re
 import time
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -43,8 +43,8 @@ from .ensemble import (PAIR_RADIUS_MAX, CenterSet, CrystalSpec, allocate_channel
                        nearest_neighbor_distances, sample_lattice, spectral_select)
 from .errors import (ConfigurationError, DomainError, ParseError, ValidationError, entries,
                      finite, flag, known_keys, number, require, string, subsection)
-from .gates import (GateScenario, NoiseFlags, QubitScheme, check_grid, pair_center_scenario,
-                    run_protocol, sweep as run_sweep)
+from .gates import (METRICS, GateScenario, NoiseFlags, QubitScheme, check_grid,
+                    pair_center_scenario, run_protocol, sweep as run_sweep)
 from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
 from .paircenter import PairParams
@@ -422,9 +422,9 @@ def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> di
     counters = {"sweep_points_ok": 0, "sweep_points_error": 0}
     if cfg.sweep is not None:
         outputs["sweep"] = "sweep.csv"
-        rows = _run_sweep_csv(cfg.gate.scenario, cfg.sweep, out / "sweep.csv", jobs)
-        counters["sweep_points_ok"] = sum(row["status"] == "ok" for row in rows)
-        counters["sweep_points_error"] = len(rows) - counters["sweep_points_ok"]
+        ok = _run_sweep_csv(cfg.gate.scenario, cfg.sweep, out / "sweep.csv", jobs)
+        counters["sweep_points_ok"] = ok
+        counters["sweep_points_error"] = math.prod(map(len, cfg.sweep.values())) - ok
 
     manifest = {
         "config_hash": _config_hash(cfg.doc),
@@ -563,32 +563,31 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> list[dict]:
-    """Write sweep.csv and return its rows (gates.sweep over at most jobs workers).
+def _csv_lines(a: np.ndarray) -> Iterator[str]:
+    """The rows of a 2-D array as comma-joined reprs, formatted a column at a time."""
+    return map(",".join, zip(*[map(repr, column) for column in a.T.tolist()]))
 
-    The file is formatted a column at a time, each column's values read
-    off the rows, and written at once; the bytes are those csv.writer
-    writes, CRLF line ends and quoted statuses included.  An error row
-    leaves the metric columns empty.
+
+def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> int:
+    """Write sweep.csv (gates.sweep over at most jobs workers) and return
+    the number of its rows with status ok.
+
+    The table is written in blocks of rows, each formatted a column at a
+    time; the bytes are those csv.writer writes, CRLF line ends and
+    quoted statuses included.  An error row leaves the metric columns
+    empty.
     """
-    rows = run_sweep(base, grid, jobs)
-    header = sorted(grid) + ["truth_table_fidelity", "average_fidelity", "infidelity",
-                             "leakage", "cz_phase_rad"]
-    columns = [_sweep_column(rows, key) for key in header]
-    columns.append(map(_csv_field, map(itemgetter("status"), rows)))
-    lines = [",".join(header + ["status"]), *map(",".join, zip(*columns))]
+    table = run_sweep(base, grid, jobs)
+    no_metrics = "," * (len(METRICS) - 1)
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
-    return rows
-
-
-def _sweep_column(rows: list[dict], key: str) -> list[str]:
-    """The repr of each row's value of key, "" in a row without one (an
-    error row's metrics)."""
-    try:
-        return list(map(repr, map(itemgetter(key), rows)))
-    except KeyError:
-        return [repr(row[key]) if key in row else "" for row in rows]
+        fh.write(",".join([*table.keys, *METRICS, "status"]) + "\r\n")
+        for start in range(0, len(table.status), 4096):
+            block = slice(start, start + 4096)
+            rows = zip(_csv_lines(table.values[block]), _csv_lines(table.metrics[block]),
+                       table.status[block])
+            fh.write("".join([f"{v},{m if s == 'ok' else no_metrics},{_csv_field(s)}\r\n"
+                              for v, m, s in rows]))
+    return table.status.count("ok")
 
 
 def emit_plot_data(results_dir, kind: str, out_path) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -165,8 +166,10 @@ def validate_scheme(scheme: SpeciesScheme, u2_threshold: float = 1.0) -> Validat
 
     Qubit levels must have u2_diag_sq below the threshold, auxiliary
     levels at or above it.  Levels whose U(2) data is absent are assumed
-    small and produce a warning rather than a failure.
+    small and produce a warning rather than a failure.  A threshold that
+    is not finite is a ValidationError: NaN would pass every level.
     """
+    require(math.isfinite(u2_threshold), f"U(2) threshold must be finite, got {u2_threshold!r}")
     diags: list[LevelDiagnostic] = []
     for lv in scheme.levels:
         if lv.role in (LevelRole.QUBIT0, LevelRole.QUBIT1):

@@ -2,10 +2,14 @@ import csv
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +22,7 @@ from oqcsim.gates import chunk_points
 from oqcsim.runner import emit_plot_data, load_config, run
 
 CONFIG_DIR = resources.files("oqcsim.configs")
+SRC = Path(__file__).resolve().parents[1] / "src"
 BUNDLED = ["pulse_budget_ns_emitter", "nd_caf2_ensemble",
            "blockade_cz_sweep", "pair_center_cnot"]
 
@@ -497,8 +502,16 @@ def test_run_builds_one_register_for_report_trajectory_and_sweep(tmp_path, monke
     assert calls == {"scenario_system": 1, "_connected_blocks": 2}
 
 
-SWEEP_METRICS = ["truth_table_fidelity", "average_fidelity", "infidelity", "leakage",
-                 "cz_phase_rad"]
+def write_sweep_reference(path, table):
+    """The table written by csv.writer: the reprs of the swept values, of
+    an ok row's report fields, and the status."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*table.keys, *gates.METRICS, "status"])
+        for values, metrics, status in zip(table.values.tolist(), table.metrics.tolist(),
+                                           table.status, strict=True):
+            metrics = map(repr, metrics) if status == "ok" else [""] * len(metrics)
+            writer.writerow([*map(repr, values), *metrics, status])
 
 
 @pytest.mark.parametrize("values", [
@@ -506,26 +519,22 @@ SWEEP_METRICS = ["truth_table_fidelity", "average_fidelity", "infidelity", "leak
     [0.25, 1e300, -1e-300, 3.0, 1.0],
 ])
 def test_sweep_csv_equals_csv_writer(tmp_path, monkeypatch, values):
-    ok = dict(zip(SWEEP_METRICS, values), status="ok")
-    rows = [{"delta_over_omega": 2.0, "rabi_rad_s": -0.0, **ok},
-            {"delta_over_omega": math.nan, "rabi_rad_s": 5e-324,
-             "status": "error: bad point, twice"},
-            {"delta_over_omega": math.inf, "rabi_rad_s": -math.inf,
-             "status": 'error: "quoted", with a comma'},
-            {"delta_over_omega": 1e300, "rabi_rad_s": 1.0, "status": 'error: "just quoted"'},
-            {"delta_over_omega": -1.5, "rabi_rad_s": 2.0, "status": "error: line\r\nbreaks\n"},
-            {"delta_over_omega": 7.0, "rabi_rad_s": 1e-310, **ok}]
-    monkeypatch.setattr(runner, "run_sweep", lambda base, grid, jobs: rows)
+    # the swept values (delta_over_omega, rabi_rad_s) and status of each row;
+    # an error row's report fields are NaN in the table
+    rows = [((2.0, -0.0), "ok"),
+            ((math.nan, 5e-324), "error: bad point, twice"),
+            ((math.inf, -math.inf), 'error: "quoted", with a comma'),
+            ((1e300, 1.0), 'error: "just quoted"'),
+            ((-1.5, 2.0), "error: line\r\nbreaks\n"),
+            ((7.0, 1e-310), "ok")]
+    table = gates.SweepTable(
+        ("delta_over_omega", "rabi_rad_s"), np.array([point for point, _ in rows]),
+        np.array([values if status == "ok" else [math.nan] * 5 for _, status in rows]),
+        [status for _, status in rows])
+    monkeypatch.setattr(runner, "run_sweep", lambda base, grid, jobs: table)
     path, reference = tmp_path / "sweep.csv", tmp_path / "reference.csv"
-    keys = ["rabi_rad_s", "delta_over_omega"]
-    assert runner._run_sweep_csv(None, dict.fromkeys(keys), path, 1) is rows
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sorted(keys) + SWEEP_METRICS + ["status"])
-        for row in rows:
-            writer.writerow([repr(row[k]) for k in sorted(keys)]
-                            + [repr(row[c]) if c in row else "" for c in SWEEP_METRICS]
-                            + [row["status"]])
+    assert runner._run_sweep_csv(None, dict.fromkeys(table.keys), path, 1) == 2
+    write_sweep_reference(reference, table)
     assert path.read_bytes() == reference.read_bytes()
 
 
@@ -537,16 +546,10 @@ def test_sweep_csv_of_a_run_with_both_zeros_equals_csv_writer(tmp_path):
     config = tmp_path / "zeros.json"
     config.write_text(json.dumps({"gate": {}, "sweep": {"grid": grid}}))
     run(config, out_dir=tmp_path / "out")
-    rows = gates.sweep(load_config(config).gate.scenario, grid)
-    assert {row["status"] for row in rows} == {"ok", "error: Rabi frequency must be > 0"}
+    table = gates.sweep(load_config(config).gate.scenario, grid)
+    assert set(table.status) == {"ok", "error: Rabi frequency must be > 0"}
     reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sorted(grid) + SWEEP_METRICS + ["status"])
-        for row in rows:
-            writer.writerow([repr(row[k]) for k in sorted(grid)]
-                            + [repr(row[c]) if c in row else "" for c in SWEEP_METRICS]
-                            + [row["status"]])
+    write_sweep_reference(reference, table)
     written = (tmp_path / "out" / "sweep.csv").read_bytes()
     assert written == reference.read_bytes()
     assert b"\r\n-0.0,-0.0," in written and b"\r\n0.0,0.0," in written
@@ -678,6 +681,14 @@ def test_species_validate_cli(capsys):
     assert "pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_species_validate_rejects_a_threshold_that_is_not_finite(capsys, threshold):
+    # every comparison with NaN is false, so a NaN threshold would pass every level
+    assert main(["species", "validate", "Tm3+", f"--threshold={threshold}"]) == 2
+    message = f"U(2) threshold must be finite, got {float(threshold)!r}"
+    assert capsys.readouterr() == ("", f"oqcsim: schema: {message}\n")
+
+
 def test_emit_plot_kinds(tmp_path):
     results = tmp_path / "res"
     run(config_path("blockade_cz_sweep"), out_dir=results)
@@ -778,6 +789,44 @@ def test_one_chunk_sweep_starts_no_pool(tmp_path, monkeypatch, recording_pool):
     monkeypatch.setattr(gates.os, "cpu_count", lambda: 64)
     run(config_path("blockade_cz_sweep"), out_dir=tmp_path, jobs=2)      # 8 points
     assert recording_pool == []
+
+
+# A sweep run in a fresh interpreter, and the rise of its peak resident set
+# (VmHWM) over the value just before the run, in MB.  ru_maxrss would not do:
+# a forked child starts with the peak of the process that forked it.
+SWEEP_PEAK_RISE = """
+import json, sys
+from oqcsim import runner
+
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
+before = peak_mb()
+manifest = runner.run(sys.argv[1], sys.argv[2])
+print(json.dumps({"rise_mb": peak_mb() - before, "counters": manifest["counters"]}))
+"""
+
+# The rise a 100,000-point closed sweep may cause.  Holding one dict per point
+# until sweep.csv was written, the rise was about 147 MB; the table of columns
+# and the blocks of rows it is written in take about 15 MB.
+SWEEP_PEAK_RISE_MB = 48
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from /proc")
+def test_large_sweep_memory_is_bounded(tmp_path):
+    doc = json.loads(Path(config_path("blockade_cz_sweep")).read_text())
+    doc["gate"]["export_trajectory"] = False
+    doc["sweep"]["grid"] = {"delta_over_omega": [1.0 + 0.5 * k for k in range(250)],
+                            "rabi_rad_s": [2 * math.pi * 1e8 * (k + 1) for k in range(400)]}
+    config = tmp_path / "large.json"
+    config.write_text(json.dumps(doc))
+    result = subprocess.run([sys.executable, "-c", SWEEP_PEAK_RISE, str(config),
+                             str(tmp_path / "out")], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    measured = json.loads(result.stdout)
+    assert measured["counters"] == {"sweep_points_ok": 100_000, "sweep_points_error": 0}
+    assert measured["rise_mb"] < SWEEP_PEAK_RISE_MB
 
 
 def test_sweep_jobs_parallel_matches_serial(tmp_path):

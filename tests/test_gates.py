@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 import pickle
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -10,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from oqcsim import dynamics, gates
 from oqcsim.errors import DomainError, OqcsimError, ValidationError
-from oqcsim.gates import (COMPUTATIONAL, GateReport, GateScenario, NoiseFlags, QubitScheme,
-                          _PHASE_FLOOR, _channel_reading, _closed_reading, _columns,
+from oqcsim.gates import (COMPUTATIONAL, METRICS, GateReport, GateScenario, NoiseFlags,
+                          QubitScheme, _PHASE_FLOOR, _channel_reading, _closed_reading, _columns,
                           _computational, _group_pulses, _point_numbers,
                           _stacked_scores, canonical_blockade_sequence, chunk_points,
-                          grid_chunks, pair_center_scenario, point_scenario, protocol_sequence,
+                          pair_center_scenario, point_scenario, protocol_sequence,
                           run_protocol, scenario_system, score, sweep, sweep_chunk)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
@@ -173,8 +175,46 @@ def test_infidelity_envelope_slope_is_quadratic():
     assert -2.2 <= slope <= -1.8
 
 
+def grid_points(grid):
+    """The grid's points as dicts, in sweep order: keys sorted, the last
+    varying fastest."""
+    keys = sorted(grid)
+    return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+
+
+def table_rows(table):
+    """A sweep table as row dicts: the point's swept values, plus its report
+    fields when its status is ok, and its status."""
+    rows = []
+    for values, metrics, status in zip(table.values.tolist(), table.metrics.tolist(),
+                                       table.status, strict=True):
+        row = dict(zip(table.keys, values))
+        if status == "ok":
+            row.update(zip(METRICS, metrics))
+        rows.append({**row, "status": status})
+    return rows
+
+
+def sweep_rows(base, grid):
+    """The rows of a sweep of base over grid (table_rows)."""
+    return table_rows(sweep(base, grid))
+
+
+def test_sweep_table_holds_columns_in_grid_order():
+    grid = {"rabi_rad_s": [OMEGA, -OMEGA], "delta_over_omega": [5.0, 10.0, 1e300]}
+    table = sweep(blockade_scenario(0.0), grid)
+    assert table.keys == ("delta_over_omega", "rabi_rad_s")
+    assert table.values.tolist() == [list(p.values()) for p in grid_points(grid)]
+    assert table.metrics.shape == (6, len(METRICS))
+    ok = [status == "ok" for status in table.status]
+    assert ok == [True, False, True, False, False, False]
+    assert np.isfinite(table.metrics[ok]).all() and np.isnan(table.metrics[np.invert(ok)]).all()
+    infidelity = table.metrics[:, METRICS.index("infidelity")]
+    assert infidelity[ok].tolist() == (1.0 - table.metrics[ok, 1]).tolist()
+
+
 def test_sweep_single_point_equals_run_protocol():
-    rows = sweep(blockade_scenario(0.0), {"delta_over_omega": [15.0]})
+    rows = sweep_rows(blockade_scenario(0.0), {"delta_over_omega": [15.0]})
     direct = run_protocol(blockade_scenario(15.0))
     assert len(rows) == 1
     assert rows[0]["status"] == "ok"
@@ -192,9 +232,9 @@ def test_sweep_single_point_equals_run_protocol():
 ])
 def test_noisy_path_at_zero_gamma_h_equals_the_closed_one(delta_over_omega):
     grid = {"delta_over_omega": [delta_over_omega]}
-    closed = sweep(blockade_scenario(0.0), grid)[0]
-    noisy = sweep(blockade_scenario(0.0, noise=NoiseFlags(dephasing=True), gamma_h=0.0),
-                  grid)[0]
+    closed = sweep_rows(blockade_scenario(0.0), grid)[0]
+    noisy = sweep_rows(blockade_scenario(0.0, noise=NoiseFlags(dephasing=True), gamma_h=0.0),
+                       grid)[0]
     assert closed["status"] == noisy["status"] == "ok"
     assert noisy["cz_phase_rad"] == closed["cz_phase_rad"]
     assert noisy["infidelity"] == pytest.approx(closed["infidelity"], rel=1e-3, abs=0)
@@ -202,8 +242,8 @@ def test_noisy_path_at_zero_gamma_h_equals_the_closed_one(delta_over_omega):
 
 def test_sweep_continues_past_failures():
     # 1e300 * Omega overflows the shift to infinity, which the scenario rejects
-    rows = sweep(blockade_scenario(0.0), {"delta_over_omega": [10.0, 1e300],
-                                          "rabi_rad_s": [-OMEGA, OMEGA]})
+    rows = sweep_rows(blockade_scenario(0.0), {"delta_over_omega": [10.0, 1e300],
+                                               "rabi_rad_s": [-OMEGA, OMEGA]})
     assert [r["status"] for r in rows] == [
         "error: Rabi frequency must be > 0", "ok",
         "error: Rabi frequency must be > 0",
@@ -212,7 +252,7 @@ def test_sweep_continues_past_failures():
 
 def test_sweep_deterministic_ordering():
     grid = {"delta_over_omega": [5.0, 10.0], "rabi_rad_s": [OMEGA]}
-    rows = sweep(blockade_scenario(0.0), grid)
+    rows = sweep_rows(blockade_scenario(0.0), grid)
     assert [r["delta_over_omega"] for r in rows] == [5.0, 10.0]
 
 
@@ -310,8 +350,8 @@ def sweep_cases(draw, bases=tuple(sorted(BASES)), bad_values=True):
 
 
 def assert_rows_equal_single_runs(base, grid):
-    rows = sweep(base, grid)
-    points = list(gates.grid_points(grid))
+    rows = sweep_rows(base, grid)
+    points = grid_points(grid)
     assert len(rows) == len(points) == math.prod(map(len, grid.values()))
     for point, row in zip(points, rows):
         expected = reference_row(base, point)
@@ -338,8 +378,9 @@ def test_stack_holds_every_point_of_a_valid_grid(case):
     # no point of a valid grid falls back to its own propagation, and the
     # arrays hold the numbers each point's scenario holds
     base, grid = case
-    points = list(gates.grid_points(grid))
-    rabi, shift, gamma_h, errors = _point_numbers(base, points)
+    table = sweep(base, grid)
+    points = grid_points(grid)
+    rabi, shift, gamma_h, errors = _point_numbers(base, table.keys, table.values)
     scenarios = [point_scenario(base, point) for point in points]
     assert np.array_equal(np.stack([rabi, shift, gamma_h], axis=1),
                           [(sc.rabi, sc.delta_shift, sc.gamma_h) for sc in scenarios])
@@ -389,13 +430,14 @@ def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
     base = BASES["canonical"]
     rabis = [1e-310, 0.5 * OMEGA, OMEGA, 1e-310, 3.0 * OMEGA]
     grid = {"delta_over_omega": [10.0], "rabi_rad_s": rabis}
-    points = list(gates.grid_points(grid))
+    points = grid_points(grid)
     # the tiny points pass the constructor's checks, but not the check of the
     # canonical pulses' durations, which keeps them out of the stack
-    rabi, shift, gamma_h, errors = _point_numbers(base, points)
+    table = sweep(base, grid)
+    rabi, shift, gamma_h, errors = _point_numbers(base, table.keys, table.values)
     assert errors.tolist() == [PULSE_NOT_FINITE if r == 1e-310 else "" for r in rabis]
     assert all(point_scenario(base, point) for point in points)
-    rows = sweep(base, grid)
+    rows = table_rows(table)
     for point, row in zip(points, rows):
         if point["rabi_rad_s"] == 1e-310:
             assert row["status"] == "error: pulse parameters and duration must be finite"
@@ -409,7 +451,8 @@ def test_closed_rows_depend_on_the_rabi_scale_only_through_delta_over_omega():
     # overflows the shift, and those points keep their error rows
     rabis = [1e-310, 1e-200, 1e-5, OMEGA, 1e200, 1e300]
     grid = {"delta_over_omega": [0.0, 3.0, 20.0, 200.0, 1e300], "rabi_rad_s": rabis}
-    rows = {(r["delta_over_omega"], r["rabi_rad_s"]): r for r in sweep(BASES["canonical"], grid)}
+    rows = {(r["delta_over_omega"], r["rabi_rad_s"]): r
+            for r in sweep_rows(BASES["canonical"], grid)}
     for (ratio, rabi), row in rows.items():
         if rabi == 1e-310:
             assert row["status"] == "error: pulse parameters and duration must be finite"
@@ -446,7 +489,7 @@ def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
 
     monkeypatch.setattr(gates, "run_protocol", counting)
     n = 2 * chunk_points(BASES["canonical"]) + 5
-    rows = sweep(BASES["canonical"], {"delta_over_omega": [1.0 + i for i in range(n)]})
+    rows = sweep_rows(BASES["canonical"], {"delta_over_omega": [1.0 + i for i in range(n)]})
     assert len(calls) == n
     assert all(row["status"] == "ok" for row in rows)
 
@@ -464,7 +507,8 @@ def test_closed_run_protocol_calls_sequence_unitary_once(monkeypatch):
     report = run_protocol(BASES["canonical"])
     assert len(calls) == 1 and len(calls[0][2]) == 4
     # a stacked point does not run alone
-    row = sweep(BASES["canonical"], {"delta_shift_rad_s": [BASES["canonical"].delta_shift]})[0]
+    row = sweep_rows(BASES["canonical"],
+                     {"delta_shift_rad_s": [BASES["canonical"].delta_shift]})[0]
     assert len(calls) == 1
     assert (report.average_fidelity, report.cz_phase) == (row["average_fidelity"],
                                                           row["cz_phase_rad"])
@@ -494,7 +538,7 @@ def test_no_sweep_point_builds_a_scenario(monkeypatch):
     # every point's numbers are checked as arrays and the points that pass
     # are propagated in one stack: no point gets a scenario of its own, and
     # each row is the one its scenario run alone gives
-    expected = [[reference_row(BASES[name], point) for point in gates.grid_points(grid)]
+    expected = [[reference_row(BASES[name], point) for point in grid_points(grid)]
                 for name, grid in REJECTING_GRIDS]
     statuses = {row["status"] for rows in expected for row in rows}
     assert statuses == {"ok"} | {f"error: {message}" for message in REJECTIONS}
@@ -505,7 +549,7 @@ def test_no_sweep_point_builds_a_scenario(monkeypatch):
     monkeypatch.setattr(gates, "point_scenario", built)
     monkeypatch.setattr(gates, "GateScenario", built)
     for (name, grid), rows in zip(REJECTING_GRIDS, expected):
-        assert sweep(BASES[name], grid) == rows
+        assert sweep_rows(BASES[name], grid) == rows
 
 
 def test_an_overflowing_point_costs_its_chunk_no_expm_call(monkeypatch):
@@ -518,11 +562,31 @@ def test_an_overflowing_point_costs_its_chunk_no_expm_call(monkeypatch):
     counts = []
     for gamma_h in (clean, clean[:-1] + [1.7e308]):
         calls.clear()
-        rows = sweep(base, {"gamma_h_hz": gamma_h})
+        rows = sweep_rows(base, {"gamma_h_hz": gamma_h})
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
     assert rows[-1]["status"] == "error: matrix exponential of a non-finite matrix"
     assert all(row["status"] == "ok" for row in rows[:-1])
+
+
+def fastest_sweep(base, grid, runs=5):
+    """The fastest wall time of runs sweeps of base over grid."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        sweep(base, grid)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_overflowing_exponentials_stop_squaring():
+    # a shift of 1e300 makes a generator of norm near 1e290, whose approximant
+    # would take some 960 squarings; once its square overflows it takes no more
+    base = BASES["noisy_pair_center"]
+    clean = {"delta_shift_rad_s": (OMEGA * np.linspace(3.0, 6.0, 32)).tolist()}
+    overflowing = {"delta_shift_rad_s": [1e300] * 32}
+    assert set(sweep(base, overflowing).status) == {"error: matrix exponential overflows"}
+    assert fastest_sweep(base, overflowing) <= 3.0 * fastest_sweep(base, clean)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -538,7 +602,7 @@ def test_array_checks_agree_with_the_constructor(name, shift_key):
         grid["rabi_rad_s"] = [0.0, -1.0, 5e-324, 1e-310, 1e300, 1.7e308, math.inf]
     if base.noise.dephasing:
         grid["gamma_h_hz"] = [0.0, -1e6, 6e307, 1e308, 1.7e308, math.inf]
-    points = list(gates.grid_points(grid))
+    points = grid_points(grid)
 
     def error(point):
         try:
@@ -547,7 +611,8 @@ def test_array_checks_agree_with_the_constructor(name, shift_key):
             return str(exc)
         return ""
 
-    assert _point_numbers(base, points)[3].tolist() == list(map(error, points))
+    table = sweep(base, grid)
+    assert _point_numbers(base, table.keys, table.values)[3].tolist() == list(map(error, points))
     assert_rows_equal_single_runs(base, grid)
 
 
@@ -556,7 +621,7 @@ def test_extreme_dephasing_gets_its_error_row():
     base = BASES["noisy_pair_center"]
     # the generator's rates overflow, which expm rejects, whether the point
     # is in a stack or run alone
-    rows = sweep(base, {"gamma_h_hz": [1.7e308, 1e3]})
+    rows = sweep_rows(base, {"gamma_h_hz": [1.7e308, 1e3]})
     assert rows[0] == {"gamma_h_hz": 1.7e308,
                        "status": "error: matrix exponential of a non-finite matrix"}
     assert rows[0] == reference_row(base, {"gamma_h_hz": 1.7e308})
@@ -566,7 +631,7 @@ def test_extreme_dephasing_gets_its_error_row():
 def test_negative_dephasing_gets_the_constructor_row():
     base = BASES["noisy_pair_center"]
     # one healthy point keeps the stack up, so the negative one must be held out of it
-    rows = sweep(base, {"gamma_h_hz": [1e6, -1e9]})
+    rows = sweep_rows(base, {"gamma_h_hz": [1e6, -1e9]})
     assert rows[0]["status"] == "ok" and rows[0] == reference_row(base, {"gamma_h_hz": 1e6})
     assert rows[1] == {"gamma_h_hz": -1e9, "status": "error: gamma_h must be >= 0"}
     assert rows[1] == reference_row(base, {"gamma_h_hz": -1e9})
@@ -590,10 +655,17 @@ CLOSED_CHUNK = chunk_points(BASES["canonical"])
 @pytest.mark.parametrize("n, sizes", [
     (1, [1]), (CLOSED_CHUNK, [CLOSED_CHUNK]), (CLOSED_CHUNK + 1, [CLOSED_CHUNK, 1]),
     (2 * CLOSED_CHUNK + 3, [CLOSED_CHUNK, CLOSED_CHUNK, 3])])
-def test_grid_chunks_cover_the_grid_in_order(n, sizes):
-    chunks = list(grid_chunks({"x": list(range(n))}, CLOSED_CHUNK))
+def test_grid_chunks_cover_the_grid_in_order(monkeypatch, n, sizes):
+    # each chunk is a contiguous range of the grid's points, in order
+    chunks, score_chunk = [], gates.sweep_chunk
+    monkeypatch.setattr(gates, "sweep_chunk",
+                        lambda base, keys, values: (chunks.append(values), score_chunk(
+                            base, keys, values))[1])
+    grid = {"delta_over_omega": [float(x) for x in range(n)]}
+    table = sweep(BASES["canonical"], grid)
     assert [len(c) for c in chunks] == sizes
-    assert [p["x"] for c in chunks for p in c] == list(range(n))
+    assert np.concatenate(chunks)[:, 0].tolist() == table.values[:, 0].tolist() == grid[
+        "delta_over_omega"]
 
 
 # -- the stacked scorer against the per-point scoring it replaced -----------
@@ -781,7 +853,8 @@ def test_far_detuned_rows_do_not_depend_on_the_rabi_scale():
     ratios = [1e2, 1e4, 1e5, 1e6]
     rabis = [1e-5, 1e5, OMEGA]
     rows = {(r["delta_over_omega"], r["rabi_rad_s"]): r
-            for r in sweep(BASES["canonical"], {"delta_over_omega": ratios, "rabi_rad_s": rabis})}
+            for r in sweep_rows(BASES["canonical"],
+                                {"delta_over_omega": ratios, "rabi_rad_s": rabis})}
     for (ratio, rabi), row in rows.items():
         assert row["status"] == "ok"
         for key in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase_rad"):
@@ -796,7 +869,7 @@ def test_rows_near_the_double_range_equal_the_gigahertz_rows(name):
     # though every entry of H is finite; the rotation must form neither
     rabis = [1.3e308, 1.5e308, 1.7e308]
     grid = {"delta_over_omega": [-1.0, 1.0], "rabi_rad_s": [OMEGA] + rabis}
-    rows = {(r["delta_over_omega"], r["rabi_rad_s"]): r for r in sweep(BASES[name], grid)}
+    rows = {(r["delta_over_omega"], r["rabi_rad_s"]): r for r in sweep_rows(BASES[name], grid)}
     for (ratio, rabi), row in rows.items():
         assert row["status"] == "ok", (ratio, rabi)
         for key in ("truth_table_fidelity", "average_fidelity", "leakage", "cz_phase_rad"):
@@ -858,11 +931,12 @@ def test_chunk_at_the_cap_holds_no_more_than_64_points(noise):
     entries = dim * dim * (16 if noise else 1)
     assert dim == 64 and chunk_points(base) * entries <= 64 * entries
     points = [{"delta_over_omega": 1.0 + 0.5 * i} for i in range(chunk_points(base))]
-    rows = sweep_chunk(base, points)
+    keys, values = ("delta_over_omega",), np.array([[p["delta_over_omega"]] for p in points])
+    rows = table_rows(sweep_chunk(base, keys, values))
     for row, expected in zip(rows, chunk_as_scored_per_point(base, points), strict=True):
         assert row.keys() == expected.keys() and row["status"] == "ok"
         assert all(abs(row[k] - expected[k]) <= 1e-12 for k in row if k != "status")
-    assert (traced_peak(sweep_chunk, base, points)
+    assert (traced_peak(sweep_chunk, base, keys, values)
             <= traced_peak(chunk_as_scored_per_point, base, points))
 
 
