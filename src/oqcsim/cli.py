@@ -34,9 +34,19 @@ def _diag(kind: str, message: str) -> None:
     print(f"oqcsim: {kind}: {message}", file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token float() accepts, such as -inf or -1e5, as a value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="oqcsim",
-                                     description="optical-frequency qubit scenario runner")
+    parser = _Parser(prog="oqcsim", description="optical-frequency qubit scenario runner")
     parser.add_argument("--version", action="version", version=f"oqcsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

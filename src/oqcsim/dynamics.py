@@ -46,10 +46,6 @@ described by PulseArrays and propagated in one stack by
 stacked_unitaries and stacked_superoperators; sequence_unitary and
 sequence_superoperator are their n = 1 case.
 
-export_trajectory_csv computes a trajectory's populations and
-coherence magnitudes by columns, as arrays over all its times, and
-writes the repr of each number, with the bytes csv.writer would write.
-
 Frequencies entering the Hamiltonian (detunings, shifts, Rabi) are
 angular (rad/s); decay and dephasing rates are ordinary rates (1/s).
 
@@ -64,7 +60,6 @@ sixteen operators a gate score reads on a 2-vCPU machine, against
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -278,10 +273,11 @@ def _segment_energies(system: LevelSystem, target: tuple[str, tuple[str, str]] |
     if shifts is None:
         shifts = np.tile([cp.shift for cp in system.couplings], (n, 1))
     diag = np.repeat(system._detuning_diag[None, :], n, axis=0)
-    for c, idx in enumerate(system._coupling_indices):
-        diag[:, idx] += shifts[:, c, None]
-    if target is not None:
-        diag[:, drive_pairs(system, target)[1]] += detuning[:, None]
+    with np.errstate(over="ignore"):        # an overflowed energy stays non-finite
+        for c, idx in enumerate(system._coupling_indices):
+            diag[:, idx] += shifts[:, c, None]
+        if target is not None:
+            diag[:, drive_pairs(system, target)[1]] += detuning[:, None]
     return diag
 
 
@@ -906,23 +902,3 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     return Trajectory(_sample_times(sequence, n), states, system.basis_labels(),
                       "density_operator")
 
-
-def export_trajectory_csv(path, trajectory: Trajectory) -> None:
-    """Write (time, populations, coherence magnitudes) rows for plotting.
-
-    The states are read as (T, ...) arrays, and each row is written as
-    the repr of its numbers, as csv.writer writes them.
-    """
-    labels = [":".join(lab) for lab in trajectory.labels]
-    dim = len(labels)
-    header = ["time_s"] + [f"pop_{lab}" for lab in labels]
-    header += [f"coh_{labels[i]}_{labels[j]}" for i in range(dim) for j in range(i + 1, dim)]
-    rho = trajectory.states
-    if trajectory.kind == "state_vector":
-        rho = rho[:, :, None] * rho[:, None, :].conj()
-    upper = np.triu_indices(dim, 1)
-    table = np.column_stack([trajectory.times, rho[:, np.arange(dim), np.arange(dim)].real,
-                             np.abs(rho[:, upper[0], upper[1]])])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist()))

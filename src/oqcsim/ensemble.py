@@ -36,7 +36,6 @@ GAUSSIAN_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 _GAUSSIAN_FWHM_MASS = math.erf(math.sqrt(math.log(2.0)))
 
 _SLICE_LIMIT = 1 << 16    # sites per RNG chunk when sampling occupancy
-_CSV_BLOCK = 1 << 12      # rows per block when writing centers.csv
 _NN_CHUNK_PAIRS = 1 << 16  # point pairs per chunk of the nearest-neighbor search
 _NN_DENSE_PAIRS = 1 << 20  # open points times n at which that search goes dense
 _NN_CELL_FILL = 1          # mean points per cell of its grid
@@ -508,33 +507,3 @@ def estimate_fwhm(frequencies, distribution: str = "gaussian") -> float:
     q = np.quantile(freqs, [lo, hi])
     return float(q[1] - q[0])
 
-
-def export_centers_csv(path, centers: CenterSet) -> None:
-    """Write centers as CSV rows (x, y, z, frequency_hz, is_pair, partner).
-
-    Each block of rows is formatted in one pass and written at once; the
-    bytes are those `csv.writer` writes, CRLF line ends included.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,z,frequency_hz,is_pair_member,partner_index\r\n")
-        for start in range(0, len(centers), _CSV_BLOCK):
-            block = slice(start, start + _CSV_BLOCK)
-            xyz = centers.positions[block].tolist()
-            partners = centers.partner_index[block].tolist()
-            freqs = ([""] * len(xyz) if centers.frequencies is None
-                     else map(repr, centers.frequencies[block].tolist()))
-            fh.write("".join([f"{x},{y},{z},{f},1,{k}\r\n" if k >= 0
-                              else f"{x},{y},{z},{f},0,\r\n"
-                              for (x, y, z), f, k in zip(xyz, freqs, partners)]))
-
-
-def export_allocation_csv(path, allocation: ChannelAllocation) -> None:
-    """Write an allocation as CSV rows (channel, input_index, frequency_hz).
-
-    The rows are formatted in one pass and written at once; the bytes are
-    those `csv.writer` writes, CRLF line ends included.
-    """
-    rows = zip(allocation.selected_indices, allocation.channel_frequencies)
-    with open(path, "w", newline="") as fh:
-        fh.write("channel,input_index,frequency_hz\r\n")
-        fh.write("".join([f"{ch},{idx},{f!r}\r\n" for ch, (idx, f) in enumerate(rows)]))

@@ -31,21 +31,20 @@ import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from . import __version__
-from .ensemble import (PAIR_RADIUS_MAX, CenterSet, CrystalSpec, allocate_channels,
-                       assign_frequencies, ensemble_radius, estimate_fwhm,
-                       export_allocation_csv, export_centers_csv, identify_pairs,
-                       mean_qubit_spacing, min_pair_concentration,
-                       nearest_neighbor_distances, sample_lattice, spectral_select)
+from .ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpec,
+                       allocate_channels, assign_frequencies, ensemble_radius,
+                       estimate_fwhm, identify_pairs, mean_qubit_spacing,
+                       min_pair_concentration, nearest_neighbor_distances, sample_lattice,
+                       spectral_select)
 from .errors import (ConfigurationError, DomainError, ParseError, ValidationError, entries,
                      finite, flag, known_keys, number, require, string, subsection)
 from .gates import (METRICS, GateScenario, NoiseFlags, QubitScheme, check_grid,
                     pair_center_scenario, run_protocol, sweep as run_sweep)
-from .dynamics import export_trajectory_csv, propagate_lindblad, propagate_unitary
+from .dynamics import Trajectory, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
 from .paircenter import PairParams
 from .pulses import (PI_AREA, TWO_PI_AREA, BeamGeometry, EmitterRadiative, PulseBudget,
@@ -553,41 +552,82 @@ def _export_gate_trajectory(gate: GateSection, path: Path):
 
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')
+_CSV_BLOCK = 1 << 12      # rows formatted and written at a time
 
 
 def _csv_field(text: str) -> str:
-    """text as csv.writer's default dialect writes it: quoted, with quotes
+    """text as the csv module's default dialect writes it: quoted, with quotes
     doubled, when it holds a comma, a quote or a line break."""
     if _CSV_SPECIAL.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _csv_lines(a: np.ndarray) -> Iterator[str]:
-    """The rows of a 2-D array as comma-joined reprs, formatted a column at a time."""
-    return map(",".join, zip(*[map(repr, column) for column in a.T.tolist()]))
+def _write_csv(path, header: list[str], columns: list, blank: dict | None = None,
+               comment: str = "") -> None:
+    """Write the comment, then a table as the csv module's default writer would,
+    CRLF line ends included, formatted a column at a time, _CSV_BLOCK rows at
+    once: a numeric array as the repr of each value, a list of strings through
+    _csv_field.  blank maps a column's index to a boolean mask of its rows left
+    empty."""
+    blank = blank or {}
+    with open(path, "w", newline="") as fh:
+        fh.write(comment + ",".join(map(_csv_field, header)) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            cells = []
+            for j, column in enumerate(columns):
+                part = column[block]
+                text = (map(repr, part.tolist()) if isinstance(part, np.ndarray)
+                        else map(_csv_field, part))
+                if j in blank:
+                    text = list(text)
+                    for i in np.flatnonzero(blank[j][block]).tolist():
+                        text[i] = ""
+                cells.append(text)
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> int:
     """Write sweep.csv (gates.sweep over at most jobs workers) and return
-    the number of its rows with status ok.
-
-    The table is written in blocks of rows, each formatted a column at a
-    time; the bytes are those csv.writer writes, CRLF line ends and
-    quoted statuses included.  An error row leaves the metric columns
-    empty.
-    """
+    the number of its rows with status ok.  An error row leaves the
+    metric columns empty."""
     table = run_sweep(base, grid, jobs)
-    no_metrics = "," * (len(METRICS) - 1)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([*table.keys, *METRICS, "status"]) + "\r\n")
-        for start in range(0, len(table.status), 4096):
-            block = slice(start, start + 4096)
-            rows = zip(_csv_lines(table.values[block]), _csv_lines(table.metrics[block]),
-                       table.status[block])
-            fh.write("".join([f"{v},{m if s == 'ok' else no_metrics},{_csv_field(s)}\r\n"
-                              for v, m, s in rows]))
+    error = np.array([s != "ok" for s in table.status], dtype=bool)
+    _write_csv(path, [*table.keys, *METRICS, "status"],
+               [*table.values.T, *table.metrics.T, table.status],
+               dict.fromkeys(range(len(table.keys), len(table.keys) + len(METRICS)), error))
     return table.status.count("ok")
+
+
+def export_centers_csv(path, centers: CenterSet) -> None:
+    """Write centers as CSV rows (x, y, z, frequency_hz, is_pair_member, partner_index)."""
+    partner, n = centers.partner_index, len(centers)
+    _write_csv(path, ["x", "y", "z", "frequency_hz", "is_pair_member", "partner_index"],
+               [*centers.positions.T,
+                [""] * n if centers.frequencies is None else centers.frequencies,
+                (partner >= 0).astype(np.int64), partner], {5: partner < 0})
+
+
+def export_allocation_csv(path, allocation: ChannelAllocation) -> None:
+    """Write an allocation as CSV rows (channel, input_index, frequency_hz)."""
+    indices = np.asarray(allocation.selected_indices)
+    _write_csv(path, ["channel", "input_index", "frequency_hz"],
+               [np.arange(len(indices)), indices, np.asarray(allocation.channel_frequencies)])
+
+
+def export_trajectory_csv(path, trajectory: Trajectory) -> None:
+    """Write (time, populations, coherence magnitudes) rows for plotting."""
+    labels = [":".join(lab) for lab in trajectory.labels]
+    dim = len(labels)
+    rho = trajectory.states
+    if trajectory.kind == "state_vector":
+        rho = rho[:, :, None] * rho[:, None, :].conj()
+    upper = np.triu_indices(dim, 1)
+    header = ["time_s", *(f"pop_{lab}" for lab in labels),
+              *(f"coh_{labels[i]}_{labels[j]}" for i, j in zip(*upper))]
+    _write_csv(path, header, [trajectory.times, *rho[:, np.arange(dim), np.arange(dim)].real.T,
+                              *np.abs(rho[:, upper[0], upper[1]]).T])
 
 
 def emit_plot_data(results_dir, kind: str, out_path) -> None:
@@ -604,35 +644,36 @@ def emit_plot_data(results_dir, kind: str, out_path) -> None:
         rows = _read_csv(results / "sweep.csv")
         xcol = "delta_over_omega" if "delta_over_omega" in (rows[0] if rows else {}) \
             else "delta_shift_rad_s"
-        tidy = [[row[xcol], row["infidelity"], "infidelity"] for row in rows
-                if row.get("status") == "ok" and xcol in row]
+        ok = [row for row in rows if row.get("status") == "ok" and xcol in row]
+        columns = [[row[xcol] for row in ok], [row["infidelity"] for row in ok],
+                   ["infidelity"] * len(ok)]
     elif kind == "population-vs-time":
-        tidy = [[row["time_s"], val, col[4:]] for row in _read_csv(results / "trajectory.csv")
-                for col, val in row.items() if col.startswith("pop_")]
+        cells = [(row["time_s"], val, col[4:]) for row in _read_csv(results / "trajectory.csv")
+                 for col, val in row.items() if col.startswith("pop_")]
+        columns = [[cell[k] for cell in cells] for k in range(3)]
     elif kind == "spectrum":
         rows = _read_csv(results / "centers.csv")
         freqs = np.array([float(r["frequency_hz"]) for r in rows
                           if r.get("frequency_hz")])
         if len(freqs) >= 8:
             comment = f"# fwhm_hz={estimate_fwhm(freqs)!r}\n"
-        tidy = []
+        columns = [[], [], []]
         if len(freqs):
             counts, edges = np.histogram(freqs, bins=64)
-            mids = (edges[:-1] + edges[1:]) / 2.0
-            tidy = [[repr(float(x)), int(y), "frequency"] for x, y in zip(mids, counts)]
+            columns = [(edges[:-1] + edges[1:]) / 2.0, counts, ["frequency"] * len(counts)]
     else:
         raise ConfigurationError(
             f"unknown plot kind {kind!r}; choose fidelity-vs-delta, "
             "population-vs-time or spectrum")
-    with open(out_path, "w", newline="") as fh:
-        fh.write(comment)
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "series"])
-        writer.writerows(tidy)
+    _write_csv(out_path, ["x", "y", "series"], columns, comment=comment)
 
 
 def _read_csv(path: Path) -> list[dict]:
     if not path.exists():
         raise ParseError(f"expected result file {path}")
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    # DictReader keys a long row's extra fields by None and fills a short row with None
+    require(not any(None in row or None in row.values() for row in rows),
+            f"{path}: a row's field count differs from the header's", ParseError)
+    return rows

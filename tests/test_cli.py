@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oqcsim import dynamics, gates, runner
 from oqcsim.cli import main
@@ -364,6 +365,8 @@ GATE_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.
        st.fixed_dictionaries({}, optional={
     key: GATE_NUMBER for key in ("area", "rabi_rad_s", "detuning_rad_s", "gamma_l_hz",
                                  "number")}))
+# the shift and the pulse detuning sum past the double range on one level
+@example({"delta_shift_rad_s": 1.7e308}, {"detuning_rad_s": 1.7e308})
 def test_fuzzed_gate_numbers_end_in_contract_codes(fields, step):
     gate = {"type": "canonical_cz", **fields}
     if step:      # the first of two steps of the gate's own sequence
@@ -602,12 +605,16 @@ def test_error_row_configs_keep_their_statuses(tmp_path, name):
 
 
 def test_bundled_csv_outputs_are_finite(tmp_path):
-    for name in BUNDLED:
-        run(config_path(name), out_dir=tmp_path / name)
+    # the error-row sweeps leave the metric cells of their error rows blank
+    for config in [*map(config_path, BUNDLED), *sorted(ERROR_ROW_CONFIGS.glob("*.json"))]:
+        run(config, out_dir=tmp_path / Path(config).stem)
     tables = sorted(tmp_path.glob("*/*.csv"))
     assert {p.name for p in tables} >= {"sweep.csv", "trajectory.csv"}
+    assert len([p for p in tables if p.name == "sweep.csv"]) == 3
     for path in tables:
-        for row in csv.reader(path.read_text().splitlines()):
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert {len(row) for row in rows} == {len(rows[0])}, f"{path.parent.name}/{path.name}"
+        for row in rows:
             for cell in row:
                 try:
                     value = float(cell)
@@ -636,16 +643,23 @@ def test_cli_run_and_species_and_pulse_calc(tmp_path, capsys):
 PULSE_CALC = ["pulse-calc", "--lifetime-ns", "1.5", "--gamma-l", "1e9"]
 
 
-@pytest.mark.parametrize("carrier, message", [
-    ("-1", "spectroscopic quantities must be non-negative"),
-    ("nan", "spectral value must be finite, got nan"),
-    ("inf", "spectral value must be finite, got inf"),
-    ("-inf", "spectral value must be finite, got -inf"),
-    ("0", "k and Gamma_L must be > 0"),
-    ("1e300", "spectral value must be finite, got inf"),
-], ids=["-1", "nan", "inf", "-inf", "0", "1e300"])
-def test_pulse_calc_rejects_carrier(capsys, carrier, message):
-    assert main([*PULSE_CALC, f"--carrier-cm={carrier}"]) == 3
+@pytest.mark.parametrize("carrier, spaced, message", [
+    ("-1", False, "spectroscopic quantities must be non-negative"),
+    ("nan", False, "spectral value must be finite, got nan"),
+    ("inf", False, "spectral value must be finite, got inf"),
+    ("-inf", False, "spectral value must be finite, got -inf"),
+    ("0", False, "k and Gamma_L must be > 0"),
+    ("1e300", False, "spectral value must be finite, got inf"),
+    # a value after the option, as its own token, that argparse alone reads
+    # as an option because it starts with "-"
+    ("-1e5", True, "spectroscopic quantities must be non-negative"),
+    ("-inf", True, "spectral value must be finite, got -inf"),
+    ("-nan", True, "spectral value must be finite, got nan"),
+], ids=["-1", "nan", "inf", "-inf", "0", "1e300", "-1e5-spaced", "-inf-spaced",
+        "-nan-spaced"])
+def test_pulse_calc_rejects_carrier(capsys, carrier, spaced, message):
+    option = ["--carrier-cm", carrier] if spaced else [f"--carrier-cm={carrier}"]
+    assert main([*PULSE_CALC, *option]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"oqcsim: domain: {message}\n"
@@ -681,10 +695,13 @@ def test_species_validate_cli(capsys):
     assert "pass" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
-def test_species_validate_rejects_a_threshold_that_is_not_finite(capsys, threshold):
+@pytest.mark.parametrize("threshold, spaced", [
+    ("nan", False), ("inf", False), ("-inf", False), ("-inf", True), ("-nan", True),
+], ids=["nan", "inf", "-inf", "-inf-spaced", "-nan-spaced"])
+def test_species_validate_rejects_a_threshold_that_is_not_finite(capsys, threshold, spaced):
     # every comparison with NaN is false, so a NaN threshold would pass every level
-    assert main(["species", "validate", "Tm3+", f"--threshold={threshold}"]) == 2
+    option = ["--threshold", threshold] if spaced else [f"--threshold={threshold}"]
+    assert main(["species", "validate", "Tm3+", *option]) == 2
     message = f"U(2) threshold must be finite, got {float(threshold)!r}"
     assert capsys.readouterr() == ("", f"oqcsim: schema: {message}\n")
 
@@ -714,6 +731,16 @@ def test_emit_plot_kinds(tmp_path):
     assert main(["emit-plot", "--kind", "spectrum", "--results", str(nd),
                  "--out", str(tmp_path / "s2.csv")]) == 0
 
+    # each table, the spectrum's comment line aside, holds the bytes csv.writer
+    # writes for the rows read back from it
+    for path in (fvd, pvt, spec_csv):
+        table = path.read_bytes()
+        if table.startswith(b"#"):
+            table = table.split(b"\n", 1)[1]
+        rewritten = io.StringIO(newline="")
+        csv.writer(rewritten).writerows(csv.reader(io.StringIO(table.decode(), newline="")))
+        assert rewritten.getvalue().encode() == table, path.name
+
 
 def test_emit_plot_empty_results_header_only(tmp_path):
     results = tmp_path / "res"
@@ -724,6 +751,15 @@ def test_emit_plot_empty_results_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     emit_plot_data(results, "fidelity-vs-delta", out)
     assert out.read_text().splitlines() == ["x,y,series"]
+
+
+@pytest.mark.parametrize("row", ["0.0,1.0", "0.0,1.0,0.0,5.0"], ids=["short", "long"])
+def test_emit_plot_rejects_a_ragged_table(tmp_path, capsys, row):
+    (tmp_path / "trajectory.csv").write_text(f"time_s,pop_0,pop_1\n0.0,1.0,0.0\n{row}\n")
+    assert main(["emit-plot", "--kind", "population-vs-time", "--results", str(tmp_path),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    message = f"{tmp_path / 'trajectory.csv'}: a row's field count differs from the header's"
+    assert capsys.readouterr() == ("", f"oqcsim: schema: {message}\n")
 
 
 def test_emit_plot_unknown_kind(tmp_path):

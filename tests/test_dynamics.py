@@ -13,13 +13,13 @@ from scipy.linalg import expm
 from oqcsim import dynamics
 from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, PulseArrays, QubitLevels,
                              ShiftCoupling, _sequence_exponentials, build_hamiltonian,
-                             collapse_operators, drive_pairs, export_trajectory_csv,
-                             lindblad_superoperator, liouvillian_blocks, propagate_lindblad,
-                             propagate_unitary, segment_hamiltonians, sequence_superoperator,
-                             sequence_unitary, stacked_superoperators, stacked_unitaries)
+                             collapse_operators, drive_pairs, lindblad_superoperator,
+                             liouvillian_blocks, propagate_lindblad, propagate_unitary,
+                             segment_hamiltonians, sequence_superoperator, sequence_unitary,
+                             stacked_superoperators, stacked_unitaries)
 from oqcsim.errors import DomainError, ResourceLimitError, ValidationError
 from oqcsim.pulses import PulseSequence, PulseSpec
-from oqcsim.runner import load_config
+from oqcsim.runner import export_trajectory_csv, load_config
 
 OMEGA = 2 * math.pi * 1e9
 

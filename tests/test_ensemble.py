@@ -12,10 +12,10 @@ from oqcsim import ensemble
 from oqcsim.ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpec,
                              allocate_channels, assign_frequencies, ensemble_neighborhood,
                              ensemble_radius, estimate_fwhm, identify_pairs,
-                             mean_qubit_spacing, export_allocation_csv, export_centers_csv,
-                             min_pair_concentration,
+                             mean_qubit_spacing, min_pair_concentration,
                              nearest_neighbor_distances, sample_lattice, spectral_select)
 from oqcsim.errors import DomainError, ValidationError
+from oqcsim.runner import export_allocation_csv, export_centers_csv
 
 
 def spec(c=0.01, box=40, dist="gaussian", gamma_inh=1e12, gamma_h=1e6):

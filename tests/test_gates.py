@@ -444,6 +444,18 @@ def test_rabi_sweep_point_with_infinite_durations_gets_its_error_row():
         assert row == reference_row(base, point)
 
 
+def test_sweep_of_a_shift_that_overflows_with_the_pulse_detuning():
+    # the swept shift plus the first pulse's detuning is past the double range
+    # on one level: a non-finite energy, not a RuntimeWarning
+    sequence = PulseSequence((
+        (1, PulseSpec(("control", ("1", "1p")), detuning=1.7e308)),
+        (2, PulseSpec(("target", ("1", "1p")), pulse_area=TWO_PI_AREA))))
+    base = blockade_scenario(0.0, sequence=sequence)
+    table = sweep(base, {"delta_shift_rad_s": [1.7e308, OMEGA]})
+    assert table_rows(table) == [reference_row(base, {"delta_shift_rad_s": shift})
+                                 for shift in (1.7e308, OMEGA)]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_closed_rows_depend_on_the_rabi_scale_only_through_delta_over_omega():
     # durations scale as 1/Omega, so a canonical point's report is the same at
