@@ -4,9 +4,11 @@ Subcommands: run, validate, pulse-calc, species (list / validate),
 emit-plot.  Exit codes follow a fixed contract for scripting:
 
     0  success
-    2  schema / usage / cross-reference errors
+    2  schema / usage / cross-reference errors, and files that cannot be read
     3  physics-domain errors
     4  resource-cap errors
+
+Every failure prints one line, "oqcsim: <kind>: <message>", on stderr.
 
 The default output directory can be set with the OQCSIM_OUT
 environment variable; --out overrides both it and the config.
@@ -19,8 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import (ConfigurationError, DomainError, OqcsimError, ParseError,
-                     RegistryLookupError, ResourceLimitError, ValidationError)
+from .errors import DomainError, OqcsimError, ParseError, ResourceLimitError
 from .pulses import BeamGeometry, EmitterRadiative, pi_pulse_budget
 from .species import load_registry, validate_scheme
 
@@ -35,7 +36,11 @@ def _diag(kind: str, message: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every token float() accepts, such as -inf or -1e5, as a value."""
+    """Reads every token float() accepts, such as -inf or -1e5, as a value,
+    and raises a usage error as a ParseError rather than exiting."""
+
+    def error(self, message):
+        raise ParseError(message)
 
     def _parse_optional(self, arg_string):
         try:
@@ -162,23 +167,25 @@ _HANDLERS = {
 }
 
 
+# The exit code and diagnostic kind of a failure: those of the first
+# entry whose classes it is an instance of.  The last entry covers every
+# failure main catches.
+_EXITS = ((DomainError, EXIT_DOMAIN, "domain"),
+          (ResourceLimitError, EXIT_RESOURCE, "resource"),
+          ((OqcsimError, OSError), EXIT_SCHEMA, "schema"))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (ParseError, ValidationError, ConfigurationError, RegistryLookupError) as exc:
-        _diag("schema", str(exc))
-        return EXIT_SCHEMA
-    except DomainError as exc:
-        _diag("domain", str(exc))
-        return EXIT_DOMAIN
-    except ResourceLimitError as exc:
-        _diag("resource", str(exc))
-        return EXIT_RESOURCE
-    except OqcsimError as exc:
-        _diag("error", str(exc))
-        return EXIT_SCHEMA
+    except (OqcsimError, OSError) as exc:
+        code, kind = next((code, kind) for cls, code, kind in _EXITS if isinstance(exc, cls))
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"
+        _diag(kind, message)
+        return code
 
 
 if __name__ == "__main__":

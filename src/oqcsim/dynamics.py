@@ -448,29 +448,10 @@ def _segment_rotation(e, ea, eb, coupling, t) -> tuple[np.ndarray, ...]:
         return np.exp(-1j * (e * t)), cos + sin * half, cos - sin * half, sin * coupling
 
 
-def _unitary_columns(rotation: tuple[np.ndarray, ...], alone: np.ndarray,
-                     pairs: tuple[np.ndarray, np.ndarray], columns: np.ndarray) -> np.ndarray:
-    """Columns (d, m, n) of n segment unitaries given by their coefficients
-    (_segment_rotation, each of shape (states, n)): column c is the image
-    of basis state columns[c]."""
-    phase, aa, bb, off = rotation
-    lower, upper = pairs
-    d = len(alone) + len(lower) + len(upper)
-    u = np.zeros((d, len(columns), phase.shape[-1]), dtype=complex)
-    for states, images in ((alone, ((alone, phase),)),
-                           (lower, ((lower, aa), (upper, off))),
-                           (upper, ((upper, bb), (lower, off)))):
-        # the column c whose state is states[k]
-        k, c = np.nonzero(states[:, None] == columns)
-        for rows, coefficient in images:
-            u[rows[k], c] = coefficient[k]
-    return u
-
-
 def _rotate_columns(rotation: tuple[np.ndarray, ...], alone: np.ndarray,
                     pairs: tuple[np.ndarray, np.ndarray], columns: np.ndarray) -> np.ndarray:
-    """n segment unitaries given by their coefficients (as in
-    _unitary_columns) applied to columns (d, m, n)."""
+    """n segment unitaries given by their coefficients (_segment_rotation,
+    each of shape (states, n)) applied to columns (d, m, n)."""
     phase, aa, bb, off = (x[:, None] for x in rotation)
     lower, upper = pairs
     a, b = columns[lower], columns[upper]
@@ -729,20 +710,17 @@ def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
     """
     n, d = pulses.rabi.shape[1], system.dimension
     columns = np.arange(d) if columns is None else np.asarray(columns)
-    out = None
+    out = np.zeros((d, len(columns), n), dtype=complex)
+    out[columns, np.arange(len(columns))] = 1.0
     for target, rabi, detuning, duration in zip(*pulses):
         lower, upper = pairs = drive_pairs(system, target)
         alone = _unpaired(d, pairs)
         e = _segment_energies(system, target, detuning, shifts).T
         rotation = _segment_rotation(e[alone], e[lower], e[upper], rabi / 2.0 + 0j, duration)
-        out = (_unitary_columns(rotation, alone, pairs, columns) if out is None
-               else _rotate_columns(rotation, alone, pairs, out))
+        out = _rotate_columns(rotation, alone, pairs, out)
         # -0 to +0, as a matrix product leaves zeros: the sign of a zero
         # imaginary part decides whether a phase reads pi or -pi
         out += 0.0
-    if out is None:                               # no segments
-        out = np.zeros((d, len(columns), n), dtype=complex)
-        out[columns, np.arange(len(columns))] = 1.0
     return np.moveaxis(out, -1, 0)
 
 

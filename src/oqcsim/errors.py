@@ -1,10 +1,13 @@
 """Exception types shared across the package, and the readers of input documents.
 
 The CLI maps these onto its exit-code contract: schema/parse problems
-exit 2, physics-domain problems exit 3, resource caps exit 4.  The
-readers alone turn config and registry values into numbers and names.
+exit 2, physics-domain problems exit 3, resource caps exit 4.  read_json
+alone reads a JSON document from a file, and the readers below it alone
+turn config and registry values into numbers and names.
 """
+import json
 import math
+from pathlib import Path
 
 
 class OqcsimError(Exception):
@@ -30,9 +33,27 @@ class ParseError(OqcsimError, ValueError):
 class RegistryLookupError(OqcsimError, KeyError):
     """Unknown species, host, or level name."""
 
+    __str__ = Exception.__str__         # the message itself, not KeyError's repr of it
+
 
 class ResourceLimitError(OqcsimError, RuntimeError):
     """Request exceeds a hard cap (e.g. Hilbert-space dimension)."""
+
+
+def read_json(path):
+    """The JSON document in the file at path.
+
+    Text that is not UTF-8, a syntax error, an integer too long to convert
+    and nesting too deep to decode are ParseErrors that name the path; an
+    OSError (a missing file, a directory) propagates.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 REQUIRED = object()     # the default of a key that must be given

@@ -41,7 +41,8 @@ from .ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpe
                        min_pair_concentration, nearest_neighbor_distances, sample_lattice,
                        spectral_select)
 from .errors import (ConfigurationError, DomainError, ParseError, ValidationError, entries,
-                     finite, flag, known_keys, number, require, string, subsection)
+                     finite, flag, known_keys, number, read_json, require, string,
+                     subsection)
 from .gates import (METRICS, GateScenario, NoiseFlags, QubitScheme, check_grid,
                     pair_center_scenario, run_protocol, sweep as run_sweep)
 from .dynamics import Trajectory, propagate_lindblad, propagate_unitary
@@ -344,18 +345,13 @@ class ScenarioConfig:
         self.sweep = section("sweep", _parse_sweep, self.gate)
 
 
-def _read_document(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ParseError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-
-
-def load_config(path) -> ScenarioConfig:
-    path = Path(path)
-    return ScenarioConfig(_read_document(path), origin=str(path))
+def load_config(path, seed: int | None = None) -> ScenarioConfig:
+    """The config at path (read by read_json), parsed.  seed, when given,
+    replaces the config's seed before the config is parsed."""
+    doc = read_json(path)
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
+    return ScenarioConfig(doc, origin=str(path))
 
 
 def _write_json(path: Path, payload: dict):
@@ -376,19 +372,15 @@ def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> di
 
     Returns the manifest dictionary.  out_dir defaults to the config's
     output.dir, else '<config stem>_out' next to the config.  seed, when
-    given, replaces the config's seed before the config is parsed.  jobs,
-    at least 1, caps the sweep's worker processes.
+    given, replaces the config's seed (load_config).  jobs, at least 1,
+    caps the sweep's worker processes.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
-    path = Path(config_path)
-    doc = _read_document(path)
-    if seed is not None and isinstance(doc, dict):
-        doc["seed"] = seed
-    cfg = ScenarioConfig(doc, origin=str(path))
+    cfg = load_config(config_path, seed)
     if out_dir is None:
-        out_dir = cfg.output_dir or (path.with_suffix("").name + "_out")
+        out_dir = cfg.output_dir or (Path(config_path).with_suffix("").name + "_out")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
@@ -669,10 +661,11 @@ def emit_plot_data(results_dir, kind: str, out_path) -> None:
 
 
 def _read_csv(path: Path) -> list[dict]:
-    if not path.exists():
-        raise ParseError(f"expected result file {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.DictReader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:     # csv.Error: a field too large
+            raise ParseError(f"{path}: {exc}") from None
     # DictReader keys a long row's extra fields by None and fills a short row with None
     require(not any(None in row or None in row.values() for row in rows),
             f"{path}: a row's field count differs from the header's", ParseError)

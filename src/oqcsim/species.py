@@ -15,7 +15,6 @@ one, and ``unassigned`` levels take no part.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import (ParseError, RegistryLookupError, ValidationError, entries, known_keys,
-                     number, require, string)
+                     number, read_json, require, string)
 
 SCHEMA_NAME = "oqcsim-species-v1"
 
@@ -154,12 +153,6 @@ class ValidationReport:
     passed: bool
     diagnostics: tuple[LevelDiagnostic, ...]
 
-    def failures(self) -> list[LevelDiagnostic]:
-        return [d for d in self.diagnostics if d.status == "fail"]
-
-    def warnings(self) -> list[LevelDiagnostic]:
-        return [d for d in self.diagnostics if d.status == "warning"]
-
 
 def validate_scheme(scheme: SpeciesScheme, u2_threshold: float = 1.0) -> ValidationReport:
     """Check that role assignments respect the small/large U(2) rule.
@@ -281,26 +274,19 @@ def _parse_document(doc: dict, origin: str) -> list[SpeciesScheme]:
 
 
 def builtin_schemes() -> list[SpeciesScheme]:
-    text = resources.files("oqcsim.data").joinpath("species_builtin.json").read_text()
-    return _parse_document(json.loads(text), "builtin")
+    return _parse_document(read_json(resources.files("oqcsim.data") / "species_builtin.json"),
+                           "builtin")
 
 
 def load_registry(path: str | Path | None = None) -> SpeciesRegistry:
     """Build a registry from the built-in data plus an optional user file.
 
     path names a JSON file of extra species data in the documented
-    schema; None (or an empty document) yields the built-ins only.
-    Duplicates of a built-in (same name and host) are rejected.
+    schema (read by read_json, so an OSError reading it propagates); None
+    (or an empty document) yields the built-ins only.  Duplicates of a
+    built-in (same name and host) are rejected.
     """
     schemes = builtin_schemes()
     if path is not None:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        schemes.extend(_parse_document(doc, str(path)))
+        schemes.extend(_parse_document(read_json(path), str(path)))
     return SpeciesRegistry(schemes)

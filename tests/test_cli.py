@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import filecmp
 import io
@@ -762,10 +763,127 @@ def test_emit_plot_rejects_a_ragged_table(tmp_path, capsys, row):
     assert capsys.readouterr() == ("", f"oqcsim: schema: {message}\n")
 
 
-def test_emit_plot_unknown_kind(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["emit-plot", "--kind", "mystery", "--results", str(tmp_path),
-              "--out", str(tmp_path / "x.csv")])
+def one_line_error(capsys, kind="schema") -> str:
+    """The one stderr line of a failed command, after "oqcsim: <kind>: "."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = f"oqcsim: {kind}: "
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    return captured.err[len(prefix):-1]
+
+
+def test_emit_plot_unknown_kind(tmp_path, capsys):
+    assert main(["emit-plot", "--kind", "mystery", "--results", str(tmp_path),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert one_line_error(capsys).startswith("argument --kind: invalid choice: 'mystery'")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "c.json", "--seed", "-1e5"], "argument --seed: invalid int value: '-1e5'"),
+    (["run", "--config", "c.json", "--seed=abc"], "argument --seed: invalid int value: 'abc'"),
+    (["run"], "the following arguments are required: --config"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+], ids=["seed-float", "seed-text", "run-without-config", "unknown-command"])
+def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert one_line_error(capsys).startswith(message)
+
+
+@pytest.mark.parametrize("option", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main([option])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_species_validate_unknown_species_is_not_quoted(capsys):
+    assert main(["species", "validate", "Xx"]) == 2
+    assert capsys.readouterr() == ("", "oqcsim: schema: unknown species 'Xx'\n")
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"note": "\u00e9"}'.encode("latin-1"))
+    return path
+
+
+def _results_not_utf8(tmp_path):
+    (tmp_path / "sweep.csv").write_bytes(b"delta_over_omega,infidelity,status\n\xff,0.1,ok\n")
+    return tmp_path / "sweep.csv"
+
+
+def _a_file(tmp_path):
+    path = tmp_path / "file"
+    path.write_text("")
+    return path
+
+
+def _write(name, text):
+    def make(tmp_path):
+        (tmp_path / name).write_text(text)
+        return tmp_path / name
+    return make
+
+
+PULSE_CONFIG = config_path("pulse_budget_ns_emitter")
+PLOT = ["emit-plot", "--kind", "fidelity-vs-delta", "--results", "DIR", "--out", "DIR/plot.csv"]
+
+# inputs that end in an exception other than a contract error unless caught:
+# the argv of a command that reads them, with PATH standing for the path the
+# second entry makes and DIR for its directory, and the message after PATH
+UNREADABLE = {
+    "config-directory": (["validate", "--config", "PATH"], lambda tmp: tmp, ": Is a directory"),
+    "config-missing": (["validate", "--config", "PATH"], lambda tmp: tmp / "absent.json",
+                       ": No such file or directory"),
+    "config-not-utf8": (["validate", "--config", "PATH"], _not_utf8,
+                        ": 'utf-8' codec can't decode byte 0xe9"),
+    "registry-not-utf8": (["species", "list", "--registry", "PATH"], _not_utf8,
+                          ": 'utf-8' codec can't decode byte 0xe9"),
+    "config-nested-too-deep": (["validate", "--config", "PATH"],
+                               _write("deep.json", "[" * 100_000 + "]" * 100_000),
+                               ": maximum recursion depth exceeded while decoding"),
+    "config-integer-too-long": (["validate", "--config", "PATH"],
+                                _write("long.json", '{"seed": ' + "1" * 5000 + "}"),
+                                ": Exceeds the limit (4300 digits) for integer string"),
+    "out-is-a-file": (["run", "--config", PULSE_CONFIG, "--out", "PATH"], _a_file,
+                      ": File exists"),
+    "out-below-a-file": (["run", "--config", PULSE_CONFIG, "--out", "PATH"],
+                         lambda tmp: _a_file(tmp) / "sub", ": Not a directory"),
+    "results-not-utf8": (PLOT, _results_not_utf8, ": 'utf-8' codec can't decode byte 0xff"),
+    "results-field-too-large": (PLOT, _write("sweep.csv", "status\n" + "x" * 200_000 + "\n"),
+                                ": field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("argv, make, message", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_inputs_exit_2_with_one_line(tmp_path, capsys, argv, make, message):
+    path = make(tmp_path)
+    assert main([arg.replace("PATH", str(path)).replace("DIR", str(path.parent))
+                 for arg in argv]) == 2
+    assert one_line_error(capsys).startswith(f"{path}{message}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.binary(max_size=64),
+                 st.recursive(st.none() | st.booleans() | st.floats() | st.integers()
+                              | st.text(max_size=8),
+                              lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(st.sampled_from(sorted(runner.KNOWN_SECTIONS)
+                                                                + ["x"]), inner, max_size=3),
+                              max_leaves=8).map(lambda doc: json.dumps(doc).encode())))
+def test_arbitrary_bytes_end_in_contract_codes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(data)
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path), "--out", str(Path(tmp) / "out")],
+                     ["species", "list", "--registry", str(path)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4)
+            assert err.getvalue().count("\n") == (code != 0), err.getvalue()
 
 
 def big_sweep_config(tmp_path) -> Path:

@@ -74,6 +74,13 @@ def test_schema_violations_report_context(tmp_path):
             {"term": "a", "energy_cm": 0.0, "role": "superqubit"}]}]}))
 
 
+def test_a_registry_file_that_cannot_be_read_raises_its_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_registry(tmp_path / "absent.json")
+    with pytest.raises(IsADirectoryError):
+        load_registry(tmp_path)
+
+
 def test_load_is_deterministic():
     a, b = load_registry(), load_registry()
     assert [sc.levels for sc in a] == [sc.levels for sc in b]
@@ -90,7 +97,7 @@ def test_tm_default_scheme_passes_at_threshold_1(registry):
     report = validate_scheme(registry.get("Tm3+"), u2_threshold=1.0)
     assert report.passed
     # qubit levels carry no U(2) data in the source: warned, not failed
-    assert {d.term_symbol for d in report.warnings()} == {"3F4", "1D2"}
+    assert {d.term_symbol for d in report.diagnostics if d.status == "warning"} == {"3F4", "1D2"}
 
 
 def test_tm_alternative_scheme_with_1i6_auxiliary(registry):
@@ -108,7 +115,7 @@ def test_zero_u2_auxiliary_fails():
     ))
     report = validate_scheme(scheme)
     assert not report.passed
-    assert report.failures()[0].term_symbol == "a"
+    assert [d.term_symbol for d in report.diagnostics if d.status == "fail"] == ["a"]
 
 
 def test_large_u2_qubit_fails():
