@@ -118,7 +118,8 @@ diff_error_rows() {
 }
 
 # the head's blockade sweep over a 200 x 200 grid, with --jobs 1 on both
-# trees and --jobs 2 at the head too
+# trees and --jobs 2 at the head too, and each tree's fidelity-vs-delta
+# table of its --jobs 1 sweep.csv (40,000 text rows, many writer blocks)
 run_large_sweep() {
   local jobs
   python - "$tmp/large.json" <<'EOF'
@@ -137,6 +138,9 @@ EOF
       oqcsim "$1" run --config "$tmp/large.json" --out "$tmp/large-sweep-$1-$jobs" \
         --jobs "$jobs"
   done
+  attempt "$1" "oqcsim emit-plot --kind fidelity-vs-delta failed on the large sweep" \
+    oqcsim "$1" emit-plot --kind fidelity-vs-delta --results "$tmp/large-sweep-$1-1" \
+      --out "$tmp/large-sweep-$1-plot.csv"
 }
 
 diff_large_sweep() {
@@ -148,6 +152,9 @@ diff_large_sweep() {
       "sweep.csv at $label differs (first 20 lines of the diff):" \
       diff "$tmp/large-sweep-$1/sweep.csv" "$tmp/large-sweep-$2/sweep.csv"
   done
+  compare 20 "The fidelity-vs-delta table at base and head is byte-identical." \
+    "The fidelity-vs-delta table differs (first 20 lines of the diff):" \
+    diff "$tmp/large-sweep-base-plot.csv" "$tmp/large-sweep-head-plot.csv"
 }
 
 # each workload at the default seed and at seed 101, as the tier-1

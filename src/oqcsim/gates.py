@@ -22,14 +22,14 @@ computational subspace is reported as leakage, never renormalized away.
 
 A sweep scores one base scenario over the cartesian product of a grid
 of the numbers SWEEPABLE names, in config units: each point is the base
-with those numbers replaced (point_scenario), and check_grid holds the
-rules a grid must meet.  Every point of a sweep takes one path: its
-numbers are checked as arrays against _NUMBER_FAULTS, the table the
-constructor checks, and the points that pass are propagated in one
-stack on the base's register and sequence, where each keeps its own
-expm fault (dynamics.EXPM_FAULTS).  A point that fails gets the message
-its scenario run alone would raise, and costs no other point anything.
-The results are columns (SweepTable), and no point is ever a dict.
+with those numbers replaced, and check_grid holds the rules a grid must
+meet.  Every point of a sweep takes one path: its numbers are checked
+as arrays against _NUMBER_FAULTS, the table the constructor checks, and
+the points that pass are propagated in one stack on the base's register
+and sequence, where each keeps its own expm fault (dynamics.EXPM_FAULTS).
+A point that fails gets the message its scenario run alone would raise,
+and costs no other point anything.  The results are columns
+(SweepTable), and no point is ever a dict.
 
 Angular units: delta_shift and the Rabi frequency are rad/s (multiply
 shifts from the interactions module, which are in Hz, by 2 pi).
@@ -158,7 +158,7 @@ class GateScenario:
     def protocol(self) -> tuple[LevelSystem, PulseSequence]:
         """The scenario's register and pulse sequence, the sequence's targets
         checked: built on first use, then kept on this object and pickled
-        with it.  A copy (point_scenario, dataclasses.replace) builds its own."""
+        with it.  A copy (dataclasses.replace) builds its own."""
         system = scenario_system(self)
         sequence = protocol_sequence(self)
         sequence.validate_targets(self.qubit_levels())
@@ -464,24 +464,6 @@ def check_grid(base: GateScenario, grid: Mapping[str, Sequence]) -> None:
             f"sweep grid of {points} points exceeds the cap {SWEEP_POINTS_CAP}")
 
 
-def point_scenario(base: GateScenario, point: Mapping[str, float]) -> GateScenario:
-    """One sweep point as a scenario of its own: the base scenario with the
-    swept numbers replaced, built by the constructor, which checks them.
-
-    A sweep builds no such scenario; its rows are those of these
-    scenarios run alone (run_protocol), which the tests compare them to.
-    """
-    rabi = point.get("rabi_rad_s", base.rabi)
-    if "delta_over_omega" in point:
-        delta_shift = point["delta_over_omega"] * rabi
-    else:
-        delta_shift = point.get("delta_shift_rad_s", base.delta_shift)
-    return GateScenario(control=base.control, target=base.target, rabi=rabi,
-                        delta_shift=delta_shift, gamma_h=point.get("gamma_h_hz", base.gamma_h),
-                        noise=base.noise, sequence=base.sequence,
-                        gate_target=base.gate_target)
-
-
 def chunk_points(base: GateScenario) -> int:
     """Points in each chunk of a sweep of base: max(_CHUNK_MIN,
     _CHUNK_ENTRIES // e), for e = d^2 closed and 16 d^2 noisy, d the
@@ -496,9 +478,10 @@ def chunk_points(base: GateScenario) -> int:
 def _point_numbers(base: GateScenario, keys: Sequence[str], values: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Rabi frequency, shift and gamma_h of each point as (n,) arrays,
-    set as point_scenario sets them, and each point's error: the message
-    of the first test of _NUMBER_FAULTS it fails (the last only when base
-    has the canonical sequence), or "" when it fails none.
+    set as the base with the swept numbers replaced, and each point's
+    error: the message of the first test of _NUMBER_FAULTS it fails (the
+    last only when base has the canonical sequence), or "" when it fails
+    none.
 
     values (n, len(keys)) holds the points' swept values, a column per key.
     """
@@ -601,7 +584,7 @@ def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> Sw
     ----------
     base : GateScenario
         The scenario every point starts from; a point replaces only the
-        numbers its grid keys name (point_scenario).
+        numbers its grid keys name.
     grid : mapping
         Sweepable key (SWEEPABLE) -> non-empty list of values, checked
         by check_grid.

@@ -558,25 +558,42 @@ def _csv_field(text: str) -> str:
 def _write_csv(path, header: list[str], columns: list, blank: dict | None = None,
                comment: str = "") -> None:
     """Write the comment, then a table as the csv module's default writer would,
-    CRLF line ends included, formatted a column at a time, _CSV_BLOCK rows at
-    once: a numeric array as the repr of each value, a list of strings through
-    _csv_field.  blank maps a column's index to a boolean mask of its rows left
-    empty."""
+    CRLF line ends included, _CSV_BLOCK rows at once: a numeric array as the
+    repr of each value, a list of strings through _csv_field.  blank maps a
+    column's index to a boolean mask of its rows left empty.
+
+    Each distinct cell of a block is formatted once.  A block's numeric
+    columns of one dtype are stacked and their values told apart by their
+    bits, so 0.0 and -0.0 keep their own text.  Each cell takes its value's
+    repr from one table, whose last entry "" the blank cells take
+    (return_inverse=True also keeps np.unique from importing numpy.ma).
+    Each distinct string goes through _csv_field once."""
     blank = blank or {}
     with open(path, "w", newline="") as fh:
         fh.write(comment + ",".join(map(_csv_field, header)) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK):
             block = slice(start, start + _CSV_BLOCK)
-            cells = []
-            for j, column in enumerate(columns):
-                part = column[block]
-                text = (map(repr, part.tolist()) if isinstance(part, np.ndarray)
-                        else map(_csv_field, part))
+            parts = [column[block] for column in columns]
+            cells = [None] * len(parts)
+            by_dtype = {}
+            for j, part in enumerate(parts):
+                if isinstance(part, np.ndarray):
+                    by_dtype.setdefault(part.dtype, []).append(j)
+                    continue
                 if j in blank:
-                    text = list(text)
-                    for i in np.flatnonzero(blank[j][block]).tolist():
-                        text[i] = ""
-                cells.append(text)
+                    part = np.where(blank[j][block], "", np.array(part, dtype=object)).tolist()
+                fields = {text: _csv_field(text) for text in set(part)}
+                cells[j] = [fields[text] for text in part]
+            for dtype, group in by_dtype.items():
+                bits = np.stack([parts[j] for j in group]).view(f"u{dtype.itemsize}")
+                distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+                texts = np.array([*map(repr, distinct.view(dtype).tolist()), ""], dtype=object)
+                inverse = inverse.reshape(bits.shape)
+                for codes, j in zip(inverse, group):
+                    if j in blank:
+                        codes[blank[j][block]] = len(distinct)
+                for j, column_text in zip(group, texts[inverse].tolist()):
+                    cells[j] = column_text
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

@@ -559,6 +559,81 @@ def test_sweep_csv_of_a_run_with_both_zeros_equals_csv_writer(tmp_path):
     assert b"\r\n-0.0,-0.0," in written and b"\r\n0.0,0.0," in written
 
 
+# cell pools whose members compare equal (the zeros, the NaNs) but differ in
+# bits, with the extremes of each dtype and text the csv module quotes
+CELL_POOLS = {
+    "float": np.array([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 0.1]),
+    "int": np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1]),
+    "text": ["ok", "a,b", 'say "hi"', "line\r\nbreak", "", "δ/Ω"],
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """A table longer than one block, its columns drawn from the first few
+    members of a pool, and a blank mask or None for each column.  It has at
+    least two columns, since csv.writer writes a row of one empty field as
+    '""'."""
+    rows = draw(st.integers(runner._CSV_BLOCK + 1, 2 * runner._CSV_BLOCK + 9))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELL_POOLS)), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, masks = [], []
+    for kind in kinds:
+        pool = CELL_POOLS[kind]
+        picks = rng.integers(draw(st.integers(1, len(pool))), size=rows)
+        columns.append(pool[picks] if kind != "text" else [pool[k] for k in picks])
+        masks.append(rng.random(rows) < 0.3 if draw(st.booleans()) else None)
+    return columns, masks
+
+
+@settings(max_examples=25, deadline=None)
+@given(csv_tables())
+def test_write_csv_equals_csv_writer_over_the_reprs(tmp_path_factory, table):
+    columns, masks = table
+    header = [f'c{j}, "q"' for j in range(len(columns))]
+    texts = [list(map(repr, column.tolist())) if isinstance(column, np.ndarray) else column
+             for column in columns]
+    for text, mask in zip(texts, masks):
+        for i in [] if mask is None else np.flatnonzero(mask).tolist():
+            text[i] = ""
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(header)
+    writer.writerows(zip(*texts))
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    runner._write_csv(path, header, columns,
+                      {j: mask for j, mask in enumerate(masks) if mask is not None})
+    assert path.read_bytes() == reference.getvalue().encode()
+
+
+def test_write_csv_formats_each_distinct_cell_of_a_block_once(tmp_path, monkeypatch):
+    # the float columns share one text table a block, so a block's float
+    # values are formatted once however many columns hold them; -0.0 and 0.0
+    # are two values, and a block does not reuse an earlier block's text
+    block = runner._CSV_BLOCK
+    floats = [np.r_[np.resize([0.0, -0.0, 1.5], block), [2.5]],
+              np.r_[np.resize([1.5, math.nan], block), [0.0]]]
+    ints = np.r_[np.resize([1, 2], block), [1]]
+    text = ["ok", "a,b"] * (block // 2) + ["ok"]
+    formatted, quoted = [], []
+
+    def counting(calls, original):
+        def counted(value):
+            calls.append(value)
+            return original(value)
+        return counted
+
+    monkeypatch.setattr(runner, "repr", counting(formatted, repr), raising=False)
+    monkeypatch.setattr(runner, "_csv_field", counting(quoted, runner._csv_field))
+    runner._write_csv(tmp_path / "t.csv", ["a", "b", "n", "s"], [*floats, ints, text],
+                      {1: np.arange(block + 1) % 3 == 0})
+    # block one: 0.0, -0.0, 1.5, nan and 1, 2; block two: 2.5, 0.0 and 1
+    assert sorted(map(repr, formatted)) == sorted(["0.0", "-0.0", "1.5", "nan", "1", "2",
+                                                   "2.5", "0.0", "1"])
+    assert quoted[:4] == ["a", "b", "n", "s"]
+    assert sorted(quoted[4:6]) == ["a,b", "ok"] and quoted[6:] == ["ok"]
+
+
 def test_manifest_counts_sweep_points(tmp_path):
     run(config_path("blockade_cz_sweep"), out_dir=tmp_path / "a")
     counters = json.loads((tmp_path / "a" / "manifest.json").read_text())["counters"]

@@ -74,6 +74,18 @@ loaded = [m for m, module in sys.modules.items() if m.startswith("scipy") and mo
 assert not loaded, loaded
 """
 
+# The bundled gate configs (a sweep and a noisy pair-center gate), run as
+# bench/child.py runs a config: neither loads numpy.ma, which a plain
+# np.unique or np.median imports in numpy 2.4 (about 12 ms a run);
+# np.unique with return_inverse=True does not.
+NO_MA_GATE_RUNS = """
+import sys
+from oqcsim import runner
+for config in sys.argv[1:]:
+    runner.run(config, config.rsplit("/", 1)[1].removesuffix(".json"))
+assert "numpy.ma" not in sys.modules
+"""
+
 
 def run_python(args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -96,6 +108,14 @@ def test_bundled_configs_run_without_scipy(tmp_path):
     assert [c.stem for c in configs] == ["blockade_cz_sweep", "nd_caf2_ensemble",
                                          "pair_center_cnot", "pulse_budget_ns_emitter"]
     done = run_python(["-c", NO_SCIPY_RUNS, *map(str, configs)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert all((tmp_path / c.stem / "manifest.json").exists() for c in configs)
+
+
+def test_bundled_gate_runs_do_not_import_numpy_ma(tmp_path):
+    configs = [ROOT / "src" / "oqcsim" / "configs" / f"{name}.json"
+               for name in ("blockade_cz_sweep", "pair_center_cnot")]
+    done = run_python(["-c", NO_MA_GATE_RUNS, *map(str, configs)], tmp_path)
     assert done.returncode == 0, done.stderr
     assert all((tmp_path / c.stem / "manifest.json").exists() for c in configs)
 

@@ -16,8 +16,8 @@ from oqcsim.gates import (COMPUTATIONAL, METRICS, GateReport, GateScenario, Nois
                           QubitScheme, _PHASE_FLOOR, _channel_reading, _closed_reading, _columns,
                           _computational, _group_pulses, _point_numbers,
                           _stacked_scores, canonical_blockade_sequence, chunk_points,
-                          pair_center_scenario, point_scenario, protocol_sequence,
-                          run_protocol, scenario_system, score, sweep, sweep_chunk)
+                          pair_center_scenario, protocol_sequence, run_protocol,
+                          scenario_system, score, sweep, sweep_chunk)
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
 from oqcsim.pulses import PULSE_NOT_FINITE, TWO_PI_AREA, PulseSequence, PulseSpec
@@ -254,6 +254,22 @@ def test_sweep_deterministic_ordering():
     grid = {"delta_over_omega": [5.0, 10.0], "rabi_rad_s": [OMEGA]}
     rows = sweep_rows(blockade_scenario(0.0), grid)
     assert [r["delta_over_omega"] for r in rows] == [5.0, 10.0]
+
+
+def point_scenario(base, point):
+    """One sweep point as a scenario of its own: the base scenario with the
+    swept numbers replaced, built by the constructor, which checks them.
+    A sweep builds no such scenario; its rows are compared with these
+    scenarios run alone (reference_row)."""
+    rabi = point.get("rabi_rad_s", base.rabi)
+    if "delta_over_omega" in point:
+        delta_shift = point["delta_over_omega"] * rabi
+    else:
+        delta_shift = point.get("delta_shift_rad_s", base.delta_shift)
+    return GateScenario(control=base.control, target=base.target, rabi=rabi,
+                        delta_shift=delta_shift, gamma_h=point.get("gamma_h_hz", base.gamma_h),
+                        noise=base.noise, sequence=base.sequence,
+                        gate_target=base.gate_target)
 
 
 def reference_row(base, point):
@@ -558,7 +574,6 @@ def test_no_sweep_point_builds_a_scenario(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a sweep point built a scenario of its own")
 
-    monkeypatch.setattr(gates, "point_scenario", built)
     monkeypatch.setattr(gates, "GateScenario", built)
     for (name, grid), rows in zip(REJECTING_GRIDS, expected):
         assert sweep_rows(BASES[name], grid) == rows
