@@ -4,14 +4,17 @@
 #
 #     bash .github/base-vs-head.sh CASE
 #
-# CASE is one of bundled, emit-plot, error-rows, large-sweep or digests.
+# CASE is one of bundled, emit-plot, error-rows, large-sweep, digests or
+# failed-runs.
 # The merge base is checked out at $RUNNER_TEMP/base and the head is the
 # working directory.  The case's commands run on both trees, writing to
 # $RUNNER_TEMP/<case>-<tree>; emit-plot reads the outputs of bundled, so
 # bundled runs first.  The commands that failed on each tree and the case's
 # diff go to $GITHUB_STEP_SUMMARY.  The script exits 1 when a command
 # failed at the head and 0 otherwise: differing outputs are reported, not
-# failed on, since a documented correctness fix may change them.
+# failed on, since a documented correctness fix may change them.  For
+# failed-runs, whose runs are meant to fail, a failure is a run that exits
+# with a code other than 3 or leaves its output directory.
 set -u
 
 case=$1
@@ -23,6 +26,7 @@ declare -A titles=(
   [error-rows]="Error-row sweeps (tests/configs)"
   [large-sweep]="40,000-point sweep"
   [digests]="Benchmark output digests"
+  [failed-runs]="Runs that fail after validate (tests/configs/run_fails)"
 )
 if [ -z "${titles[$case]+set}" ]; then
   echo "unknown case $case; choose one of ${!titles[*]}" >&2
@@ -176,6 +180,34 @@ run_digests() {
 diff_digests() {
   compare all "All digests are equal." "Differing digests (< merge base, > head):" \
     diff "$tmp/digests-base.txt" "$tmp/digests-head.txt"
+}
+
+# the head's tests/configs/run_fails on both trees: configs that pass
+# validate and whose run exits 3; each tree's exit code and the files the
+# run left in --out go to a table
+run_failed_runs() {
+  local config name out code left
+  for config in tests/configs/run_fails/*.json; do
+    name=$(basename "$config" .json)
+    out="$tmp/failed-runs-$1/$name"
+    oqcsim "$1" run --config "$config" --out "$out"
+    code=$?
+    left="no directory"
+    if [ -e "$out" ]; then left=$(ls -A "$out" | tr '\n' ' '); fi
+    echo "| $name | $1 | $code | $left |" >> "$tmp/failed-runs-$1.txt"
+    if [ "$code" != 3 ]; then
+      echo "oqcsim run on $name exited $code" >> "$tmp/$case-failures-$1.txt"
+    fi
+    if [ -e "$out" ]; then
+      echo "oqcsim run on $name left an output directory" >> "$tmp/$case-failures-$1.txt"
+    fi
+  done
+}
+
+diff_failed_runs() {
+  echo "| config | tree | exit code | files left in --out |"
+  echo "|---|---|---|---|"
+  cat "$tmp/failed-runs-base.txt" "$tmp/failed-runs-head.txt"
 }
 
 for tree in base head; do

@@ -19,7 +19,9 @@ and the sweep grid is checked by gates.check_grid, as every sweep is.
 So load_config() rejects everything run() rejects, except errors that
 depend on the sampled data (an ensemble larger than the number of
 dopants drawn) or on a gate's propagation (a protocol result that is
-not finite).
+not finite).  run() computes, then writes: every stage returns its
+data before one write phase makes the output directory, so these
+errors write nothing either.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ from .ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpe
 from .errors import (ConfigurationError, DomainError, ParseError, ValidationError, entries,
                      finite, flag, known_keys, number, read_json, require, string,
                      subsection)
-from .gates import (METRICS, GateScenario, NoiseFlags, QubitScheme, check_grid,
+from .gates import (METRICS, GateScenario, NoiseFlags, QubitScheme, SweepTable, check_grid,
                     pair_center_scenario, run_protocol, sweep as run_sweep)
 from .dynamics import Trajectory, propagate_lindblad, propagate_unitary
 from .interactions import BlockadeModel, ensemble_blockade_report
@@ -354,12 +356,12 @@ def load_config(path, seed: int | None = None) -> ScenarioConfig:
     return ScenarioConfig(doc, origin=str(path))
 
 
-def _write_json(path: Path, payload: dict):
+def _json_text(name: str, payload: dict) -> str:
+    """payload as JSON text, keys sorted; NaN or infinity in it fails naming the file."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise DomainError(f"{path.name}: result is not finite") from None
-    path.write_text(text + "\n")
+        raise DomainError(f"{name}: result is not finite") from None
 
 
 def _config_hash(doc: dict) -> str:
@@ -368,33 +370,32 @@ def _config_hash(doc: dict) -> str:
 
 
 def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> dict:
-    """Execute a scenario config and write its outputs.
+    """Execute a scenario config, then write its outputs, manifest.json last.
 
     Returns the manifest dictionary.  out_dir defaults to the config's
-    output.dir, else '<config stem>_out' next to the config.  seed, when
-    given, replaces the config's seed (load_config).  jobs, at least 1,
-    caps the sweep's worker processes.
+    output.dir, else '<config stem>_out' in the working directory.  seed,
+    when given, replaces the config's seed (load_config).  jobs, at least
+    1, caps the sweep's worker processes.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     cfg = load_config(config_path, seed)
-    if out_dir is None:
-        out_dir = cfg.output_dir or (Path(config_path).with_suffix("").name + "_out")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs: dict[str, str] = {}
+    outputs: dict[str, tuple] = {}     # name -> (file name, writer of (path, data), data)
 
     def report(name: str, payload: dict):
-        outputs[name] = f"{name}.json"
-        _write_json(out / outputs[name], payload)
+        file = f"{name}.json"
+        outputs[name] = (file, Path.write_text, _json_text(file, payload))
 
     if cfg.species is not None:
         report("species_report", _species_report(cfg.species))
 
     if cfg.crystal is not None:
-        data, centers = _run_ensemble(cfg.crystal, cfg.pulses.gamma_l, cfg.seed, out,
-                                      outputs)
+        data, centers, allocation = _run_ensemble(cfg.crystal, cfg.pulses.gamma_l, cfg.seed)
+        if cfg.crystal.export_centers:
+            outputs["centers"] = ("centers.csv", export_centers_csv, centers)
+        if allocation is not None:
+            outputs["channels"] = ("channels.csv", export_allocation_csv, allocation)
         report("ensemble_report", data)
 
     if cfg.interactions is not None:
@@ -407,25 +408,32 @@ def run(config_path, out_dir=None, seed: int | None = None, jobs: int = 1) -> di
     if cfg.gate is not None:
         report("gate_report", run_protocol(cfg.gate.scenario).to_dict())
         if cfg.gate.export_trajectory:
-            outputs["trajectory"] = "trajectory.csv"
-            _export_gate_trajectory(cfg.gate, out / "trajectory.csv")
+            outputs["trajectory"] = ("trajectory.csv", export_trajectory_csv,
+                                     _gate_trajectory(cfg.gate))
 
     counters = {"sweep_points_ok": 0, "sweep_points_error": 0}
     if cfg.sweep is not None:
-        outputs["sweep"] = "sweep.csv"
-        ok = _run_sweep_csv(cfg.gate.scenario, cfg.sweep, out / "sweep.csv", jobs)
-        counters["sweep_points_ok"] = ok
-        counters["sweep_points_error"] = math.prod(map(len, cfg.sweep.values())) - ok
+        table = run_sweep(cfg.gate.scenario, cfg.sweep, jobs)
+        outputs["sweep"] = ("sweep.csv", _write_sweep_csv, table)
+        counters["sweep_points_ok"] = table.status.count("ok")
+        counters["sweep_points_error"] = len(table.status) - counters["sweep_points_ok"]
 
+    # the write phase: no stage above writes a file
+    if out_dir is None:
+        out_dir = cfg.output_dir or (Path(config_path).with_suffix("").name + "_out")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for file, write, data in outputs.values():
+        write(out / file, data)
     manifest = {
         "config_hash": _config_hash(cfg.doc),
         "tool_version": __version__,
         "seed": cfg.seed,
         "wall_clock_s": time.perf_counter() - t0,
-        "outputs": outputs,
+        "outputs": {name: file for name, (file, _, _) in outputs.items()},
         "counters": counters,
     }
-    _write_json(out / "manifest.json", manifest)
+    (out / "manifest.json").write_text(_json_text("manifest.json", manifest))
     return manifest
 
 
@@ -451,11 +459,12 @@ def _species_report(sec: SpeciesSection) -> dict:
     return {"u2_threshold": sec.u2_threshold, "species": entries}
 
 
-def _run_ensemble(sec: CrystalSection, gamma_l: float, seed: int, out: Path,
-                  outputs: dict) -> tuple[dict, CenterSet]:
-    """Sample, pair and select the ensemble and write its CSV exports.
+def _run_ensemble(sec: CrystalSection, gamma_l: float,
+                  seed: int) -> tuple[dict, CenterSet, ChannelAllocation | None]:
+    """Sample, pair and select the ensemble.
 
-    Returns the ensemble report and the sampled centers.
+    Returns the ensemble report, the sampled centers and their channel
+    allocation, None unless crystal.export_channels is set.
     """
     spec = sec.spec
     centers = sample_lattice(spec, seed)
@@ -482,16 +491,11 @@ def _run_ensemble(sec: CrystalSection, gamma_l: float, seed: int, out: Path,
         nn = nearest_neighbor_distances(selected.positions, spec.box_size)
         data["selected_median_nn_lattice_units"] = float(np.median(nn))
 
-    if sec.export_centers:
-        outputs["centers"] = "centers.csv"
-        export_centers_csv(out / "centers.csv", centers)
+    allocation = None
     if sec.export_channels:
-        alloc = allocate_channels(centers.frequencies, sec.channel_min_gap)
-        data["n_channels"] = len(alloc.selected_indices)
-        outputs["channels"] = "channels.csv"
-        export_allocation_csv(out / "channels.csv", alloc)
-
-    return data, centers
+        allocation = allocate_channels(centers.frequencies, sec.channel_min_gap)
+        data["n_channels"] = len(allocation.selected_indices)
+    return data, centers, allocation
 
 
 def _run_blockade(sec: InteractionsSection, centers: CenterSet, n_ensemble: int,
@@ -530,17 +534,15 @@ def _run_pulses(p: PulsesSection) -> dict:
     return data
 
 
-def _export_gate_trajectory(gate: GateSection, path: Path):
+def _gate_trajectory(gate: GateSection) -> Trajectory:
     scenario = gate.scenario
     system, sequence = scenario.protocol
     psi = system.basis_state(dict(zip((scenario.control.name, scenario.target.name),
                                       gate.trajectory_input)))
     if scenario.noise.any:
-        traj = propagate_lindblad(system, sequence, np.outer(psi, psi.conj()),
+        return propagate_lindblad(system, sequence, np.outer(psi, psi.conj()),
                                   samples_per_segment=24)
-    else:
-        traj = propagate_unitary(system, sequence, psi, samples_per_segment=24)
-    export_trajectory_csv(path, traj)
+    return propagate_unitary(system, sequence, psi, samples_per_segment=24)
 
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')
@@ -597,16 +599,12 @@ def _write_csv(path, header: list[str], columns: list, blank: dict | None = None
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def _run_sweep_csv(base: GateScenario, grid: dict, path: Path, jobs: int) -> int:
-    """Write sweep.csv (gates.sweep over at most jobs workers) and return
-    the number of its rows with status ok.  An error row leaves the
-    metric columns empty."""
-    table = run_sweep(base, grid, jobs)
+def _write_sweep_csv(path, table: SweepTable) -> None:
+    """Write a sweep table as sweep.csv; an error row's metric cells are empty."""
     error = np.array([s != "ok" for s in table.status], dtype=bool)
     _write_csv(path, [*table.keys, *METRICS, "status"],
                [*table.values.T, *table.metrics.T, table.status],
                dict.fromkeys(range(len(table.keys), len(table.keys) + len(METRICS)), error))
-    return table.status.count("ok")
 
 
 def export_centers_csv(path, centers: CenterSet) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -124,20 +124,6 @@ class SpeciesScheme:
             if lv.role is role:
                 return lv
         return None
-
-    def with_roles(self, roles: Mapping[str, LevelRole | str]) -> "SpeciesScheme":
-        """Return a copy with roles reassigned (alternative protocol schemes).
-
-        Levels not named in ``roles`` are reset to unassigned.
-        """
-        wanted = {k: (LevelRole(v) if isinstance(v, str) else v) for k, v in roles.items()}
-        for name in wanted:
-            self.level(name)  # raises on unknown level
-        new_levels = tuple(
-            replace(lv, role=wanted.get(lv.term_symbol, LevelRole.UNASSIGNED))
-            for lv in self.levels
-        )
-        return replace(self, levels=new_levels)
 
 
 @dataclass(frozen=True)

@@ -380,9 +380,11 @@ def test_fuzzed_gate_numbers_end_in_contract_codes(fields, step):
         code = main(["run", "--config", str(config), "--out", str(out)])
         assert checked in (0, 2, 3, 4) and code in (0, 2, 3, 4)
         if checked:
-            assert code == checked and not out.exists()
+            assert code == checked
         else:     # only a gate result that is not finite fails after validate
             assert code in (0, 3)
+        if code:  # a failed run writes nothing
+            assert not out.exists()
         for path in out.glob("*.json"):
             _strict_json(path)
 
@@ -424,7 +426,9 @@ def test_fuzzed_section_numbers_end_in_contract_codes(case):
         code = main(["run", "--config", str(config), "--out", str(out)])
         assert checked in (0, 2, 3, 4) and code in (0, 2, 3, 4)
         if checked:
-            assert code == checked and not out.exists()
+            assert code == checked
+        if code:  # a failed run writes nothing
+            assert not out.exists()
         for path in out.glob("*.json"):
             _strict_json(path)
 
@@ -522,7 +526,7 @@ def write_sweep_reference(path, table):
     [math.nan, math.inf, -math.inf, -0.0, 5e-324],
     [0.25, 1e300, -1e-300, 3.0, 1.0],
 ])
-def test_sweep_csv_equals_csv_writer(tmp_path, monkeypatch, values):
+def test_sweep_csv_equals_csv_writer(tmp_path, values):
     # the swept values (delta_over_omega, rabi_rad_s) and status of each row;
     # an error row's report fields are NaN in the table
     rows = [((2.0, -0.0), "ok"),
@@ -535,9 +539,8 @@ def test_sweep_csv_equals_csv_writer(tmp_path, monkeypatch, values):
         ("delta_over_omega", "rabi_rad_s"), np.array([point for point, _ in rows]),
         np.array([values if status == "ok" else [math.nan] * 5 for _, status in rows]),
         [status for _, status in rows])
-    monkeypatch.setattr(runner, "run_sweep", lambda base, grid, jobs: table)
     path, reference = tmp_path / "sweep.csv", tmp_path / "reference.csv"
-    assert runner._run_sweep_csv(None, dict.fromkeys(table.keys), path, 1) == 2
+    runner._write_sweep_csv(path, table)
     write_sweep_reference(reference, table)
     assert path.read_bytes() == reference.read_bytes()
 
@@ -678,6 +681,76 @@ def test_error_row_configs_keep_their_statuses(tmp_path, name):
     with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
         statuses = [row["status"] for row in csv.DictReader(fh)]
     assert statuses == ERROR_ROW_STATUSES[name]
+
+
+# configs that pass validate and whose run fails on the sampled data or on a
+# gate's propagation, with the message of each
+RUN_FAILS = {
+    "ensemble_too_few_dopants": "need at least 100001 centers, have 1312",
+    "gate_result_not_finite": "protocol result is not finite",
+}
+
+
+def test_run_fails_configs_are_the_pinned_ones():
+    assert sorted(p.stem for p in (ERROR_ROW_CONFIGS / "run_fails").glob("*.json")) \
+        == sorted(RUN_FAILS)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_FAILS))
+def test_a_run_that_fails_after_validate_writes_nothing(tmp_path, capsys, name):
+    config, out = ERROR_ROW_CONFIGS / "run_fails" / f"{name}.json", tmp_path / "out"
+    assert main(["validate", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("oqcsim: domain: ") and err.count("\n") == 1
+    assert RUN_FAILS[name] in err
+    assert not out.exists()
+    # an existing output directory is left as it was
+    out.mkdir()
+    (out / "manifest.json").write_text("an earlier run's\n")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == "an earlier run's\n"
+
+
+def test_a_run_into_an_existing_directory_replaces_its_own_files(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("pulse_report.json", "sweep.csv"):
+        (out / name).write_text("an earlier run's\n")
+    manifest = run(config_path("pulse_budget_ns_emitter"), out_dir=out)
+    assert manifest["outputs"] == {"pulse_report": "pulse_report.json"}
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "pulse_report.json",
+                                                     "sweep.csv"]
+    assert json.loads((out / "pulse_report.json").read_text())["carrier_cm"] == 20000.0
+    assert (out / "sweep.csv").read_text() == "an earlier run's\n"
+
+
+def test_output_directory_precedence(tmp_path, monkeypatch):
+    # --out, then OQCSIM_OUT, then output.dir, then <config stem>_out in the
+    # working directory, not next to the config
+    configs, work = tmp_path / "configs", tmp_path / "work"
+    configs.mkdir()
+    work.mkdir()
+    doc = json.loads(Path(config_path("pulse_budget_ns_emitter")).read_text())
+    plain, with_dir = configs / "pb.json", configs / "pb_dir.json"
+    plain.write_text(json.dumps(doc))
+    with_dir.write_text(json.dumps({**doc, "output": {"dir": "from_config"}}))
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("OQCSIM_OUT", raising=False)
+    for config, env, flag, made in [(plain, None, None, "pb_out"),
+                                    (with_dir, None, None, "from_config"),
+                                    (with_dir, "from_env", None, "from_env"),
+                                    (plain, "from_env_2", None, "from_env_2"),
+                                    (with_dir, "from_env", "from_flag", "from_flag")]:
+        if env is not None:
+            monkeypatch.setenv("OQCSIM_OUT", env)
+        before = set(os.listdir(work))
+        assert main(["run", "--config", str(config), *(["--out", flag] if flag else [])]) == 0
+        assert set(os.listdir(work)) - before == {made}
+        assert (work / made / "manifest.json").is_file()
+    assert sorted(os.listdir(configs)) == ["pb.json", "pb_dir.json"]
 
 
 def test_bundled_csv_outputs_are_finite(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -100,8 +101,17 @@ def test_tm_default_scheme_passes_at_threshold_1(registry):
     assert {d.term_symbol for d in report.diagnostics if d.status == "warning"} == {"3F4", "1D2"}
 
 
+def with_roles(scheme, roles):
+    """A copy of scheme with the levels named in roles given those roles and
+    every other level unassigned (an alternative protocol scheme)."""
+    for name in roles:
+        scheme.level(name)      # raises on an unknown level
+    return replace(scheme, levels=tuple(
+        replace(lv, role=roles.get(lv.term_symbol, LevelRole.UNASSIGNED)) for lv in scheme.levels))
+
+
 def test_tm_alternative_scheme_with_1i6_auxiliary(registry):
-    alt = registry.get("Tm3+").with_roles({
+    alt = with_roles(registry.get("Tm3+"), {
         "3H6": LevelRole.GROUND, "3H4": LevelRole.QUBIT0,
         "1D2": LevelRole.QUBIT1, "1I6": LevelRole.AUXILIARY,
     })
