@@ -4,8 +4,8 @@
 #
 #     bash .github/base-vs-head.sh CASE
 #
-# CASE is one of bundled, emit-plot, error-rows, large-sweep, digests or
-# failed-runs.
+# CASE is one of bundled, emit-plot, error-rows, large-sweep, digests,
+# failed-runs or emit-plot-errors.
 # The merge base is checked out at $RUNNER_TEMP/base and the head is the
 # working directory.  The case's commands run on both trees, writing to
 # $RUNNER_TEMP/<case>-<tree>; emit-plot reads the outputs of bundled, so
@@ -14,7 +14,9 @@
 # failed at the head and 0 otherwise: differing outputs are reported, not
 # failed on, since a documented correctness fix may change them.  For
 # failed-runs, whose runs are meant to fail, a failure is a run that exits
-# with a code other than 3 or leaves its output directory.
+# with a code other than 3 or leaves its output directory; for
+# emit-plot-errors, a command that exits with a code other than 2 or does
+# not print exactly one line to stderr.
 set -u
 
 case=$1
@@ -27,6 +29,7 @@ declare -A titles=(
   [large-sweep]="40,000-point sweep"
   [digests]="Benchmark output digests"
   [failed-runs]="Runs that fail after validate (tests/configs/run_fails)"
+  [emit-plot-errors]="emit-plot on malformed tables (tests/configs/bad_tables)"
 )
 if [ -z "${titles[$case]+set}" ]; then
   echo "unknown case $case; choose one of ${!titles[*]}" >&2
@@ -208,6 +211,39 @@ diff_failed_runs() {
   echo "| config | tree | exit code | files left in --out |"
   echo "|---|---|---|---|"
   cat "$tmp/failed-runs-base.txt" "$tmp/failed-runs-head.txt"
+}
+
+# the head's tests/configs/bad_tables on both trees: results directories
+# holding one malformed table each, read by the kind that reads it; each
+# tree's exit code and stderr line count go to a table
+run_emit_plot_errors() {
+  local dir name kind code lines
+  mkdir -p "$tmp/emit-plot-errors-$1"
+  for dir in tests/configs/bad_tables/*/; do
+    name=$(basename "$dir")
+    case $(ls "$dir") in
+      centers.csv) kind=spectrum ;;
+      sweep.csv) kind=fidelity-vs-delta ;;
+      trajectory.csv) kind=population-vs-time ;;
+    esac
+    oqcsim "$1" emit-plot --kind "$kind" --results "$dir" \
+      --out "$tmp/emit-plot-errors-$1/$name.csv" 2> "$tmp/emit-plot-errors-$1/$name.err"
+    code=$?
+    lines=$(wc -l < "$tmp/emit-plot-errors-$1/$name.err")
+    echo "| $name | $kind | $1 | $code | $lines |" >> "$tmp/emit-plot-errors-$1.txt"
+    if [ "$code" != 2 ]; then
+      echo "oqcsim emit-plot on $name exited $code" >> "$tmp/$case-failures-$1.txt"
+    fi
+    if [ "$lines" != 1 ]; then
+      echo "oqcsim emit-plot on $name printed $lines stderr lines" >> "$tmp/$case-failures-$1.txt"
+    fi
+  done
+}
+
+diff_emit_plot_errors() {
+  echo "| results | kind | tree | exit code | stderr lines |"
+  echo "|---|---|---|---|---|"
+  cat "$tmp/emit-plot-errors-base.txt" "$tmp/emit-plot-errors-head.txt"
 }
 
 for tree in base head; do

@@ -61,7 +61,6 @@ sixteen operators a gate score reads on a 2-vCPU machine, against
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -127,7 +126,13 @@ class ShiftCoupling:
 
 
 class LevelSystem:
-    """Register of qubits with static cross-qubit couplings."""
+    """Register of qubits with static cross-qubit couplings.
+
+    Joint basis states are in kron order, the first qubit varying
+    slowest.  One integer table holds that order, row j giving qubit
+    j's level number in each joint state, and every index set of the
+    register is read from it.
+    """
 
     def __init__(self, qubits: Sequence[QubitLevels],
                  couplings: Iterable[ShiftCoupling] = ()):
@@ -142,32 +147,15 @@ class LevelSystem:
         if self.dimension > DIMENSION_CAP:
             raise ResourceLimitError(
                 f"register dimension {self.dimension} exceeds the cap {DIMENSION_CAP}")
-        self._strides = []
-        stride = self.dimension
-        for d in dims:
-            stride //= d
-            self._strides.append(stride)
-        for cp in self.couplings:
-            for qn, lv in cp.states.items():
-                self.qubit(qn).index(lv)
+        self._levels = np.indices(dims).reshape(len(dims), self.dimension)
         self._level_indices: dict[tuple[str, str], np.ndarray] = {}
-        self._basis_indices: dict[tuple, np.ndarray] = {}
         self._liouvillian_blocks: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-    @cached_property
-    def _detuning_diag(self) -> np.ndarray:
-        """Diagonal of the static detunings, part of every segment Hamiltonian."""
-        diag = np.zeros(self.dimension)
-        for q in self.qubits:
-            for lv, det in q.detunings.items():
-                if det != 0.0:
-                    diag[self.level_indices(q.name, lv)] += det
-        return diag
-
-    @cached_property
-    def _coupling_indices(self) -> list[np.ndarray]:
-        """Where each coupling's shift lands on the diagonal."""
-        return [self._matching_indices(cp.states) for cp in self.couplings]
+        # where each coupling's shift lands on the diagonal
+        self._coupling_indices = [self._matching_indices(cp.states) for cp in self.couplings]
+        # the static detunings, part of every segment Hamiltonian's diagonal
+        self._detuning_diag = np.zeros(self.dimension)
+        for q, row in zip(self.qubits, self._levels):
+            self._detuning_diag += np.array([q.detunings.get(lv, 0.0) for lv in q.levels])[row]
 
     def qubit(self, name: str) -> QubitLevels:
         try:
@@ -179,28 +167,12 @@ class LevelSystem:
         """Flat index of the joint basis state assigning a level to every qubit."""
         if set(assignment) != set(self._by_name):
             raise ValidationError("assignment must name every qubit exactly once")
-        return sum(q.index(assignment[q.name]) * s
-                   for q, s in zip(self.qubits, self._strides))
-
-    def basis_indices(self, qubits: tuple[str, ...],
-                      states: tuple[tuple[str, ...], ...]) -> np.ndarray:
-        """basis_index of each joint state, states[i][j] being the level of qubits[j].
-
-        Cached per (qubits, states) and read-only, so a caller scoring
-        many propagators of one register looks its indices up once.
-        """
-        key = (qubits, states)
-        if key not in self._basis_indices:
-            idx = np.array([self.basis_index(dict(zip(qubits, s))) for s in states])
-            idx.flags.writeable = False
-            self._basis_indices[key] = idx
-        return self._basis_indices[key]
+        return int(np.ravel_multi_index([q.index(assignment[q.name]) for q in self.qubits],
+                                        [len(q.levels) for q in self.qubits]))
 
     def basis_labels(self) -> list[tuple[str, ...]]:
-        labels = [()]
-        for q in self.qubits:
-            labels = [lab + (lv,) for lab in labels for lv in q.levels]
-        return labels
+        return [tuple(q.levels[k] for q, k in zip(self.qubits, state))
+                for state in self._levels.T.tolist()]
 
     def level_indices(self, qubit_name: str, level: str) -> np.ndarray:
         """Flat indices of the joint states with one qubit in the given level.
@@ -217,10 +189,7 @@ class LevelSystem:
         mask = np.ones(self.dimension, dtype=bool)
         for qn, lv in pins.items():
             q = self.qubit(qn)
-            pos = list(self.qubits).index(q)
-            stride = self._strides[pos]
-            idx = (np.arange(self.dimension) // stride) % len(q.levels)
-            mask &= idx == q.index(lv)
+            mask &= self._levels[self.qubits.index(q)] == q.index(lv)
         return np.flatnonzero(mask)
 
     def basis_state(self, assignment: Mapping[str, str]) -> np.ndarray:

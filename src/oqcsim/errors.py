@@ -14,10 +14,6 @@ class OqcsimError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigurationError(OqcsimError, ValueError):
-    """Bad enum values and malformed options (an unknown plot kind, ...)."""
-
-
 class DomainError(OqcsimError, ValueError):
     """Inputs outside the physical domain of a formula (R = 0, n < 1, ...)."""
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Mapping, NamedTuple, Sequence
@@ -341,8 +340,9 @@ def score(truth: np.ndarray, coherences: np.ndarray, amplitudes: np.ndarray,
 
 
 def _computational(scenario: GateScenario, system: LevelSystem) -> np.ndarray:
-    """Basis indices of the four computational states (cached by the register)."""
-    return system.basis_indices((scenario.control.name, scenario.target.name), COMPUTATIONAL)
+    """Basis indices of the four computational states."""
+    names = (scenario.control.name, scenario.target.name)
+    return np.array([system.basis_index(dict(zip(names, s))) for s in COMPUTATIONAL])
 
 
 def _columns(comp: np.ndarray, dim: int) -> np.ndarray:
@@ -616,6 +616,7 @@ def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> Sw
     # a forked pool starts every worker up front, so never ask for idle ones
     workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor    # loaded only when a pool starts
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tables = list(pool.map(score_chunk, chunks))
     else:

@@ -18,10 +18,10 @@ parsing, so a value overflowing double precision there is rejected too,
 and the sweep grid is checked by gates.check_grid, as every sweep is.
 So load_config() rejects everything run() rejects, except errors that
 depend on the sampled data (an ensemble larger than the number of
-dopants drawn) or on a gate's propagation (a protocol result that is
-not finite).  run() computes, then writes: every stage returns its
-data before one write phase makes the output directory, so these
-errors write nothing either.
+dopants drawn, a center frequency whose draw overflows) or on a gate's
+propagation (a protocol result that is not finite).  run() computes,
+then writes: every stage returns its data before one write phase makes
+the output directory, so these errors write nothing either.
 """
 from __future__ import annotations
 
@@ -42,9 +42,8 @@ from .ensemble import (PAIR_RADIUS_MAX, CenterSet, ChannelAllocation, CrystalSpe
                        estimate_fwhm, identify_pairs, mean_qubit_spacing,
                        min_pair_concentration, nearest_neighbor_distances, sample_lattice,
                        spectral_select)
-from .errors import (ConfigurationError, DomainError, ParseError, ValidationError, entries,
-                     finite, flag, known_keys, number, read_json, require, string,
-                     subsection)
+from .errors import (DomainError, ParseError, ValidationError, entries, finite, flag,
+                     known_keys, number, read_json, require, string, subsection)
 from .gates import (METRICS, GateScenario, NoiseFlags, QubitScheme, SweepTable, check_grid,
                     pair_center_scenario, run_protocol, sweep as run_sweep)
 from .dynamics import Trajectory, propagate_lindblad, propagate_unitary
@@ -643,36 +642,55 @@ def emit_plot_data(results_dir, kind: str, out_path) -> None:
     Kinds: 'fidelity-vs-delta' (from sweep.csv), 'population-vs-time'
     (from trajectory.csv), 'spectrum' (frequency histogram from
     centers.csv, with a gaussian-quantile FWHM estimate in a leading
-    comment line).  An empty result set yields a header-only CSV.
+    comment line).  An empty result set yields a header-only CSV; a
+    table missing a column the kind reads, or a frequency that is not a
+    finite number, is a ParseError that names it.
     """
     results = Path(results_dir)
     comment = ""
     if kind == "fidelity-vs-delta":
-        rows = _read_csv(results / "sweep.csv")
+        path = results / "sweep.csv"
+        rows = _read_csv(path)
         xcol = "delta_over_omega" if "delta_over_omega" in (rows[0] if rows else {}) \
             else "delta_shift_rad_s"
         ok = [row for row in rows if row.get("status") == "ok" and xcol in row]
+        require(not ok or "infidelity" in ok[0], f"{path}: no infidelity column", ParseError)
         columns = [[row[xcol] for row in ok], [row["infidelity"] for row in ok],
                    ["infidelity"] * len(ok)]
     elif kind == "population-vs-time":
-        cells = [(row["time_s"], val, col[4:]) for row in _read_csv(results / "trajectory.csv")
-                 for col, val in row.items() if col.startswith("pop_")]
+        path = results / "trajectory.csv"
+        rows = _read_csv(path)
+        pops = [col for col in (rows[0] if rows else {}) if col.startswith("pop_")]
+        require(not pops or "time_s" in rows[0], f"{path}: no time_s column", ParseError)
+        cells = [(row["time_s"], row[col], col[4:]) for row in rows for col in pops]
         columns = [[cell[k] for cell in cells] for k in range(3)]
     elif kind == "spectrum":
-        rows = _read_csv(results / "centers.csv")
-        freqs = np.array([float(r["frequency_hz"]) for r in rows
-                          if r.get("frequency_hz")])
+        path = results / "centers.csv"
+        freqs = np.array([_finite_cell(path, "frequency_hz", r["frequency_hz"])
+                          for r in _read_csv(path) if r.get("frequency_hz")])
+        require(not len(freqs) or math.isfinite(float(freqs.max()) - float(freqs.min())),
+                f"{path}: the frequency_hz range overflows", ParseError)
         if len(freqs) >= 8:
             comment = f"# fwhm_hz={estimate_fwhm(freqs)!r}\n"
         columns = [[], [], []]
         if len(freqs):
             counts, edges = np.histogram(freqs, bins=64)
-            columns = [(edges[:-1] + edges[1:]) / 2.0, counts, ["frequency"] * len(counts)]
+            columns = [edges[:-1] / 2.0 + edges[1:] / 2.0, counts, ["frequency"] * len(counts)]
     else:
-        raise ConfigurationError(
-            f"unknown plot kind {kind!r}; choose fidelity-vs-delta, "
-            "population-vs-time or spectrum")
+        raise ParseError(f"unknown plot kind {kind!r}; choose fidelity-vs-delta, "
+                         "population-vs-time or spectrum")
     _write_csv(out_path, ["x", "y", "series"], columns, comment=comment)
+
+
+def _finite_cell(path: Path, column: str, cell: str) -> float:
+    """A table cell as a float; ParseError naming it unless it is a finite number."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    require(math.isfinite(value), f"{path}: {column} {cell!r} is not a finite number",
+            ParseError)
+    return value
 
 
 def _read_csv(path: Path) -> list[dict]:

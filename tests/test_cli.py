@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import filecmp
@@ -19,7 +20,7 @@ from oqcsim import dynamics, gates, runner
 from oqcsim.cli import main
 from oqcsim.ensemble import BOX_SIZE_CAP, DOPANT_CAP
 from oqcsim.gates import SWEEP_POINTS_CAP
-from oqcsim.errors import ValidationError
+from oqcsim.errors import ParseError, ValidationError
 from oqcsim.gates import chunk_points
 from oqcsim.runner import emit_plot_data, load_config, run
 
@@ -351,6 +352,12 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+def _finite_csv(path):
+    with open(path, newline="") as fh:
+        cells = {cell.lower() for row in csv.reader(fh) for cell in row}
+    assert not cells & {"inf", "-inf", "nan"}, f"{path.name} holds a non-finite cell"
+
+
 # values that are not numbers: a string, a list, a boolean and null
 NOT_A_NUMBER = st.sampled_from(["1e9", [1.0], True, None])
 
@@ -431,6 +438,8 @@ def test_fuzzed_section_numbers_end_in_contract_codes(case):
             assert not out.exists()
         for path in out.glob("*.json"):
             _strict_json(path)
+        for path in out.glob("*.csv"):
+            _finite_csv(path)
 
 
 @pytest.mark.parametrize("sec, key, value", OVERFLOWING)
@@ -686,6 +695,8 @@ def test_error_row_configs_keep_their_statuses(tmp_path, name):
 # configs that pass validate and whose run fails on the sampled data or on a
 # gate's propagation, with the message of each
 RUN_FAILS = {
+    "ensemble_frequency_overflow":
+        "a center frequency drawn at gamma_inh 1.7e+308 Hz is not finite",
     "ensemble_too_few_dopants": "need at least 100001 centers, have 1312",
     "gate_result_not_finite": "protocol result is not finite",
 }
@@ -712,6 +723,18 @@ def test_a_run_that_fails_after_validate_writes_nothing(tmp_path, capsys, name):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 3
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
     assert (out / "manifest.json").read_text() == "an earlier run's\n"
+
+
+def test_a_lorentzian_frequency_overflow_prints_one_line(tmp_path, capsys):
+    doc = json.loads((ERROR_ROW_CONFIGS / "run_fails" / "ensemble_frequency_overflow.json")
+                     .read_text())
+    doc["crystal"]["distribution"] = "lorentzian"
+    config, out = tmp_path / "lorentzian.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "oqcsim: domain: a center frequency drawn at gamma_inh 1.7e+308 Hz is not finite\n")
+    assert not out.exists()
 
 
 def test_a_run_into_an_existing_directory_replaces_its_own_files(tmp_path):
@@ -911,6 +934,60 @@ def test_emit_plot_rejects_a_ragged_table(tmp_path, capsys, row):
     assert capsys.readouterr() == ("", f"oqcsim: schema: {message}\n")
 
 
+BAD_TABLES = ERROR_ROW_CONFIGS / "bad_tables"
+# the kind that reads each table, and the message a malformed one ends in
+PLOT_KINDS = {"centers.csv": "spectrum", "sweep.csv": "fidelity-vs-delta",
+              "trajectory.csv": "population-vs-time"}
+BAD_TABLE_ERRORS = {
+    "spectrum_not_a_number": "frequency_hz 'abc' is not a finite number",
+    "spectrum_not_finite": "frequency_hz 'inf' is not a finite number",
+    "spectrum_range_overflows": "the frequency_hz range overflows",
+    "sweep_without_infidelity": "no infidelity column",
+    "trajectory_without_time": "no time_s column",
+}
+
+
+def test_bad_tables_are_the_pinned_ones():
+    assert sorted(p.name for p in BAD_TABLES.iterdir()) == sorted(BAD_TABLE_ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TABLE_ERRORS))
+def test_emit_plot_on_a_malformed_table_exits_2(tmp_path, capsys, name):
+    [table] = (BAD_TABLES / name).iterdir()
+    out = tmp_path / "plot.csv"
+    assert main(["emit-plot", "--kind", PLOT_KINDS[table.name], "--results",
+                 str(BAD_TABLES / name), "--out", str(out)]) == 2
+    assert one_line_error(capsys) == f"{table}: {BAD_TABLE_ERRORS[name]}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400", "-1e400", "NaN"])
+def test_spectrum_rejects_a_frequency_that_is_not_finite(tmp_path, capsys, cell):
+    (tmp_path / "centers.csv").write_text(
+        f"x,y,z,frequency_hz,is_pair_member,partner_index\n0,0,0,1.0,0,\n1,0,0,{cell},0,\n")
+    assert main(["emit-plot", "--kind", "spectrum", "--results", str(tmp_path),
+                 "--out", str(tmp_path / "plot.csv")]) == 2
+    assert one_line_error(capsys) == (f"{tmp_path / 'centers.csv'}: "
+                                      f"frequency_hz {cell!r} is not a finite number")
+
+
+def test_spectrum_of_frequencies_near_the_double_limit_is_finite(tmp_path):
+    # a finite range whose bin edges are each above half the largest double
+    (tmp_path / "centers.csv").write_text(
+        "x,y,z,frequency_hz,is_pair_member,partner_index\n0,0,0,1.7e+308,0,\n1,0,0,1e+308,0,\n")
+    emit_plot_data(tmp_path, "spectrum", tmp_path / "plot.csv")
+    with open(tmp_path / "plot.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 64 and all(math.isfinite(float(row["x"])) for row in rows)
+    assert float(rows[0]["x"]) > 1e308 and sum(int(row["y"]) for row in rows) == 2
+
+
+def test_emit_plot_data_rejects_an_unknown_kind(tmp_path):
+    with pytest.raises(ParseError, match="unknown plot kind 'mystery'"):
+        emit_plot_data(tmp_path, "mystery", tmp_path / "plot.csv")
+    assert not (tmp_path / "plot.csv").exists()
+
+
 def one_line_error(capsys, kind="schema") -> str:
     """The one stderr line of a failed command, after "oqcsim: <kind>: "."""
     captured = capsys.readouterr()
@@ -1065,7 +1142,7 @@ def recording_pool(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(gates, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return started
 
 

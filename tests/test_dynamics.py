@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -203,6 +204,50 @@ def test_unitary_columns_equal_the_columns_of_the_whole_unitary():
     empty = PulseArrays((), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
     assert np.array_equal(stacked_unitaries(system, empty, columns=[5, 1]),
                           np.repeat(np.eye(system.dimension)[None][:, :, [5, 1]], 2, axis=0))
+
+
+@pytest.mark.parametrize("sizes", [(2,), (4,), (3, 2), (2, 4), (4, 4), (3, 2, 4), (2, 3, 2)])
+def test_register_indices_follow_kron_order(sizes):
+    rng = np.random.default_rng(len(sizes) * 10 + sizes[0])
+    qubits = [QubitLevels(f"q{j}", tuple(f"l{k}" for k in range(n)),
+                          detunings={"l0": -0.0, "l1": float(rng.normal(0, 1e9))}
+                          | ({"l2": 0.0} if n > 2 else {}))
+              for j, n in enumerate(sizes)]
+    pins = [{"q0": "l1"}, {q.name: q.levels[-1] for q in qubits}]
+    system = LevelSystem(qubits, [ShiftCoupling(p, 1.0) for p in pins])
+    states = list(itertools.product(*(q.levels for q in qubits)))
+    assert system.dimension == len(states)
+    assert system.basis_labels() == states
+    for k, state in enumerate(states):
+        assert system.basis_index(dict(zip((q.name for q in qubits), state))) == k
+    for j, q in enumerate(qubits):
+        for lv in q.levels:
+            assert system.level_indices(q.name, lv).tolist() == [
+                k for k, state in enumerate(states) if state[j] == lv]
+    assert [idx.tolist() for idx in system._coupling_indices] == [
+        [k for k, state in enumerate(states)
+         if all(state[int(qn[1:])] == lv for qn, lv in p.items())] for p in pins]
+    expected = np.zeros(len(states))       # the per-state sum, zero detunings left out
+    for k, state in enumerate(states):
+        for q, lv in zip(qubits, state):
+            if q.detunings.get(lv, 0.0) != 0.0:
+                expected[k] += q.detunings[lv]
+    assert np.array_equal(system._detuning_diag, expected)
+    assert np.array_equal(np.signbit(system._detuning_diag), np.signbit(expected))
+    with pytest.raises(ValidationError, match="every qubit"):
+        system.basis_index({})
+    with pytest.raises(ValidationError, match="no level 'x'"):
+        system.basis_index({q.name: "x" for q in qubits})
+    with pytest.raises(ValidationError, match="unknown qubit 'z'"):
+        LevelSystem(qubits, [ShiftCoupling({"q0": "l0"}, 1.0), ShiftCoupling({"z": "x"}, 1.0)])
+    with pytest.raises(ValidationError, match="no level 'x'"):
+        LevelSystem(qubits, [ShiftCoupling({"q0": "x", "z": "l0"}, 1.0)])
+
+
+def test_empty_register_builds():
+    system = LevelSystem([])
+    assert system.dimension == 0 and system.basis_labels() == []
+    assert system._detuning_diag.shape == (0,) and system.basis_index({}) == 0
 
 
 def test_dimension_cap_enforced():

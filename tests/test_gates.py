@@ -665,15 +665,13 @@ def test_negative_dephasing_gets_the_constructor_row():
 
 
 @pytest.mark.parametrize("order", [("1p", "0", "1"), ("1", "0", "1p")])
-def test_cached_computational_indices_equal_basis_index(order):
+def test_computational_indices_equal_basis_index(order):
     scenario = GateScenario(control=QubitScheme("control", level_order=order),
                             target=QubitScheme("target", level_order=order), rabi=OMEGA)
     system = scenario_system(scenario)
     comp = _computational(scenario, system)
     assert comp.tolist() == [system.basis_index({"control": c, "target": t})
                              for c, t in COMPUTATIONAL]
-    assert _computational(scenario, system) is comp
-    assert not comp.flags.writeable
 
 
 CLOSED_CHUNK = chunk_points(BASES["canonical"])
