@@ -5,7 +5,7 @@
 #     bash .github/base-vs-head.sh CASE
 #
 # CASE is one of bundled, emit-plot, error-rows, large-sweep, digests,
-# failed-runs or emit-plot-errors.
+# failed-runs, emit-plot-errors or size.
 # The merge base is checked out at $RUNNER_TEMP/base and the head is the
 # working directory.  The case's commands run on both trees, writing to
 # $RUNNER_TEMP/<case>-<tree>; emit-plot reads the outputs of bundled, so
@@ -16,7 +16,8 @@
 # failed-runs, whose runs are meant to fail, a failure is a run that exits
 # with a code other than 3 or leaves its output directory; for
 # emit-plot-errors, a command that exits with a code other than 2 or does
-# not print exactly one line to stderr.
+# not print exactly one line to stderr.  size only reports the line counts
+# of src/oqcsim/*.py on both trees and never fails.
 set -u
 
 case=$1
@@ -30,6 +31,7 @@ declare -A titles=(
   [digests]="Benchmark output digests"
   [failed-runs]="Runs that fail after validate (tests/configs/run_fails)"
   [emit-plot-errors]="emit-plot on malformed tables (tests/configs/bad_tables)"
+  [size]="Code size (wc -l src/oqcsim/*.py)"
 )
 if [ -z "${titles[$case]+set}" ]; then
   echo "unknown case $case; choose one of ${!titles[*]}" >&2
@@ -244,6 +246,26 @@ diff_emit_plot_errors() {
   echo "| results | kind | tree | exit code | stderr lines |"
   echo "|---|---|---|---|---|"
   cat "$tmp/emit-plot-errors-base.txt" "$tmp/emit-plot-errors-head.txt"
+}
+
+# each tree's line counts of src/oqcsim/*.py, per file and in total, in a
+# table; a file missing from a tree shows as -
+run_size() {
+  (cd "$(root "$1")" && wc -l src/oqcsim/*.py) > "$tmp/size-$1.txt"
+}
+
+diff_size() {
+  echo "| file | merge base | head | change |"
+  echo "|---|---|---|---|"
+  awk '$2 == "total" { next }
+       { tree = FILENAME ~ /size-base/ ? "base" : "head"
+         if (!($2 in seen)) { seen[$2]; order[++n] = $2 }
+         lines[tree, $2] = $1; total[tree] += $1 }
+       function row(name, b, h) {
+         printf "| %s | %s | %s | %+d |\n", name, b == "" ? "-" : b, h == "" ? "-" : h, h - b }
+       END { for (i = 1; i <= n; i++) row(order[i], lines["base", order[i]], lines["head", order[i]])
+             row("**total**", total["base"], total["head"]) }' \
+    "$tmp/size-base.txt" "$tmp/size-head.txt"
 }
 
 for tree in base head; do

@@ -42,9 +42,9 @@ that is 12 expm calls.
 
 n sequences of one shape, differing only in Rabi frequencies,
 detunings, durations, coupling shifts and dephasing rates, are
-described by PulseArrays and propagated in one stack by
-stacked_unitaries and stacked_superoperators; sequence_unitary and
-sequence_superoperator are their n = 1 case.
+described by PulseArrays and propagated in one stack, one function per
+kind: sequence_unitary closed, sequence_superoperator open.  One
+sequence is the stack of one that PulseArrays.of gives.
 
 Frequencies entering the Hamiltonian (detunings, shifts, Rabi) are
 angular (rad/s); decay and dephasing rates are ordinary rates (1/s).
@@ -656,16 +656,9 @@ class PulseArrays(NamedTuple):
                    rows(lambda p: p.detuning), rows(lambda p: p.duration))
 
 
-def sequence_unitary(system: LevelSystem, sequence: PulseSequence,
+def sequence_unitary(system: LevelSystem, pulses: PulseArrays,
+                     shifts: np.ndarray | None = None,
                      columns: Sequence[int] | None = None) -> np.ndarray:
-    """Total unitary of an ordered pulse sequence (closed system), or the
-    columns of it that columns names."""
-    return stacked_unitaries(system, PulseArrays.of(sequence), columns=columns)[0]
-
-
-def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
-                      shifts: np.ndarray | None = None,
-                      columns: Sequence[int] | None = None) -> np.ndarray:
     """Total unitaries of n pulse sequences given as arrays (closed system).
 
     Returns (n, d, m): column c of entry i is sequence i's unitary
@@ -693,21 +686,7 @@ def stacked_unitaries(system: LevelSystem, pulses: PulseArrays,
     return np.moveaxis(out, -1, 0)
 
 
-def sequence_superoperator(system: LevelSystem, sequence: PulseSequence,
-                           columns: Sequence[int]) -> np.ndarray:
-    """Some columns of a pulse sequence's quantum channel as a superoperator matrix.
-
-    The channel applied to the basis operators at the given row-major
-    vectorized positions.  DomainError with the text of its expm fault
-    (EXPM_FAULTS) when it has one.
-    """
-    channels, faults = stacked_superoperators(system, PulseArrays.of(sequence), columns)
-    if faults[0]:
-        raise DomainError(EXPM_FAULTS[faults[0]])
-    return channels[0]
-
-
-def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Sequence[int],
+def sequence_superoperator(system: LevelSystem, pulses: PulseArrays, columns: Sequence[int],
                            shifts: np.ndarray | None = None,
                            dephasing: np.ndarray | None = None
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -717,11 +696,12 @@ def stacked_superoperators(system: LevelSystem, pulses: PulseArrays, columns: Se
     applied to the basis operator at row-major vectorized position
     columns[c]; and each entry's fault (n,), the index into EXPM_FAULTS
     of its first expm fault, or 0 (a faulted entry's channel means
-    nothing).  shifts (n, len(system.couplings)) and dephasing
-    (n, len(system.qubits)) give each entry its own coupling shifts and
-    dephasing rates.  Each segment's generator is exponentiated block by
-    block (liouvillian_blocks), skipping the blocks that no column
-    reaches, in one stacked expm and one stacked product per block size.
+    nothing; nothing is raised, the caller reports the fault).  shifts
+    (n, len(system.couplings)) and dephasing (n, len(system.qubits))
+    give each entry its own coupling shifts and dephasing rates.  Each
+    segment's generator is exponentiated block by block
+    (liouvillian_blocks), skipping the blocks that no column reaches, in
+    one stacked expm and one stacked product per block size.
     """
     n, d2 = pulses.rabi.shape[1], system.dimension ** 2
     columns = np.asarray(columns)
@@ -824,7 +804,7 @@ def propagate_lindblad(system: LevelSystem, sequence: PulseSequence, rho0,
     Decay channels (per-level lifetimes) and pure dephasing (homogeneous
     width) enter through the standard dissipator; each segment is the
     exact exponential of the Lindblad superoperator, taken block by
-    block as in stacked_superoperators (a repeated segment's once) and
+    block as in sequence_superoperator (a repeated segment's once) and
     applied in one stacked product per block size.  Trace is conserved
     and eigenvalues stay positive to solver accuracy.  DomainError with
     the text of an expm fault (EXPM_FAULTS) when a segment has one.

@@ -28,8 +28,9 @@ as arrays against _NUMBER_FAULTS, the table the constructor checks, and
 the points that pass are propagated in one stack on the base's register
 and sequence, where each keeps its own expm fault (dynamics.EXPM_FAULTS).
 A point that fails gets the message its scenario run alone would raise,
-and costs no other point anything.  The results are columns
-(SweepTable), and no point is ever a dict.
+and costs no other point anything; a scenario run alone is itself
+scored as a stack of one.  The results are columns (SweepTable), and no
+point is ever a dict.
 
 Angular units: delta_shift and the Rabi frequency are rad/s (multiply
 shifts from the interactions module, which are in Hz, by 2 pi).
@@ -45,8 +46,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import (EXPM_FAULTS, LevelSystem, PulseArrays, QubitLevels, ShiftCoupling,
-                       sequence_superoperator, sequence_unitary, stacked_superoperators,
-                       stacked_unitaries)
+                       sequence_superoperator, sequence_unitary)
 from .errors import DomainError, ParseError, ResourceLimitError, ValidationError
 from .interactions import BlockadeModel, DEFAULT_MODEL, dipole_shift
 from .paircenter import PairParams, pair_eigensystem_exact, pair_eigensystem_perturbative
@@ -272,7 +272,7 @@ def _closed_reading(columns: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, 
     """Populations, diagonal coherences, phase amplitudes and finiteness of unitaries.
 
     columns (n, d, 4): the unitaries' columns of the computational
-    states, whose basis indices are comp (as stacked_unitaries returns
+    states, whose basis indices are comp (as sequence_unitary returns
     them with columns=comp).  With m the computational block, the
     coherence C[j, k] of |j><k| is m_jj conj(m_kk), and the phases are
     read from m's diagonal.
@@ -351,48 +351,27 @@ def _columns(comp: np.ndarray, dim: int) -> np.ndarray:
     return (dim * comp[:, None] + comp).ravel()
 
 
-def _score_stack(scenario: GateScenario, system: LevelSystem, stack: np.ndarray) -> Scores:
-    """Scores of a stack of the scenario's propagators on its register: the
-    unitaries' four computational columns (n, d, 4), or with any noise
-    switch on, the sixteen channel columns (n, d^2, 16)."""
-    comp = _computational(scenario, system)
-    if scenario.noise.any:
-        reading = _channel_reading(stack, comp, system.dimension)
-    else:
-        reading = _closed_reading(stack, comp)
-    return score(*reading, scenario.gate_target)
-
-
 def run_protocol(scenario: GateScenario, scores: Scores | None = None,
                  row: int = 0) -> GateReport:
     """Execute a scenario over all four computational inputs and score it.
 
-    The run propagates on the scenario's register and sequence
-    (scenario.protocol), which its trajectory and sweep share.
-    Closed-system scenarios are scored from the four computational
-    columns of their sequence unitary; with any noise switch on, the
-    channel is applied to the sixteen operators |j><k| of the
-    computational subspace, so decay and dephasing enter the
-    average-fidelity sum exactly.  Both are scored by score, here
-    as a stack of one.  scores, when given, are computed already, as
-    lists (Scores.tolist), and row is the position in them of a point of
-    a sweep of scenario, as a sweep chunk computes them for all its
-    points at once (sweep_chunk); the point differs from scenario only
-    in swept numbers, which the report does not carry.  The call then
-    only checks that the row is finite and builds the report; a sweep
-    makes it for every point that passed the number checks and has no
-    expm fault, and writes the DomainError of a row that is not finite
-    as the point's error.
+    A scenario alone is the n = 1 case of a sweep's scorer
+    (_stacked_scores), at its own Rabi frequency, shift and gamma_h; an
+    expm fault raises DomainError with its text (EXPM_FAULTS).  scores,
+    when given, are computed already, as lists (Scores.tolist), and row
+    is the position in them of a point of a sweep of scenario
+    (sweep_chunk), which differs from scenario only in swept numbers the
+    report does not carry.  Either way the call checks that the row is
+    finite and builds the report; a sweep writes the DomainError of a
+    row that is not finite as the point's error.
     """
     if scores is None:
-        system, sequence = scenario.protocol
-        comp = _computational(scenario, system)
-        if scenario.noise.any:
-            propagator = sequence_superoperator(system, sequence,
-                                                _columns(comp, system.dimension))
-        else:
-            propagator = sequence_unitary(system, sequence, comp)
-        scores = _score_stack(scenario, system, propagator[None]).tolist()
+        numbers = [np.array([x], dtype=float)
+                   for x in (scenario.rabi, scenario.delta_shift, scenario.gamma_h)]
+        scores, faults = _stacked_scores(scenario, *numbers)
+        if faults[0]:
+            raise DomainError(EXPM_FAULTS[faults[0]])
+        scores = scores.tolist()
     if not scores.finite[row]:
         raise DomainError("protocol result is not finite; the pulse durations and "
                           "shifts are too far apart for double precision")
@@ -557,24 +536,29 @@ def _stacked_scores(base: GateScenario, rabi: np.ndarray, shift: np.ndarray,
     gamma_h of the (n,) arrays, and each point's fault, an index into
     EXPM_FAULTS (0 for none, and always with no noise).
 
-    The points' pulse parameters enter as (segments, n) arrays
-    (_group_pulses).  Without noise the points get the four computational
-    columns of their sequence unitaries; with any noise switch of base
-    on, the sixteen computational columns of their channels; each in one
-    stacked propagation on the base's register, scored in one score
-    call.  A faulted point's scores mean nothing.
+    The one scorer of a protocol; a scenario alone is its n = 1 case
+    (run_protocol).  The points, as (segments, n) pulse arrays
+    (_group_pulses), are propagated in one stack on the base's register:
+    without noise to the four computational columns of their unitaries
+    (_closed_reading), with any noise switch on to their channels'
+    images of the sixteen operators |j><k| of the computational subspace
+    (_channel_reading), so decay and dephasing enter the fidelity
+    exactly; and scored in one score call.  A faulted point's scores
+    mean nothing.
     """
     system = base.protocol[0]
     pulses = _group_pulses(base, rabi)
     comp = _computational(base, system)
     if base.noise.any:
         gamma = _dephasing(base.noise, gamma_h)[:, None]
-        stacked, faults = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
+        stacked, faults = sequence_superoperator(system, pulses, _columns(comp, system.dimension),
                                                  shift[:, None], np.repeat(gamma, 2, axis=1))
+        reading = _channel_reading(stacked, comp, system.dimension)
     else:
-        stacked = stacked_unitaries(system, pulses, shift[:, None], comp)
+        stacked = sequence_unitary(system, pulses, shift[:, None], comp)
         faults = np.zeros(len(rabi), dtype=int)
-    return _score_stack(base, system, stacked), faults
+        reading = _closed_reading(stacked, comp)
+    return score(*reading, base.gate_target), faults
 
 
 def sweep(base: GateScenario, grid: Mapping[str, Sequence], jobs: int = 1) -> SweepTable:

@@ -643,8 +643,10 @@ def emit_plot_data(results_dir, kind: str, out_path) -> None:
     (from trajectory.csv), 'spectrum' (frequency histogram from
     centers.csv, with a gaussian-quantile FWHM estimate in a leading
     comment line).  An empty result set yields a header-only CSV; a
-    table missing a column the kind reads, or a frequency that is not a
-    finite number, is a ParseError that names it.
+    table missing a column the kind reads, or a cell it reads that is not
+    a finite number (an ok sweep row's x or infidelity, a trajectory's
+    time or population, a frequency), is a ParseError that names it.  The
+    checked cells are copied as their text.
     """
     results = Path(results_dir)
     comment = ""
@@ -655,6 +657,7 @@ def emit_plot_data(results_dir, kind: str, out_path) -> None:
             else "delta_shift_rad_s"
         ok = [row for row in rows if row.get("status") == "ok" and xcol in row]
         require(not ok or "infidelity" in ok[0], f"{path}: no infidelity column", ParseError)
+        _check_finite(path, ok, (xcol, "infidelity"))
         columns = [[row[xcol] for row in ok], [row["infidelity"] for row in ok],
                    ["infidelity"] * len(ok)]
     elif kind == "population-vs-time":
@@ -662,6 +665,8 @@ def emit_plot_data(results_dir, kind: str, out_path) -> None:
         rows = _read_csv(path)
         pops = [col for col in (rows[0] if rows else {}) if col.startswith("pop_")]
         require(not pops or "time_s" in rows[0], f"{path}: no time_s column", ParseError)
+        if pops:
+            _check_finite(path, rows, ("time_s", *pops))
         cells = [(row["time_s"], row[col], col[4:]) for row in rows for col in pops]
         columns = [[cell[k] for cell in cells] for k in range(3)]
     elif kind == "spectrum":
@@ -691,6 +696,14 @@ def _finite_cell(path: Path, column: str, cell: str) -> float:
     require(math.isfinite(value), f"{path}: {column} {cell!r} is not a finite number",
             ParseError)
     return value
+
+
+def _check_finite(path: Path, rows: list[dict], columns: tuple[str, ...]) -> None:
+    """ParseError naming the first cell of the columns, row by row, that
+    is not a finite number (_finite_cell)."""
+    for row in rows:
+        for column in columns:
+            _finite_cell(path, column, row[column])
 
 
 def _read_csv(path: Path) -> list[dict]:

@@ -698,6 +698,7 @@ RUN_FAILS = {
     "ensemble_frequency_overflow":
         "a center frequency drawn at gamma_inh 1.7e+308 Hz is not finite",
     "ensemble_too_few_dopants": "need at least 100001 centers, have 1312",
+    "gate_expm_fault": "matrix exponential of a non-finite matrix",
     "gate_result_not_finite": "protocol result is not finite",
 }
 
@@ -942,7 +943,10 @@ BAD_TABLE_ERRORS = {
     "spectrum_not_a_number": "frequency_hz 'abc' is not a finite number",
     "spectrum_not_finite": "frequency_hz 'inf' is not a finite number",
     "spectrum_range_overflows": "the frequency_hz range overflows",
+    "sweep_delta_not_a_number": "delta_over_omega 'abc' is not a finite number",
+    "sweep_not_finite": "infidelity 'inf' is not a finite number",
     "sweep_without_infidelity": "no infidelity column",
+    "trajectory_not_finite": "pop_0:1 'inf' is not a finite number",
     "trajectory_without_time": "no time_s column",
 }
 
@@ -969,6 +973,23 @@ def test_spectrum_rejects_a_frequency_that_is_not_finite(tmp_path, capsys, cell)
                  "--out", str(tmp_path / "plot.csv")]) == 2
     assert one_line_error(capsys) == (f"{tmp_path / 'centers.csv'}: "
                                       f"frequency_hz {cell!r} is not a finite number")
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400", "abc", ""])
+@pytest.mark.parametrize("kind, table, header, row, column", [
+    ("fidelity-vs-delta", "sweep.csv", "delta_shift_rad_s,infidelity,status",
+     "{},0.1,ok", "delta_shift_rad_s"),
+    ("fidelity-vs-delta", "sweep.csv", "delta_shift_rad_s,infidelity,status",
+     "1.0,{},ok", "infidelity"),
+    ("population-vs-time", "trajectory.csv", "time_s,pop_a", "{},0.5", "time_s"),
+    ("population-vs-time", "trajectory.csv", "time_s,pop_a", "0.0,{}", "pop_a")])
+def test_plots_reject_a_cell_that_is_not_finite(tmp_path, capsys, cell, kind, table, header,
+                                                row, column):
+    (tmp_path / table).write_text(f"{header}\n{row.format(1.0)}\n{row.format(cell)}\n")
+    assert main(["emit-plot", "--kind", kind, "--results", str(tmp_path),
+                 "--out", str(tmp_path / "plot.csv")]) == 2
+    assert one_line_error(capsys) == f"{tmp_path / table}: {column} {cell!r} is not a finite number"
+    assert not (tmp_path / "plot.csv").exists()
 
 
 def test_spectrum_of_frequencies_near_the_double_limit_is_finite(tmp_path):

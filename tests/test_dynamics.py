@@ -16,8 +16,7 @@ from oqcsim.dynamics import (DIMENSION_CAP, LevelSystem, PulseArrays, QubitLevel
                              ShiftCoupling, _sequence_exponentials, build_hamiltonian,
                              collapse_operators, drive_pairs, lindblad_superoperator,
                              liouvillian_blocks, propagate_lindblad, propagate_unitary,
-                             segment_hamiltonians, sequence_superoperator, sequence_unitary,
-                             stacked_superoperators, stacked_unitaries)
+                             segment_hamiltonians, sequence_superoperator, sequence_unitary)
 from oqcsim.errors import DomainError, ResourceLimitError, ValidationError
 from oqcsim.pulses import PulseSequence, PulseSpec
 from oqcsim.runner import export_trajectory_csv, load_config
@@ -142,10 +141,11 @@ def test_stacked_unitaries_equal_single_sequences():
                      drive(qubit="c", levels=("1", "1p"), omega=w, area=2 * math.pi,
                            detuning=d))
                  for w, d in ((OMEGA, 0.0), (0.3 * OMEGA, 2e9), (5 * OMEGA, -1e8))]
-    stacked = stacked_unitaries(three_qubit_register(), stacked_arrays(sequences),
-                                np.array([[s, -0.4e9] for s in shifts]))
+    stacked = sequence_unitary(three_qubit_register(), stacked_arrays(sequences),
+                               np.array([[s, -0.4e9] for s in shifts]))
     for u, s, sequence in zip(stacked, shifts, sequences):
-        assert np.array_equal(u, sequence_unitary(three_qubit_register(s), sequence))
+        assert np.array_equal(u, sequence_unitary(three_qubit_register(s),
+                                                  PulseArrays.of(sequence))[0])
 
 
 def test_pulse_arrays_propagate_like_their_sequences():
@@ -166,18 +166,19 @@ def test_pulse_arrays_propagate_like_their_sequences():
     shifts = np.array([[3.7e9, -0.4e9], [0.0, -0.4e9], [25.0 * OMEGA, 1e9]])
     dephasing = [[1e6, 0.0, 2e7], [0.0, 0.0, 0.0], [5e8, 1e7, 0.0]]
     columns = [0, 13, 40, 323]
-    unitaries = stacked_unitaries(system, pulses, shifts)
-    channels, faults = stacked_superoperators(system, pulses, columns, shifts, dephasing)
+    unitaries = sequence_unitary(system, pulses, shifts)
+    channels, faults = sequence_superoperator(system, pulses, columns, shifts, dephasing)
     assert faults.tolist() == [0, 0, 0]
     for u, c, s, g, sequence in zip(unitaries, channels, shifts, dephasing, sequences):
         # a register of entry i's own shifts and dephasing rates
         single = LevelSystem([replace(q, dephasing=x) for q, x in zip(system.qubits, g)],
                              [replace(cp, shift=x) for cp, x in zip(system.couplings, s)])
-        assert np.array_equal(u, sequence_unitary(single, sequence))
-        assert np.array_equal(c, sequence_superoperator(single, sequence, columns))
+        assert np.array_equal(u, sequence_unitary(single, PulseArrays.of(sequence))[0])
+        assert np.array_equal(c, sequence_superoperator(single, PulseArrays.of(sequence),
+                                                        columns)[0][0])
     # no segments: n identities
     empty = PulseArrays((), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
-    assert np.array_equal(stacked_unitaries(system, empty),
+    assert np.array_equal(sequence_unitary(system, empty),
                           np.repeat(np.eye(system.dimension)[None], 2, axis=0))
 
 
@@ -190,19 +191,18 @@ def test_unitary_columns_equal_the_columns_of_the_whole_unitary():
                  for w, d in ((OMEGA, 0.0), (0.3 * OMEGA, 2e9), (5 * OMEGA, -1e8))]
     pulses = stacked_arrays(sequences)
     shifts = np.array([[3.7e9, -0.4e9], [0.0, -0.4e9], [25.0 * OMEGA, 1e9]])
-    whole = stacked_unitaries(system, pulses, shifts)
+    whole = sequence_unitary(system, pulses, shifts)
     assert whole.shape == (3, 18, 18)
     for columns in ([0], [14, 13, 2], [7, 7, 17, 0], list(range(17, -1, -1))):
-        stacked = stacked_unitaries(system, pulses, shifts, columns)
+        stacked = sequence_unitary(system, pulses, shifts, columns)
         assert np.array_equal(stacked, whole[:, :, columns])
         for sequence in sequences:
-            alone = sequence_unitary(system, sequence, columns)
-            assert np.array_equal(alone, stacked_unitaries(system, PulseArrays.of(sequence),
-                                                           columns=columns)[0])
-            assert np.array_equal(alone, sequence_unitary(system, sequence)[:, columns])
+            one = PulseArrays.of(sequence)
+            alone = sequence_unitary(system, one, columns=columns)[0]
+            assert np.array_equal(alone, sequence_unitary(system, one)[0][:, columns])
     # no segments: the basis columns
     empty = PulseArrays((), np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
-    assert np.array_equal(stacked_unitaries(system, empty, columns=[5, 1]),
+    assert np.array_equal(sequence_unitary(system, empty, columns=[5, 1]),
                           np.repeat(np.eye(system.dimension)[None][:, :, [5, 1]], 2, axis=0))
 
 
@@ -295,9 +295,9 @@ def test_semigroup_property():
     system, target = two_level(), ("q", ("g", "e"))
     split, t = np.array([[0.3, 0.5, 0.9]]), 1.7e-9
     rabi, detuning = np.full_like(split, OMEGA), np.full_like(split, 0.3 * OMEGA)
-    u_whole = stacked_unitaries(system, PulseArrays((target,), rabi, detuning,
-                                                    np.full_like(split, t)))
-    u_split = stacked_unitaries(system, PulseArrays(
+    u_whole = sequence_unitary(system, PulseArrays((target,), rabi, detuning,
+                                                   np.full_like(split, t)))
+    u_split = sequence_unitary(system, PulseArrays(
         (target, target), np.vstack([rabi, rabi]), np.vstack([detuning, detuning]),
         np.vstack([t * split, t * (1 - split)])))
     assert np.max(np.abs(u_whole - u_split)) < 1e-10
@@ -373,13 +373,13 @@ def test_unitary_columns_match_expm_oracle(case, phase, pick, columns):
     # errors of about 1e-16 |H| t, the oracle's as much as the rotation's
     t = phase / np.maximum(np.abs(h).max(axis=(2, 3)), OMEGA)
     pulses = PulseArrays(targets, np.stack([rabi, rabi]), np.stack([detuning, detuning]), t)
-    got = stacked_unitaries(system, pulses, shifts, columns)
+    got = sequence_unitary(system, pulses, shifts, columns)
     for i, u in enumerate(got):
         oracle = expm(-1j * h[1, i] * t[1, i]) @ expm(-1j * h[0, i] * t[0, i])
         assert np.abs(u - oracle[:, columns]).max() <= 1e-12
     # whole pulses, whose phases reach 1e6 * 2 pi at the largest ratios
     whole = PulseArrays(targets, pulses.rabi, pulses.detuning, np.stack([math.pi / scale] * 2))
-    assert unitarity_error(stacked_unitaries(system, whole, shifts)) <= 1e-13
+    assert unitarity_error(sequence_unitary(system, whole, shifts)) <= 1e-13
 
 
 @st.composite
@@ -413,7 +413,7 @@ def blockade_protocol():
 def test_closed_trajectory_ends_on_the_report_column(protocol):
     system, sequence = protocol
     d = system.dimension
-    u = sequence_unitary(system, sequence)
+    u = sequence_unitary(system, PulseArrays.of(sequence))[0]
     for samples in (1, 7, 24):
         for i in range(d):
             traj = propagate_unitary(system, sequence, np.eye(d)[i], samples)
@@ -684,7 +684,7 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
 
     # the pulses one after another, through the stacked sequence channels
     columns = np.arange(0, d * d, 5)
-    stacked, _ = stacked_superoperators(system, stacked_arrays(sequences), columns,
+    stacked, _ = sequence_superoperator(system, stacked_arrays(sequences), columns,
                                         dephasing=dephasing)
     for out, sys_i, sequence in zip(stacked, systems, sequences):
         ref = np.eye(d * d)
@@ -692,7 +692,8 @@ def test_blockwise_lindblad_propagation_matches_kron_reference(case, gammas):
             gen = kron_liouvillian(kron_hamiltonian(sys_i, [p]), kron_collapse(sys_i))
             ref = expm(gen * p.duration) @ ref
         assert np.max(np.abs(out - ref[:, columns])) < 1e-10
-        assert np.array_equal(out, sequence_superoperator(sys_i, sequence, columns))
+        assert np.array_equal(out, sequence_superoperator(sys_i, PulseArrays.of(sequence),
+                                                          columns)[0][0])
 
 
 # -- the stacked Padé exponential against scipy.linalg.expm ---------------
@@ -780,15 +781,16 @@ def test_expm_rejects_non_finite_input_and_overflow():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_sequence_raises_its_expm_fault():
     # a rate that overflows the generator over a pulse of pi seconds: the
-    # channel and the trajectory of the one sequence raise its fault's text
+    # trajectory of the one sequence raises its fault's text, and its
+    # channel reports the fault
     system = LevelSystem([QubitLevels("a", ("g", "e"), dephasing=1.7e308)])
     sequence = seq(drive(qubit="a", omega=1.0))
-    for propagate in (lambda: sequence_superoperator(system, sequence, [0]),
-                      lambda: propagate_lindblad(system, sequence, rho0(system, {"a": "g"}))):
-        with pytest.raises(DomainError, match="^matrix exponential of a non-finite matrix$"):
-            propagate()
+    with pytest.raises(DomainError, match="^matrix exponential of a non-finite matrix$"):
+        propagate_lindblad(system, sequence, rho0(system, {"a": "g"}))
+    _, faults = sequence_superoperator(system, PulseArrays.of(sequence), [0])
+    assert faults.tolist() == [1]
     pulses = stacked_arrays([sequence, sequence])
-    _, faults = stacked_superoperators(system, pulses, [0], dephasing=[[1e6], [1.7e308]])
+    _, faults = sequence_superoperator(system, pulses, [0], dephasing=[[1e6], [1.7e308]])
     assert faults.tolist() == [0, 1]
 
 
@@ -817,14 +819,14 @@ def test_stack_slices_leave_the_channels_unchanged(monkeypatch):
     dephasing = [[0.0, 1e6], [2e7, 0.0], [5e8, 5e8]]
     every = np.arange(system.dimension ** 2)
     pulses = stacked_arrays(sequences)
-    whole = stacked_superoperators(system, pulses, every, dephasing=dephasing)[0]
+    whole = sequence_superoperator(system, pulses, every, dephasing=dephasing)[0]
     monkeypatch.setattr(dynamics, "_EXPM_STACK_ENTRIES", 1)    # one matrix per expm call
-    assert np.array_equal(stacked_superoperators(system, pulses, every, dephasing=dephasing)[0],
+    assert np.array_equal(sequence_superoperator(system, pulses, every, dephasing=dephasing)[0],
                           whole)
 
 
 def block_by_block_channels(system, pulses, columns, dephasing):
-    """stacked_superoperators' columns through one expm per block and segment."""
+    """sequence_superoperator's columns through one expm per block and segment."""
     n, d2 = pulses.rabi.shape[1], system.dimension ** 2
     jumps, rates = collapse_operators(system, dephasing)
     out = np.zeros((n, d2, len(columns)), dtype=complex)
@@ -873,7 +875,7 @@ def test_size_classes_equal_block_by_block_reference(limit, case, gammas, seed):
     rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     with mock.patch.object(dynamics, "_EXPM_STACK_ENTRIES",
                            limit or dynamics._EXPM_STACK_ENTRIES):
-        channels, _ = stacked_superoperators(system, stacked_arrays(sequences), columns,
+        channels, _ = sequence_superoperator(system, stacked_arrays(sequences), columns,
                                              dephasing=dephasing)
         states = propagate_lindblad(system, sequences[0], rho, samples_per_segment=2).states
     assert np.array_equal(channels, block_by_block_channels(
@@ -898,7 +900,7 @@ def test_trajectory_ends_on_the_channel(case):
         rho = np.zeros((d, d), dtype=complex)
         rho[i, i] = 1.0
         final = propagate_lindblad(system, sequence, rho, samples_per_segment=1).final
-        channel = sequence_superoperator(system, sequence, [i * d + i])[:, 0]
+        channel = sequence_superoperator(system, PulseArrays.of(sequence), [i * d + i])[0][0, :, 0]
         assert np.array_equal(final.reshape(-1), channel)
 
 
@@ -955,7 +957,7 @@ def test_stacked_superoperators_memory_at_the_cap(monkeypatch):
     pulses = stacked_arrays(sequences)
     tracemalloc.start()
     try:
-        out, _ = stacked_superoperators(system, pulses, columns, dephasing=dephasing)
+        out, _ = sequence_superoperator(system, pulses, columns, dephasing=dephasing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -994,7 +996,7 @@ def test_repeated_segments_are_exponentiated_once(monkeypatch, detuning,
     matrices, pade_expm = [], dynamics.expm
     monkeypatch.setattr(dynamics, "expm",
                         lambda a: (matrices.append(a[..., 0, 0].size), pade_expm(a))[1])
-    channels, _ = stacked_superoperators(system, pulses, every, dephasing=dephasing)
+    channels, _ = sequence_superoperator(system, pulses, every, dephasing=dephasing)
     states = propagate_lindblad(system, sequences[0], rho, samples_per_segment=2).states
     monkeypatch.undo()
     blocks = liouvillian_blocks(system, ("a", ("g", "e")))
@@ -1093,6 +1095,6 @@ def test_trajectory_csv_equals_csv_writer(tmp_path, kind):
 def test_sequence_unitary_composition_order():
     system = two_level()
     s = seq(drive(area=0.7), drive(area=0.9, detuning=0.2 * OMEGA))
-    u = sequence_unitary(system, s)
+    u = sequence_unitary(system, PulseArrays.of(s))[0]
     traj = propagate_unitary(system, s, system.basis_state({"q": "g"}))
     assert np.allclose(u @ system.basis_state({"q": "g"}), traj.final, atol=1e-12)

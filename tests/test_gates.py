@@ -21,8 +21,7 @@ from oqcsim.gates import (COMPUTATIONAL, METRICS, GateReport, GateScenario, Nois
 from oqcsim.interactions import dipole_shift
 from oqcsim.paircenter import PairParams
 from oqcsim.pulses import PULSE_NOT_FINITE, TWO_PI_AREA, PulseSequence, PulseSpec
-from oqcsim.dynamics import (PulseArrays, sequence_superoperator, sequence_unitary,
-                             stacked_superoperators, stacked_unitaries)
+from oqcsim.dynamics import PulseArrays, sequence_superoperator, sequence_unitary
 
 OMEGA = 2 * math.pi * 1e9
 
@@ -87,7 +86,7 @@ def test_identity_sequence_scores_identity():
 def test_noiseless_computational_map_unitary_when_leakage_small():
     scenario = blockade_scenario(1e5)
     system = scenario_system(scenario)
-    u = sequence_unitary(system, canonical_blockade_sequence(scenario))
+    u = sequence_unitary(system, PulseArrays.of(canonical_blockade_sequence(scenario)))[0]
     comp = [system.basis_index({"control": c, "target": t}) for c, t in COMPUTATIONAL]
     m = u[np.ix_(comp, comp)]
     assert np.max(np.abs(m.conj().T @ m - np.eye(4))) < 1e-6
@@ -522,24 +521,31 @@ def test_closed_sweep_calls_run_protocol_once_per_point(monkeypatch):
     assert all(row["status"] == "ok" for row in rows)
 
 
-def test_closed_run_protocol_calls_sequence_unitary_once(monkeypatch):
-    # The traced benchmark reads dynamics.sequence_unitary off the gates
-    # module's binding, so a closed point run alone must propagate through it.
-    calls = []
+@pytest.mark.parametrize("name", ["canonical", "noisy_pair_center"])
+def test_protocols_propagate_through_the_traced_bindings(monkeypatch, name):
+    # The traced benchmark reads dynamics.sequence_unitary and
+    # dynamics.sequence_superoperator off the gates module's bindings, so a
+    # scenario run alone propagates once through the one its noise picks,
+    # with the computational columns, and a sweep once per chunk.
+    base = BASES[name]
+    binding, position, width = (("sequence_superoperator", 2, 16) if base.noise.any
+                                else ("sequence_unitary", 3, 4))
+    propagate, calls = getattr(gates, binding), []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return sequence_unitary(*args, **kwargs)
+        return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(gates, "sequence_unitary", counting)
-    report = run_protocol(BASES["canonical"])
-    assert len(calls) == 1 and len(calls[0][2]) == 4
-    # a stacked point does not run alone
-    row = sweep_rows(BASES["canonical"],
-                     {"delta_shift_rad_s": [BASES["canonical"].delta_shift]})[0]
-    assert len(calls) == 1
-    assert (report.average_fidelity, report.cz_phase) == (row["average_fidelity"],
-                                                          row["cz_phase_rad"])
+    monkeypatch.setattr(gates, binding, counting)
+    report = run_protocol(base)
+    assert len(calls) == 1 and len(calls[0][position]) == width
+    # two chunks, two calls: no point is propagated alone
+    points = chunk_points(base) + 1
+    rows = sweep_rows(base, {"delta_shift_rad_s": [base.delta_shift] * points})
+    assert len(calls) == 3 and all(row["status"] == "ok" for row in rows)
+    assert [rows[0][key] for key in ("truth_table_fidelity", "average_fidelity", "leakage",
+                                     "cz_phase_rad")] == [
+        report.truth_table_fidelity, report.average_fidelity, report.leakage, report.cz_phase]
 
 
 # grids that hold a point of each kind a sweep point is rejected for, and
@@ -777,10 +783,10 @@ def register_family(scenarios):
     for sc in scenarios:
         sequence = protocol_sequence(sc)
         if sc.noise.any:
-            stack.append(sequence_superoperator(system, sequence,
-                                                _columns(comp, system.dimension)))
+            stack.append(sequence_superoperator(system, PulseArrays.of(sequence),
+                                                _columns(comp, system.dimension))[0][0])
         else:
-            stack.append(sequence_unitary(system, sequence, comp))
+            stack.append(sequence_unitary(system, PulseArrays.of(sequence), columns=comp)[0])
     return np.array(stack), comp, system.dimension
 
 
@@ -924,10 +930,10 @@ def chunk_as_scored_per_point(base, points):
     comp = _computational(base, system)
     if base.noise.any:
         dephasing = np.array([[sc.gamma_h] * 2 for sc in scenarios])
-        stack, _ = stacked_superoperators(system, pulses, _columns(comp, system.dimension),
+        stack, _ = sequence_superoperator(system, pulses, _columns(comp, system.dimension),
                                           shifts, dephasing)
     else:
-        stack = stacked_unitaries(system, pulses, shifts, comp)
+        stack = sequence_unitary(system, pulses, shifts, comp)
     for row, propagator in zip(rows, stack):
         report, _ = oracle_report(propagator, comp, system.dimension, base.noise.any,
                                   base.gate_target)
